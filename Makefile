@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race check differential lpdebug examples obs-allocs scale-smoke admit-smoke class-smoke profile bench bench-full bench-json bench-compare clean
+.PHONY: all build test vet race check differential lpdebug examples obs-allocs scale-smoke admit-smoke class-smoke benchmark-smoke loc profile bench bench-full bench-json bench-compare clean
 
 all: check
 
@@ -70,24 +70,43 @@ scale-smoke:
 
 # A reduced R19 (village grid + 200-node zoned city) through the full serving
 # pipeline — workload generation, three-tier admission, release churn,
-# compaction — plus a reduced R20 through the sharded path at workers 1 and
-# 8 (per-zone locking, joint batches, concurrent dispatcher), all under go
-# vet and the race detector. The full sweeps live in `meshbench -only R19`
-# and `-only R20`.
+# compaction — plus a reduced R20 at workers 1 and 8 (per-zone locking, joint
+# batches, concurrent dispatcher), and the engine's own concurrency tests:
+# concurrent vs. sequential drivers, the admit/release soaks on zoned and
+# monolithic engines, the reader race. All under go vet and the race
+# detector. The full sweeps live in `meshbench -only R19` and `-only R20`.
 admit-smoke:
 	$(GO) vet ./...
 	$(GO) test -race -count=1 -run 'TestAdmitSmoke|TestShardSmoke' ./internal/experiments
+	$(GO) test -race -count=1 -run 'TestDifferentialShardedVsSerial|TestConcurrent|TestReleaseStorm|TestShardedSnapshotRace|TestDecisionTraceGolden' ./internal/admit
 
 # A reduced R21 (120-node zoned city, mixed UGS/rtPS/nrtPS/BE workload under
 # overload) through the class-aware serving pipeline — class deadlines, the
 # classed fastpath and solver caps, and preemptive admission with evictions —
-# under go vet and the race detector. The full sweep lives in
-# `meshbench -only R21`.
+# plus the preemption soak (concurrent Admit/AdmitBatch/Release/TryDefrag on
+# a zoned preemptive engine with Engine.Check running throughout), rollback
+# exactness and multi-worker preemptive serving. All under go vet and the
+# race detector. The full sweep lives in `meshbench -only R21`.
 class-smoke:
 	$(GO) vet ./...
 	$(GO) test -race -count=1 -run TestClassSmoke ./internal/experiments
+	$(GO) test -race -count=1 -run 'TestPreempt|TestReleaseDuringPreemptTrial|TestServeConcurrentPreempt|TestClassStrictExtension' ./internal/admit
 
-check: vet build race differential lpdebug examples obs-allocs admit-smoke class-smoke
+# The repository benchmark (BENCHMARK.json, benchmark/) is its own module, so
+# `go test ./...` never sees it: vet it and run its reduced-size workload
+# tests here. `bash benchmark/run.sh --workload <name> --seed 42 --seconds 12
+# --trace <0|1>` is the real run.
+benchmark-smoke:
+	(cd benchmark && $(GO) vet . && $(GO) test .)
+
+# Non-test Go lines per package — the number ROADMAP tracks and wants to go
+# down. benchmark/ is listed but kept out of the total.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './.bench_build/*' | xargs wc -l | \
+		awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; if (d !~ /^\.\/benchmark/) t += $$1 } \
+		END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d total outside benchmark/\n", t }'
+
+check: vet build race differential lpdebug examples obs-allocs admit-smoke class-smoke benchmark-smoke loc
 
 # CPU+heap profile of the scheduler-bound experiments (see README
 # "Performance" for reading the output).

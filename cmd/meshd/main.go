@@ -9,7 +9,7 @@
 //	meshd                                   # 24-node village, 200 calls
 //	meshd -nodes 96 -calls 1000 -rate 40    # bigger mesh, heavier load
 //	meshd -zoned -zone-size 400             # per-zone models (city mode)
-//	meshd -zoned -workers 8 -batch 16       # sharded concurrent admission
+//	meshd -zoned -workers 8 -batch 16       # concurrent admission, sharded by zone
 //	meshd -zoned -workers 8 -defrag         # + background solver re-packs
 //	meshd -to-gateway                       # all calls route to the gateway
 //	meshd -max-window 24                    # tighter admission (more rejects)
@@ -76,12 +76,12 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		budget      = fs.Int("budget", 200_000, "branch-and-bound node budget per admission solve")
 		timeLimit   = fs.Duration("time-limit", 250*time.Millisecond, "wall-clock cap per admission solve (0 = none); a blown budget falls back to a feasibility probe at the window cap, then rejects conservatively")
 		metricsOut  = fs.String("metrics-out", "", "write the admit.* counter snapshot (JSON) to this file")
-		workers     = fs.Int("workers", 1, "admission workers; >1 requires -zoned and shards decisions by zone (per-zone locking). 1 replays byte-identically to the serial engine")
+		workers     = fs.Int("workers", 1, "admission workers; >1 decides arrivals concurrently, in parallel where they touch disjoint zones (-zoned; a monolithic engine has one zone, so its workers only batch). 1 replays byte-identically run to run")
 		batchMax    = fs.Int("batch", 16, "max arrivals decided by one joint solve when workers queue up (workers > 1 only)")
 		defrag      = fs.Bool("defrag", false, "run background solver-driven defragmentation during the replay")
 		milpWorkers = fs.Int("milp-workers", 1, "branch-and-bound worker threads inside each admission solve")
 		classMix    = fs.String("class-mix", "", "weighted service-class mix, e.g. ugs=0.5,rtps=0.2/2,nrtps=0.2/2,be=0.1 (class=weight[/slots-per-link]); empty serves pure best-effort calls as before")
-		preempt     = fs.Bool("preempt", false, "let guaranteed-class (UGS/rtPS) arrivals evict best-effort and nrtPS calls when every repair tier fails; single worker only")
+		preempt     = fs.Bool("preempt", false, "let guaranteed-class (UGS/rtPS) arrivals evict best-effort and nrtPS calls when every repair tier fails; such an arrival locks every zone while it decides")
 		ugsDeadline = fs.Int("ugs-deadline", 0, "per-link slot deadline for aggregate UGS traffic (0 = none)")
 		rtpsWindow  = fs.Int("rtps-window", 0, "per-link slot deadline for aggregate UGS+rtPS traffic (0 = none)")
 	)
@@ -94,14 +94,8 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	if *workers < 1 {
 		return fmt.Errorf("-workers %d: need at least 1", *workers)
 	}
-	if *workers > 1 && !*zoned {
-		return fmt.Errorf("-workers %d needs -zoned: concurrent admissions shard by zone", *workers)
-	}
 	if *milpWorkers < 1 {
 		return fmt.Errorf("-milp-workers %d: need at least 1", *milpWorkers)
-	}
-	if *preempt && *workers > 1 {
-		return fmt.Errorf("-preempt needs -workers 1: an eviction can hit a call owned by another worker")
 	}
 	mix, err := parseClassMix(*classMix)
 	if err != nil {
@@ -126,7 +120,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		MILP:          milp.Options{MaxNodes: *budget, TimeLimit: *timeLimit, Workers: *milpWorkers},
 		BudgetRejects: true,
 		Zoned:         *zoned,
-		Sharded:       *workers > 1,
 		UGSDeadline:   *ugsDeadline,
 		RtPSWindow:    *rtpsWindow,
 		Preempt:       *preempt,

@@ -104,9 +104,7 @@ func TestRunBadFlags(t *testing.T) {
 		{"-nodes", "4"},
 		{"-not-a-flag"},
 		{"-workers", "0"},
-		{"-workers", "8"}, // concurrent admission requires -zoned
 		{"-milp-workers", "0"},
-		{"-zoned", "-workers", "2", "-preempt"}, // preemption is single-worker
 		{"-class-mix", "voice=1"},
 		{"-class-mix", "ugs"},
 		{"-class-mix", "ugs=0"},
@@ -203,6 +201,25 @@ func TestRunSharded(t *testing.T) {
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestRunWorkersAnyEngine pins that -workers is not an engine mode: several
+// workers drive a monolithic engine (one zone lock, so they only batch) and a
+// preemptive zoned one (an eviction may hit a call another worker owns).
+func TestRunWorkersAnyEngine(t *testing.T) {
+	for _, args := range [][]string{
+		{"-nodes", "8", "-workers", "4"},
+		{"-nodes", "24", "-zoned", "-workers", "4", "-preempt", "-class-mix", "ugs=0.5,be=0.5"},
+	} {
+		var sb strings.Builder
+		args = append([]string{"-calls", "60", "-rate", "100", "-holding", "80ms", "-max-window", "12", "-budget", "20", "-time-limit", "0"}, args...)
+		if err := run(context.Background(), args, &sb); err != nil {
+			t.Fatalf("run %v: %v", args, err)
+		}
+		if out := sb.String(); !strings.Contains(out, "served: 60 offered") || !strings.Contains(out, "concurrency: 4 workers") {
+			t.Errorf("run %v: output missing the serving or concurrency line:\n%s", args, out)
 		}
 	}
 }

@@ -22,16 +22,49 @@
 // Rejections are always solver verdicts (the fast tier only admits), so the
 // engine's accept/reject answers match a cold schedule.MinSlots re-plan —
 // the differential tests pin this. In zoned mode (city scale) the engine
-// instead keeps one persistent model per spatial zone (internal/partition)
-// and re-solves only the zones an admission touches; zoned verdicts are
-// conservative, as for the partitioned planner.
+// instead keeps one persistent model per spatial zone (internal/partition),
+// re-solves only the zones an admission touches and first-fits their blocks
+// back against the rest of the schedule; zoned verdicts are conservative,
+// as for the partitioned planner.
+//
+// # One decision path
+//
+// Admit, AdmitBatch and the preemption retry all run the same routine,
+// decide, over a group of one or more flows, on every engine. A monolithic
+// engine is the engine with one zone whose solver phase is the whole-graph
+// model (with the memo and the incumbent-window lower bound) instead of a
+// zone model plus stitch.
+//
+// Lock hierarchy, strictly outside-in:
+//
+//	zoneMu[i] < zoneMu[j] for i < j  <  e.mu
+//
+// A decision takes the zone locks of every zone its flows' paths touch, in
+// ascending order, and only then e.mu; e.mu is never held while acquiring a
+// zone lock, so lock-order cycles cannot form. The zone locks freeze the
+// demand (and class totals) of the locked zones' links and guard their
+// solver models for the whole decision: every demand write holds the link's
+// zone lock and e.mu. e.mu alone guards the live schedule, the occupancy
+// index, the flow table and the tallies. decide holds e.mu through the
+// screens and the fastpath, releases it around each solve — so admissions in
+// disjoint zones solve in parallel and readers never wait for a solver — and
+// re-takes it to stitch and commit.
+//
+// Invariant: whenever e.mu is released, Engine.Check holds, and gen has moved
+// if the schedule or the demand did. A multi-zone decision therefore undoes
+// the trial stitch of the zones solved so far before it releases e.mu for the
+// next zone's solve; only the last zone's stitch is kept.
+//
+// Preemption (Config.Preempt) needs no mode of its own: a guaranteed-class
+// arrival on a preemptive engine takes every zone lock, so no other
+// decision or release runs while it evicts, retries and — when no eviction
+// set admits the arrival — restores its whole-state snapshot.
 package admit
 
 import (
-	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
 	"sync"
 	"time"
@@ -93,11 +126,17 @@ type Flow struct {
 	Class Class
 }
 
-// demand folds the flow into a per-link slot map.
-func (f Flow) demand() map[topology.LinkID]int {
-	d := make(map[topology.LinkID]int, len(f.Path))
-	for i, l := range f.Path {
-		d[l] += f.Slots[i]
+// demandOf folds the flows into one per-link slot map.
+func demandOf(flows ...Flow) map[topology.LinkID]int {
+	n := 0
+	for _, f := range flows {
+		n += len(f.Path)
+	}
+	d := make(map[topology.LinkID]int, n)
+	for _, f := range flows {
+		for i, l := range f.Path {
+			d[l] += f.Slots[i]
+		}
 	}
 	return d
 }
@@ -175,12 +214,10 @@ type Config struct {
 	// repair tier evict the cheapest conflict-relevant set of BE/nrtPS
 	// flows and retry. Evictions are reported in Decision.Preempted and the
 	// evicted flows are no longer served. Non-guaranteed arrivals never
-	// preempt, and guaranteed flows are never victims. Requires the serial
-	// engine (not Sharded): preemption retries mutate and roll back the
-	// whole schedule under one lock.
+	// preempt, and guaranteed flows are never victims. Such an arrival
+	// locks every zone, so its evict/retry/rollback loop sees no other
+	// decision.
 	Preempt bool
-	// MaxPreempt caps the evictions spent on one admission (0 = no cap).
-	MaxPreempt int
 	// MILP configures the branch-and-bound solves. Admit overrides
 	// Interrupt with the call context's Done channel.
 	MILP milp.Options
@@ -199,25 +236,12 @@ type Config struct {
 	// decomposition of ZoneSize meters (0 = automatic): city-scale mode.
 	Zoned    bool
 	ZoneSize float64
-	// Sharded switches the zoned engine from one global lock to per-zone
-	// locking: an admission locks only the zones its demand delta touches
-	// (in ascending zone-ID order, so concurrent admissions cannot
-	// deadlock) plus a short critical section on the shared stitch and
-	// occupancy state, letting admissions in disjoint zones solve truly in
-	// parallel. Requires Zoned. Verdicts stay the zoned engine's
-	// conservative ones, but their arrival order under concurrency is
-	// scheduler-dependent; serial replay needs Sharded off.
-	Sharded bool
 	// MaxZonePairs gates zone ILP size as in internal/partition; larger
 	// zones fall back to greedy packing (0 = partition default).
 	MaxZonePairs int
 	// CompactEvery re-packs the schedule after that many releases to
 	// reclaim fragmented slots (0 = 64, negative = never).
 	CompactEvery int
-	// MemoSize bounds the exact-solve memo of the monolithic warm tier
-	// (0 = 256, negative = disabled). Entries are keyed by the full
-	// aggregate demand vector, so a hit is always exact.
-	MemoSize int
 	// Registry receives admit.* counters and the decision-latency
 	// histogram; nil disables metrics.
 	Registry *obs.Registry
@@ -225,7 +249,10 @@ type Config struct {
 
 const (
 	defaultCompactEvery = 64
-	defaultMemoSize     = 256
+	// memoCap bounds the exact-solve memo of the monolithic warm tier.
+	// Entries are keyed by the full aggregate demand vector, so a hit is
+	// always exact.
+	memoCap = 256
 )
 
 // memoEntry is one remembered exact verdict: the minimum window and a
@@ -237,74 +264,95 @@ type memoEntry struct {
 	assigns  []tdma.Assignment
 }
 
+// zoneModel is one persistent ILP model over a grow-only support set: the
+// links that ever carried demand in its scope (a dense city zone can hold
+// tens of thousands of conflicting link pairs, so a model over all zone links
+// would be intractable; the links that ever carry demand are few).
+type zoneModel struct {
+	inc     *schedule.Incremental
+	support []topology.LinkID
+}
+
+// ensure makes the model cover every link with positive demand, rebuilding
+// it over the widened support when it does not; cold reports a rebuild.
+func (m *zoneModel) ensure(g *conflict.Graph, frame tdma.FrameConfig, demand map[topology.LinkID]int) (cold bool, err error) {
+	if m.inc != nil && m.inc.Supports(demand) {
+		return false, nil
+	}
+	support := m.support
+	for l, d := range demand {
+		if d > 0 && !slices.Contains(support, l) {
+			support = append(support, l)
+		}
+	}
+	inc, err := schedule.NewIncremental(g, support, frame)
+	if err != nil {
+		return false, err
+	}
+	slices.Sort(support)
+	m.inc, m.support = inc, support
+	return true, nil
+}
+
 // Engine is the long-lived admission engine. All methods are safe for
-// concurrent use. In the default configuration admissions serialize on one
-// internal lock (the schedule and the persistent solver model are single
-// live objects); with Config.Sharded the zoned engine instead locks only the
-// zones a decision touches, so the solver work of admissions in disjoint
-// zones runs in parallel and just the stitch — commit of the shared
-// schedule, occupancy index and tallies — serializes on e.mu.
+// concurrent use: a decision locks the zones its flows touch (a monolithic
+// engine has one), so the solver work of admissions in disjoint zones runs
+// in parallel and just the screens, the fastpath and the stitch — commit of
+// the shared schedule, occupancy index and tallies — serialize on e.mu. See
+// the package comment for the lock hierarchy.
 type Engine struct {
-	cfg     Config
-	maxWin  int
-	sharded bool
+	cfg      Config
+	maxWin   int
+	maxPairs int
 
 	// mu is the stitch lock: it guards the live schedule, the occupancy
-	// index, the aggregate demand, the flow table, the tallies and the memo.
-	// In sharded mode the solver phase of a decision runs outside it, under
-	// the per-zone locks below.
+	// index, the aggregate demand, the flow table and the tallies. The
+	// solver phase of a decision runs outside it, under the zone locks.
 	mu     sync.Mutex
 	sched  *tdma.Schedule
-	occ    [][][2]int // per-link [start,end) intervals, sorted by start
+	occ    occupancy
+	undo   []tdma.Assignment // stitch's rollback copy of the schedule
 	demand map[topology.LinkID]int
 	flows  map[FlowID]Flow
 	win    int
 	// cls tracks, per link, the aggregate guaranteed-class slots:
 	// [0] UGS, [1] rtPS. Maintained only when classed() — a deadline is
-	// configured — and guarded by e.mu like demand.
+	// configured — and guarded like demand.
 	cls map[topology.LinkID][2]int
-	// gen counts committed mutations of the live schedule (admit, release,
-	// compaction, defrag swap). Background defragmentation snapshots it and
-	// discards its candidate when the schedule moved underneath the solve.
+	// gen counts committed mutations of the live schedule or demand (admit,
+	// release, eviction, rollback, compaction, defrag swap). Background
+	// defragmentation snapshots it and discards its candidate when the
+	// schedule moved underneath the solve.
 	gen uint64
-	// pending reserves flow IDs whose sharded admission is mid-solve, so a
-	// concurrent duplicate of the same ID fails instead of racing.
-	pending map[FlowID]bool
-	// Monolithic mode: one persistent model over a grow-only support set.
-	inc     *schedule.Incremental
-	support []topology.LinkID
-	// solverDirty is set by Release: the incumbent window is no longer a
-	// proven minimum, so warm solves may not use it as a lower bound.
+	// solverDirty is set whenever the incumbent window stops being a proven
+	// minimum (release, eviction, satisficed solve, defrag swap), so the
+	// monolithic warm solve may not use it as a lower bound.
 	solverDirty bool
 	releases    int
-	// Zoned mode: static decomposition over the full link set, one lazily
-	// built model per zone over that zone's grow-only demand support (a
-	// dense city zone can hold tens of thousands of conflicting link pairs,
-	// so a model over all zone links would be intractable; the links that
-	// ever carry demand are few). zoneInc[zi], zoneSupport[zi] and the
-	// demand entries of zone zi's links are guarded by zoneMu[zi] in
-	// sharded mode (writes additionally hold e.mu for the demand map).
-	dec         *partition.Decomposition
-	zoneInc     []*schedule.Incremental
-	zoneSupport [][]topology.LinkID
-	zoneMu      []sync.Mutex
-	// Exact-solve memo (monolithic mode): demand fingerprint -> verdict,
-	// FIFO-evicted at memoCap entries.
+	// solveHook, when set, runs as a decision lets go of e.mu for a solve
+	// (its zone locks still held). Test hook.
+	solveHook func()
+
+	// dec is the static decomposition over the full link set (nil on a
+	// monolithic engine). zoneMu has one lock per zone — one in all on a
+	// monolithic engine — and allZones lists them ascending. models[i] and
+	// the demand entries of zone i's links are guarded by zoneMu[i] (demand
+	// writes additionally hold e.mu).
+	dec      *partition.Decomposition
+	zoneMu   []sync.Mutex
+	allZones []int
+	models   []zoneModel
+	// Exact-solve memo of the monolithic model: demand fingerprint ->
+	// verdict, FIFO-evicted at memoCap entries. Guarded by zoneMu[0].
 	memo      map[string]memoEntry
 	memoOrder []string
-	memoCap   int
 
-	// Defragmentation state: dfMu serializes background re-packs (one at a
-	// time); the private models below exist so a defrag solve never touches
-	// the decision-path models.
-	dfMu       sync.Mutex
-	dfInc      *schedule.Incremental
-	dfSupport  []topology.LinkID
-	dfZoneInc  map[int]*schedule.Incremental
-	dfZoneSup  map[int][]topology.LinkID
+	// dfMu serializes background re-packs (one at a time); dfModels are
+	// private so a defrag solve never touches the decision-path models.
+	dfMu     sync.Mutex
+	dfModels []zoneModel
 
-	stats   Stats
-	scratch [][2]int
+	stats Stats
 
 	cFast, cWarm, cCold, cReject *obs.Counter
 	cRelease, cCompact           *obs.Counter
@@ -330,12 +378,12 @@ func New(cfg Config) (*Engine, error) {
 	if maxWin <= 0 || maxWin > cfg.Frame.DataSlots {
 		maxWin = cfg.Frame.DataSlots
 	}
+	if cfg.CompactEvery == 0 {
+		cfg.CompactEvery = defaultCompactEvery
+	}
 	s, err := tdma.NewSchedule(cfg.Frame)
 	if err != nil {
 		return nil, err
-	}
-	if cfg.Sharded && !cfg.Zoned {
-		return nil, fmt.Errorf("%w: Sharded requires Zoned (per-zone locks need zones)", ErrBadFlow)
 	}
 	if cfg.UGSDeadline < 0 || cfg.RtPSWindow < 0 {
 		return nil, fmt.Errorf("%w: negative class deadline (ugs %d, rtps %d)",
@@ -345,27 +393,21 @@ func New(cfg Config) (*Engine, error) {
 		return nil, fmt.Errorf("%w: rtPS window %d below UGS deadline %d",
 			ErrBadFlow, cfg.RtPSWindow, cfg.UGSDeadline)
 	}
-	if cfg.Preempt && cfg.Sharded {
-		return nil, fmt.Errorf("%w: Preempt requires the serial engine (preemption retries roll back the whole schedule)", ErrBadFlow)
-	}
 	e := &Engine{
-		cfg:     cfg,
-		maxWin:  maxWin,
-		sharded: cfg.Sharded,
-		sched:   s,
-		occ:     make([][][2]int, cfg.Graph.NumVertices()),
-		demand:  make(map[topology.LinkID]int),
-		flows:   make(map[FlowID]Flow),
-		cls:     make(map[topology.LinkID][2]int),
-		pending: make(map[FlowID]bool),
+		cfg:      cfg,
+		maxWin:   maxWin,
+		maxPairs: cfg.MaxZonePairs,
+		sched:    s,
+		occ:      newOccupancy(cfg.Graph),
+		demand:   make(map[topology.LinkID]int),
+		flows:    make(map[FlowID]Flow),
+		cls:      make(map[topology.LinkID][2]int),
+		memo:     make(map[string]memoEntry, memoCap),
 	}
-	e.memoCap = cfg.MemoSize
-	if e.memoCap == 0 {
-		e.memoCap = defaultMemoSize
+	if e.maxPairs <= 0 {
+		e.maxPairs = partition.DefaultMaxZonePairs
 	}
-	if e.memoCap > 0 {
-		e.memo = make(map[string]memoEntry, e.memoCap)
-	}
+	zones := 1
 	if cfg.Zoned {
 		// Static zoning over the full link universe: decompose a synthetic
 		// all-active problem so every link has a zone for the engine's
@@ -383,9 +425,14 @@ func New(cfg Config) (*Engine, error) {
 			return nil, err
 		}
 		e.dec = dec
-		e.zoneInc = make([]*schedule.Incremental, len(dec.Zones))
-		e.zoneSupport = make([][]topology.LinkID, len(dec.Zones))
-		e.zoneMu = make([]sync.Mutex, len(dec.Zones))
+		zones = len(dec.Zones)
+	}
+	e.zoneMu = make([]sync.Mutex, zones)
+	e.models = make([]zoneModel, zones)
+	e.dfModels = make([]zoneModel, zones)
+	e.allZones = make([]int, zones)
+	for i := range e.allZones {
+		e.allZones[i] = i
 	}
 	if r := cfg.Registry; r != nil {
 		e.cFast = r.Counter("admit.fastpath_hit")
@@ -415,15 +462,13 @@ func New(cfg Config) (*Engine, error) {
 
 // Window returns the current schedule makespan in slots.
 //
-// Locking note (audited for the sharded engine): e.mu alone is sufficient
-// for this and the other read accessors even under Config.Sharded. Every
-// mutation of reader-visible state — e.sched, e.occ, e.demand, e.flows,
-// e.win, e.cls, e.stats — happens with e.mu held: the sharded decision
-// path mutates only zone solver state (zoneInc, zoneSupport, guarded by
-// the zone locks) during its unlocked solve phase B, and commits through
-// phases A and C under e.mu. TestShardedSnapshotRace hammers these
-// accessors against ServeConcurrent under the race detector to keep it
-// that way.
+// Locking note: e.mu alone is sufficient for this and the other read
+// accessors. Every mutation of reader-visible state — e.sched, e.occ,
+// e.demand, e.flows, e.win, e.cls, e.stats — happens with e.mu held: a
+// decision mutates only solver state (models, memo, guarded by the zone
+// locks) during its unlocked solve phases, and screens, stitches and commits
+// under e.mu. TestShardedSnapshotRace hammers these accessors against
+// ServeConcurrent under the race detector to keep it that way.
 func (e *Engine) Window() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -446,8 +491,8 @@ func (e *Engine) Stats() Stats {
 
 // Snapshot returns a copy of the live schedule. The assignment slice is
 // cloned under e.mu (see the locking note on Window), so the copy is a
-// consistent point-in-time schedule even while sharded admissions and
-// background defrag run concurrently.
+// consistent point-in-time schedule even while concurrent admissions and
+// background defrag run.
 func (e *Engine) Snapshot() *tdma.Schedule {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -468,6 +513,13 @@ func (f Flow) validate(numLinks, frameSlots int) error {
 	if f.Class > ClassUGS {
 		return fmt.Errorf("%w: flow %s has unknown class %d", ErrBadFlow, f.ID, f.Class)
 	}
+	// A link may appear on the path more than once (a route crossing the
+	// same contention domain twice); the tiers all see the FOLDED per-link
+	// demand (see demandOf). Folded demand beyond the frame can never be
+	// served in any window, and unlike a single oversized entry — which the
+	// structural cap screens per tier — the individual entries of a
+	// duplicate-link flow can each look harmless, so the mismatch is
+	// rejected here where the request is still a request.
 	for i, l := range f.Path {
 		if l < 0 || int(l) >= numLinks {
 			return fmt.Errorf("%w: flow %s link %d outside graph", ErrBadFlow, f.ID, l)
@@ -476,28 +528,9 @@ func (f Flow) validate(numLinks, frameSlots int) error {
 			return fmt.Errorf("%w: flow %s slot count %d on link %d",
 				ErrBadFlow, f.ID, f.Slots[i], l)
 		}
-	}
-	// A link may appear on the path more than once (a route crossing the
-	// same contention domain twice); the tiers all see the FOLDED per-link
-	// demand (see demand()). Folded demand beyond the frame can never be
-	// served in any window, and unlike a single oversized entry — which the
-	// structural cap screens per tier — the individual entries of a
-	// duplicate-link flow can each look harmless, so the mismatch is
-	// rejected here where the request is still a request.
-	for i, l := range f.Path {
-		seen := false
-		for j := 0; j < i; j++ {
-			if f.Path[j] == l {
-				seen = true
-				break
-			}
-		}
-		if seen {
-			continue
-		}
 		total := 0
-		for j := i; j < len(f.Path); j++ {
-			if f.Path[j] == l {
+		for j, m := range f.Path {
+			if m == l {
 				total += f.Slots[j]
 			}
 		}
@@ -509,560 +542,19 @@ func (f Flow) validate(numLinks, frameSlots int) error {
 	return nil
 }
 
-// Admit decides one admission request. Rejections return Admitted=false
-// with a nil error; errors are reserved for malformed requests, solver
-// resource exhaustion, and context cancellation (ctx.Err() once the
-// in-flight solve has been interrupted and rolled back).
-func (e *Engine) Admit(ctx context.Context, f Flow) (Decision, error) {
-	if e.sharded {
-		return e.admitSharded(ctx, f)
-	}
-	start := time.Now()
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.admitSerialLocked(ctx, f, start)
-}
-
-// admitSerialLocked is the single-lock decision body: validation, one
-// admission attempt through the tiers, and — for rejected guaranteed-class
-// arrivals with Config.Preempt — the preemption retry loop. Called with
-// e.mu held.
-func (e *Engine) admitSerialLocked(ctx context.Context, f Flow, start time.Time) (Decision, error) {
-	if err := f.validate(len(e.occ), e.cfg.Frame.DataSlots); err != nil {
-		return Decision{}, err
-	}
-	if _, dup := e.flows[f.ID]; dup {
-		return Decision{}, fmt.Errorf("%w: flow %s already admitted", ErrBadFlow, f.ID)
-	}
-	dec, err := e.attemptLocked(ctx, f)
-	if err != nil {
-		return Decision{}, err
-	}
-	if !dec.Admitted && e.cfg.Preempt && f.Class.Guaranteed() {
-		// Only guaranteed-class arrivals ever enter the preemption search,
-		// so a BE or nrtPS arrival can never evict anything.
-		dec, err = e.tryPreempt(ctx, f, dec)
-		if err != nil {
-			return Decision{}, err
-		}
-	}
-	return e.finish(start, dec), nil
-}
-
-// attemptLocked runs one admission attempt for f — structural screen, the
-// first-fit fastpath, then the solver tiers — committing engine state and
-// booking the per-tier tallies on success. The shared admit/reject tallies
-// and the latency stamp are the caller's (finish), so the preemption loop
-// can re-run the attempt after evictions. Called with e.mu held; f must be
-// validated and not a duplicate.
-func (e *Engine) attemptLocked(ctx context.Context, f Flow) (Decision, error) {
-	delta := f.demand()
-	for l, d := range delta {
-		if e.demand[l]+d > e.maxWin {
-			// No window within the cap can carry this link's demand:
-			// structurally impossible, no solver needed.
-			return Decision{Tier: TierNone}, nil
-		}
-	}
-	newCls := e.clsAfter(f)
-	if newCls != nil {
-		for l := range delta {
-			if v := newCls[l]; e.clsOver(v[0], v[1]) {
-				// The link's guaranteed-class slots cannot all complete by
-				// their deadlines in any window: structurally impossible.
-				return Decision{Tier: TierNone}, nil
-			}
-		}
-	}
-
-	if pending := e.tryFastpath(delta, newCls); pending != nil {
-		for _, a := range pending {
-			if err := e.sched.Add(a); err != nil {
-				return Decision{}, err
-			}
-			e.occAdd(a.Link, a.Start, a.End())
-		}
-		for l, d := range delta {
-			e.demand[l] += d
-		}
-		if newCls != nil {
-			e.cls = newCls
-		}
-		e.flows[f.ID] = f
-		e.gen++
-		e.stats.Fast++
-		e.cFast.Inc()
-		return Decision{Admitted: true, Tier: TierFast, Window: e.win}, nil
-	}
-
-	newDemand := make(map[topology.LinkID]int, len(e.demand)+len(delta))
-	for l, d := range e.demand {
-		newDemand[l] = d
-	}
-	for l, d := range delta {
-		newDemand[l] += d
-	}
-	opts := e.cfg.MILP
-	if ctx != nil {
-		opts.Interrupt = ctx.Done()
-	}
-
-	var (
-		dec Decision
-		err error
-	)
-	if e.cfg.Zoned {
-		dec, err = e.admitZoned(ctx, delta, newDemand, newCls, opts)
-	} else {
-		dec, err = e.admitMono(ctx, newDemand, newCls, opts)
-	}
-	if err != nil {
-		return Decision{}, err
-	}
-	if dec.Admitted {
-		e.demand = newDemand
-		if newCls != nil {
-			e.cls = newCls
-		}
-		e.flows[f.ID] = f
-		e.gen++
-		switch dec.Tier {
-		case TierWarm:
-			e.stats.Warm++
-			e.stats.WarmPivots += uint64(dec.Pivots)
-			e.cWarm.Inc()
-			e.cWarmPivots.Add(uint64(dec.Pivots))
-		case TierCold:
-			e.stats.Cold++
-			e.cCold.Inc()
-		}
-	}
-	return dec, nil
-}
-
-// finish stamps the latency and the shared admit/reject tallies.
-func (e *Engine) finish(start time.Time, d Decision) Decision {
-	d.Latency = time.Since(start)
-	if d.Admitted {
-		e.stats.Admitted++
-	} else {
-		e.stats.Rejected++
-		e.cReject.Inc()
-	}
-	e.hDecision.Observe(float64(d.Latency.Microseconds()))
-	return d
-}
-
-// classifySolverErr folds a solver failure into the engine's error contract
-// without touching engine state: infeasibility is a rejection (nil error),
-// an interrupt surfaces the context's error, budget exhaustion rejects
-// conservatively when configured (budget=true so the caller can count it),
-// anything else passes through as out.
-func (e *Engine) classifySolverErr(ctx context.Context, err error) (reject, budget bool, out error) {
-	if errors.Is(err, schedule.ErrInfeasible) {
-		return true, false, nil
-	}
-	if ctx != nil && ctx.Err() != nil && errors.Is(err, milp.ErrLimit) {
-		return false, false, ctx.Err()
-	}
-	if e.cfg.BudgetRejects && errors.Is(err, milp.ErrLimit) {
-		return true, true, nil
-	}
-	return false, false, err
-}
-
-// solverErr applies classifySolverErr and books the budget-rejection
-// tallies. Called with e.mu held.
-func (e *Engine) solverErr(ctx context.Context, tier Tier, err error) (Decision, error) {
-	_, budget, out := e.classifySolverErr(ctx, err)
-	if out != nil {
-		return Decision{}, out
-	}
-	if budget {
-		e.stats.BudgetRejected++
-		e.cBudget.Inc()
-	}
-	return Decision{Tier: tier, Window: e.win}, nil
-}
-
-// minSlotsServing wraps Incremental.MinSlots with the satisficing fallback
-// of Config.BudgetRejects: when the exact search blows its budget under a
-// live context, probe the window cap once — lo = hint = maxWin makes it a
-// single feasibility check — and return that schedule with satisficed=true
-// (the window is then the probe schedule's makespan, feasible but not proven
-// minimal). It touches no shared engine state beyond the model it is handed,
-// so the sharded engine can run it under a zone lock alone; the caller books
-// satisficed outcomes into the tallies under e.mu.
-func (e *Engine) minSlotsServing(ctx context.Context, inc *schedule.Incremental, p *schedule.Problem, hint, lo int, opts milp.Options) (win int, s *tdma.Schedule, solved, pivots int, satisficed bool, err error) {
-	win, s, solved, pivots, err = inc.MinSlots(p, hint, lo, e.maxWin, opts)
-	if err == nil || !e.cfg.BudgetRejects || !errors.Is(err, milp.ErrLimit) ||
-		(ctx != nil && ctx.Err() != nil) {
-		return win, s, solved, pivots, false, err
-	}
-	_, s2, solved2, piv2, err2 := inc.MinSlots(p, e.maxWin, e.maxWin, e.maxWin, opts)
-	solved += solved2
-	pivots += piv2
-	if err2 != nil {
-		// ErrInfeasible here is still exact — nothing fits within the cap —
-		// and a second ErrLimit becomes the conservative budget rejection.
-		return 0, nil, solved, pivots, false, err2
-	}
-	return makespanOf(s2), s2, solved, pivots, true, nil
-}
-
-// bookSatisficed records satisficing fallbacks taken during a decision's
-// solver phase. Called with e.mu held.
-func (e *Engine) bookSatisficed(n int) {
-	if n <= 0 {
-		return
-	}
-	e.stats.Satisficed += uint64(n)
-	e.cSatisfice.Add(uint64(n))
-}
-
-// admitMono is the monolithic solver tier: one persistent model over a
-// grow-only support set. newCls carries the prospective per-link class
-// totals (nil when the engine is class-oblivious); they reach the solver
-// as absolute start caps. Called with e.mu held.
-func (e *Engine) admitMono(ctx context.Context, newDemand map[topology.LinkID]int, newCls map[topology.LinkID][2]int, opts milp.Options) (Decision, error) {
-	fp := fingerprint(newDemand, newCls)
-	if ent, ok := e.memo[fp]; ok {
-		e.stats.MemoHits++
-		e.cMemo.Inc()
-		if !ent.feasible {
-			return Decision{Tier: TierWarm, Window: e.win}, nil
-		}
-		e.sched = &tdma.Schedule{Config: e.cfg.Frame, Assignments: slices.Clone(ent.assigns)}
-		e.sched.Invalidate()
-		e.rebuildOcc()
-		e.win = ent.win
-		e.solverDirty = false
-		return Decision{Admitted: true, Tier: TierWarm, Window: ent.win}, nil
-	}
-	tier := TierWarm
-	if e.inc == nil || !e.inc.Supports(newDemand) {
-		support := e.support
-		for l, d := range newDemand {
-			if d > 0 && !slices.Contains(support, l) {
-				support = append(support, l)
-			}
-		}
-		inc, err := schedule.NewIncremental(e.cfg.Graph, support, e.cfg.Frame)
-		if err != nil {
-			return Decision{}, err
-		}
-		slices.Sort(support)
-		e.inc, e.support = inc, support
-		tier = TierCold
-	}
-	lo := 0
-	if tier == TierWarm && !e.solverDirty {
-		// Demand has only grown since the last exact solve, so its window
-		// is a sound lower bound; with the hint equal to it, the common
-		// case is a single warm probe.
-		lo = e.win
-	}
-	p := &schedule.Problem{Graph: e.cfg.Graph, Demand: newDemand, FrameSlots: e.cfg.Frame.DataSlots,
-		StartCap: e.capsFor(newCls)}
-	win, s, solved, pivots, sat, err := e.minSlotsServing(ctx, e.inc, p, e.win, lo, opts)
-	if err != nil {
-		if errors.Is(err, schedule.ErrInfeasible) {
-			e.memoStore(fp, memoEntry{})
-		}
-		return e.solverErr(ctx, tier, err)
-	}
-	if sat {
-		e.bookSatisficed(1)
-	}
-	if !sat {
-		// Satisficed windows are feasible but not proven minimal, so they
-		// never enter the exact memo.
-		e.memoStore(fp, memoEntry{feasible: true, win: win, assigns: slices.Clone(s.Assignments)})
-	}
-	e.sched = s
-	e.rebuildOcc()
-	e.win = win
-	e.solverDirty = sat
-	return Decision{Admitted: true, Tier: tier, Window: win, Solved: solved, Pivots: pivots}, nil
-}
-
-// fingerprint serializes a demand vector into a memo key: links ascending.
-// A classed engine folds the per-link class totals in too — the same
-// aggregate demand under a different UGS/rtPS composition has different
-// start caps, so the verdicts are not interchangeable. With cls nil the
-// key bytes are exactly the pre-class ones.
-func fingerprint(demand map[topology.LinkID]int, cls map[topology.LinkID][2]int) string {
-	links := make([]topology.LinkID, 0, len(demand))
-	for l, d := range demand {
-		if d > 0 {
-			links = append(links, l)
-		}
-	}
-	slices.Sort(links)
-	var b []byte
-	for _, l := range links {
-		b = binary.AppendVarint(b, int64(l))
-		b = binary.AppendVarint(b, int64(demand[l]))
-	}
-	if cls != nil {
-		b = append(b, 0xff)
-		for _, l := range links {
-			v := cls[l]
-			b = binary.AppendVarint(b, int64(v[0]))
-			b = binary.AppendVarint(b, int64(v[1]))
-		}
-	}
-	return string(b)
-}
-
-// memoStore inserts an exact verdict, evicting FIFO at capacity. Called
-// with e.mu held.
-func (e *Engine) memoStore(fp string, ent memoEntry) {
-	if e.memoCap <= 0 {
-		return
-	}
-	if _, ok := e.memo[fp]; !ok {
-		if len(e.memoOrder) >= e.memoCap {
-			delete(e.memo, e.memoOrder[0])
-			e.memoOrder = e.memoOrder[1:]
-		}
-		e.memoOrder = append(e.memoOrder, fp)
-	}
-	e.memo[fp] = ent
-}
-
-// admitZoned re-solves only the zones the delta touches and first-fits their
-// new blocks back against the rest of the schedule. newCls carries the
-// prospective per-link class totals (nil when class-oblivious): the zone
-// solves see them as start caps, and the re-stitch respects them through
-// stitchLimit. Called with e.mu held.
-func (e *Engine) admitZoned(ctx context.Context, delta, newDemand map[topology.LinkID]int, newCls map[topology.LinkID][2]int, opts milp.Options) (Decision, error) {
-	snapshot := slices.Clone(e.sched.Assignments)
-	snapWin := e.win
-	restore := func() {
-		e.sched.Assignments = snapshot
-		e.sched.Invalidate()
-		e.win = snapWin
-		e.rebuildOcc()
-	}
-	maxPairs := e.cfg.MaxZonePairs
-	if maxPairs <= 0 {
-		maxPairs = partition.DefaultMaxZonePairs
-	}
-
-	var zones []int
-	for l := range delta {
-		if zi := e.dec.ZoneOf(l); zi >= 0 && !slices.Contains(zones, zi) {
-			zones = append(zones, zi)
-		}
-	}
-	slices.Sort(zones)
-
-	tier, solved, pivots := TierWarm, 0, 0
-	full := &schedule.Problem{Graph: e.cfg.Graph, Demand: newDemand, FrameSlots: e.cfg.Frame.DataSlots,
-		StartCap: e.capsFor(newCls)}
-	for _, zi := range zones {
-		zp := partition.ZoneProblem(full, e.dec, zi)
-		zp.StartCap = full.StartCap
-		zoneLinks := e.dec.Zones[zi].Links
-
-		var blocks []tdma.Assignment
-		if partition.ActivePairs(zp) > maxPairs {
-			gs, err := schedule.Greedy(zp, e.cfg.Frame)
-			if err != nil {
-				restore()
-				return e.solverErr(ctx, tier, err)
-			}
-			blocks = gs.Assignments
-			e.stats.ZoneGreedy++
-			e.cZoneGreedy.Inc()
-		} else {
-			zinc := e.zoneInc[zi]
-			if zinc == nil || !zinc.Supports(zp.Demand) {
-				support := e.zoneSupport[zi]
-				for l, d := range zp.Demand {
-					if d > 0 && !slices.Contains(support, l) {
-						support = append(support, l)
-					}
-				}
-				var err error
-				zinc, err = schedule.NewIncremental(e.cfg.Graph, support, e.cfg.Frame)
-				if err != nil {
-					restore()
-					return Decision{}, err
-				}
-				slices.Sort(support)
-				e.zoneInc[zi], e.zoneSupport[zi] = zinc, support
-				tier = TierCold
-			}
-			hint := 0
-			for _, l := range zoneLinks {
-				for _, iv := range e.occ[l] {
-					hint = max(hint, iv[1])
-				}
-			}
-			_, zs, zsolved, zpiv, zsat, err := e.minSlotsServing(ctx, zinc, zp, hint, 0, opts)
-			if err != nil {
-				restore()
-				return e.solverErr(ctx, tier, err)
-			}
-			if zsat {
-				e.bookSatisficed(1)
-			}
-			blocks = zs.Assignments
-			solved += zsolved
-			pivots += zpiv
-		}
-
-		// Swap the zone's allocation: drop its old blocks, then first-fit
-		// the new ones in ascending start order (the solver's layout is the
-		// placement hint; conflicts against other zones are re-checked
-		// against the live occupancy, so halo links stay safe).
-		e.dropLinks(zoneLinks)
-		slices.SortFunc(blocks, func(a, b tdma.Assignment) int {
-			if a.Start != b.Start {
-				return a.Start - b.Start
-			}
-			if a.Length != b.Length {
-				return b.Length - a.Length
-			}
-			return int(a.Link - b.Link)
-		})
-		placed := make(map[topology.LinkID]int, len(zoneLinks))
-		for _, b := range blocks {
-			lim := e.stitchLimit(b.Link, placed[b.Link], b.Length, newCls)
-			s := e.firstFit(b.Link, b.Length, lim, nil)
-			if s < 0 {
-				// Cross-zone packing failure (or a class deadline the
-				// stitch cannot keep): conservative rejection, like the
-				// partitioned planner's stitch failures.
-				restore()
-				return Decision{Tier: tier, Window: e.win}, nil
-			}
-			if err := e.sched.Add(tdma.Assignment{Link: b.Link, Start: s, Length: b.Length}); err != nil {
-				restore()
-				return Decision{}, err
-			}
-			e.occAdd(b.Link, s, s+b.Length)
-			placed[b.Link] += b.Length
-		}
-	}
-	e.win = makespanOf(e.sched)
-	return Decision{Admitted: true, Tier: tier, Window: e.win, Solved: solved, Pivots: pivots}, nil
-}
-
-// Release returns a flow's slots. The schedule shrinks in place (highest
-// start blocks first); every CompactEvery releases the engine re-packs all
-// blocks first-fit to reclaim fragmentation — the re-pack provably never
-// grows the makespan.
-func (e *Engine) Release(id FlowID) error {
-	if e.sharded {
-		return e.releaseSharded(id)
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	f, ok := e.flows[id]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrUnknownFlow, id)
-	}
-	return e.releaseLocked(f)
-}
-
-// releaseLocked returns f's slots and runs the periodic compaction. Called
-// with e.mu held (and, in sharded mode, the zone locks of f's path).
-func (e *Engine) releaseLocked(f Flow) error {
-	for l, d := range f.demand() {
-		if err := e.sched.TrimLink(l, d); err != nil {
-			return err
-		}
-		if e.demand[l] -= d; e.demand[l] <= 0 {
-			delete(e.demand, l)
-		}
-	}
-	delete(e.flows, f.ID)
-	e.classAdd(f, -1)
-	e.rebuildOcc()
-	e.win = makespanOf(e.sched)
-	e.solverDirty = true
-	e.gen++
-	e.stats.Releases++
-	e.cRelease.Inc()
-	e.releases++
-	every := e.cfg.CompactEvery
-	if every == 0 {
-		every = defaultCompactEvery
-	}
-	if every > 0 && e.releases >= every {
-		e.releases = 0
-		if err := e.compact(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// compact re-packs every block first-fit in ascending (start, length desc)
-// order. Sorted re-insertion can only move a block to an earlier slot: all
-// earlier-starting conflicting blocks end at or before this block's old
-// start and are re-placed no later than they were, so the old position is
-// always still free. Hence the makespan never grows. Called with e.mu held.
-func (e *Engine) compact() error {
-	start := time.Now()
-	blocks := slices.Clone(e.sched.Assignments)
-	slices.SortFunc(blocks, func(a, b tdma.Assignment) int {
-		if a.Start != b.Start {
-			return a.Start - b.Start
-		}
-		if a.Length != b.Length {
-			return b.Length - a.Length
-		}
-		return int(a.Link - b.Link)
-	})
-	e.sched.Assignments = e.sched.Assignments[:0]
-	e.sched.Invalidate()
-	for i := range e.occ {
-		e.occ[i] = e.occ[i][:0]
-	}
-	for _, b := range blocks {
-		s := e.firstFit(b.Link, b.Length, e.maxWin, nil)
-		if s < 0 || s > b.Start {
-			return fmt.Errorf("admit: compaction moved link %d block from %d to %d", b.Link, b.Start, s)
-		}
-		if err := e.sched.Add(tdma.Assignment{Link: b.Link, Start: s, Length: b.Length}); err != nil {
-			return err
-		}
-		e.occAdd(b.Link, s, s+b.Length)
-	}
-	e.win = makespanOf(e.sched)
-	e.gen++
-	e.stats.Compactions++
-	e.cCompact.Inc()
-	e.hCompact.Observe(float64(time.Since(start).Microseconds()))
-	return nil
-}
-
 // Check verifies the engine's internal invariants: the schedule is
 // conflict-free, carries exactly the aggregate demand, and the occupancy
-// index and makespan mirror it. Test hook.
+// index and makespan mirror it; on a classed engine the class totals mirror
+// the flow table and every link's guaranteed prefixes are covered by their
+// deadlines. Test hook.
 func (e *Engine) Check() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if err := e.sched.Validate(e.cfg.Graph); err != nil {
 		return err
 	}
-	slots := make(map[topology.LinkID]int)
-	for _, a := range e.sched.Assignments {
-		slots[a.Link] += a.Length
-	}
-	for l, d := range e.demand {
-		if slots[l] != d {
-			return fmt.Errorf("admit: link %d carries %d slots, demand %d", l, slots[l], d)
-		}
-	}
-	for l, n := range slots {
-		if e.demand[l] != n {
-			return fmt.Errorf("admit: link %d carries %d slots, demand %d", l, n, e.demand[l])
-		}
+	if err := carries(e.sched.Assignments, e.demand); err != nil {
+		return err
 	}
 	if got := makespanOf(e.sched); got != e.win {
 		return fmt.Errorf("admit: window %d, makespan %d", e.win, got)
@@ -1070,225 +562,45 @@ func (e *Engine) Check() error {
 	if e.win > e.maxWin {
 		return fmt.Errorf("admit: window %d beyond cap %d", e.win, e.maxWin)
 	}
-	occSlots := 0
-	for _, ivs := range e.occ {
-		for _, iv := range ivs {
-			occSlots += iv[1] - iv[0]
-		}
+	mirror := newOccupancy(e.cfg.Graph)
+	mirror.rebuild(e.sched.Assignments)
+	if !slices.EqualFunc(mirror.iv, e.occ.iv, slices.Equal[[][2]int]) {
+		return fmt.Errorf("admit: occupancy index does not mirror the schedule")
 	}
-	schedSlots := 0
-	for _, a := range e.sched.Assignments {
-		schedSlots += a.Length
+	if !e.classed() {
+		return nil
 	}
-	if occSlots != schedSlots {
-		return fmt.Errorf("admit: occupancy index holds %d slots, schedule %d", occSlots, schedSlots)
+	want := make(map[topology.LinkID][2]int)
+	for _, f := range e.flows {
+		classAdd(want, f, 1)
 	}
-	if e.classed() {
-		// The class totals must mirror the flow table, and every link's
-		// guaranteed prefixes must be covered by their deadlines.
-		want := make(map[topology.LinkID][2]int)
-		for _, f := range e.flows {
-			var idx int
-			switch f.Class {
-			case ClassUGS:
-				idx = 0
-			case ClassRtPS:
-				idx = 1
-			default:
-				continue
-			}
-			for i, l := range f.Path {
-				v := want[l]
-				v[idx] += f.Slots[i]
-				want[l] = v
-			}
-		}
-		for l, v := range want {
-			if e.cls[l] != v {
-				return fmt.Errorf("admit: link %d class totals %v, flows say %v", l, e.cls[l], v)
-			}
-		}
-		for l, v := range e.cls {
-			if want[l] != v {
-				return fmt.Errorf("admit: link %d class totals %v, flows say %v", l, v, want[l])
-			}
-			if D1 := e.cfg.UGSDeadline; D1 > 0 && v[0] > 0 && e.covered(l, D1) < v[0] {
-				return fmt.Errorf("admit: link %d covers %d slots by UGS deadline %d, needs %d",
-					l, e.covered(l, D1), D1, v[0])
-			}
-			if D2 := e.cfg.RtPSWindow; D2 > 0 && v[1] > 0 && e.covered(l, D2) < v[0]+v[1] {
-				return fmt.Errorf("admit: link %d covers %d slots by rtPS window %d, needs %d",
-					l, e.covered(l, D2), D2, v[0]+v[1])
-			}
+	if !maps.Equal(want, e.cls) {
+		return fmt.Errorf("admit: class totals %v, flows say %v", e.cls, want)
+	}
+	for l, v := range e.cls {
+		if e.uncovered(&e.occ, l, v) {
+			return fmt.Errorf("admit: link %d misses a class deadline (UGS/rtPS slots %v)", l, v)
 		}
 	}
 	return nil
 }
 
-// tryFastpath attempts first-fit placement of the delta entirely within the
-// current window. Returns the placements to commit, or nil when any link
-// does not fit (the solver tiers take over). newCls, when non-nil, carries
-// the prospective per-link class totals: each link's placement is then cut
-// into up to three segments — slots that must end by the UGS deadline,
-// by the rtPS window, and anywhere in the window — sized so the link's
-// deadline coverage (see Check) holds after the commit. With newCls nil the
-// placement degenerates to the single unconstrained segment and is
-// byte-identical to the class-oblivious fastpath. Called with e.mu held.
-func (e *Engine) tryFastpath(delta map[topology.LinkID]int, newCls map[topology.LinkID][2]int) []tdma.Assignment {
-	if e.win == 0 {
-		return nil
+// carries reports whether the blocks hold exactly the demand: each link's
+// slots sum to its demand entry and no other link has any.
+func carries(blocks []tdma.Assignment, demand map[topology.LinkID]int) error {
+	slots := make(map[topology.LinkID]int, len(demand))
+	for _, a := range blocks {
+		slots[a.Link] += a.Length
 	}
-	links := make([]topology.LinkID, 0, len(delta))
-	for l := range delta {
-		links = append(links, l)
-	}
-	slices.Sort(links)
-	var pending []tdma.Assignment
-	for _, l := range links {
-		need := delta[l]
-		n1, n2 := 0, 0
-		lim1, lim2 := e.win, e.win
-		if newCls != nil {
-			v := newCls[l]
-			if D1 := e.cfg.UGSDeadline; D1 > 0 && v[0] > 0 {
-				if n1 = v[0] - e.covered(l, D1); n1 < 0 {
-					n1 = 0
-				}
-				lim1 = min(lim1, D1)
-			}
-			if D2 := e.cfg.RtPSWindow; D2 > 0 && v[1] > 0 {
-				if n2 = v[0] + v[1] - e.covered(l, D2); n2 < 0 {
-					n2 = 0
-				}
-				lim2 = min(lim2, D2)
-			}
-			n2 = max(n2, n1)
-			if n2 > need {
-				// Coverage short by more than this delta adds: the live
-				// invariant should make this impossible, but defer to the
-				// solver rather than over-place.
-				return nil
-			}
-		}
-		for _, seg := range [3][2]int{{n1, lim1}, {n2 - n1, lim2}, {need - n2, e.win}} {
-			n, lim := seg[0], seg[1]
-			for n > 0 {
-				s := e.firstFit(l, n, lim, pending)
-				m := n
-				if s < 0 {
-					// No room for the full run; take the largest leading free
-					// gap instead, splitting the demand across blocks.
-					s, m = e.firstGap(l, lim, pending)
-					if s < 0 {
-						return nil
-					}
-					if m > n {
-						m = n
-					}
-				}
-				pending = append(pending, tdma.Assignment{Link: l, Start: s, Length: m})
-				n -= m
-			}
+	for l, d := range demand {
+		if slots[l] != d {
+			return fmt.Errorf("admit: link %d carries %d slots, demand %d", l, slots[l], d)
 		}
 	}
-	return pending
-}
-
-// occAdd inserts [s,end) into link l's interval index, keeping start order.
-func (e *Engine) occAdd(l topology.LinkID, s, end int) {
-	ivs := e.occ[l]
-	i, _ := slices.BinarySearchFunc(ivs, s, func(iv [2]int, s int) int { return iv[0] - s })
-	e.occ[l] = slices.Insert(ivs, i, [2]int{s, end})
-}
-
-// rebuildOcc regenerates the interval index from the live schedule.
-func (e *Engine) rebuildOcc() {
-	for i := range e.occ {
-		e.occ[i] = e.occ[i][:0]
-	}
-	for _, a := range e.sched.Assignments {
-		e.occ[a.Link] = append(e.occ[a.Link], [2]int{a.Start, a.End()})
-	}
-	for i := range e.occ {
-		slices.SortFunc(e.occ[i], func(a, b [2]int) int { return a[0] - b[0] })
-	}
-}
-
-// dropLinks removes every assignment of the given links from the schedule
-// and the occupancy index. Called with e.mu held.
-func (e *Engine) dropLinks(links []topology.LinkID) {
-	e.sched.Assignments = slices.DeleteFunc(e.sched.Assignments, func(a tdma.Assignment) bool {
-		return slices.Contains(links, a.Link)
-	})
-	e.sched.Invalidate()
-	for _, l := range links {
-		e.occ[l] = e.occ[l][:0]
-	}
-}
-
-// blockers collects the intervals that constrain link l — its own and its
-// conflict neighbors', plus pending placements — sorted by start.
-func (e *Engine) blockers(l topology.LinkID, pending []tdma.Assignment) [][2]int {
-	bs := e.scratch[:0]
-	bs = append(bs, e.occ[l]...)
-	e.cfg.Graph.VisitNeighbors(l, func(nb topology.LinkID) bool {
-		bs = append(bs, e.occ[nb]...)
-		return true
-	})
-	for _, p := range pending {
-		if p.Link == l || e.cfg.Graph.Conflicts(p.Link, l) {
-			bs = append(bs, [2]int{p.Start, p.End()})
+	for l, n := range slots {
+		if demand[l] != n {
+			return fmt.Errorf("admit: link %d carries %d slots, demand %d", l, n, demand[l])
 		}
 	}
-	slices.SortFunc(bs, func(a, b [2]int) int { return a[0] - b[0] })
-	e.scratch = bs
-	return bs
-}
-
-// firstFit returns the earliest start for a length-d block of link l ending
-// at or before limit, or -1. O(conflict degree × blocks).
-func (e *Engine) firstFit(l topology.LinkID, d, limit int, pending []tdma.Assignment) int {
-	cur := 0
-	for _, b := range e.blockers(l, pending) {
-		if b[0]-cur >= d {
-			break
-		}
-		cur = max(cur, b[1])
-		if cur+d > limit {
-			return -1
-		}
-	}
-	if cur+d > limit {
-		return -1
-	}
-	return cur
-}
-
-// firstGap returns the earliest free gap for link l within limit as (start,
-// length), or (-1, 0).
-func (e *Engine) firstGap(l topology.LinkID, limit int, pending []tdma.Assignment) (int, int) {
-	cur := 0
-	for _, b := range e.blockers(l, pending) {
-		if b[0] > cur {
-			return cur, min(b[0], limit) - cur
-		}
-		cur = max(cur, b[1])
-		if cur >= limit {
-			return -1, 0
-		}
-	}
-	if cur >= limit {
-		return -1, 0
-	}
-	return cur, limit - cur
-}
-
-func makespanOf(s *tdma.Schedule) int {
-	end := 0
-	for _, a := range s.Assignments {
-		if a.End() > end {
-			end = a.End()
-		}
-	}
-	return end
+	return nil
 }

@@ -74,7 +74,7 @@ func differentialServe(t *testing.T, workers int) {
 			if err := e.Release(ev.Flow.ID); err != nil {
 				t.Fatalf("release %s: %v", ev.Flow.ID, err)
 			}
-			for l, d := range f.demand() {
+			for l, d := range demandOf(f) {
 				if demand[l] -= d; demand[l] <= 0 {
 					delete(demand, l)
 				}
@@ -96,7 +96,7 @@ func differentialServe(t *testing.T, workers int) {
 		for l, d := range demand {
 			next[l] = d
 		}
-		for l, d := range ev.Flow.demand() {
+		for l, d := range demandOf(ev.Flow) {
 			next[l] += d
 		}
 		coldFeasible := true

@@ -57,11 +57,11 @@ func benchSetup(b *testing.B, compactEvery int) (*Engine, Flow, map[topology.Lin
 	f := Flow{ID: "bench", Path: path, Slots: slots}
 	demand := make(map[topology.LinkID]int)
 	for _, bf := range e.flows {
-		for l, d := range bf.demand() {
+		for l, d := range demandOf(bf) {
 			demand[l] += d
 		}
 	}
-	for l, d := range f.demand() {
+	for l, d := range demandOf(f) {
 		demand[l] += d
 	}
 	return e, f, demand, frame
@@ -114,8 +114,11 @@ func BenchmarkAdmitRelease(b *testing.B) {
 	})
 	b.Run("warm-solve", func(b *testing.B) {
 		e, f, _, _ := benchSetup(b, 1)
-		e.memoCap = -1
-		e.memo = nil
+		// Forget the memo before every admit so each one reaches the solver.
+		forget := func() {
+			clear(e.memo)
+			e.memoOrder = e.memoOrder[:0]
+		}
 		ctx := context.Background()
 		if dec, err := e.Admit(ctx, f); err != nil || !dec.Admitted {
 			b.Fatalf("prewarm: %+v, %v", dec, err)
@@ -126,6 +129,7 @@ func BenchmarkAdmitRelease(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
+			forget()
 			dec, err := e.Admit(ctx, f)
 			if err != nil || !dec.Admitted {
 				b.Fatalf("admit: %+v, %v", dec, err)

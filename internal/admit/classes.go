@@ -2,6 +2,7 @@ package admit
 
 import (
 	"fmt"
+	"maps"
 	"math"
 
 	"wimesh/internal/topology"
@@ -99,75 +100,43 @@ func (e *Engine) clsOver(u, r int) bool {
 
 // clsAfter returns the engine's per-link class totals after adding the
 // given flows: [0] UGS slots, [1] rtPS slots per link. Nil when the engine
-// is class-oblivious. The result is a fresh map; committing an admission
-// replaces e.cls with it. Called with e.mu held.
-func (e *Engine) clsAfter(flows ...Flow) map[topology.LinkID][2]int {
+// is class-oblivious. The result is a fresh map. Called with e.mu held.
+func (e *Engine) clsAfter(flows []Flow) map[topology.LinkID][2]int {
 	if !e.classed() {
 		return nil
 	}
-	m := make(map[topology.LinkID][2]int, len(e.cls)+4)
-	for l, v := range e.cls {
-		m[l] = v
-	}
+	m := maps.Clone(e.cls)
 	for _, f := range flows {
-		var idx int
-		switch f.Class {
-		case ClassUGS:
-			idx = 0
-		case ClassRtPS:
-			idx = 1
-		default:
-			continue
-		}
-		for i, l := range f.Path {
-			v := m[l]
-			v[idx] += f.Slots[i]
-			m[l] = v
-		}
+		classAdd(m, f, 1)
 	}
 	return m
 }
 
-// classAdd folds sign times f's slots into the live class totals, dropping
-// zeroed links. No-op for unclassed engines and non-guaranteed flows.
-// Called with e.mu held.
-func (e *Engine) classAdd(f Flow, sign int) {
-	if !e.classed() {
+// classAdd folds sign times f's slots into the per-link class totals m,
+// dropping zeroed links. No-op for non-guaranteed flows.
+func classAdd(m map[topology.LinkID][2]int, f Flow, sign int) {
+	if !f.Class.Guaranteed() {
 		return
 	}
-	var idx int
-	switch f.Class {
-	case ClassUGS:
-		idx = 0
-	case ClassRtPS:
-		idx = 1
-	default:
-		return
-	}
+	idx := int(ClassUGS - f.Class) // UGS 0, rtPS 1
 	for i, l := range f.Path {
-		v := e.cls[l]
+		v := m[l]
 		v[idx] += sign * f.Slots[i]
 		if v == [2]int{} {
-			delete(e.cls, l)
+			delete(m, l)
 		} else {
-			e.cls[l] = v
+			m[l] = v
 		}
 	}
 }
 
-// covered returns how many of link l's scheduled slots lie before the
-// deadline slot index (exclusive). Partial blocks count their leading
-// slots: per-link slots are fungible, so any d slots before the deadline
-// cover a d-slot guaranteed prefix. Called with e.mu held.
-func (e *Engine) covered(l topology.LinkID, deadline int) int {
-	n := 0
-	for _, iv := range e.occ[l] {
-		if iv[0] >= deadline {
-			break
-		}
-		n += min(iv[1], deadline) - iv[0]
-	}
-	return n
+// uncovered reports whether link l, carrying the class totals v, has a
+// guaranteed prefix that o's blocks do not complete by its deadline — the
+// coverage invariant of a classed engine (see Check).
+func (e *Engine) uncovered(o *occupancy, l topology.LinkID, v [2]int) bool {
+	D1, D2 := e.cfg.UGSDeadline, e.cfg.RtPSWindow
+	return D1 > 0 && v[0] > 0 && o.covered(l, D1) < v[0] ||
+		D2 > 0 && v[1] > 0 && o.covered(l, D2) < v[0]+v[1]
 }
 
 // capsFor translates prospective class totals into the per-link absolute
@@ -203,21 +172,20 @@ func (e *Engine) capsFor(cls map[topology.LinkID][2]int) map[topology.LinkID]int
 
 // stitchLimit bounds where the next re-stitched block of link l may end so
 // the link's deadline coverage holds once all its blocks are placed: with
-// k of the link's slots already re-placed and n in this block, the block
-// carries the next min(n, prefix-k) slots of each guaranteed prefix, and
-// those must end by the prefix's deadline. Inductively this keeps
-// coverage exact whatever order first-fit lands the blocks in. cls nil
-// (class-oblivious) or a link without guaranteed slots gets the plain
-// window bound.
-func (e *Engine) stitchLimit(l topology.LinkID, k, n int, cls map[topology.LinkID][2]int) int {
+// k of the link's slots already re-placed — everything the occupancy index
+// holds for it, the stitch having dropped its old blocks — and n in this
+// block, the block carries the next min(n, prefix-k) slots of each
+// guaranteed prefix, and those must end by the prefix's deadline.
+// Inductively this keeps coverage exact whatever order first-fit lands the
+// blocks in. cls nil (class-oblivious) or a link without guaranteed slots
+// gets the plain window bound.
+func (e *Engine) stitchLimit(l topology.LinkID, n int, cls map[topology.LinkID][2]int) int {
 	lim := e.maxWin
-	if cls == nil {
-		return lim
-	}
 	v, ok := cls[l]
 	if !ok {
 		return lim
 	}
+	k := e.occ.covered(l, e.maxWin)
 	if D1 := e.cfg.UGSDeadline; D1 > 0 && v[0] > 0 && k < v[0] {
 		lim = min(lim, D1+n-min(n, v[0]-k))
 	}

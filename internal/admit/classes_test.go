@@ -308,8 +308,8 @@ func TestValidateFoldedDuplicateDemand(t *testing.T) {
 	}
 }
 
-// TestShardedSnapshotRace hammers the read accessors while a sharded
-// concurrent replay (with background defrag) mutates the engine. Run under
+// TestShardedSnapshotRace hammers the read accessors while a concurrent
+// replay (with background defrag) mutates the engine. Run under
 // -race this pins the read-path locking audit: every reader-visible field
 // is only ever written under e.mu.
 func TestShardedSnapshotRace(t *testing.T) {
@@ -319,7 +319,6 @@ func TestShardedSnapshotRace(t *testing.T) {
 		Graph: g, Frame: frame,
 		MILP:         milp.Options{MaxNodes: 50_000, Workers: 1},
 		Zoned:        true,
-		Sharded:      true,
 		MaxZonePairs: 40,
 	})
 	if err != nil {

@@ -1,0 +1,815 @@
+package admit
+
+import (
+	"context"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"slices"
+	"time"
+
+	"wimesh/internal/milp"
+	"wimesh/internal/partition"
+	"wimesh/internal/schedule"
+	"wimesh/internal/tdma"
+	"wimesh/internal/topology"
+)
+
+// This file is the decision path: the lock protocol, the one group routine
+// decide every entry point runs, its two solver phases (whole-graph model,
+// zone models plus stitch), and release. The package comment states the lock
+// hierarchy and the invariant decide keeps whenever it lets go of e.mu.
+
+// lock acquires the given zone locks in ascending order, then e.mu — the
+// whole hierarchy, in the one order that cannot deadlock — recording the time
+// spent waiting on contended zone locks in the admit.lock_wait_us histogram.
+func (e *Engine) lock(zones []int) {
+	var wait time.Duration
+	for _, zi := range zones {
+		if e.zoneMu[zi].TryLock() {
+			continue
+		}
+		start := time.Now()
+		e.zoneMu[zi].Lock()
+		wait += time.Since(start)
+	}
+	e.hLockWait.Observe(float64(wait.Microseconds()))
+	e.mu.Lock()
+}
+
+// unlock releases what lock took.
+func (e *Engine) unlock(zones []int) {
+	e.mu.Unlock()
+	for i := len(zones) - 1; i >= 0; i-- {
+		e.zoneMu[zones[i]].Unlock()
+	}
+}
+
+// zonesOf returns the zone locks guarding the links, ascending: the zones
+// owning them, or the single lock of a monolithic engine.
+func (e *Engine) zonesOf(links []topology.LinkID) []int {
+	if e.dec == nil {
+		return e.allZones
+	}
+	return e.dec.ZoneSet(links)
+}
+
+// preempts reports whether a rejection of f would enter the preemption
+// search: only guaranteed-class arrivals ever do, so a BE or nrtPS arrival
+// can never evict anything. Such an arrival must hold every zone lock.
+func (e *Engine) preempts(f Flow) bool {
+	return e.cfg.Preempt && f.Class.Guaranteed()
+}
+
+// HomeZone returns the zone of the flow's first path link (0 when the engine
+// is not zoned): the dispatch key ServeConcurrent shards arrivals by, so all
+// events of one flow land on one worker in order.
+func (e *Engine) HomeZone(f Flow) int {
+	if e.dec == nil || len(f.Path) == 0 {
+		return 0
+	}
+	if zi := e.dec.ZoneOf(f.Path[0]); zi >= 0 {
+		return zi
+	}
+	return 0
+}
+
+// Admit decides one admission request. Rejections return Admitted=false
+// with a nil error; errors are reserved for malformed requests, solver
+// resource exhaustion, and context cancellation (ctx.Err() once the
+// in-flight solve has been interrupted and rolled back).
+func (e *Engine) Admit(ctx context.Context, f Flow) (Decision, error) {
+	start := time.Now()
+	if err := f.validate(e.cfg.Graph.NumVertices(), e.cfg.Frame.DataSlots); err != nil {
+		return Decision{}, err
+	}
+	zones := e.allZones
+	if !e.preempts(f) {
+		zones = e.zonesOf(f.Path)
+	}
+	e.lock(zones)
+	defer e.unlock(zones)
+	return e.admitOne(ctx, f, start)
+}
+
+// AdmitBatch decides the flows as one joint admission where possible: the
+// union of their demand deltas is checked, fastpathed or solved once, and
+// every member inherits the joint verdict. Demands are monotone, so a joint
+// admit proves each member individually admissible; any joint failure —
+// duplicate ID, structural cap, infeasibility, budget miss, stitch conflict —
+// falls back to deciding the flows individually in slice order, so batching
+// never changes a verdict relative to sequential Admit calls. On an error the
+// decisions made so far are returned with it; the remaining flows are
+// undecided. The union zone-lock set is held for the whole batch.
+func (e *Engine) AdmitBatch(ctx context.Context, flows []Flow) ([]Decision, error) {
+	start := time.Now()
+	if len(flows) == 0 {
+		return nil, nil
+	}
+	ids := make(map[FlowID]bool, len(flows))
+	var union []topology.LinkID
+	preempts := false
+	for _, f := range flows {
+		if err := f.validate(e.cfg.Graph.NumVertices(), e.cfg.Frame.DataSlots); err != nil {
+			return nil, err
+		}
+		if ids[f.ID] {
+			return nil, fmt.Errorf("%w: duplicate flow %s in batch", ErrBadFlow, f.ID)
+		}
+		ids[f.ID] = true
+		union = append(union, f.Path...)
+		preempts = preempts || e.preempts(f)
+	}
+	e.hBatch.Observe(float64(len(flows)))
+	zones := e.allZones
+	if !preempts {
+		zones = e.zonesOf(union)
+	}
+	e.lock(zones)
+	defer e.unlock(zones)
+	if len(flows) == 1 {
+		d, err := e.admitOne(ctx, flows[0], start)
+		if err != nil {
+			return nil, err
+		}
+		return []Decision{d}, nil
+	}
+	if out, err := e.admitJoint(ctx, flows, start); out != nil || err != nil {
+		return out, err
+	}
+	out := make([]Decision, 0, len(flows))
+	for _, f := range flows {
+		d, err := e.admitOne(ctx, f, time.Now())
+		if err != nil {
+			return out, err
+		}
+		out = append(out, d)
+	}
+	return out, nil
+}
+
+// admitOne is the authoritative decision of one validated flow: one attempt
+// through the tiers and — for a rejected guaranteed-class arrival with
+// Config.Preempt — the preemption retry loop. Called with the flow's zone
+// locks (all of them if it may preempt) and e.mu held.
+func (e *Engine) admitOne(ctx context.Context, f Flow, start time.Time) (Decision, error) {
+	if err := e.duplicate([]Flow{f}); err != nil {
+		return Decision{}, err
+	}
+	dec, err := e.decide(ctx, []Flow{f})
+	if err != nil {
+		return Decision{}, err
+	}
+	if !dec.Admitted && e.preempts(f) {
+		dec, err = e.tryPreempt(ctx, f, dec)
+		if err != nil {
+			return Decision{}, err
+		}
+	}
+	return e.finish(time.Since(start), dec), nil
+}
+
+// admitJoint attempts the joint decision of a batch. A nil result with a nil
+// error means the joint attempt proved nothing (duplicate, cap, reject, or
+// budget miss) and the caller must decide the flows individually: a joint
+// failure must not reject a call a sequential run would admit. Called like
+// admitOne.
+func (e *Engine) admitJoint(ctx context.Context, flows []Flow, start time.Time) ([]Decision, error) {
+	if e.duplicate(flows) != nil {
+		return nil, nil
+	}
+	dec, err := e.decide(ctx, flows)
+	if err != nil {
+		if ctx != nil && ctx.Err() != nil {
+			return nil, err
+		}
+		// The joint model is bigger than any member's, so a blown budget
+		// here says nothing about the individual solves; and a member whose
+		// ID a concurrent decision took meanwhile fails on its own, after
+		// the members before it were decided.
+		if errors.Is(err, milp.ErrLimit) || errors.Is(err, ErrBadFlow) {
+			return nil, nil
+		}
+		return nil, err
+	}
+	if !dec.Admitted {
+		return nil, nil
+	}
+	// Per-member decisions whose latency is the group elapsed time amortized
+	// across the members (the solve ran once for all of them).
+	e.stats.Batched += uint64(len(flows))
+	per := time.Since(start) / time.Duration(len(flows))
+	out := make([]Decision, len(flows))
+	for i := range out {
+		if i == 1 {
+			// Solver effort is attributed once, to the first member.
+			dec.Solved, dec.Pivots = 0, 0
+		}
+		out[i] = e.finish(per, dec)
+	}
+	return out, nil
+}
+
+// duplicate reports the first of the flows whose ID the engine already
+// serves. Called with e.mu held.
+func (e *Engine) duplicate(flows []Flow) error {
+	for _, f := range flows {
+		if _, dup := e.flows[f.ID]; dup {
+			return fmt.Errorf("%w: flow %s already admitted", ErrBadFlow, f.ID)
+		}
+	}
+	return nil
+}
+
+// finish stamps the latency and the shared admit/reject tallies.
+func (e *Engine) finish(latency time.Duration, d Decision) Decision {
+	d.Latency = latency
+	if d.Admitted {
+		e.stats.Admitted++
+	} else {
+		e.stats.Rejected++
+		e.cReject.Inc()
+	}
+	e.hDecision.Observe(float64(d.Latency.Microseconds()))
+	return d
+}
+
+// decide runs one admission attempt for the flows as a group — structural
+// and class screens, the first-fit fastpath, then the solver tiers — and on
+// success commits engine state and books the per-tier tallies, once per
+// member. The shared admit/reject tallies and the latency stamp are the
+// caller's (finish), so the preemption loop can re-run the attempt after
+// evictions, and a rejected group of two or more is the caller's cue to
+// decide its members one by one.
+//
+// Called with the flows' zone locks and e.mu held, the flows validated and
+// not duplicates; returns the same way. In between it releases e.mu around
+// every solve: the zone locks keep the demand and class totals of every
+// touched link frozen, so the snapshot taken here cannot go stale where the
+// solves and the stitch read it, while everything else — other zones'
+// demand, the live schedule under compaction or defrag — may move and is
+// re-read under e.mu.
+func (e *Engine) decide(ctx context.Context, flows []Flow) (Decision, error) {
+	delta := demandOf(flows...)
+	for l, d := range delta {
+		if e.demand[l]+d > e.maxWin {
+			// No window within the cap can carry this link's demand:
+			// structurally impossible, no solver needed.
+			return Decision{Tier: TierNone}, nil
+		}
+	}
+	newCls := e.clsAfter(flows)
+	if newCls != nil {
+		for l := range delta {
+			if v := newCls[l]; e.clsOver(v[0], v[1]) {
+				// The link's guaranteed-class slots cannot all complete by
+				// their deadlines in any window: structurally impossible.
+				return Decision{Tier: TierNone}, nil
+			}
+		}
+	}
+
+	if placed := e.tryFastpath(delta, newCls); placed != nil {
+		for _, a := range placed {
+			if err := e.sched.Add(a); err != nil {
+				return Decision{}, err
+			}
+			e.occ.add(a.Link, a.Start, a.End())
+		}
+		dec := Decision{Admitted: true, Tier: TierFast, Window: e.win}
+		e.commit(flows, delta, dec)
+		return dec, nil
+	}
+
+	newDemand := make(map[topology.LinkID]int, len(e.demand)+len(delta))
+	for l, d := range e.demand {
+		newDemand[l] = d
+	}
+	for l, d := range delta {
+		newDemand[l] += d
+	}
+	opts := e.cfg.MILP
+	if ctx != nil {
+		opts.Interrupt = ctx.Done()
+	}
+	// The prospective class totals reach the solvers as absolute start caps.
+	full := &schedule.Problem{Graph: e.cfg.Graph, Demand: newDemand, FrameSlots: e.cfg.Frame.DataSlots,
+		StartCap: e.capsFor(newCls)}
+	var (
+		dec Decision
+		err error
+	)
+	if e.dec == nil {
+		dec, err = e.solveMono(ctx, flows, full, newCls, opts)
+	} else {
+		dec, err = e.solveZoned(ctx, flows, delta, full, newCls, opts)
+	}
+	if err != nil || !dec.Admitted {
+		return dec, err
+	}
+	e.commit(flows, delta, dec)
+	return dec, nil
+}
+
+// commit books an admitted group whose slots are already in the live
+// schedule: demand, class totals, flow table, generation, and the tier
+// tallies once per member. Called with e.mu held.
+func (e *Engine) commit(flows []Flow, delta map[topology.LinkID]int, dec Decision) {
+	for l, d := range delta {
+		e.demand[l] += d
+	}
+	for _, f := range flows {
+		e.flows[f.ID] = f
+		if e.classed() {
+			classAdd(e.cls, f, 1)
+		}
+	}
+	e.gen++
+	k := uint64(len(flows))
+	switch dec.Tier {
+	case TierFast:
+		e.stats.Fast += k
+		e.cFast.Add(k)
+	case TierWarm:
+		e.stats.Warm += k
+		e.stats.WarmPivots += uint64(dec.Pivots)
+		e.cWarm.Add(k)
+		e.cWarmPivots.Add(uint64(dec.Pivots))
+	case TierCold:
+		e.stats.Cold += k
+		e.cCold.Add(k)
+	}
+}
+
+// solverErr folds a solver failure into the engine's error contract:
+// infeasibility is a rejection (nil error), an interrupt surfaces the
+// context's error, budget exhaustion rejects conservatively when configured
+// (and is counted), anything else passes through. Called with e.mu held.
+func (e *Engine) solverErr(ctx context.Context, tier Tier, err error) (Decision, error) {
+	switch {
+	case errors.Is(err, schedule.ErrInfeasible):
+	case ctx != nil && ctx.Err() != nil && errors.Is(err, milp.ErrLimit):
+		return Decision{}, ctx.Err()
+	case e.cfg.BudgetRejects && errors.Is(err, milp.ErrLimit):
+		e.stats.BudgetRejected++
+		e.cBudget.Inc()
+	default:
+		return Decision{}, err
+	}
+	return Decision{Tier: tier, Window: e.win}, nil
+}
+
+// solution is what one solve phase hands back across the e.mu boundary.
+type solution struct {
+	// blocks is the solver's layout: the whole schedule of a monolithic
+	// solve, one zone's blocks of a zone solve. Nil with a nil error is a
+	// memoized proof of infeasibility.
+	blocks         []tdma.Assignment
+	win            int
+	solved, pivots int
+	// cold: the model was rebuilt over a wider support; greedy: the zone was
+	// past the pair gate and packed greedily; sat: the satisficing fallback
+	// decided; memo: the exact memo answered.
+	cold, greedy, sat, memo bool
+}
+
+// book records a solve phase's side tallies and returns the tier it ran on.
+// Called with e.mu held.
+func (e *Engine) book(r solution) Tier {
+	if r.memo {
+		e.stats.MemoHits++
+		e.cMemo.Inc()
+	}
+	if r.greedy {
+		e.stats.ZoneGreedy++
+		e.cZoneGreedy.Inc()
+	}
+	if r.sat {
+		e.stats.Satisficed++
+		e.cSatisfice.Inc()
+	}
+	if r.cold {
+		return TierCold
+	}
+	return TierWarm
+}
+
+// minSlots wraps Incremental.MinSlots over [lo, hi] with the satisficing
+// fallback of Config.BudgetRejects: when satisfice is set and the exact
+// search blows its budget under a live context, probe hi once — lo = hint =
+// hi makes it a single feasibility check — and return that schedule with sat
+// set (the window is then the probe schedule's makespan, feasible but not
+// proven minimal). It touches no engine state beyond the model it is handed,
+// so it runs under a zone lock alone; the caller books the outcome under e.mu.
+func minSlots(ctx context.Context, inc *schedule.Incremental, p *schedule.Problem, hint, lo, hi int, satisfice bool, opts milp.Options) (r solution, err error) {
+	var s *tdma.Schedule
+	r.win, s, r.solved, r.pivots, err = inc.MinSlots(p, hint, lo, hi, opts)
+	if err != nil && satisfice && errors.Is(err, milp.ErrLimit) && (ctx == nil || ctx.Err() == nil) {
+		var solved, pivots int
+		// ErrInfeasible here is still exact — nothing fits within the cap —
+		// and a second ErrLimit becomes the conservative budget rejection.
+		_, s, solved, pivots, err = inc.MinSlots(p, hi, hi, hi, opts)
+		r.solved += solved
+		r.pivots += pivots
+		if err == nil {
+			r.win, r.sat = makespanOf(s), true
+		}
+	}
+	if err == nil {
+		r.blocks = s.Assignments
+	}
+	return r, err
+}
+
+// beginSolve releases e.mu for a solve; the caller retakes it afterwards.
+func (e *Engine) beginSolve() {
+	e.mu.Unlock()
+	if e.solveHook != nil {
+		e.solveHook()
+	}
+}
+
+// solveMono is the monolithic solver phase: one persistent model over the
+// whole graph, with the exact-verdict memo in front of it. Called with e.mu
+// held; releases it for the solve.
+func (e *Engine) solveMono(ctx context.Context, flows []Flow, p *schedule.Problem, newCls map[topology.LinkID][2]int, opts milp.Options) (Decision, error) {
+	hint, exact := e.win, !e.solverDirty
+	e.beginSolve()
+	r, err := e.monoModel(ctx, p, newCls, hint, exact, opts)
+	e.mu.Lock()
+	tier := e.book(r)
+	if err != nil {
+		return e.solverErr(ctx, tier, err)
+	}
+	if r.blocks == nil {
+		return Decision{Tier: tier, Window: e.win}, nil
+	}
+	// The solve covers the whole frozen demand, so its schedule replaces the
+	// live one outright — whatever compaction or defrag did to it meanwhile.
+	e.sched = &tdma.Schedule{Config: e.cfg.Frame, Assignments: r.blocks}
+	e.sched.Invalidate()
+	e.occ.rebuild(r.blocks)
+	e.win = r.win
+	e.solverDirty = r.sat
+	return Decision{Admitted: true, Tier: tier, Window: r.win, Solved: r.solved, Pivots: r.pivots}, nil
+}
+
+// monoModel answers the demand vector from the memo or the whole-graph
+// model. hint is the incumbent window; exact says it is a proven minimum.
+// Called with zoneMu[0] held and e.mu released.
+func (e *Engine) monoModel(ctx context.Context, p *schedule.Problem, newCls map[topology.LinkID][2]int, hint int, exact bool, opts milp.Options) (solution, error) {
+	fp := fingerprint(p.Demand, newCls)
+	if ent, ok := e.memo[fp]; ok {
+		r := solution{memo: true, win: ent.win}
+		if ent.feasible {
+			r.blocks = slices.Clone(ent.assigns)
+		}
+		return r, nil
+	}
+	cold, err := e.models[0].ensure(e.cfg.Graph, e.cfg.Frame, p.Demand)
+	if err != nil {
+		return solution{}, err
+	}
+	lo := 0
+	if !cold && exact {
+		// Demand has only grown since the last exact solve, so its window
+		// is a sound lower bound; with the hint equal to it, the common
+		// case is a single warm probe.
+		lo = hint
+	}
+	r, err := minSlots(ctx, e.models[0].inc, p, hint, lo, e.maxWin, e.cfg.BudgetRejects, opts)
+	r.cold = cold
+	if errors.Is(err, schedule.ErrInfeasible) {
+		e.memoStore(fp, memoEntry{})
+	} else if err == nil && !r.sat {
+		// Satisficed windows are feasible but not proven minimal, so they
+		// never enter the exact memo.
+		e.memoStore(fp, memoEntry{feasible: true, win: r.win, assigns: slices.Clone(r.blocks)})
+	}
+	return r, err
+}
+
+// fingerprint serializes a demand vector into a memo key: links ascending.
+// A classed engine folds the per-link class totals in too — the same
+// aggregate demand under a different UGS/rtPS composition has different
+// start caps, so the verdicts are not interchangeable. With cls nil the
+// key bytes are exactly the pre-class ones.
+func fingerprint(demand map[topology.LinkID]int, cls map[topology.LinkID][2]int) string {
+	links := make([]topology.LinkID, 0, len(demand))
+	for l, d := range demand {
+		if d > 0 {
+			links = append(links, l)
+		}
+	}
+	slices.Sort(links)
+	var b []byte
+	for _, l := range links {
+		b = binary.AppendVarint(b, int64(l))
+		b = binary.AppendVarint(b, int64(demand[l]))
+	}
+	if cls != nil {
+		b = append(b, 0xff)
+		for _, l := range links {
+			v := cls[l]
+			b = binary.AppendVarint(b, int64(v[0]))
+			b = binary.AppendVarint(b, int64(v[1]))
+		}
+	}
+	return string(b)
+}
+
+// memoStore inserts an exact verdict, evicting FIFO at capacity. Called
+// with zoneMu[0] held.
+func (e *Engine) memoStore(fp string, ent memoEntry) {
+	if _, ok := e.memo[fp]; !ok {
+		if len(e.memoOrder) >= memoCap {
+			delete(e.memo, e.memoOrder[0])
+			e.memoOrder = e.memoOrder[1:]
+		}
+		e.memoOrder = append(e.memoOrder, fp)
+	}
+	e.memo[fp] = ent
+}
+
+// solveZoned is the zoned solver phase: re-solve the zones the delta touches,
+// in ascending order, and first-fit their new blocks back against the rest
+// of the schedule. After each zone's solve the zones solved so far are
+// stitched on trial, so a cross-zone packing failure rejects before the
+// remaining zones are solved at all; only the last zone's stitch is kept
+// (see the package invariant). Called with e.mu held; releases it for each
+// solve.
+func (e *Engine) solveZoned(ctx context.Context, flows []Flow, delta map[topology.LinkID]int, full *schedule.Problem, newCls map[topology.LinkID][2]int, opts milp.Options) (Decision, error) {
+	links := make([]topology.LinkID, 0, len(delta))
+	for l := range delta {
+		links = append(links, l)
+	}
+	zones := e.dec.ZoneSet(links)
+	tier, nsolved, pivots := TierWarm, 0, 0
+	blocks := make([][]tdma.Assignment, len(zones))
+	for k, zi := range zones {
+		hint := e.occ.end(e.dec.Zones[zi].Links)
+		e.beginSolve()
+		zp := partition.ZoneProblem(full, e.dec, zi)
+		zp.StartCap = full.StartCap
+		r, err := e.solveZone(ctx, &e.models[zi], zp, hint, e.maxWin, e.cfg.BudgetRejects, opts)
+		e.mu.Lock()
+		tier = max(tier, e.book(r))
+		if err == nil {
+			err = e.duplicate(flows)
+		}
+		if err != nil {
+			return e.solverErr(ctx, tier, err)
+		}
+		blocks[k] = r.blocks
+		nsolved += r.solved
+		pivots += r.pivots
+		ok, err := e.stitch(zones[:k+1], blocks, newCls, k == len(zones)-1)
+		if err != nil {
+			return Decision{}, err
+		}
+		if !ok {
+			// Cross-zone packing failure (or a class deadline the stitch
+			// cannot keep): conservative rejection, like the partitioned
+			// planner's stitch failures.
+			return Decision{Tier: tier, Window: e.win}, nil
+		}
+	}
+	return Decision{Admitted: true, Tier: tier, Window: e.win, Solved: nsolved, Pivots: pivots}, nil
+}
+
+// solveZone produces one zone's blocks for the zone problem zp: the greedy
+// packing when the zone is past the pair gate, else the persistent model m —
+// grown to cover the demand — searched over windows up to hi. It touches
+// only m and its arguments, so it runs under the zone lock (or dfMu, for
+// defrag's private models) alone.
+func (e *Engine) solveZone(ctx context.Context, m *zoneModel, zp *schedule.Problem, hint, hi int, satisfice bool, opts milp.Options) (solution, error) {
+	if partition.ActivePairs(zp) > e.maxPairs {
+		gs, err := schedule.Greedy(zp, e.cfg.Frame)
+		if err != nil {
+			return solution{}, err
+		}
+		return solution{blocks: gs.Assignments, greedy: true}, nil
+	}
+	cold, err := m.ensure(e.cfg.Graph, e.cfg.Frame, zp.Demand)
+	if err != nil {
+		return solution{}, err
+	}
+	r, err := minSlots(ctx, m.inc, zp, hint, 0, hi, satisfice, opts)
+	r.cold = cold
+	return r, err
+}
+
+// stitch swaps the zones' allocations into the live schedule: per zone, drop
+// its old blocks, then first-fit the new ones in ascending start order (the
+// solver's layout is the placement hint; conflicts against other zones are
+// re-checked against the live occupancy, so halo links stay safe, and cls
+// bounds each block by its link's class deadlines through stitchLimit).
+// ok=false reports a block that does not fit. The schedule is restored
+// unless every block fit and keep is set. Called with e.mu held.
+func (e *Engine) stitch(zones []int, blocks [][]tdma.Assignment, cls map[topology.LinkID][2]int, keep bool) (ok bool, err error) {
+	e.undo = append(e.undo[:0], e.sched.Assignments...)
+	ok, err = e.place(zones, blocks, cls)
+	if ok && keep {
+		e.win = makespanOf(e.sched)
+		return true, nil
+	}
+	e.sched.Assignments = append(e.sched.Assignments[:0], e.undo...)
+	e.sched.Invalidate()
+	e.occ.rebuild(e.undo)
+	return ok, err
+}
+
+// place is the mutating half of stitch.
+func (e *Engine) place(zones []int, blocks [][]tdma.Assignment, cls map[topology.LinkID][2]int) (bool, error) {
+	for i, zi := range zones {
+		e.sched.Assignments = slices.DeleteFunc(e.sched.Assignments, func(a tdma.Assignment) bool {
+			return e.dec.ZoneOf(a.Link) == zi
+		})
+		e.sched.Invalidate()
+		for _, l := range e.dec.Zones[zi].Links {
+			e.occ.iv[l] = e.occ.iv[l][:0]
+		}
+		slices.SortFunc(blocks[i], byStart)
+		for _, b := range blocks[i] {
+			s := e.occ.firstFit(b.Link, b.Length, e.stitchLimit(b.Link, b.Length, cls), nil)
+			if s < 0 {
+				return false, nil
+			}
+			if err := e.sched.Add(tdma.Assignment{Link: b.Link, Start: s, Length: b.Length}); err != nil {
+				return false, err
+			}
+			e.occ.add(b.Link, s, s+b.Length)
+		}
+	}
+	return true, nil
+}
+
+// tryFastpath attempts first-fit placement of the delta entirely within the
+// current window. Returns the placements to commit, or nil when any link
+// does not fit (the solver tiers take over). newCls, when non-nil, carries
+// the prospective per-link class totals: each link's placement is then cut
+// into up to three segments — slots that must end by the UGS deadline,
+// by the rtPS window, and anywhere in the window — sized so the link's
+// deadline coverage (see Check) holds after the commit. With newCls nil the
+// placement degenerates to the single unconstrained segment and is
+// byte-identical to the class-oblivious fastpath. Called with e.mu held.
+func (e *Engine) tryFastpath(delta map[topology.LinkID]int, newCls map[topology.LinkID][2]int) []tdma.Assignment {
+	if e.win == 0 {
+		return nil
+	}
+	links := make([]topology.LinkID, 0, len(delta))
+	for l := range delta {
+		links = append(links, l)
+	}
+	slices.Sort(links)
+	var pending []tdma.Assignment
+	for _, l := range links {
+		need := delta[l]
+		n1, n2 := 0, 0
+		lim1, lim2 := e.win, e.win
+		if newCls != nil {
+			v := newCls[l]
+			if D1 := e.cfg.UGSDeadline; D1 > 0 && v[0] > 0 {
+				if n1 = v[0] - e.occ.covered(l, D1); n1 < 0 {
+					n1 = 0
+				}
+				lim1 = min(lim1, D1)
+			}
+			if D2 := e.cfg.RtPSWindow; D2 > 0 && v[1] > 0 {
+				if n2 = v[0] + v[1] - e.occ.covered(l, D2); n2 < 0 {
+					n2 = 0
+				}
+				lim2 = min(lim2, D2)
+			}
+			n2 = max(n2, n1)
+			if n2 > need {
+				// Coverage short by more than this delta adds: the live
+				// invariant should make this impossible, but defer to the
+				// solver rather than over-place.
+				return nil
+			}
+		}
+		for _, seg := range [3][2]int{{n1, lim1}, {n2 - n1, lim2}, {need - n2, e.win}} {
+			n, lim := seg[0], seg[1]
+			for n > 0 {
+				s := e.occ.firstFit(l, n, lim, pending)
+				m := n
+				if s < 0 {
+					// No room for the full run; take the largest leading free
+					// gap instead, splitting the demand across blocks.
+					s, m = e.occ.firstGap(l, lim, pending)
+					if s < 0 {
+						return nil
+					}
+					if m > n {
+						m = n
+					}
+				}
+				pending = append(pending, tdma.Assignment{Link: l, Start: s, Length: m})
+				n -= m
+			}
+		}
+	}
+	return pending
+}
+
+// Release returns a flow's slots. The schedule shrinks in place (highest
+// start blocks first); every CompactEvery releases the engine re-packs all
+// blocks first-fit to reclaim fragmentation — the re-pack provably never
+// grows the makespan.
+//
+// The flow's zone locks must be taken before e.mu (lock order), so the flow
+// is looked up first, its zones locked, and the lookup repeated: a concurrent
+// Release or eviction of the same ID may have won the race in between, or the
+// ID been re-admitted over another path, whose zones are then the ones to
+// lock. On a Preempt engine a miss under e.mu alone proves nothing — a
+// preemption search in flight may have the flow out on trial and put it back —
+// so the miss is confirmed under every zone lock, which no search overlaps.
+func (e *Engine) Release(id FlowID) error {
+	e.mu.Lock()
+	f0, ok := e.flows[id]
+	e.mu.Unlock()
+	zones := e.allZones
+	if ok {
+		zones = e.zonesOf(f0.Path)
+	} else if !e.cfg.Preempt {
+		return fmt.Errorf("%w: %s", ErrUnknownFlow, id)
+	}
+	e.lock(zones)
+	f, ok := e.flows[id]
+	if ok && len(zones) < len(e.allZones) && !slices.Equal(f.Path, f0.Path) {
+		e.unlock(zones)
+		return e.Release(id)
+	}
+	defer e.unlock(zones)
+	if !ok {
+		return fmt.Errorf("%w: %s", ErrUnknownFlow, id)
+	}
+	if err := e.removeFlow(f); err != nil {
+		return err
+	}
+	e.stats.Releases++
+	e.cRelease.Inc()
+	e.releases++
+	if every := e.cfg.CompactEvery; every > 0 && e.releases >= every {
+		e.releases = 0
+		return e.compact()
+	}
+	return nil
+}
+
+// removeFlow takes f's slots, demand and class totals out of the live
+// state: the whole of an eviction, and a release before its bookkeeping —
+// stats, counters and the periodic compaction, which an eviction must not
+// touch because it is an internal move of one admission decision and a
+// rolled-back trial leaves the tallies alone. Called with f's zone locks
+// and e.mu held.
+func (e *Engine) removeFlow(f Flow) error {
+	for l, d := range demandOf(f) {
+		if err := e.sched.TrimLink(l, d); err != nil {
+			return err
+		}
+		if e.demand[l] -= d; e.demand[l] <= 0 {
+			delete(e.demand, l)
+		}
+	}
+	delete(e.flows, f.ID)
+	if e.classed() {
+		classAdd(e.cls, f, -1)
+	}
+	e.occ.rebuild(e.sched.Assignments)
+	e.win = makespanOf(e.sched)
+	e.solverDirty = true
+	e.gen++
+	return nil
+}
+
+// compact re-packs every block first-fit in byStart order. Sorted
+// re-insertion can only move a block to an earlier slot: all
+// earlier-starting conflicting blocks end at or before this block's old
+// start and are re-placed no later than they were, so the old position is
+// always still free. Hence the makespan never grows. Called with e.mu held.
+func (e *Engine) compact() error {
+	start := time.Now()
+	blocks := slices.Clone(e.sched.Assignments)
+	slices.SortFunc(blocks, byStart)
+	e.sched.Assignments = e.sched.Assignments[:0]
+	e.sched.Invalidate()
+	e.occ.clear()
+	for _, b := range blocks {
+		s := e.occ.firstFit(b.Link, b.Length, e.maxWin, nil)
+		if s < 0 || s > b.Start {
+			return fmt.Errorf("admit: compaction moved link %d block from %d to %d", b.Link, b.Start, s)
+		}
+		if err := e.sched.Add(tdma.Assignment{Link: b.Link, Start: s, Length: b.Length}); err != nil {
+			return err
+		}
+		e.occ.add(b.Link, s, s+b.Length)
+	}
+	e.win = makespanOf(e.sched)
+	e.gen++
+	e.stats.Compactions++
+	e.cCompact.Inc()
+	e.hCompact.Observe(float64(time.Since(start).Microseconds()))
+	return nil
+}

@@ -34,12 +34,8 @@ func (e *Engine) TryDefrag(ctx context.Context) (int, error) {
 	defer e.dfMu.Unlock()
 
 	e.mu.Lock()
-	gen0 := e.gen
-	win0 := e.win
-	demand := make(map[topology.LinkID]int, len(e.demand))
-	for l, d := range e.demand {
-		demand[l] = d
-	}
+	gen0, win0 := e.gen, e.win
+	demand := maps.Clone(e.demand)
 	// Class totals snapshotted with the demand: a classed re-pack must keep
 	// every link's guaranteed prefixes covered by their deadlines, and the
 	// gen check below discards the candidate if either snapshot went stale.
@@ -56,18 +52,16 @@ func (e *Engine) TryDefrag(ctx context.Context) (int, error) {
 	if ctx != nil {
 		opts.Interrupt = ctx.Done()
 	}
-	var (
-		cand []tdma.Assignment
-		win  int
-		ok   bool
-		err  error
-	)
-	if e.cfg.Zoned {
-		cand, win, ok, err = e.defragZoned(demand, clsSnap, win0, opts)
+	full := &schedule.Problem{Graph: e.cfg.Graph, Demand: demand, FrameSlots: e.cfg.Frame.DataSlots,
+		StartCap: e.capsFor(clsSnap)}
+	var cand []tdma.Assignment
+	var err error
+	if e.dec == nil {
+		cand, err = e.defragMono(full, win0, opts)
 	} else {
-		cand, win, ok, err = e.defragMono(demand, clsSnap, win0, opts)
+		cand, err = e.defragZoned(ctx, full, win0, opts)
 	}
-	if err != nil || !ok {
+	if err != nil || cand == nil {
 		return 0, err
 	}
 
@@ -81,46 +75,22 @@ func (e *Engine) TryDefrag(ctx context.Context) (int, error) {
 	if err := tmp.Validate(e.cfg.Graph); err != nil {
 		return 0, fmt.Errorf("admit: defrag candidate invalid: %w", err)
 	}
-	slots := make(map[topology.LinkID]int, len(demand))
-	for _, a := range cand {
-		slots[a.Link] += a.Length
-	}
-	for l, d := range demand {
-		if slots[l] != d {
-			return 0, fmt.Errorf("admit: defrag candidate carries %d slots on link %d, demand %d",
-				slots[l], l, d)
-		}
-	}
-	for l, n := range slots {
-		if demand[l] != n {
-			return 0, fmt.Errorf("admit: defrag candidate carries %d slots on link %d, demand %d",
-				n, l, demand[l])
-		}
+	if err := carries(cand, demand); err != nil {
+		return 0, fmt.Errorf("admit: defrag candidate invalid: %w", err)
 	}
 	if clsSnap != nil {
 		// Deadline coverage check: the monolithic re-pack respects the caps
-		// by construction, but the zoned stitch (scratchFit) does not track
-		// them, so a candidate that uncovers a guaranteed prefix is simply
-		// not a win.
-		covBy := func(l topology.LinkID, deadline int) int {
-			n := 0
-			for _, a := range cand {
-				if a.Link != l || a.Start >= deadline {
-					continue
-				}
-				n += min(a.End(), deadline) - a.Start
-			}
-			return n
-		}
+		// by construction, but the zoned first-fit does not track them, so a
+		// candidate that uncovers a guaranteed prefix is simply not a win.
+		occ := newOccupancy(e.cfg.Graph)
+		occ.rebuild(cand)
 		for l, v := range clsSnap {
-			if D1 := e.cfg.UGSDeadline; D1 > 0 && v[0] > 0 && covBy(l, D1) < v[0] {
-				return 0, nil
-			}
-			if D2 := e.cfg.RtPSWindow; D2 > 0 && v[1] > 0 && covBy(l, D2) < v[0]+v[1] {
+			if e.uncovered(&occ, l, v) {
 				return 0, nil
 			}
 		}
 	}
+	win := makespanOf(tmp)
 	if win >= win0 {
 		return 0, nil
 	}
@@ -135,7 +105,7 @@ func (e *Engine) TryDefrag(ctx context.Context) (int, error) {
 	if err := e.sched.SetAssignments(cand); err != nil {
 		return 0, err
 	}
-	e.rebuildOcc()
+	e.occ.rebuild(e.sched.Assignments)
 	e.win = win
 	e.gen++
 	// The window shrank but is proven minimal only by the monolithic exact
@@ -149,143 +119,58 @@ func (e *Engine) TryDefrag(ctx context.Context) (int, error) {
 	return won, nil
 }
 
-// defragMono re-packs the aggregate demand with the private monolithic model,
-// probing strictly below the incumbent window. ok=false reports "no win"
-// outcomes (incumbent already minimal, budget exhausted).
-func (e *Engine) defragMono(demand map[topology.LinkID]int, clsSnap map[topology.LinkID][2]int, win0 int, opts milp.Options) ([]tdma.Assignment, int, bool, error) {
-	if e.dfInc == nil || !e.dfInc.Supports(demand) {
-		support := e.dfSupport
-		for l, d := range demand {
-			if d > 0 && !slices.Contains(support, l) {
-				support = append(support, l)
-			}
-		}
-		inc, err := schedule.NewIncremental(e.cfg.Graph, support, e.cfg.Frame)
-		if err != nil {
-			return nil, 0, false, err
-		}
-		slices.Sort(support)
-		e.dfInc, e.dfSupport = inc, support
+// defragMono re-packs the aggregate demand with the private whole-graph
+// model, probing strictly below the incumbent window. A nil candidate with a
+// nil error reports "no win" (incumbent already minimal, budget exhausted).
+func (e *Engine) defragMono(full *schedule.Problem, win0 int, opts milp.Options) ([]tdma.Assignment, error) {
+	m := &e.dfModels[0]
+	if _, err := m.ensure(e.cfg.Graph, e.cfg.Frame, full.Demand); err != nil {
+		return nil, err
 	}
-	p := &schedule.Problem{Graph: e.cfg.Graph, Demand: demand, FrameSlots: e.cfg.Frame.DataSlots,
-		StartCap: e.capsFor(clsSnap)}
-	win, s, _, _, err := e.dfInc.Repack(p, win0, opts)
+	_, s, _, _, err := m.inc.Repack(full, win0, opts)
 	if err != nil {
-		if errors.Is(err, schedule.ErrInfeasible) || errors.Is(err, milp.ErrLimit) {
-			return nil, 0, false, nil
-		}
-		return nil, 0, false, err
+		return nil, noWin(err)
 	}
-	return slices.Clone(s.Assignments), win, true, nil
+	return slices.Clone(s.Assignments), nil
+}
+
+// noWin maps the solver outcomes that just mean "no provable win" — nothing
+// fits below the incumbent window, or the budget ran out — to nil.
+func noWin(err error) error {
+	if errors.Is(err, schedule.ErrInfeasible) || errors.Is(err, milp.ErrLimit) {
+		return nil
+	}
+	return err
 }
 
 // defragZoned re-solves every demand-carrying zone with the private per-zone
-// models and first-fits the union into a scratch occupancy capped strictly
-// below the incumbent window — any placement failure means no provable win.
-func (e *Engine) defragZoned(demand map[topology.LinkID]int, clsSnap map[topology.LinkID][2]int, win0 int, opts milp.Options) ([]tdma.Assignment, int, bool, error) {
-	if e.dfZoneInc == nil {
-		e.dfZoneInc = make(map[int]*schedule.Incremental)
-		e.dfZoneSup = make(map[int][]topology.LinkID)
-	}
-	maxPairs := e.cfg.MaxZonePairs
-	if maxPairs <= 0 {
-		maxPairs = partition.DefaultMaxZonePairs
-	}
-	full := &schedule.Problem{Graph: e.cfg.Graph, Demand: demand, FrameSlots: e.cfg.Frame.DataSlots,
-		StartCap: e.capsFor(clsSnap)}
+// models and first-fits the union, in byStart order, into a scratch occupancy
+// capped strictly below the incumbent window — any placement failure means
+// no provable win (nil candidate). It reads only the immutable conflict
+// graph and decomposition, so it runs without any engine lock but dfMu.
+func (e *Engine) defragZoned(ctx context.Context, full *schedule.Problem, win0 int, opts milp.Options) ([]tdma.Assignment, error) {
 	var blocks []tdma.Assignment
 	for zi := range e.dec.Zones {
 		zp := partition.ZoneProblem(full, e.dec, zi)
 		zp.StartCap = full.StartCap
-		active := false
-		for _, d := range zp.Demand {
-			if d > 0 {
-				active = true
-				break
-			}
-		}
-		if !active {
+		if !slices.ContainsFunc(e.dec.Zones[zi].Links, func(l topology.LinkID) bool { return zp.Demand[l] > 0 }) {
 			continue
 		}
-		if partition.ActivePairs(zp) > maxPairs {
-			gs, err := schedule.Greedy(zp, e.cfg.Frame)
-			if err != nil {
-				return nil, 0, false, nil
-			}
-			blocks = append(blocks, gs.Assignments...)
-			continue
-		}
-		zinc := e.dfZoneInc[zi]
-		if zinc == nil || !zinc.Supports(zp.Demand) {
-			support := e.dfZoneSup[zi]
-			for l, d := range zp.Demand {
-				if d > 0 && !slices.Contains(support, l) {
-					support = append(support, l)
-				}
-			}
-			ninc, err := schedule.NewIncremental(e.cfg.Graph, support, e.cfg.Frame)
-			if err != nil {
-				return nil, 0, false, err
-			}
-			slices.Sort(support)
-			e.dfZoneInc[zi], e.dfZoneSup[zi] = ninc, support
-			zinc = ninc
-		}
-		_, zs, _, _, err := zinc.MinSlots(zp, 0, 0, win0-1, opts)
+		r, err := e.solveZone(ctx, &e.dfModels[zi], zp, 0, win0-1, false, opts)
 		if err != nil {
-			// An infeasible zone below win0 or a blown budget: no win.
-			if errors.Is(err, schedule.ErrInfeasible) || errors.Is(err, milp.ErrLimit) {
-				return nil, 0, false, nil
-			}
-			return nil, 0, false, err
+			return nil, noWin(err)
 		}
-		blocks = append(blocks, zs.Assignments...)
+		blocks = append(blocks, r.blocks...)
 	}
-	cand, win, ok := e.scratchFit(blocks, win0-1)
-	return cand, win, ok, nil
-}
-
-// scratchFit first-fit places the blocks (sorted ascending by start, length
-// descending, link) against a private occupancy index bounded by limit,
-// returning the placements and their makespan, or ok=false when any block
-// does not fit. It reads only the immutable conflict graph, so it runs
-// without any engine lock.
-func (e *Engine) scratchFit(blocks []tdma.Assignment, limit int) ([]tdma.Assignment, int, bool) {
-	slices.SortFunc(blocks, func(a, b tdma.Assignment) int {
-		if a.Start != b.Start {
-			return a.Start - b.Start
+	slices.SortFunc(blocks, byStart)
+	occ := newOccupancy(e.cfg.Graph)
+	for i, b := range blocks {
+		s := occ.firstFit(b.Link, b.Length, win0-1, nil)
+		if s < 0 {
+			return nil, nil
 		}
-		if a.Length != b.Length {
-			return b.Length - a.Length
-		}
-		return int(a.Link - b.Link)
-	})
-	occ := make([][][2]int, len(e.occ))
-	out := make([]tdma.Assignment, 0, len(blocks))
-	win := 0
-	for _, b := range blocks {
-		var bs [][2]int
-		bs = append(bs, occ[b.Link]...)
-		e.cfg.Graph.VisitNeighbors(b.Link, func(nb topology.LinkID) bool {
-			bs = append(bs, occ[nb]...)
-			return true
-		})
-		slices.SortFunc(bs, func(x, y [2]int) int { return x[0] - y[0] })
-		cur := 0
-		for _, iv := range bs {
-			if iv[0]-cur >= b.Length {
-				break
-			}
-			cur = max(cur, iv[1])
-		}
-		if cur+b.Length > limit {
-			return nil, 0, false
-		}
-		ivs := occ[b.Link]
-		i, _ := slices.BinarySearchFunc(ivs, cur, func(iv [2]int, s int) int { return iv[0] - s })
-		occ[b.Link] = slices.Insert(ivs, i, [2]int{cur, cur + b.Length})
-		out = append(out, tdma.Assignment{Link: b.Link, Start: cur, Length: b.Length})
-		win = max(win, cur+b.Length)
+		occ.add(b.Link, s, s+b.Length)
+		blocks[i].Start = s
 	}
-	return out, win, true
+	return blocks, nil
 }

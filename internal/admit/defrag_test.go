@@ -171,14 +171,14 @@ func TestDefragMono(t *testing.T) {
 	}
 }
 
-// TestDefragShardedZoned drives the zoned defragmentation path on a sharded
-// engine: each isolated cluster fragments independently and one TryDefrag
-// pass re-packs them all.
+// TestDefragShardedZoned drives the zoned defragmentation path: each
+// isolated cluster fragments independently and one TryDefrag pass re-packs
+// them all.
 func TestDefragShardedZoned(t *testing.T) {
 	topo, g := clusterMesh(t, 2)
 	e, err := New(Config{
 		Graph: g, Frame: testFrame(t, 32), MaxWindow: 16,
-		Zoned: true, ZoneSize: 500, Sharded: true,
+		Zoned: true, ZoneSize: 500,
 		CompactEvery: -1,
 		MILP:         milp.Options{MaxNodes: 100_000, Workers: 1},
 	})

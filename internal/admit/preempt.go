@@ -10,14 +10,17 @@ import (
 // guaranteed-class arrival that every tier rejected evicts candidate
 // BE/nrtPS flows cheapest-first, re-running the full admission attempt
 // after each eviction, and keeps the first state that admits. When no
-// eviction budget or candidate set admits the arrival, every eviction is
-// rolled back and the original rejection stands — a failed preemption
-// search leaves the engine bit-identical to a plain rejection.
+// candidate set admits the arrival, every eviction is rolled back and the
+// original rejection stands — a failed preemption search leaves the
+// schedule, demand and flow table identical to a plain rejection.
 //
-// Only admitSerialLocked calls this, only for f.Class.Guaranteed()
-// arrivals, with e.mu held throughout: BE and nrtPS arrivals can never
-// trigger it, and victims are always of strictly lower class than the
-// arrival (BE/nrtPS < rtPS <= f.Class).
+// Only admitOne calls this, only for arrivals that preempts() — so victims
+// are always of strictly lower class than the arrival (BE/nrtPS < rtPS <=
+// f.Class) — with every zone lock and e.mu held. decide releases e.mu
+// around its solves, so readers and defrag can see a trial state (evictions
+// applied, arrival not yet in); each is consistent, each moves gen, and no
+// other decision or release can run until the zone locks drop — a Release
+// that finds a trial victim missing waits for them before it believes it.
 func (e *Engine) tryPreempt(ctx context.Context, f Flow, rejected Decision) (Decision, error) {
 	e.stats.PreemptAttempts++
 	e.cPreemptAttempt.Inc()
@@ -25,14 +28,9 @@ func (e *Engine) tryPreempt(ctx context.Context, f Flow, rejected Decision) (Dec
 	if len(victims) == 0 {
 		return rejected, nil
 	}
-	limit := e.cfg.MaxPreempt
-	if limit <= 0 || limit > len(victims) {
-		limit = len(victims)
-	}
 
 	snapAssigns := slices.Clone(e.sched.Assignments)
 	snapWin := e.win
-	snapGen := e.gen
 	snapDirty := e.solverDirty
 	snapDemand := maps.Clone(e.demand)
 	snapFlows := maps.Clone(e.flows)
@@ -40,9 +38,9 @@ func (e *Engine) tryPreempt(ctx context.Context, f Flow, rejected Decision) (Dec
 	restore := func() {
 		e.sched.Assignments = snapAssigns
 		e.sched.Invalidate()
-		e.rebuildOcc()
+		e.occ.rebuild(snapAssigns)
 		e.win = snapWin
-		e.gen = snapGen
+		e.gen++
 		e.solverDirty = snapDirty
 		e.demand = snapDemand
 		e.flows = snapFlows
@@ -50,13 +48,13 @@ func (e *Engine) tryPreempt(ctx context.Context, f Flow, rejected Decision) (Dec
 	}
 
 	var evicted []FlowID
-	for _, v := range victims[:limit] {
-		if err := e.evictLocked(v); err != nil {
+	for _, v := range victims {
+		if err := e.removeFlow(v); err != nil {
 			restore()
 			return Decision{}, err
 		}
 		evicted = append(evicted, v.ID)
-		dec, err := e.attemptLocked(ctx, f)
+		dec, err := e.decide(ctx, []Flow{f})
 		if err != nil {
 			restore()
 			return Decision{}, err
@@ -124,27 +122,4 @@ func (e *Engine) conflictRelevant(v, f Flow) bool {
 		}
 	}
 	return false
-}
-
-// evictLocked removes a victim flow for preemption: slots and state go
-// exactly as in releaseLocked, but with none of the release bookkeeping —
-// no stats, no counters, no periodic compaction — because an eviction is
-// an internal move of one admission decision, not a caller release, and a
-// rolled-back trial must leave the tallies untouched. Called with e.mu
-// held.
-func (e *Engine) evictLocked(f Flow) error {
-	for l, d := range f.demand() {
-		if err := e.sched.TrimLink(l, d); err != nil {
-			return err
-		}
-		if e.demand[l] -= d; e.demand[l] <= 0 {
-			delete(e.demand, l)
-		}
-	}
-	delete(e.flows, f.ID)
-	e.classAdd(f, -1)
-	e.rebuildOcc()
-	e.win = makespanOf(e.sched)
-	e.solverDirty = true
-	return nil
 }

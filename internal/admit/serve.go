@@ -2,23 +2,20 @@ package admit
 
 import (
 	"context"
-	"fmt"
+	"errors"
 	"sync"
 	"time"
 )
 
 // ServeOptions parameterizes ServeConcurrent.
 type ServeOptions struct {
-	// Workers is the number of admission workers. 0 or 1 replays serially
-	// through Serve — byte-identical to the single-threaded engine.
+	// Workers is the number of admission workers. 0 or 1 replays through
+	// Serve: one caller, byte-identical run to run.
 	Workers int
 	// BatchMax caps the arrivals decided by one joint AdmitBatch call
 	// (0 = 16). A worker batches whatever is queued when its solver frees
 	// up, so batches form exactly when arrivals outpace decisions.
 	BatchMax int
-	// QueueCap bounds each worker's event queue (0 = 128). The dispatcher
-	// blocks when a queue is full, so memory stays bounded under overload.
-	QueueCap int
 	// Defrag runs background solver-driven re-packs (Engine.TryDefrag)
 	// every DefragEvery (0 = 5ms) while the replay is in flight.
 	Defrag      bool
@@ -30,29 +27,22 @@ type ServeOptions struct {
 // events of one flow stay on one worker in order; each worker gathers the
 // arrivals queued while its previous decision ran and decides them with one
 // joint AdmitBatch call. With Workers <= 1 and Defrag off the replay
-// delegates to Serve and is byte-identical to the serial engine; otherwise
-// the verdict set is pinned by the differential tests, but per-call ordering
-// and latency are scheduler-dependent.
+// delegates to Serve and is byte-identical run to run; otherwise the verdict
+// set is pinned by the differential tests, but per-call ordering and latency
+// are scheduler-dependent. On a preemptive engine an eviction may hit a flow
+// another worker admitted; that worker's departure then finds the flow gone
+// and skips it.
 func ServeConcurrent(ctx context.Context, e *Engine, w *Workload, opts ServeOptions) (ServeStats, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
 	if opts.Workers <= 1 && !opts.Defrag {
 		return Serve(ctx, e, w)
-	}
-	if e.cfg.Preempt && opts.Workers > 1 {
-		// An eviction can hit a flow admitted by another worker, whose
-		// admitted-set would go stale and Release an unknown ID.
-		return ServeStats{}, fmt.Errorf("%w: preemptive serving needs a single worker", ErrBadFlow)
 	}
 	workers := max(opts.Workers, 1)
 	batchMax := opts.BatchMax
 	if batchMax <= 0 {
 		batchMax = 16
-	}
-	qcap := opts.QueueCap
-	if qcap <= 0 {
-		qcap = 128
-	}
-	if ctx == nil {
-		ctx = context.Background()
 	}
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -60,7 +50,10 @@ func ServeConcurrent(ctx context.Context, e *Engine, w *Workload, opts ServeOpti
 	start := time.Now()
 	queues := make([]chan Event, workers)
 	for i := range queues {
-		queues[i] = make(chan Event, qcap)
+		// Deep enough that a worker's solve rarely stalls the dispatcher,
+		// bounded so memory stays bounded under overload: the dispatcher
+		// blocks when a queue is full.
+		queues[i] = make(chan Event, 128)
 	}
 	results := make([]ServeStats, workers)
 	errs := make([]error, workers)
@@ -160,7 +153,6 @@ func ServeConcurrent(ctx context.Context, e *Engine, w *Workload, opts ServeOpti
 // worker keeps draining its queue so the dispatcher never blocks on a full
 // channel; the cancelled context stops the dispatch loop itself.
 func serveWorker(ctx context.Context, cancel context.CancelFunc, e *Engine, q chan Event, batchMax int, st *ServeStats) error {
-	admitted := make(map[FlowID]bool)
 	var batch []Flow
 	var werr error
 	fail := func(err error) {
@@ -175,29 +167,7 @@ func serveWorker(ctx context.Context, cancel context.CancelFunc, e *Engine, q ch
 		}
 		decs, err := e.AdmitBatch(ctx, batch)
 		for i, d := range decs {
-			st.Offered++
-			st.Elapsed += d.Latency
-			st.Latency.AddDuration(d.Latency)
-			if d.Admitted {
-				st.Admitted++
-				admitted[batch[i].ID] = true
-				// Preemptive serving is single-worker (ServeConcurrent
-				// enforces it), so every evicted ID lives in this map.
-				for _, id := range d.Preempted {
-					delete(admitted, id)
-					st.Preempted++
-				}
-			} else {
-				st.Rejected++
-			}
-			switch d.Tier {
-			case TierFast:
-				st.Fast++
-			case TierWarm:
-				st.Warm++
-			case TierCold:
-				st.Cold++
-			}
+			st.Record(batch[i], d)
 		}
 		batch = batch[:0]
 		if err != nil {
@@ -214,16 +184,21 @@ func serveWorker(ctx context.Context, cancel context.CancelFunc, e *Engine, q ch
 		}
 		if !ev.Arrive {
 			flush()
-			if werr != nil || !admitted[ev.Flow.ID] {
+			if werr != nil || !st.Depart(ev.Flow.ID) {
 				continue
 			}
 			s := time.Now()
-			if err := e.Release(ev.Flow.ID); err != nil {
+			err := e.Release(ev.Flow.ID)
+			if errors.Is(err, ErrUnknownFlow) && e.cfg.Preempt {
+				// Evicted by a preemptive admission on another worker, whose
+				// Record could not reach this worker's live set.
+				continue
+			}
+			if err != nil {
 				fail(err)
 				continue
 			}
 			st.Elapsed += time.Since(s)
-			delete(admitted, ev.Flow.ID)
 			continue
 		}
 		batch = append(batch, ev.Flow)

@@ -45,16 +45,78 @@ func clusterMesh(t *testing.T, n int) (*topology.Network, *conflict.Graph) {
 	return net, g
 }
 
-func TestShardedRequiresZoned(t *testing.T) {
-	_, g := testMesh(t, 2, 2)
-	_, err := New(Config{Graph: g, Frame: testFrame(t, 8), Sharded: true})
-	if !errors.Is(err, ErrBadFlow) {
-		t.Fatalf("Sharded without Zoned: err = %v, want ErrBadFlow", err)
+// TestConcurrentAdmitMonolithic drives concurrent Admit/Release on a
+// monolithic engine: it is lockable like any other (one zone lock), so the
+// calls serialize and the final state passes the full invariant check. Run
+// under -race by `make admit-smoke`.
+func TestConcurrentAdmitMonolithic(t *testing.T) {
+	topo, g := testMesh(t, 3, 3)
+	e, err := New(Config{Graph: g, Frame: testFrame(t, 24), MaxWindow: 12,
+		MILP: milp.Options{MaxNodes: 20_000, Workers: 1}, BudgetRejects: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	errCh := make(chan error, 4)
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			var live []FlowID
+			for r := 0; r < 60; r++ {
+				path, err := topo.ShortestPath(topology.NodeID(w), topology.NodeID(8-(w+r)%4))
+				if err != nil {
+					errCh <- err
+					return
+				}
+				slots := make([]int, len(path))
+				for i := range slots {
+					slots[i] = 1 + r%2
+				}
+				id := FlowID(fmt.Sprintf("m%d-r%d", w, r))
+				dec, err := e.Admit(context.Background(), Flow{ID: id, Path: path, Slots: slots})
+				if err != nil {
+					errCh <- fmt.Errorf("admit %s: %w", id, err)
+					return
+				}
+				if dec.Admitted {
+					live = append(live, id)
+				}
+				if len(live) > 2 {
+					if err := e.Release(live[0]); err != nil {
+						errCh <- fmt.Errorf("release %s: %w", live[0], err)
+						return
+					}
+					live = live[1:]
+				}
+			}
+			for _, id := range live {
+				if err := e.Release(id); err != nil {
+					errCh <- err
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errCh)
+	for err := range errCh {
+		t.Fatal(err)
+	}
+	if err := e.Check(); err != nil {
+		t.Fatalf("invariants after concurrent admits: %v", err)
+	}
+	if n := e.NumFlows(); n != 0 {
+		t.Fatalf("%d flows leaked", n)
+	}
+	st := e.Stats()
+	if st.Admitted == 0 || st.Warm+st.Cold == 0 {
+		t.Fatalf("run exercised no solver admissions: %+v", st)
 	}
 }
 
 // shardTestEngine builds a zoned engine over the cluster mesh.
-func shardTestEngine(t *testing.T, g *conflict.Graph, sharded bool) *Engine {
+func shardTestEngine(t *testing.T, g *conflict.Graph) *Engine {
 	t.Helper()
 	e, err := New(Config{
 		Graph:     g,
@@ -62,7 +124,6 @@ func shardTestEngine(t *testing.T, g *conflict.Graph, sharded bool) *Engine {
 		MaxWindow: 12,
 		Zoned:     true,
 		ZoneSize:  500,
-		Sharded:   sharded,
 		MILP:      milp.Options{MaxNodes: 200_000, Workers: 1},
 	})
 	if err != nil {
@@ -71,10 +132,11 @@ func shardTestEngine(t *testing.T, g *conflict.Graph, sharded bool) *Engine {
 	return e
 }
 
-// TestDifferentialShardedVsSerial pins the sharded engine's determinism
-// contract: over a workload of independent clusters, the concurrent run's
-// per-flow verdicts equal the serial zoned engine's, and the final schedule
-// is valid. Run under -race by `make admit-smoke`.
+// TestDifferentialShardedVsSerial pins the engine's determinism contract
+// under concurrency: over a workload of independent clusters, a concurrent
+// batched driver's per-flow verdicts equal a sequential driver's on an
+// identical engine, and the final schedule is valid. Run under -race by
+// `make admit-smoke`.
 func TestDifferentialShardedVsSerial(t *testing.T) {
 	topo, g := clusterMesh(t, 6)
 	// Long holding relative to the arrival span keeps many calls live at
@@ -197,8 +259,8 @@ func TestDifferentialShardedVsSerial(t *testing.T) {
 		return got
 	}
 
-	serial := serialVerdicts(shardTestEngine(t, g, false))
-	sharded := shardedVerdicts(shardTestEngine(t, g, true))
+	serial := serialVerdicts(shardTestEngine(t, g))
+	sharded := shardedVerdicts(shardTestEngine(t, g))
 
 	if len(serial) != len(sharded) {
 		t.Fatalf("decided %d flows serially, %d sharded", len(serial), len(sharded))
@@ -247,7 +309,7 @@ func TestAdmitBatchMatchesSequential(t *testing.T) {
 	ctx := context.Background()
 
 	// All feasible: the joint path admits every member.
-	eJoint := shardTestEngine(t, g, true)
+	eJoint := shardTestEngine(t, g)
 	decs, err := eJoint.AdmitBatch(ctx, mkFlows())
 	if err != nil {
 		t.Fatal(err)
@@ -276,12 +338,12 @@ func TestAdmitBatchMatchesSequential(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		heavy = append(heavy, Flow{ID: FlowID(fmt.Sprintf("h-%d", i)), Path: path01, Slots: []int{4}})
 	}
-	eBatch := shardTestEngine(t, g, true)
+	eBatch := shardTestEngine(t, g)
 	batchDecs, err := eBatch.AdmitBatch(ctx, heavy)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eSeq := shardTestEngine(t, g, true)
+	eSeq := shardTestEngine(t, g)
 	var seqDecs []Decision
 	for _, f := range heavy {
 		d, err := eSeq.Admit(ctx, f)
@@ -308,10 +370,10 @@ func TestAdmitBatchMatchesSequential(t *testing.T) {
 	}
 
 	// Intra-batch duplicate IDs fail the whole call up front.
-	if _, err := shardTestEngine(t, g, true).AdmitBatch(ctx, []Flow{heavy[0], heavy[0]}); !errors.Is(err, ErrBadFlow) {
+	if _, err := shardTestEngine(t, g).AdmitBatch(ctx, []Flow{heavy[0], heavy[0]}); !errors.Is(err, ErrBadFlow) {
 		t.Errorf("duplicate batch IDs: err = %v, want ErrBadFlow", err)
 	}
-	// AdmitBatch also works on non-sharded engines.
+	// AdmitBatch also works on monolithic engines.
 	ePlain, err := New(Config{Graph: g, Frame: testFrame(t, 32), MaxWindow: 12,
 		MILP: milp.Options{MaxNodes: 200_000, Workers: 1}})
 	if err != nil {
@@ -332,13 +394,13 @@ func TestAdmitBatchMatchesSequential(t *testing.T) {
 }
 
 // TestConcurrentSoak runs 500 rounds of concurrent Admit/Release across 4
-// goroutines on the sharded engine and asserts the final state passes the
+// goroutines on the zoned engine and asserts the final state passes the
 // full invariant check: schedule valid against the whole conflict graph,
 // demand exactly carried, occupancy index consistent. Run under -race by
 // `make admit-smoke`.
 func TestConcurrentSoak(t *testing.T) {
 	topo, g := clusterMesh(t, 4)
-	e := shardTestEngine(t, g, true)
+	e := shardTestEngine(t, g)
 	const rounds = 500
 	var wg sync.WaitGroup
 	errCh := make(chan error, 4)
@@ -409,10 +471,10 @@ func TestConcurrentSoak(t *testing.T) {
 }
 
 // TestServeConcurrentReplay exercises the worker/dispatcher loop end to end
-// on the sharded engine and checks the bookkeeping reconciles.
+// on the zoned engine and checks the bookkeeping reconciles.
 func TestServeConcurrentReplay(t *testing.T) {
 	topo, g := clusterMesh(t, 4)
-	e := shardTestEngine(t, g, true)
+	e := shardTestEngine(t, g)
 	w, err := Generate(WorkloadConfig{
 		Topo: topo, Calls: 120, ArrivalRate: 40, MeanHolding: 250 * time.Millisecond,
 		SlotsPerLink: 2, Seed: 9,
@@ -444,14 +506,14 @@ func TestServeConcurrentReplay(t *testing.T) {
 }
 
 // TestReleaseStorm interleaves admissions with a storm of releases across
-// goroutines on the sharded engine, with compaction forced on every release,
+// goroutines on the zoned engine, with compaction forced on every release,
 // and checks the engine never corrupts its schedule. Run under -race by
 // `make admit-smoke`.
 func TestReleaseStorm(t *testing.T) {
 	topo, g := clusterMesh(t, 4)
 	e, err := New(Config{
 		Graph: g, Frame: testFrame(t, 32), MaxWindow: 16,
-		Zoned: true, ZoneSize: 500, Sharded: true,
+		Zoned: true, ZoneSize: 500,
 		CompactEvery: 1,
 		MILP:         milp.Options{MaxNodes: 200_000, Workers: 1},
 	})

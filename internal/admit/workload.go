@@ -190,6 +190,49 @@ type ServeStats struct {
 	// Elapsed closely; for ServeConcurrent it is the fair throughput
 	// denominator, since workers overlap their in-call time.
 	Wall time.Duration
+
+	// live is the replay's view of which flows the engine still serves.
+	live map[FlowID]bool
+}
+
+// Record books one decided arrival: the verdict and tier tallies, the
+// latency, and the replay's live set — the flow enters it when admitted, and
+// the flows its admission evicted leave it (the engine no longer serves
+// them; dropping them here keeps their departures from releasing unknown
+// IDs).
+func (st *ServeStats) Record(f Flow, d Decision) {
+	st.Offered++
+	st.Elapsed += d.Latency
+	st.Latency.AddDuration(d.Latency)
+	if d.Admitted {
+		st.Admitted++
+		if st.live == nil {
+			st.live = make(map[FlowID]bool)
+		}
+		st.live[f.ID] = true
+		for _, id := range d.Preempted {
+			delete(st.live, id)
+			st.Preempted++
+		}
+	} else {
+		st.Rejected++
+	}
+	switch d.Tier {
+	case TierFast:
+		st.Fast++
+	case TierWarm:
+		st.Warm++
+	case TierCold:
+		st.Cold++
+	}
+}
+
+// Depart reports whether the replay still holds the flow as served — so its
+// departure must Release it — and forgets it.
+func (st *ServeStats) Depart(id FlowID) bool {
+	ok := st.live[id]
+	delete(st.live, id)
+	return ok
 }
 
 // Serve replays the workload against the engine as fast as possible (event
@@ -199,49 +242,26 @@ type ServeStats struct {
 func Serve(ctx context.Context, e *Engine, w *Workload) (st ServeStats, _ error) {
 	wallStart := time.Now()
 	defer func() { st.Wall = time.Since(wallStart) }()
-	admitted := make(map[FlowID]bool)
 	for _, ev := range w.Events {
 		if err := ctx.Err(); err != nil {
 			return st, err
 		}
 		if !ev.Arrive {
-			if admitted[ev.Flow.ID] {
+			if st.Depart(ev.Flow.ID) {
 				start := time.Now()
 				if err := e.Release(ev.Flow.ID); err != nil {
 					return st, err
 				}
 				st.Elapsed += time.Since(start)
-				delete(admitted, ev.Flow.ID)
 			}
 			continue
 		}
-		st.Offered++
 		dec, err := e.Admit(ctx, ev.Flow)
 		if err != nil {
+			st.Offered++
 			return st, err
 		}
-		st.Elapsed += dec.Latency
-		st.Latency.AddDuration(dec.Latency)
-		if dec.Admitted {
-			st.Admitted++
-			admitted[ev.Flow.ID] = true
-			for _, id := range dec.Preempted {
-				// The engine no longer serves evicted flows; dropping them
-				// here keeps their departures from Releasing unknown IDs.
-				delete(admitted, id)
-				st.Preempted++
-			}
-		} else {
-			st.Rejected++
-		}
-		switch dec.Tier {
-		case TierFast:
-			st.Fast++
-		case TierWarm:
-			st.Warm++
-		case TierCold:
-			st.Cold++
-		}
+		st.Record(ev.Flow, dec)
 	}
 	return st, nil
 }

@@ -31,12 +31,6 @@ type SessionConfig struct {
 	// Zoned switches the engine to the city-scale per-zone models using the
 	// system's ZoneSize.
 	Zoned bool
-	// Sharded passes through to admit.Config: per-zone locking so
-	// admissions in disjoint zones decide concurrently. Requires Zoned.
-	Sharded bool
-	// CompactEvery and MemoSize pass through to admit.Config.
-	CompactEvery int
-	MemoSize     int
 	// UGSDeadline and RtPSWindow pass through to admit.Config: per-link
 	// slot deadlines for the guaranteed service classes (0 = unconstrained;
 	// zero deadlines make classes purely informational, so tagged calls
@@ -73,10 +67,7 @@ func (s *System) NewSession(cfg SessionConfig) (*Session, error) {
 		MILP:          opts,
 		BudgetRejects: cfg.BudgetRejects,
 		Zoned:         cfg.Zoned,
-		Sharded:       cfg.Sharded,
 		ZoneSize:      s.ZoneSize,
-		CompactEvery:  cfg.CompactEvery,
-		MemoSize:      cfg.MemoSize,
 		UGSDeadline:   cfg.UGSDeadline,
 		RtPSWindow:    cfg.RtPSWindow,
 		Preempt:       cfg.Preempt,

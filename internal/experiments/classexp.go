@@ -134,9 +134,10 @@ func r21Table(id string, points []r21Point) (*Table, error) {
 	return t, nil
 }
 
-// r21Serve replays the workload like admit.Serve but buckets each decision's
-// latency by the arriving call's service class, so the table can report how
-// much deciding a guaranteed call costs next to a best-effort one.
+// r21Serve replays the workload like admit.Serve — same bookkeeping, through
+// ServeStats — but buckets each decision's latency by the arriving call's
+// service class, so the table can report how much deciding a guaranteed call
+// costs next to a best-effort one.
 func r21Serve(e *admit.Engine, w *admit.Workload) (st admit.ServeStats, lat map[admit.Class]*stats.Sample, err error) {
 	lat = map[admit.Class]*stats.Sample{
 		admit.ClassUGS:   {},
@@ -144,34 +145,22 @@ func r21Serve(e *admit.Engine, w *admit.Workload) (st admit.ServeStats, lat map[
 		admit.ClassNrtPS: {},
 		admit.ClassBE:    {},
 	}
-	admitted := make(map[admit.FlowID]bool)
 	ctx := context.Background()
 	for _, ev := range w.Events {
 		if !ev.Arrive {
-			if admitted[ev.Flow.ID] {
+			if st.Depart(ev.Flow.ID) {
 				if err := e.Release(ev.Flow.ID); err != nil {
 					return st, lat, err
 				}
-				delete(admitted, ev.Flow.ID)
 			}
 			continue
 		}
-		st.Offered++
 		dec, err := e.Admit(ctx, ev.Flow)
 		if err != nil {
 			return st, lat, err
 		}
 		lat[ev.Flow.Class].AddDuration(dec.Latency)
-		if dec.Admitted {
-			st.Admitted++
-			admitted[ev.Flow.ID] = true
-			for _, id := range dec.Preempted {
-				delete(admitted, id)
-				st.Preempted++
-			}
-		} else {
-			st.Rejected++
-		}
+		st.Record(ev.Flow, dec)
 	}
 	return st, lat, nil
 }

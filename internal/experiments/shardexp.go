@@ -103,7 +103,6 @@ func r20Table(id string, points []r20Point, workerSet []int) (*Table, error) {
 				BudgetRejects: true,
 				Zoned:         true,
 				ZoneSize:      r20ZoneSize,
-				Sharded:       workers > 1,
 			})
 			if err != nil {
 				return nil, fmt.Errorf("%s n=%d w=%d: %w", id, pt.nodes, workers, err)

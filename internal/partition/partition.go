@@ -127,7 +127,7 @@ func (d *Decomposition) NumZones() int { return len(d.Zones) }
 // delta touches are exactly the locks the decision must hold, taken in the
 // ascending order ZoneSet yields so concurrent admissions cannot deadlock.
 func (d *Decomposition) ZoneSet(links []topology.LinkID) []int {
-	var zones []int
+	zones := make([]int, 0, len(links))
 	for _, l := range links {
 		if zi := d.ZoneOf(l); zi >= 0 {
 			zones = append(zones, zi)
