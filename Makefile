@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race check differential lpdebug examples obs-allocs scale-smoke admit-smoke class-smoke benchmark-smoke loc profile bench bench-full bench-json bench-compare clean
+.PHONY: all build test vet race check differential lpdebug examples obs-allocs scale-smoke admit-smoke class-smoke benchmark-smoke loc goldens profile bench clean
 
 all: check
 
@@ -14,7 +14,8 @@ test:
 	$(GO) test ./...
 
 # The MILP worker pool, the Problem caches and the parallel experiment
-# runner must stay race-clean.
+# runner must stay race-clean. The R-table goldens (TestRTableGolden in
+# internal/experiments) ride this target in `make check`.
 race:
 	$(GO) test -race ./...
 
@@ -108,8 +109,13 @@ loc:
 
 check: vet build race differential lpdebug examples obs-allocs admit-smoke class-smoke benchmark-smoke loc
 
-# CPU+heap profile of the scheduler-bound experiments (see README
-# "Performance" for reading the output).
+# Re-record internal/experiments/testdata/R<n>.golden after a deliberate
+# table change; review the goldens' diff before committing it.
+goldens:
+	$(GO) test ./internal/experiments -run TestRTableGolden -update-golden
+
+# CPU+heap profile of the scheduler-bound experiments; the top frames should
+# be lp.(*Solver) methods.
 profile:
 	$(GO) run ./cmd/meshbench -only R7 -workers 1 \
 		-cpuprofile cpu.prof -memprofile mem.prof
@@ -120,25 +126,6 @@ profile:
 bench:
 	$(GO) test -run xxx -benchmem . \
 		-bench 'BenchmarkKernelAfterStep|BenchmarkKernelCancel|BenchmarkMediumTransmit|BenchmarkDCFSaturation'
-
-bench-full:
-	$(GO) test -bench=. -benchmem .
-
-# Record the experiment metrics + wall clock as a dated JSON report
-# (machine-readable perf trajectory; see README "Performance"). Single
-# worker, so wall times measure the data plane, not the runner.
-bench-json:
-	$(GO) run ./cmd/meshbench -workers 1 -json BENCH_$$(date +%F).json
-
-# Re-run the experiments and compare tables + wall clock against the newest
-# committed BENCH_<date>.json: any table cell change (outside the
-# wall-clock-dependent columns of R7, R18, R19, R20 and R21 — R19's
-# time-budgeted verdict split, all of R20's serial-vs-sharded comparison and
-# R21's per-class latency quantiles included) or a >20% wall-clock regression
-# fails the target.
-bench-compare:
-	$(GO) run ./cmd/meshbench -workers 1 -json /tmp/bench-compare.json > /dev/null
-	$(GO) run ./cmd/benchcompare $(lastword $(sort $(wildcard BENCH_*.json))) /tmp/bench-compare.json
 
 clean:
 	$(GO) clean ./...

@@ -1,10 +1,7 @@
-// Benchmarks regenerating the paper's evaluation (experiments R1-R8 of
-// DESIGN.md) plus micro-benchmarks of the core algorithms. Each BenchmarkR*
-// runs one full experiment per iteration and reports a headline metric; run
-//
-//	go test -bench=. -benchmem
-//
-// and compare the printed tables (via cmd/meshbench) against EXPERIMENTS.md.
+// Micro-benchmarks of the core algorithms and hot paths (`make bench`). They
+// are for measuring while you work: the repository's timing record is
+// benchmark/ (BENCHMARK.json), and the evaluation tables R1-R21 are pinned as
+// goldens by internal/experiments' TestRTableGolden.
 package main
 
 import (
@@ -14,7 +11,6 @@ import (
 
 	"wimesh/internal/conflict"
 	"wimesh/internal/core"
-	"wimesh/internal/experiments"
 	"wimesh/internal/lp"
 	"wimesh/internal/mac"
 	"wimesh/internal/mac/dcf"
@@ -24,113 +20,6 @@ import (
 	"wimesh/internal/tdma"
 	"wimesh/internal/topology"
 )
-
-// metric extracts a float from a table cell for ReportMetric.
-func metric(t *experiments.Table, row, col int) float64 {
-	if row >= len(t.Rows) || col >= len(t.Rows[row]) {
-		return -1
-	}
-	v, err := strconv.ParseFloat(t.Rows[row][col], 64)
-	if err != nil {
-		return -1
-	}
-	return v
-}
-
-func BenchmarkR1MinFrameLength(b *testing.B) {
-	var last *experiments.Table
-	for i := 0; i < b.N; i++ {
-		t, err := experiments.R1MinFrameLength()
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = t
-	}
-	// Min slots for 6 chain calls.
-	b.ReportMetric(metric(last, len(last.Rows)-1, 1), "slots/6calls")
-}
-
-func BenchmarkR2DelayAwareOrdering(b *testing.B) {
-	var last *experiments.Table
-	for i := 0; i < b.N; i++ {
-		t, err := experiments.R2DelayAwareOrdering()
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = t
-	}
-	// Optimal vs naive delay at 8 hops.
-	b.ReportMetric(metric(last, len(last.Rows)-1, 1), "minmax-ms/8hops")
-	b.ReportMetric(metric(last, len(last.Rows)-1, 4), "naive-ms/8hops")
-}
-
-func BenchmarkR3VoIPCapacity(b *testing.B) {
-	var last *experiments.Table
-	for i := 0; i < b.N; i++ {
-		t, err := experiments.R3VoIPCapacity()
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = t
-	}
-	// chain6 capacities.
-	b.ReportMetric(metric(last, 1, 1), "tdma-calls/chain6")
-	b.ReportMetric(metric(last, 1, 3), "dcf-calls/chain6")
-}
-
-func BenchmarkR4DelayDistribution(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.R4DelayDistribution(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkR5EmulationOverhead(b *testing.B) {
-	var last *experiments.Table
-	for i := 0; i < b.N; i++ {
-		t, err := experiments.R5EmulationOverhead()
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = t
-	}
-	b.ReportMetric(metric(last, 2, 1), "voice-eff/2ms-slot")
-}
-
-func BenchmarkR6SyncTolerance(b *testing.B) {
-	var last *experiments.Table
-	for i := 0; i < b.N; i++ {
-		t, err := experiments.R6SyncTolerance()
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = t
-	}
-	b.ReportMetric(metric(last, len(last.Rows)-1, 1), "violations/200us-25us")
-}
-
-func BenchmarkR7SchedulerScalability(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.R7SchedulerScalability(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkR8DCFSaturation(b *testing.B) {
-	var last *experiments.Table
-	for i := 0; i < b.N; i++ {
-		t, err := experiments.R8DCFSaturation()
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = t
-	}
-	b.ReportMetric(metric(last, len(last.Rows)-1, 1), "Mbps/30senders")
-}
-
-// ---- micro-benchmarks of the core algorithms ----
 
 func chainProblem(b *testing.B, n int, frame tdma.FrameConfig) *schedule.Problem {
 	b.Helper()
@@ -343,25 +232,18 @@ func BenchmarkLPSolve(b *testing.B) {
 	}
 }
 
-// BenchmarkMILPWarmVsCold runs the same window-feasibility integer program
-// with parent-snapshot warm starts (the default) and with Options.ColdStart
-// re-solving every node from scratch.
-func BenchmarkMILPWarmVsCold(b *testing.B) {
+// BenchmarkMILPWarm runs a window-feasibility integer program through the
+// warm-started branch-and-bound (children re-solve from the parent's basis
+// snapshot).
+func BenchmarkMILPWarm(b *testing.B) {
 	frame := tdma.FrameConfig{FrameDuration: 80 * time.Millisecond, DataSlots: 64}
 	p := chainProblem(b, 12, frame)
-	for _, tc := range []struct {
-		name string
-		cold bool
-	}{{"warm", false}, {"cold", true}} {
-		b.Run(tc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := schedule.SolveWindow(p, 3, frame,
-					milp.Options{MaxNodes: 200_000, Workers: 1, ColdStart: tc.cold}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := schedule.SolveWindow(p, 3, frame,
+			milp.Options{MaxNodes: 200_000, Workers: 1}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -389,185 +271,6 @@ func BenchmarkKernelEventThroughput(b *testing.B) {
 		}
 		k.Step()
 	}
-}
-
-func BenchmarkR9MultiService(b *testing.B) {
-	var last *experiments.Table
-	for i := 0; i < b.N; i++ {
-		t, err := experiments.R9MultiService()
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = t
-	}
-	// BE capacity with zero and max voice calls.
-	b.ReportMetric(metric(last, 0, 3), "BE-Mbps/0calls")
-	b.ReportMetric(metric(last, len(last.Rows)-1, 3), "BE-Mbps/5calls")
-}
-
-func BenchmarkR10HiddenTerminal(b *testing.B) {
-	var last *experiments.Table
-	for i := 0; i < b.N; i++ {
-		t, err := experiments.R10HiddenTerminal()
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = t
-	}
-	b.ReportMetric(metric(last, 0, 4), "dcf-collision-rate")
-	b.ReportMetric(metric(last, 2, 4), "tdma-collision-rate")
-}
-
-func BenchmarkR11ControlPlane(b *testing.B) {
-	var last *experiments.Table
-	for i := 0; i < b.N; i++ {
-		t, err := experiments.R11ControlPlane()
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = t
-	}
-	b.ReportMetric(metric(last, len(last.Rows)-1, 1), "cen-opps/16nodes")
-	b.ReportMetric(metric(last, len(last.Rows)-1, 4), "dist-msgs/16nodes")
-}
-
-func BenchmarkR12Failover(b *testing.B) {
-	var last *experiments.Table
-	for i := 0; i < b.N; i++ {
-		t, err := experiments.R12Failover()
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = t
-	}
-	b.ReportMetric(metric(last, 0, 3), "after-loss-pct/100ms-detect")
-}
-
-func BenchmarkR13MixedService(b *testing.B) {
-	var last *experiments.Table
-	for i := 0; i < b.N; i++ {
-		t, err := experiments.R13MixedService()
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = t
-	}
-	b.ReportMetric(metric(last, 1, 1), "voiceR/priority-flood")
-	b.ReportMetric(metric(last, 2, 1), "voiceR/fifo-flood")
-}
-
-func BenchmarkR14NativeVsEmulated(b *testing.B) {
-	var last *experiments.Table
-	for i := 0; i < b.N; i++ {
-		t, err := experiments.R14NativeVsEmulated()
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = t
-	}
-	b.ReportMetric(metric(last, 0, 2), "emu-Mbps")
-	b.ReportMetric(metric(last, 2, 2), "native-Mbps")
-}
-
-func BenchmarkR15RoutingMetric(b *testing.B) {
-	var last *experiments.Table
-	for i := 0; i < b.N; i++ {
-		t, err := experiments.R15RoutingMetric()
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = t
-	}
-	b.ReportMetric(metric(last, 0, 3), "hopcount-delivery-pct")
-	b.ReportMetric(metric(last, 2, 3), "etx-delivery-pct")
-}
-
-func BenchmarkR16ConflictModel(b *testing.B) {
-	var last *experiments.Table
-	for i := 0; i < b.N; i++ {
-		t, err := experiments.R16ConflictModel()
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = t
-	}
-	b.ReportMetric(metric(last, 0, 2), "violations/primary")
-	b.ReportMetric(metric(last, 2, 2), "violations/geometric")
-}
-
-func BenchmarkR17FrameDuration(b *testing.B) {
-	var last *experiments.Table
-	for i := 0; i < b.N; i++ {
-		t, err := experiments.R17FrameDuration()
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = t
-	}
-	b.ReportMetric(metric(last, 0, 3), "calls/8ms-frame")
-	b.ReportMetric(metric(last, len(last.Rows)-1, 3), "calls/64ms-frame")
-}
-
-func BenchmarkR18PartitionedScale(b *testing.B) {
-	var last *experiments.Table
-	for i := 0; i < b.N; i++ {
-		t, err := experiments.R18PartitionedScale()
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = t
-	}
-	b.ReportMetric(metric(last, 4, 7), "window/1000nodes")
-	b.ReportMetric(metric(last, 4, 3), "flows/1000nodes")
-}
-
-func BenchmarkR19AdmissionServing(b *testing.B) {
-	var last *experiments.Table
-	for i := 0; i < b.N; i++ {
-		t, err := experiments.R19AdmissionServing()
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = t
-	}
-	b.ReportMetric(metric(last, 0, 9), "adm/s-village")
-	b.ReportMetric(metric(last, 2, 4), "admitted/1000nodes")
-}
-
-// BenchmarkR20ShardedServing runs the serial-vs-sharded serving comparison
-// and reports the 1000-node throughput of both modes plus the speedup — the
-// acceptance figure for the sharded engine (rows: 250/w1, 250/w8, 1000/w1,
-// 1000/w8; col 8 = adm/s, col 9 = speedup over the same mesh's serial row).
-func BenchmarkR20ShardedServing(b *testing.B) {
-	var last *experiments.Table
-	for i := 0; i < b.N; i++ {
-		t, err := experiments.R20ShardedServing()
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = t
-	}
-	b.ReportMetric(metric(last, 2, 8), "adm/s-serial-1000nodes")
-	b.ReportMetric(metric(last, 3, 8), "adm/s-sharded-1000nodes")
-	b.ReportMetric(metric(last, 3, 9), "speedup/1000nodes")
-}
-
-// BenchmarkR21ClassScheduling runs the mixed-class admission comparison and
-// reports the 1000-node admitted counts of both arms plus the evictions the
-// preemptive arm paid for its gain (rows: 250/off, 250/on, 1000/off,
-// 1000/on; col 4 = admitted, col 6 = preempted).
-func BenchmarkR21ClassScheduling(b *testing.B) {
-	var last *experiments.Table
-	for i := 0; i < b.N; i++ {
-		t, err := experiments.R21ClassScheduling()
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = t
-	}
-	b.ReportMetric(metric(last, 2, 4), "admitted-nopreempt-1000nodes")
-	b.ReportMetric(metric(last, 3, 4), "admitted-preempt-1000nodes")
-	b.ReportMetric(metric(last, 3, 6), "evicted-preempt-1000nodes")
 }
 
 // BenchmarkKernelAfterStep measures the kernel's schedule+execute hot path;
@@ -679,46 +382,37 @@ func BenchmarkDCFSaturation(b *testing.B) {
 	}
 }
 
-// BenchmarkCapacitySearch compares the galloping capacity search (with its
-// pilot bracket and early-abort monitors) against the preserved linear
-// reference scan on the chain6 topology, for both MACs. The two strategies
-// return identical results (pinned by the differential suite); this
-// benchmark tracks how much wall clock the gallop saves.
+// BenchmarkCapacitySearch times the analytic-screened galloping capacity
+// search on the chain6 topology, for both MACs.
 func BenchmarkCapacitySearch(b *testing.B) {
 	for _, mac := range []string{"tdma", "dcf"} {
-		for _, strat := range []struct {
-			name   string
-			search core.SearchStrategy
-		}{{"gallop", core.SearchGalloping}, {"linear", core.SearchLinear}} {
-			b.Run(mac+"/"+strat.name, func(b *testing.B) {
-				topo, err := topology.Chain(6, 100)
+		b.Run(mac, func(b *testing.B) {
+			topo, err := topology.Chain(6, 100)
+			if err != nil {
+				b.Fatal(err)
+			}
+			sys, err := core.NewSystem(topo)
+			if err != nil {
+				b.Fatal(err)
+			}
+			cfg := core.CapacityConfig{
+				MaxCalls: 40,
+				Run:      core.RunConfig{Duration: 3 * time.Second, Seed: 11},
+			}
+			var calls int
+			for i := 0; i < b.N; i++ {
+				var res *core.CapacityResult
+				if mac == "tdma" {
+					res, err = sys.VoIPCapacityTDMA(cfg)
+				} else {
+					res, err = sys.VoIPCapacityDCF(cfg)
+				}
 				if err != nil {
 					b.Fatal(err)
 				}
-				sys, err := core.NewSystem(topo)
-				if err != nil {
-					b.Fatal(err)
-				}
-				cfg := core.CapacityConfig{
-					MaxCalls: 40,
-					Run:      core.RunConfig{Duration: 3 * time.Second, Seed: 11},
-					Search:   strat.search,
-				}
-				var calls int
-				for i := 0; i < b.N; i++ {
-					var res *core.CapacityResult
-					if mac == "tdma" {
-						res, err = sys.VoIPCapacityTDMA(cfg)
-					} else {
-						res, err = sys.VoIPCapacityDCF(cfg)
-					}
-					if err != nil {
-						b.Fatal(err)
-					}
-					calls = res.Calls
-				}
-				b.ReportMetric(float64(calls), "calls")
-			})
-		}
+				calls = res.Calls
+			}
+			b.ReportMetric(float64(calls), "calls")
+		})
 	}
 }

@@ -2,10 +2,14 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"wimesh/internal/experiments"
 )
 
 func TestRunList(t *testing.T) {
@@ -13,9 +17,34 @@ func TestRunList(t *testing.T) {
 	if err := run([]string{"-list"}, &sb); err != nil {
 		t.Fatalf("run -list: %v", err)
 	}
-	for _, id := range []string{"R1", "R4", "R8", "R19"} {
-		if !strings.Contains(sb.String(), id) {
-			t.Errorf("list missing %s", id)
+	lines := strings.Split(strings.TrimSpace(sb.String()), "\n")
+	ids := experiments.IDs()
+	if len(lines) != len(ids) {
+		t.Fatalf("-list printed %d lines, want one per experiment (%d):\n%s", len(lines), len(ids), sb.String())
+	}
+	for i, id := range ids {
+		if f := strings.Fields(lines[i]); len(f) < 2 || f[0] != id {
+			t.Errorf("-list line %d = %q, want %s and its title", i, lines[i], id)
+		}
+	}
+}
+
+// TestDocsIndexEveryExperiment keeps the two hand-written indexes in step
+// with the registry: DESIGN.md's experiment index needs a table row, and
+// EXPERIMENTS.md a section, for every registered experiment.
+func TestDocsIndexEveryExperiment(t *testing.T) {
+	for _, doc := range []struct{ file, format string }{
+		{"DESIGN.md", "\n| %s |"},
+		{"EXPERIMENTS.md", "\n## %s —"},
+	} {
+		buf, err := os.ReadFile(filepath.Join("..", "..", doc.file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, id := range experiments.IDs() {
+			if want := fmt.Sprintf(doc.format, id); !strings.Contains(string(buf), want) {
+				t.Errorf("%s has no %q entry", doc.file, strings.TrimSpace(want))
+			}
 		}
 	}
 }
@@ -62,41 +91,6 @@ func TestRunOnlyLowercase(t *testing.T) {
 	}
 	if !strings.Contains(sb.String(), "== R5:") {
 		t.Errorf("output missing R5 header:\n%s", sb.String())
-	}
-}
-
-func TestRunJSON(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "bench.json")
-	var sb strings.Builder
-	if err := run([]string{"-only", "R5", "-json", path}, &sb); err != nil {
-		t.Fatalf("run -json: %v", err)
-	}
-	if !strings.Contains(sb.String(), "== R5:") {
-		t.Errorf("table output missing R5 header:\n%s", sb.String())
-	}
-	buf, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("read report: %v", err)
-	}
-	var report jsonReport
-	if err := json.Unmarshal(buf, &report); err != nil {
-		t.Fatalf("unmarshal report: %v", err)
-	}
-	if report.Generated == "" {
-		t.Error("report missing generated timestamp")
-	}
-	if len(report.Experiments) != 1 {
-		t.Fatalf("experiments = %d, want 1", len(report.Experiments))
-	}
-	exp := report.Experiments[0]
-	if exp.ID != "R5" {
-		t.Errorf("id = %q, want R5", exp.ID)
-	}
-	if exp.WallMS <= 0 {
-		t.Errorf("wall_ms = %g, want > 0", exp.WallMS)
-	}
-	if len(exp.Header) == 0 || len(exp.Rows) == 0 {
-		t.Errorf("report missing table data: header=%d rows=%d", len(exp.Header), len(exp.Rows))
 	}
 }
 
@@ -162,9 +156,9 @@ func TestFailuresError(t *testing.T) {
 	if err := failuresError(nil); err != nil {
 		t.Errorf("no failures produced error %v", err)
 	}
-	err := failuresError([]jsonFailure{
-		{ID: "R3", Error: "boom"},
-		{ID: "R7", Error: "bang"},
+	err := failuresError([]failure{
+		{ID: "R3", Err: errors.New("boom")},
+		{ID: "R7", Err: errors.New("bang")},
 	})
 	if err == nil {
 		t.Fatal("failures produced nil error")
@@ -173,52 +167,6 @@ func TestFailuresError(t *testing.T) {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("error %q missing %q", err, want)
 		}
-	}
-}
-
-// TestWorkersOverrideRecorded checks that a -metrics-out run requested with
-// -workers > 1 records the forced sequential override in the JSON report, so
-// a committed report is honest about the concurrency it actually used.
-func TestWorkersOverrideRecorded(t *testing.T) {
-	dir := t.TempDir()
-	mPath := filepath.Join(dir, "metrics.json")
-	jPath := filepath.Join(dir, "bench.json")
-	var sb strings.Builder
-	if err := run([]string{"-only", "R5", "-workers", "4", "-metrics-out", mPath, "-json", jPath}, &sb); err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	buf, err := os.ReadFile(jPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var report jsonReport
-	if err := json.Unmarshal(buf, &report); err != nil {
-		t.Fatal(err)
-	}
-	if report.Workers != 1 {
-		t.Errorf("workers = %d, want 1 (forced by -metrics-out)", report.Workers)
-	}
-	if !strings.Contains(report.WorkersNote, "overridden to 1") {
-		t.Errorf("workers_note = %q, want override explanation", report.WorkersNote)
-	}
-	// Without instrumentation flags the requested concurrency stands and no
-	// note is recorded.
-	jPath2 := filepath.Join(dir, "bench2.json")
-	sb.Reset()
-	if err := run([]string{"-only", "R5", "-workers", "4", "-json", jPath2}, &sb); err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	buf, err = os.ReadFile(jPath2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var report2 jsonReport
-	if err := json.Unmarshal(buf, &report2); err != nil {
-		t.Fatal(err)
-	}
-	if report2.Workers != 4 || report2.WorkersNote != "" {
-		t.Errorf("uninstrumented run: workers = %d note = %q, want 4 and empty",
-			report2.Workers, report2.WorkersNote)
 	}
 }
 

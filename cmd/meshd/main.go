@@ -35,6 +35,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"os/signal"
 	"strconv"
@@ -62,17 +63,17 @@ func main() {
 func run(ctx context.Context, args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("meshd", flag.ContinueOnError)
 	var (
-		nodes      = fs.Int("nodes", 24, "mesh size; nodes are laid out as a 4-wide grid at 100 m spacing")
-		calls      = fs.Int("calls", 200, "number of call arrivals to serve")
-		rate       = fs.Float64("rate", 20, "Poisson arrival rate in calls per second")
-		holding    = fs.Duration("holding", 500*time.Millisecond, "mean exponential call holding time")
-		slots      = fs.Int("slots-per-link", 1, "slot demand each call adds on every link of its route")
-		seed       = fs.Int64("seed", 42, "workload seed (same flags + seed = byte-identical replay)")
-		toGateway  = fs.Bool("to-gateway", false, "route every call to the gateway (node 0) — the WiMAX-mesh base-station pattern; calls drawn at the gateway are dropped")
-		frameSlots = fs.Int("frame-slots", 64, "TDMA data slots per frame")
-		maxWindow  = fs.Int("max-window", 0, "serving window cap in slots (0 = whole frame); tighter caps reject more")
-		zoned      = fs.Bool("zoned", false, "use per-zone incremental models (city-scale mode)")
-		zoneSize   = fs.Float64("zone-size", 0, "zone edge in meters for -zoned (0 = automatic)")
+		nodes       = fs.Int("nodes", 24, "mesh size; nodes are laid out as a 4-wide grid at 100 m spacing")
+		calls       = fs.Int("calls", 200, "number of call arrivals to serve")
+		rate        = fs.Float64("rate", 20, "Poisson arrival rate in calls per second")
+		holding     = fs.Duration("holding", 500*time.Millisecond, "mean exponential call holding time")
+		slots       = fs.Int("slots-per-link", 1, "slot demand each call adds on every link of its route")
+		seed        = fs.Int64("seed", 42, "workload seed (same flags + seed = byte-identical replay)")
+		toGateway   = fs.Bool("to-gateway", false, "route every call to the gateway (node 0) — the WiMAX-mesh base-station pattern; calls drawn at the gateway are dropped")
+		frameSlots  = fs.Int("frame-slots", 64, "TDMA data slots per frame")
+		maxWindow   = fs.Int("max-window", 0, "serving window cap in slots (0 = whole frame); tighter caps reject more")
+		zoned       = fs.Bool("zoned", false, "use per-zone incremental models (city-scale mode)")
+		zoneSize    = fs.Float64("zone-size", 0, "zone edge in meters for -zoned (0 = automatic)")
 		budget      = fs.Int("budget", 200_000, "branch-and-bound node budget per admission solve")
 		timeLimit   = fs.Duration("time-limit", 250*time.Millisecond, "wall-clock cap per admission solve (0 = none); a blown budget falls back to a feasibility probe at the window cap, then rejects conservatively")
 		metricsOut  = fs.String("metrics-out", "", "write the admit.* counter snapshot (JSON) to this file")
@@ -96,6 +97,9 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	}
 	if *milpWorkers < 1 {
 		return fmt.Errorf("-milp-workers %d: need at least 1", *milpWorkers)
+	}
+	if !(*rate > 0) || math.IsInf(*rate, 1) {
+		return fmt.Errorf("-rate %v: must be a positive finite number", *rate)
 	}
 	mix, err := parseClassMix(*classMix)
 	if err != nil {
@@ -221,8 +225,9 @@ func parseClassMix(s string) ([]admit.ClassShare, error) {
 		}
 		weightStr, slotsStr, hasSlots := strings.Cut(rest, "/")
 		weight, err := strconv.ParseFloat(weightStr, 64)
-		if err != nil || weight <= 0 {
-			return nil, fmt.Errorf("-class-mix %q: weight %q must be a positive number", part, weightStr)
+		// ParseFloat accepts "NaN" and "Inf"; !(weight > 0) also catches NaN.
+		if err != nil || !(weight > 0) || math.IsInf(weight, 1) {
+			return nil, fmt.Errorf("-class-mix %q: weight %q must be a positive finite number", part, weightStr)
 		}
 		share := admit.ClassShare{Class: class, Weight: weight}
 		if hasSlots {

@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -115,6 +116,48 @@ func TestRunBadFlags(t *testing.T) {
 			t.Errorf("args %v accepted", args)
 		}
 	}
+}
+
+// TestRunNonFiniteFlags: strconv.ParseFloat accepts "NaN" and "Inf", so the
+// flags that take a float must refuse them by name. An accepted NaN weight
+// silently served an all-BE workload and a NaN rate replayed NaN
+// inter-arrival times.
+func TestRunNonFiniteFlags(t *testing.T) {
+	for _, tc := range []struct{ flag, value string }{
+		{"-class-mix", "ugs=NaN,be=1"},
+		{"-class-mix", "ugs=Inf"},
+		{"-class-mix", "ugs=-Inf"},
+		{"-rate", "NaN"},
+		{"-rate", "+Inf"},
+		{"-rate", "-Inf"},
+		{"-rate", "0"},
+	} {
+		var sb strings.Builder
+		err := run(context.Background(), []string{tc.flag, tc.value}, &sb)
+		if err == nil || !strings.Contains(err.Error(), tc.flag+" ") {
+			t.Errorf("%s %s: err = %v, want an error naming the flag", tc.flag, tc.value, err)
+		}
+	}
+}
+
+// FuzzParseClassMix: whatever the string, an accepted mix has only positive
+// finite weights and non-negative slots-per-link — what admit.Generate's
+// class draw assumes.
+func FuzzParseClassMix(f *testing.F) {
+	for _, seed := range []string{"", "ugs=0.5,rtps=0.2/2,be=0.3", "ugs=NaN,be=1", "ugs=Inf", "be=1e309", "ugs=1/0", "ugs", "=1"} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		mix, err := parseClassMix(s)
+		if err != nil {
+			return
+		}
+		for _, share := range mix {
+			if !(share.Weight > 0) || math.IsInf(share.Weight, 0) || share.SlotsPerLink < 0 {
+				t.Fatalf("parseClassMix(%q) accepted share %+v", s, share)
+			}
+		}
+	})
 }
 
 func TestParseClassMix(t *testing.T) {

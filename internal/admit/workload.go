@@ -3,6 +3,7 @@ package admit
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"time"
@@ -72,6 +73,11 @@ type ClassShare struct {
 	SlotsPerLink int
 }
 
+// positiveFinite rejects NaN and +Inf along with x <= 0. A NaN weight fails
+// every `x < weight` of the class draw, so the last share would win every
+// call, and a NaN or infinite rate yields NaN or zero inter-arrival times.
+func positiveFinite(x float64) bool { return x > 0 && !math.IsInf(x, 1) }
+
 // Generate builds the workload. Calls between nodes with no route are
 // dropped after their draws are consumed, keeping the sequence of random
 // numbers — and hence every later call — independent of routing outcomes.
@@ -83,13 +89,13 @@ func Generate(cfg WorkloadConfig) (*Workload, error) {
 	if n < 2 {
 		return nil, fmt.Errorf("%w: %d nodes, need at least 2", ErrBadFlow, n)
 	}
-	if cfg.Calls <= 0 || cfg.ArrivalRate <= 0 || cfg.MeanHolding <= 0 || cfg.SlotsPerLink <= 0 {
-		return nil, fmt.Errorf("%w: non-positive workload parameter", ErrBadFlow)
+	if cfg.Calls <= 0 || !positiveFinite(cfg.ArrivalRate) || cfg.MeanHolding <= 0 || cfg.SlotsPerLink <= 0 {
+		return nil, fmt.Errorf("%w: workload parameter not positive and finite", ErrBadFlow)
 	}
 	var mixTotal float64
 	for _, cs := range cfg.ClassMix {
-		if cs.Weight <= 0 {
-			return nil, fmt.Errorf("%w: class %s weight %v, want positive", ErrBadFlow, cs.Class, cs.Weight)
+		if !positiveFinite(cs.Weight) {
+			return nil, fmt.Errorf("%w: class %s weight %v, want positive and finite", ErrBadFlow, cs.Class, cs.Weight)
 		}
 		if cs.Class > ClassUGS {
 			return nil, fmt.Errorf("%w: unknown class %d in mix", ErrBadFlow, cs.Class)

@@ -2,6 +2,7 @@ package admit
 
 import (
 	"errors"
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -94,6 +95,12 @@ func TestWorkloadValidation(t *testing.T) {
 		func(c *WorkloadConfig) { c.ArrivalRate = 0 },
 		func(c *WorkloadConfig) { c.MeanHolding = 0 },
 		func(c *WorkloadConfig) { c.SlotsPerLink = 0 },
+		func(c *WorkloadConfig) { c.ArrivalRate = math.NaN() },
+		func(c *WorkloadConfig) { c.ArrivalRate = math.Inf(1) },
+		func(c *WorkloadConfig) { c.ArrivalRate = math.Inf(-1) },
+		func(c *WorkloadConfig) { c.ClassMix = []ClassShare{{Class: ClassUGS, Weight: math.NaN()}, {Weight: 1}} },
+		func(c *WorkloadConfig) { c.ClassMix = []ClassShare{{Class: ClassUGS, Weight: math.Inf(1)}} },
+		func(c *WorkloadConfig) { c.ClassMix = []ClassShare{{Class: ClassUGS, Weight: math.Inf(-1)}} },
 	} {
 		bad := good
 		mut(&bad)

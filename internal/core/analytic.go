@@ -7,29 +7,6 @@ import (
 	"wimesh/internal/topology"
 )
 
-// ScreenMode selects the screening predictor the galloping capacity search
-// uses to bracket the capacity before full-length verification. Whatever the
-// screen predicts, the result is built exclusively from full-length probe
-// outcomes (see screenedSearch), so the mode changes wall-clock only.
-type ScreenMode int
-
-const (
-	// ScreenAuto (the default) screens with the closed-form analytic
-	// model (internal/analytic): no packet is simulated until the
-	// predicted bracket edge is verified.
-	ScreenAuto ScreenMode = iota
-	// ScreenAnalytic forces the analytic screen (same as ScreenAuto
-	// today; the explicit value pins the choice against future defaults).
-	ScreenAnalytic
-	// ScreenPilot screens with short-duration pilot simulations (the
-	// pre-analytic behavior). Runs too short for a useful pilot fall back
-	// to ScreenNone.
-	ScreenPilot
-	// ScreenNone disables screening: the gallop probes full-length runs
-	// directly.
-	ScreenNone
-)
-
 // effectiveQueueCap resolves the finite per-link queue depth a run uses: the
 // run override when set, else the MAC default.
 func (s *System) effectiveQueueCap(rc RunConfig) int {
@@ -86,7 +63,7 @@ func (s *System) analyticDCFConfig(rc RunConfig) analytic.DCFConfig {
 
 // AnalyticTDMA evaluates the closed-form TDMA model (internal/analytic) for
 // the planned flow set under the run's codec and queue depth — the same
-// prediction the ScreenAuto capacity search brackets with. The returned
+// prediction the capacity search brackets with. The returned
 // Prediction's Flows slice is freshly allocated per call.
 func (s *System) AnalyticTDMA(plan *Plan, fs *topology.FlowSet, rc RunConfig) (analytic.Prediction, error) {
 	cfg, err := s.analyticTDMAConfig(rc)

@@ -33,7 +33,7 @@ func TestAnalyticSearchMatchesLinear(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			// A fresh system per search keeps the comparisons independent:
 			// nothing cached on one run can leak into another.
-			search := func(cfg CapacityConfig) *CapacityResult {
+			system := func() *System {
 				topo, err := tc.build()
 				if err != nil {
 					t.Fatal(err)
@@ -42,7 +42,12 @@ func TestAnalyticSearchMatchesLinear(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				return sys
+			}
+			search := func(cfg CapacityConfig) *CapacityResult {
+				sys := system()
 				var res *CapacityResult
+				var err error
 				if tc.tdma {
 					res, err = sys.VoIPCapacityTDMA(cfg)
 				} else {
@@ -57,15 +62,12 @@ func TestAnalyticSearchMatchesLinear(t *testing.T) {
 				MaxCalls: 12,
 				Run:      RunConfig{Duration: time.Second, Seed: 11},
 			}
-			linCfg := base
-			linCfg.Search = SearchLinear
-			lin := search(linCfg)
+			lin := linearReference(t, system(), base, tc.tdma)
 			if lin.Calls == 0 {
 				t.Fatalf("degenerate scenario: linear scan found capacity 0 (%s)", lin.StoppedBy)
 			}
 			for _, workers := range []int{1, 4} {
 				cfg := base
-				cfg.Screen = ScreenAnalytic
 				cfg.Workers = workers
 				got := search(cfg)
 				if !reflect.DeepEqual(lin, got) {
@@ -161,7 +163,6 @@ func TestAnalyticVsSimulated(t *testing.T) {
 					capRes, err := sys.VoIPCapacityTDMA(CapacityConfig{
 						MaxCalls: 10,
 						Run:      RunConfig{Duration: time.Second, Seed: 7, Codec: cd.codec, QueueCap: qcap, Metrics: reg},
-						Screen:   ScreenAnalytic,
 					})
 					if err != nil {
 						t.Fatal(err)

@@ -10,22 +10,6 @@ import (
 	"wimesh/internal/voip"
 )
 
-// SearchStrategy selects how the capacity search probes call counts.
-type SearchStrategy int
-
-const (
-	// SearchGalloping (the default) brackets the capacity with an
-	// exponential gallop followed by a binary search of the failing
-	// bracket, aborting provably failing probe runs early. Under a
-	// pass/fail verdict monotone in the call count it returns exactly what
-	// SearchLinear returns while probing O(log n) candidates; the
-	// differential suite pins that equality on every R3/R17 scenario.
-	SearchGalloping SearchStrategy = iota
-	// SearchLinear is the preserved reference scan: k = 1, 2, 3, ... with
-	// full-length sequential runs and no early abort.
-	SearchLinear
-)
-
 // CapacityConfig parameterizes the call-capacity search of experiment R3:
 // calls are added one at a time until the network can no longer serve all of
 // them at toll quality.
@@ -42,17 +26,9 @@ type CapacityConfig struct {
 	// Downlink adds a gateway->node flow per call in addition to the
 	// node->gateway uplink (a full duplex call).
 	Downlink bool
-	// Search selects the probe strategy (default SearchGalloping).
-	Search SearchStrategy
-	// Screen selects the screening predictor of the galloping search
-	// (default ScreenAuto: the closed-form analytic model). The screen
-	// only brackets the capacity; full-length simulation always confirms
-	// the C/C+1 edge, so every mode returns identical results. Ignored by
-	// SearchLinear.
-	Screen ScreenMode
 	// Workers caps concurrent speculative probes (default 1: sequential).
 	// Probe outcomes are pure functions of the call count, so any worker
-	// count yields identical results. Ignored by SearchLinear.
+	// count yields identical results.
 	Workers int
 }
 
@@ -194,6 +170,14 @@ func (cs *callSequence) view(n int) *topology.FlowSet {
 	return &topology.FlowSet{Net: cs.fs.Net, Flows: cs.fs.Flows[:k:k]}
 }
 
+// prepare materializes the k-call view a probe runs on.
+func (cs *callSequence) prepare(k int) (*topology.FlowSet, error) {
+	if err := cs.extend(k); err != nil {
+		return nil, err
+	}
+	return cs.view(k), nil
+}
+
 // GatewayCalls builds a flow set of n VoIP calls between distinct
 // non-gateway nodes and the gateway (uplink; plus downlink when downlink is
 // set), assigning callers round-robin over nodes sorted by ID.
@@ -202,10 +186,7 @@ func GatewayCalls(topo *topology.Network, n int, codec voip.Codec, bound time.Du
 	if err != nil {
 		return nil, err
 	}
-	if err := seq.extend(n); err != nil {
-		return nil, err
-	}
-	return seq.view(n), nil
+	return seq.prepare(n)
 }
 
 // VoIPCapacityTDMA finds the TDMA-emulation call capacity: the largest
@@ -222,6 +203,14 @@ func (s *System) VoIPCapacityDCF(cfg CapacityConfig) (*CapacityResult, error) {
 	return s.capacitySearch(cfg, false)
 }
 
+// capacitySearch brackets the capacity with the closed-form analytic screen
+// (internal/analytic) and confirms the bracket edge by full-length
+// simulation: the screen gallops and bisects over microsecond predictions,
+// then one passing run at C and one failing run at C+1 are the only
+// simulations the search needs when the prediction holds. A wrong prediction
+// falls back to galloping over full-length probes (see screenedSearch), so
+// the result always equals the linear reference scan's — the differential
+// suite pins that on every R3/R17 scenario.
 func (s *System) capacitySearch(cfg CapacityConfig, tdma bool) (*CapacityResult, error) {
 	if cfg.MaxCalls < 1 {
 		return &CapacityResult{StoppedBy: StopMaxCalls}, nil
@@ -231,88 +220,44 @@ func (s *System) capacitySearch(cfg CapacityConfig, tdma bool) (*CapacityResult,
 		return nil, err
 	}
 	probeRun := cfg.Run
-	probeRun.AbortOnProvableFailure = cfg.Search != SearchLinear
-	prepare := func(k int) (*topology.FlowSet, error) {
-		if err := seq.extend(k); err != nil {
-			return nil, err
-		}
-		return seq.view(k), nil
+	probeRun.AbortOnProvableFailure = true
+	reg := obs.Or(cfg.Run.Metrics)
+	tr := obs.OrTrace(cfg.Run.Trace)
+	p := newProber(s.simProbe(cfg.Method, probeRun, tdma), seq.prepare, cfg.Workers)
+	p.instrument("full", reg, tr)
+	defer p.drain()
+	ap, err := s.analyticProber(cfg, tdma, seq.prepare)
+	if err != nil {
+		return nil, err
 	}
-	mkProbe := func(rc RunConfig) func(int, *topology.FlowSet) (probeOutcome, error) {
-		return func(k int, fs *topology.FlowSet) (probeOutcome, error) {
-			if tdma {
-				plan, planErr := s.PlanVoIP(fs, cfg.Method, rc.Codec)
-				if planErr != nil {
-					return probeOutcome{stop: StopSchedule}, nil
-				}
-				run, runErr := s.RunTDMA(plan, fs, rc)
-				if runErr != nil {
-					return probeOutcome{}, runErr
-				}
-				return outcomeOf(run), nil
+	ap.instrument("analytic", reg, tr)
+	ap.instrumentScreen(reg)
+	return screenedSearch(p, ap, cfg.MaxCalls)
+}
+
+// simProbe returns the full-length probe of a capacity search: plan (TDMA
+// only) and simulate k calls under rc, and report whether every call held
+// toll quality.
+func (s *System) simProbe(method PlanMethod, rc RunConfig, tdma bool) func(int, *topology.FlowSet) (probeOutcome, error) {
+	return func(k int, fs *topology.FlowSet) (probeOutcome, error) {
+		if tdma {
+			plan, planErr := s.PlanVoIP(fs, method, rc.Codec)
+			if planErr != nil {
+				return probeOutcome{stop: StopSchedule}, nil
 			}
-			run, runErr := s.RunDCF(fs, rc)
+			run, runErr := s.RunTDMA(plan, fs, rc)
 			if runErr != nil {
 				return probeOutcome{}, runErr
 			}
 			return outcomeOf(run), nil
 		}
-	}
-	workers := cfg.Workers
-	if cfg.Search == SearchLinear {
-		workers = 1
-	}
-	reg := obs.Or(cfg.Run.Metrics)
-	tr := obs.OrTrace(cfg.Run.Trace)
-	p := newProber(mkProbe(probeRun), prepare, workers)
-	p.instrument("full", reg, tr)
-	defer p.drain()
-	if cfg.Search == SearchLinear {
-		return linearScan(p, cfg.MaxCalls)
-	}
-	switch cfg.Screen {
-	case ScreenNone:
-		return gallopSearch(p, cfg.MaxCalls)
-	case ScreenPilot:
-		// A short pilot search predicts the capacity so the full-length
-		// search usually probes just the bracket edge; the pilot's outcomes
-		// are never consumed for the result (see screenedSearch). Skipped
-		// when the run is already cheap enough that the pilot would cost
-		// more than it saves.
-		if pilotDur := probeRun.Duration / pilotDivisor; pilotDur >= minPilotDuration {
-			pilotRun := probeRun
-			pilotRun.Duration = pilotDur
-			pilotRun.WarmUp = pilotDur / 10
-			pilotRun.abortHeuristically = true
-			pp := newProber(mkProbe(pilotRun), prepare, workers)
-			pp.instrument("pilot", reg, tr)
-			pp.instrumentScreen(reg)
-			defer pp.drain()
-			return screenedSearch(p, pp, cfg.MaxCalls)
+		run, runErr := s.RunDCF(fs, rc)
+		if runErr != nil {
+			return probeOutcome{}, runErr
 		}
-		return gallopSearch(p, cfg.MaxCalls)
-	default: // ScreenAuto, ScreenAnalytic
-		// The closed-form screen costs microseconds per probe, so it pays
-		// off at every run duration; the verified bracket edge (one full
-		// passing run at C, one failing at C+1) is the only simulation the
-		// search needs when the prediction holds.
-		ap, err := s.analyticProber(cfg, tdma, prepare)
-		if err != nil {
-			return nil, err
-		}
-		ap.instrument("analytic", reg, tr)
-		ap.instrumentScreen(reg)
-		return screenedSearch(p, ap, cfg.MaxCalls)
+		return outcomeOf(run), nil
 	}
 }
-
-// Pilot sizing: pilot runs simulate 1/pilotDivisor of the configured
-// duration, and searches whose pilot would fall under minPilotDuration skip
-// the pilot entirely (the run is too short for the prediction to pay off).
-const (
-	pilotDivisor     = 3
-	minPilotDuration = 500 * time.Millisecond
-)
 
 func outcomeOf(run *RunResult) probeOutcome {
 	if !run.AllAcceptable {

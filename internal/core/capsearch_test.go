@@ -125,12 +125,12 @@ func TestGallopSearchWorkers(t *testing.T) {
 // wildly wrong: the result must always equal the linear reference, because
 // the screen only picks which full probes run first.
 func TestScreenedSearchMatchesLinear(t *testing.T) {
-	for _, pilotCap := range []int{0, 3, 9, 20, 25} {
+	for _, screenCap := range []int{0, 3, 9, 20, 25} {
 		for capacity := 0; capacity <= 21; capacity++ {
 			var nFull, n int
 			full := syntheticProber(capacity, StopQuality, 1, &nFull)
-			pilot := syntheticProber(pilotCap, StopQuality, 1, new(int))
-			got, err := screenedSearch(full, pilot, 20)
+			screen := syntheticProber(screenCap, StopQuality, 1, new(int))
+			got, err := screenedSearch(full, screen, 20)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -139,10 +139,10 @@ func TestScreenedSearchMatchesLinear(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("pilot=%d cap=%d: piloted %+v != linear %+v", pilotCap, capacity, got, want)
+				t.Fatalf("screen=%d cap=%d: screened %+v != linear %+v", screenCap, capacity, got, want)
 			}
-			if pilotCap == capacity && capacity >= 1 && capacity < 20 && nFull > 2 {
-				t.Errorf("exact pilot cap=%d: %d full probes, want 2", capacity, nFull)
+			if screenCap == capacity && capacity >= 1 && capacity < 20 && nFull > 2 {
+				t.Errorf("exact screen cap=%d: %d full probes, want 2", capacity, nFull)
 			}
 		}
 	}

@@ -72,21 +72,24 @@ func (tc capCase) system(t *testing.T) *System {
 	return sys
 }
 
-func (tc capCase) search(t *testing.T, strategy SearchStrategy, workers int, duration time.Duration) *CapacityResult {
-	t.Helper()
-	sys := tc.system(t)
-	cfg := CapacityConfig{
+func (tc capCase) config(workers int, duration time.Duration) CapacityConfig {
+	return CapacityConfig{
 		MaxCalls: 40,
 		Run:      RunConfig{Duration: duration, Seed: tc.seed},
-		Search:   strategy,
 		Workers:  workers,
 	}
+}
+
+// search runs the production capacity search on a fresh system.
+func (tc capCase) search(t *testing.T, workers int, duration time.Duration) *CapacityResult {
+	t.Helper()
+	sys := tc.system(t)
 	var res *CapacityResult
 	var err error
 	if tc.tdma {
-		res, err = sys.VoIPCapacityTDMA(cfg)
+		res, err = sys.VoIPCapacityTDMA(tc.config(workers, duration))
 	} else {
-		res, err = sys.VoIPCapacityDCF(cfg)
+		res, err = sys.VoIPCapacityDCF(tc.config(workers, duration))
 	}
 	if err != nil {
 		t.Fatal(err)
@@ -94,10 +97,29 @@ func (tc capCase) search(t *testing.T, strategy SearchStrategy, workers int, dur
 	return res
 }
 
-// TestDifferentialCapacitySearch pins the galloping search (with early-abort
-// probes, sequential and speculative-parallel) to the preserved linear
-// reference scan: byte-identical CapacityResult on every R3 topology x MAC
-// combination and every R17 frame duration. Short mode runs the experiments'
+// linearReference is the oracle the differential tests pin the production
+// search to: k = 1, 2, 3, ... over full-length sequential runs, with no
+// screen and no early abort. It is assembled from production parts — the
+// search's own probe (simProbe) and linearScan, gallopSearch's fallback —
+// so only the way of selecting it lives in test code.
+func linearReference(t *testing.T, sys *System, cfg CapacityConfig, tdma bool) *CapacityResult {
+	t.Helper()
+	cfg.applyDefaults()
+	seq, err := newCallSequence(sys.Topo, cfg.Run.Codec, cfg.DelayBound, cfg.Downlink)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := linearScan(newProber(sys.simProbe(cfg.Method, cfg.Run, tdma), seq.prepare, 1), cfg.MaxCalls)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// TestDifferentialCapacitySearch pins the analytic-screened galloping search
+// (with early-abort probes, sequential and speculative-parallel) to the
+// linear reference scan: byte-identical CapacityResult on every R3 topology
+// x MAC combination and every R17 frame duration. Short mode runs the experiments'
 // full 3 s probe duration only for a spot-check pair and a faster probe
 // duration elsewhere; the -race differential target covers both worker
 // settings.
@@ -109,13 +131,13 @@ func TestDifferentialCapacitySearch(t *testing.T) {
 			if testing.Short() {
 				duration = 1 * time.Second
 			}
-			ref := tc.search(t, SearchLinear, 1, duration)
-			seq := tc.search(t, SearchGalloping, 1, duration)
+			ref := linearReference(t, tc.system(t), tc.config(1, duration), tc.tdma)
+			seq := tc.search(t, 1, duration)
 			if !reflect.DeepEqual(ref, seq) {
 				t.Errorf("galloping (workers=1) diverged from linear scan:\nlinear: calls=%d stop=%s\ngallop: calls=%d stop=%s",
 					ref.Calls, ref.StoppedBy, seq.Calls, seq.StoppedBy)
 			}
-			par := tc.search(t, SearchGalloping, 4, duration)
+			par := tc.search(t, 4, duration)
 			if !reflect.DeepEqual(ref, par) {
 				t.Errorf("galloping (workers=4) diverged from linear scan:\nlinear: calls=%d stop=%s\ngallop: calls=%d stop=%s",
 					ref.Calls, ref.StoppedBy, par.Calls, par.StoppedBy)

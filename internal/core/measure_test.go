@@ -43,7 +43,7 @@ func TestMonitorCheckAllocFree(t *testing.T) {
 	fs := twoFlowSet()
 	cs := new(collectorSet)
 	cs.reset(2, true)
-	mon := newQualityMonitor(voip.G711(), 100*time.Millisecond, 900*time.Millisecond, fs.Flows, cs, false)
+	mon := newQualityMonitor(voip.G711(), 100*time.Millisecond, 900*time.Millisecond, fs.Flows, cs)
 	for i := 0; i < 256; i++ {
 		cs.observeSend(i%2, i/2, time.Duration(i)*time.Microsecond)
 		// Delays near the toll-quality edge — above the P² screen threshold
@@ -67,7 +67,7 @@ func TestMonitorAbortsHopelessFlow(t *testing.T) {
 	fs := twoFlowSet()
 	cs := new(collectorSet)
 	cs.reset(2, true)
-	mon := newQualityMonitor(voip.G711(), 100*time.Millisecond, 900*time.Millisecond, fs.Flows, cs, false)
+	mon := newQualityMonitor(voip.G711(), 100*time.Millisecond, 900*time.Millisecond, fs.Flows, cs)
 	if mon.shouldAbort(50 * time.Millisecond) {
 		t.Fatal("aborted before the measurement window opened")
 	}
@@ -83,7 +83,7 @@ func TestMonitorAbortsHopelessFlow(t *testing.T) {
 	// within the 1% late budget, so no proof is possible yet.
 	cs2 := new(collectorSet)
 	cs2.reset(2, true)
-	mon2 := newQualityMonitor(voip.G711(), 100*time.Millisecond, 10*time.Second, fs.Flows, cs2, false)
+	mon2 := newQualityMonitor(voip.G711(), 100*time.Millisecond, 10*time.Second, fs.Flows, cs2)
 	cs2.observeSend(0, 0, 110*time.Millisecond)
 	cs2.observeDelivery(0, 0, 2*time.Second)
 	if mon2.shouldAbort(120 * time.Millisecond) {

@@ -42,12 +42,6 @@ type RunConfig struct {
 	// false and no per-flow results; the pass/fail verdict is identical to
 	// the full-length run's, which is what capacity searches consume.
 	AbortOnProvableFailure bool
-	// abortHeuristically additionally lets the monitor abort on a
-	// face-value failure estimate rather than a proof. Only the capacity
-	// search's pilot probes use it — their outcomes steer the search but are
-	// never consumed for the result, so an unsound abort can cost a
-	// fallback, never correctness.
-	abortHeuristically bool
 	// Metrics, when set, receives the run's counters (MAC metrics, abort
 	// verdicts). Nil falls back to the process default (obs.Default); with
 	// neither, observability is off at zero cost.
@@ -184,7 +178,7 @@ func (s *System) RunTDMA(plan *Plan, fs *topology.FlowSet, cfg RunConfig) (*RunR
 	defer cs.release()
 	var mon *qualityMonitor
 	if cfg.AbortOnProvableFailure {
-		mon = newQualityMonitor(cfg.Codec, lo, hi, fs.Flows, cs, cfg.abortHeuristically)
+		mon = newQualityMonitor(cfg.Codec, lo, hi, fs.Flows, cs)
 	}
 	macCfg := s.MAC
 	if cfg.QueueCap > 0 {
@@ -264,7 +258,7 @@ func (s *System) RunDCF(fs *topology.FlowSet, cfg RunConfig) (*RunResult, error)
 	defer cs.release()
 	var mon *qualityMonitor
 	if cfg.AbortOnProvableFailure {
-		mon = newQualityMonitor(cfg.Codec, lo, hi, fs.Flows, cs, cfg.abortHeuristically)
+		mon = newQualityMonitor(cfg.Codec, lo, hi, fs.Flows, cs)
 	}
 	// Dense per-flow routes (FlowIDs are assigned positionally).
 	routes := make([][]topology.NodeID, len(cs.cols))
@@ -333,19 +327,11 @@ func (s *System) RunDCF(fs *topology.FlowSet, cfg RunConfig) (*RunResult, error)
 	return res, nil
 }
 
-// observeAbort records a quality-monitor abort: heuristic (pilot) aborts and
-// provable ones are distinguishable because only the former may be unsound.
+// observeAbort records a quality-monitor abort.
 func observeAbort(cfg RunConfig, at time.Duration) {
-	reg := obs.Or(cfg.Metrics)
-	heur := int64(0)
-	if cfg.abortHeuristically {
-		heur = 1
-		reg.Counter("core.pilot_aborts").Inc()
-	} else {
-		reg.Counter("core.monitor_aborts").Inc()
-	}
+	obs.Or(cfg.Metrics).Counter("core.monitor_aborts").Inc()
 	obs.OrTrace(cfg.Trace).Emit(obs.Event{T: at, Kind: obs.KindAbort,
-		Node: -1, Link: -1, Slot: -1, Frame: -1, A: heur})
+		Node: -1, Link: -1, Slot: -1, Frame: -1})
 }
 
 // startSources creates and starts one voice source per flow, staggered by a

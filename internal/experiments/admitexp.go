@@ -21,8 +21,8 @@ import (
 // (admission needs *a* window within the cap, not the minimum) and only
 // rejects conservatively when that fails too, so borderline verdicts can
 // flip run to run on the same host; the verdict/tier split, latency and
-// throughput columns are all wall-clock-dependent and treated as volatile
-// by cmd/benchcompare.
+// throughput columns are all wall-clock-dependent, which is why R19 has no
+// golden (see notPinned in golden_test.go).
 const (
 	r19Seed        = 42
 	r19SolveBudget = 50_000
@@ -62,8 +62,7 @@ func R19AdmissionServing() (*Table, error) {
 // r19Table runs the sweep; the reduced admit-smoke configuration shares it.
 func r19Table(id string, points []r19Point) (*Table, error) {
 	t := &Table{
-		ID:    id,
-		Title: "Incremental admission serving: throughput and decision latency vs. scale",
+		ID: id,
 		Header: []string{"nodes", "links", "erlang", "offered", "admitted", "rejected",
 			"fastpath", "warm", "cold", "adm/s", "p50 latency us", "p99 latency us"},
 		Notes: "village = 4-wide grid (100 m spacing, monolithic engine); city = random disk at" +

@@ -70,8 +70,7 @@ func R21ClassScheduling() (*Table, error) {
 // r21Table runs the sweep; the reduced class-smoke configuration shares it.
 func r21Table(id string, points []r21Point) (*Table, error) {
 	t := &Table{
-		ID:    id,
-		Title: "Multi-class service scheduling: UGS/rtPS deadlines with and without preemptive admission",
+		ID: id,
 		Header: []string{"nodes", "links", "preempt", "offered", "admitted", "rejected", "preempted",
 			"adm %", "ugs p99 us", "rtps p99 us", "nrtps p99 us", "be p99 us"},
 		Notes: "random disk at R18's density (range 130 m, zoned engine, " + fmt.Sprint(r21ZoneSize) +
@@ -82,6 +81,7 @@ func r21Table(id string, points []r21Point) (*Table, error) {
 			" solves budgeted at " + fmt.Sprint(r21SolveBudget) + " nodes, no wall-clock limit;" +
 			" 'preempted' counts calls evicted by guaranteed-class arrivals;" +
 			" per-class p99 decision latencies are host time (volatile), verdict columns are exact",
+		HostTime: []string{"ugs p99 us", "rtps p99 us", "nrtps p99 us", "be p99 us"},
 	}
 	cfg := emuFrame(r21FrameSlots)
 	for _, pt := range points {

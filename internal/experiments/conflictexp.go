@@ -18,7 +18,6 @@ import (
 func R16ConflictModel() (*Table, error) {
 	t := &Table{
 		ID:     "R16",
-		Title:  "Interference-model ablation: planned window vs. on-air violations",
 		Header: []string{"conflict model", "window", "violations", "worst loss%", "min R"},
 		Notes:  "3x3 grid, 6 G.711 calls to the gateway, geometric radio (250 m); schedules planned under each model",
 	}

@@ -15,8 +15,7 @@ import (
 // needs roughly three broadcasts per link and no gateway involvement.
 func R11ControlPlane() (*Table, error) {
 	t := &Table{
-		ID:    "R11",
-		Title: "Control-plane cost of schedule establishment: centralized vs. distributed",
+		ID: "R11",
 		Header: []string{"nodes", "cen opportunities", "cen rounds", "cen bytes",
 			"dist messages", "dist failed"},
 		Notes: "chain topologies, one uplink demand per node; centralized = MSH-CSCH round trip, distributed = MSH-DSCH 3-way handshakes",

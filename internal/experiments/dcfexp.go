@@ -19,7 +19,6 @@ import (
 func R8DCFSaturation() (*Table, error) {
 	t := &Table{
 		ID:     "R8",
-		Title:  "DCF saturation throughput vs. number of contending senders",
 		Header: []string{"senders", "throughput Mb/s", "collision rate"},
 		Notes:  "star topology, saturated 1500-byte queues, 802.11b 11 Mb/s, 2 s runs",
 	}
@@ -87,7 +86,6 @@ func saturationRun(n int, duration time.Duration, seed int64) (float64, float64,
 func R10HiddenTerminal() (*Table, error) {
 	t := &Table{
 		ID:     "R10",
-		Title:  "Hidden-terminal duel: delivery and collisions by MAC",
 		Header: []string{"mac", "delivered", "sent", "delivery%", "collision rate"},
 		Notes:  "senders at 0 m and 200 m, receiver at 100 m, 150 m carrier-sense range; 60 x 1000-byte packets per sender",
 	}

@@ -20,8 +20,7 @@ import (
 // natively by the 802.16 OFDM PHY (one preamble symbol per burst).
 func R5EmulationOverhead() (*Table, error) {
 	t := &Table{
-		ID:    "R5",
-		Title: "Slot efficiency: 802.11-emulated vs. native 802.16 OFDM",
+		ID: "R5",
 		Header: []string{"slot", "voice g=0", "voice g=100us", "voice g=200us",
 			"voice agg8", "1500B g=100us", "native 802.16"},
 		Notes: "emu at 11 Mb/s: 'voice' = 200-byte G.711 packets, 'agg8' = 8-packet aggregation at g=100us, '1500B' = full MTU; native: QPSK-3/4 burst filling the slot, 1 preamble symbol",
@@ -77,7 +76,6 @@ func R5EmulationOverhead() (*Table, error) {
 func R6SyncTolerance() (*Table, error) {
 	t := &Table{
 		ID:     "R6",
-		Title:  "Schedule-violation rate vs. per-hop sync error, by guard interval",
 		Header: []string{"sync err", "g=25us", "g=100us", "g=250us"},
 		Notes:  "4-node chain, 8x1 ms slots, packets sized to fill the usable window, resync every frame, 250 frames; cell = violations/transmissions",
 	}

@@ -1,7 +1,8 @@
 // Package experiments regenerates the evaluation of the reproduced paper:
-// every table/figure R1-R8 indexed in DESIGN.md is a function here that
-// produces a Table of results. cmd/meshbench prints them; the root
-// bench_test.go wraps each in a testing.B benchmark.
+// every table/figure indexed in DESIGN.md (the registry below) is a function
+// here that produces a Table of results. cmd/meshbench prints them, and
+// TestRTableGolden pins every cell that is not host time against
+// testdata/R<n>.golden. Timing is measured by benchmark/, not here.
 //
 // Because the original paper's text is unavailable (see DESIGN.md), the
 // experiments reconstruct the evaluation style of the Djukic-Valaee papers:
@@ -26,6 +27,10 @@ type Table struct {
 	Rows   [][]string
 	// Notes explains parameters and reading of the table.
 	Notes string
+	// HostTime names the columns whose cells are measured host wall clock
+	// and so differ run to run; every other cell is a function of the
+	// experiment's inputs and is pinned by TestRTableGolden.
+	HostTime []string
 }
 
 // AddRow appends a row of cells formatted with %v.
@@ -95,32 +100,34 @@ func (t *Table) WriteCSV(w io.Writer) error {
 	return cw.Error()
 }
 
-// registry lists every experiment in canonical order.
+// registry lists every experiment in canonical order. The title lives
+// here, not in the experiment function, so `meshbench -list` and the rendered
+// table cannot drift apart; ByID fills it in.
 var registry = []struct {
-	name string
-	fn   func() (*Table, error)
+	name, title string
+	fn          func() (*Table, error)
 }{
-	{"R1", R1MinFrameLength},
-	{"R2", R2DelayAwareOrdering},
-	{"R3", R3VoIPCapacity},
-	{"R4", R4DelayDistribution},
-	{"R5", R5EmulationOverhead},
-	{"R6", R6SyncTolerance},
-	{"R7", R7SchedulerScalability},
-	{"R8", R8DCFSaturation},
-	{"R9", R9MultiService},
-	{"R10", R10HiddenTerminal},
-	{"R11", R11ControlPlane},
-	{"R12", R12Failover},
-	{"R13", R13MixedService},
-	{"R14", R14NativeVsEmulated},
-	{"R15", R15RoutingMetric},
-	{"R16", R16ConflictModel},
-	{"R17", R17FrameDuration},
-	{"R18", R18PartitionedScale},
-	{"R19", R19AdmissionServing},
-	{"R20", R20ShardedServing},
-	{"R21", R21ClassScheduling},
+	{"R1", "Minimum TDMA window (slots) vs. number of G.711 calls", R1MinFrameLength},
+	{"R2", "End-to-end scheduling delay (ms) vs. hop count, by transmission order", R2DelayAwareOrdering},
+	{"R3", "VoIP call capacity at toll quality: TDMA emulation vs. 802.11 DCF", R3VoIPCapacity},
+	{"R4", "Worst-flow delay and quality at fixed load: TDMA emulation vs. DCF", R4DelayDistribution},
+	{"R5", "Slot efficiency: 802.11-emulated vs. native 802.16 OFDM", R5EmulationOverhead},
+	{"R6", "Schedule-violation rate vs. per-hop sync error, by guard interval", R6SyncTolerance},
+	{"R7", "Scheduler wall time vs. network size", R7SchedulerScalability},
+	{"R8", "DCF saturation throughput vs. number of contending senders", R8DCFSaturation},
+	{"R9", "Multi-service split: guaranteed VoIP slots vs. residual best-effort capacity", R9MultiService},
+	{"R10", "Hidden-terminal duel: delivery and collisions by MAC", R10HiddenTerminal},
+	{"R11", "Control-plane cost of schedule establishment: centralized vs. distributed", R11ControlPlane},
+	{"R12", "Link-failure recovery: per-phase loss of the victim call", R12Failover},
+	{"R13", "Mixed voice + best-effort on one TDMA data plane: priority queueing ablation", R13MixedService},
+	{"R14", "Same schedule, measured throughput: WiFi emulation vs. native 802.16", R14NativeVsEmulated},
+	{"R15", "Routing metric under lossy links: hop-count vs. ETX, with/without ARQ", R15RoutingMetric},
+	{"R16", "Interference-model ablation: planned window vs. on-air violations", R16ConflictModel},
+	{"R17", "Frame-duration trade-off: capacity vs. delay", R17FrameDuration},
+	{"R18", "Partitioned scheduling at city scale: window and wall clock vs. zone size", R18PartitionedScale},
+	{"R19", "Incremental admission serving: throughput and decision latency vs. scale", R19AdmissionServing},
+	{"R20", "Sharded concurrent admission: serial vs. per-zone locked batched serving", R20ShardedServing},
+	{"R21", "Multi-class service scheduling: UGS/rtPS deadlines with and without preemptive admission", R21ClassScheduling},
 }
 
 // IDs returns the experiment identifiers in canonical order (R1..R21).
@@ -132,18 +139,14 @@ func IDs() []string {
 	return out
 }
 
-// All runs every experiment in order. Failing experiments abort with the
-// error.
-func All() ([]*Table, error) {
-	var out []*Table
+// Title returns the title of experiment id ("" when unknown).
+func Title(id string) string {
 	for _, g := range registry {
-		t, err := g.fn()
-		if err != nil {
-			return nil, fmt.Errorf("experiment %s: %w", g.name, err)
+		if g.name == id {
+			return g.title
 		}
-		out = append(out, t)
 	}
-	return out, nil
+	return ""
 }
 
 // ByID runs one experiment by its identifier (case-insensitive).
@@ -151,7 +154,12 @@ func ByID(id string) (*Table, error) {
 	want := strings.ToUpper(id)
 	for _, g := range registry {
 		if g.name == want {
-			return g.fn()
+			t, err := g.fn()
+			if err != nil {
+				return nil, err
+			}
+			t.Title = g.title
+			return t, nil
 		}
 	}
 	return nil, fmt.Errorf("experiments: unknown id %q (want R1..%s)",

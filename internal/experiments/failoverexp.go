@@ -18,7 +18,6 @@ import (
 func R12Failover() (*Table, error) {
 	t := &Table{
 		ID:     "R12",
-		Title:  "Link-failure recovery: per-phase loss of the victim call",
 		Header: []string{"detect delay", "before%", "outage%", "after%", "rerouted", "failure drops"},
 		Notes:  "6-ring, 3 G.711 calls, link on the 3-hop call's path fails at t=3s of 9s; loss per phase for the victim",
 	}

@@ -18,7 +18,6 @@ import (
 func R17FrameDuration() (*Table, error) {
 	t := &Table{
 		ID:     "R17",
-		Title:  "Frame-duration trade-off: capacity vs. delay",
 		Header: []string{"frame", "slot", "pkts/slot", "capacity calls", "worst p95", "min R"},
 		Notes:  "6-node chain, 16 slots/frame, G.711 calls to the gateway; capacity = max calls at toll quality (path-major planner)",
 	}
@@ -48,7 +47,6 @@ func R17FrameDuration() (*Table, error) {
 		points[i].capRes, err = sys.VoIPCapacityTDMA(core.CapacityConfig{
 			MaxCalls: 40,
 			Run:      core.RunConfig{Duration: 3 * time.Second, Seed: 61, QueueCap: QueueCap()},
-			Screen:   Screen(),
 			Workers:  Workers(),
 		})
 		return err

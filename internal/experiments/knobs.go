@@ -1,33 +1,15 @@
 // Run-wide experiment knobs. Like the worker cap (workers.go), these are
 // process-level settings the CLIs forward from flags: they parameterize how
-// capacity searches run (screening tier, queue depth) without threading
-// configuration through every experiment constructor. Every knob defaults
-// to "no override", under which experiments compute byte-identical tables
-// to a build without the knob.
+// capacity searches run without threading configuration through every
+// experiment constructor. Every knob defaults to "no override", under which
+// experiments compute byte-identical tables to a build without the knob.
 package experiments
 
-import (
-	"sync/atomic"
-
-	"wimesh/internal/core"
-)
-
-// screenMode holds the core.ScreenMode forwarded to capacity searches.
-// The zero value is core.ScreenAuto: analytic screening, the default.
-var screenMode atomic.Int64
-
-// SetScreen selects the screening predictor capacity searches use to
-// bracket the capacity before full-length verification. The screen affects
-// wall-clock only — the C/C+1 edge is always confirmed by full-length
-// simulation — so every mode yields identical tables.
-func SetScreen(m core.ScreenMode) { screenMode.Store(int64(m)) }
-
-// Screen returns the current screening mode.
-func Screen() core.ScreenMode { return core.ScreenMode(screenMode.Load()) }
+import "sync/atomic"
 
 // queueCap holds the per-link queue depth override; 0 keeps each MAC's
-// default. Unlike the screen knob this changes physics: a shallower queue
-// drops packets sooner, so tables may legitimately differ.
+// default. This changes physics: a shallower queue drops packets sooner, so
+// tables may legitimately differ.
 var queueCap atomic.Int64
 
 // SetQueueCap overrides the finite per-link (TDMA) / per-node (DCF) queue

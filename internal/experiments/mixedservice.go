@@ -22,7 +22,6 @@ import (
 func R13MixedService() (*Table, error) {
 	t := &Table{
 		ID:     "R13",
-		Title:  "Mixed voice + best-effort on one TDMA data plane: priority queueing ablation",
 		Header: []string{"scenario", "voice R", "voice p95", "voice loss%", "BE Mb/s"},
 		Notes:  "4-chain, 1 voice call over 3 hops + saturating 700-byte best-effort on the first hop, 8 s runs",
 	}

@@ -20,7 +20,6 @@ import (
 func R9MultiService() (*Table, error) {
 	t := &Table{
 		ID:     "R9",
-		Title:  "Multi-service split: guaranteed VoIP slots vs. residual best-effort capacity",
 		Header: []string{"calls", "voice window", "BE slot-grants", "BE capacity Mb/s", "min BE/link"},
 		Notes:  "6-node chain, 16-slot frame, G.711 calls to the gateway; BE = the downlinks, 1000-byte packets, 100 us guard",
 	}

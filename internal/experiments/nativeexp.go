@@ -21,7 +21,6 @@ import (
 func R14NativeVsEmulated() (*Table, error) {
 	t := &Table{
 		ID:     "R14",
-		Title:  "Same schedule, measured throughput: WiFi emulation vs. native 802.16",
 		Header: []string{"data plane", "pkts/slot", "measured Mb/s", "frames lost"},
 		Notes:  "4-chain, path-major schedule (1 slot/hop of 1 ms), saturated 200-byte packet flow over 3 hops, 4 s runs",
 	}

@@ -58,13 +58,13 @@ func R18PartitionedScale() (*Table, error) {
 // r18Table runs the sweep; the reduced scale-smoke configuration shares it.
 func r18Table(id string, points []r18Point) (*Table, error) {
 	t := &Table{
-		ID:    id,
-		Title: "Partitioned scheduling at city scale: window and wall clock vs. zone size",
+		ID: id,
 		Header: []string{"nodes", "links", "offered", "admitted", "zone m", "zones",
 			"halo", "window", "repairs", "greedy", "wall ms"},
 		Notes: "random disk at constant density (range 130 m); random node-pair flows admitted by interference load" +
 			" (frame 256 slots); zone 'auto' = 3x longest link; per-zone B&B budget " +
 			fmt.Sprint(r18ZoneBudget) + " nodes; 'wall ms' is host time (volatile)",
+		HostTime: []string{"wall ms"},
 	}
 	cfg := emuFrame(256)
 	for _, pt := range points {

@@ -23,7 +23,6 @@ import (
 func R15RoutingMetric() (*Table, error) {
 	t := &Table{
 		ID:     "R15",
-		Title:  "Routing metric under lossy links: hop-count vs. ETX, with/without ARQ",
 		Header: []string{"routing", "ARQ", "hops", "delivery%", "voice R", "retransmissions"},
 		Notes:  "diamond: src->relay->gw (2 hops, 50% PER each) vs src->3 clean hops->gw; one G.711 call, 8 s runs",
 	}

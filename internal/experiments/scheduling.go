@@ -74,7 +74,6 @@ func uplinkProblemOnGraph(topo *topology.Network, g *conflict.Graph, k int, cfg 
 func R1MinFrameLength() (*Table, error) {
 	t := &Table{
 		ID:     "R1",
-		Title:  "Minimum TDMA window (slots) vs. number of G.711 calls",
 		Header: []string{"calls", "chain6 ILP", "chain6 greedy", "chain6 LB", "tree7 ILP", "tree7 greedy"},
 		Notes:  "chain6: 6-node chain; tree7: binary tree of depth 2; frame: 16 slots of 1.25 ms; '-' = infeasible",
 	}
@@ -137,7 +136,6 @@ func R1MinFrameLength() (*Table, error) {
 func R2DelayAwareOrdering() (*Table, error) {
 	t := &Table{
 		ID:     "R2",
-		Title:  "End-to-end scheduling delay (ms) vs. hop count, by transmission order",
 		Header: []string{"hops", "minmax ILP", "tree", "path-major", "naive", "random"},
 		Notes:  "single flow over an n-hop chain, unit slot demands, 16-slot frame of 20 ms; delays exclude the initial frame wait",
 	}
@@ -229,9 +227,10 @@ func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond)
 func R7SchedulerScalability() (*Table, error) {
 	t := &Table{
 		ID:     "R7",
-		Title:  "Scheduler wall time vs. network size",
 		Header: []string{"nodes", "hops", "ILP search", "order+BF", "greedy"},
 		Notes:  "full-chain flow, unit demands, 64-slot frame; ILP capped at 200k B&B nodes ('-' = cap exceeded)",
+		// Every measured column is a scheduler wall time.
+		HostTime: []string{"ILP search", "order+BF", "greedy"},
 	}
 	cfg := emuFrame(64)
 	for _, n := range []int{4, 6, 8, 12, 16, 24} {

@@ -64,8 +64,7 @@ func R20ShardedServing() (*Table, error) {
 // r20Table runs the sweep; the reduced shard-smoke configuration shares it.
 func r20Table(id string, points []r20Point, workerSet []int) (*Table, error) {
 	t := &Table{
-		ID:    id,
-		Title: "Sharded concurrent admission: serial vs. per-zone locked batched serving",
+		ID: id,
 		Header: []string{"nodes", "links", "workers", "offered", "admitted", "rejected",
 			"batched", "wall ms", "adm/s", "speedup"},
 		Notes: "random disk at R18's density (range 130 m, zoned engine, " + fmt.Sprint(r20ZoneSize) +

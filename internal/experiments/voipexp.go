@@ -15,7 +15,6 @@ import (
 func R3VoIPCapacity() (*Table, error) {
 	t := &Table{
 		ID:     "R3",
-		Title:  "VoIP call capacity at toll quality: TDMA emulation vs. 802.11 DCF",
 		Header: []string{"topology", "TDMA calls", "TDMA stop", "DCF calls", "DCF stop"},
 		Notes:  "G.711 CBR calls to the gateway, 150 ms budget, 3 s runs; TDMA planned with the path-major order",
 	}
@@ -45,7 +44,6 @@ func R3VoIPCapacity() (*Table, error) {
 		capCfg := core.CapacityConfig{
 			MaxCalls: 40,
 			Run:      core.RunConfig{Duration: 3 * time.Second, Seed: 11, QueueCap: QueueCap()},
-			Screen:   Screen(),
 			Workers:  Workers(),
 		}
 		if i%2 == 0 {
@@ -70,7 +68,6 @@ func R3VoIPCapacity() (*Table, error) {
 func R4DelayDistribution() (*Table, error) {
 	t := &Table{
 		ID:     "R4",
-		Title:  "Worst-flow delay and quality at fixed load: TDMA emulation vs. DCF",
 		Header: []string{"mac", "calls", "mean", "p95", "max", "loss%", "min R", "MOS"},
 		Notes:  "5-node chain, G.711 calls to the gateway, 5 s runs; worst flow per run",
 	}

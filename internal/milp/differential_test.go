@@ -10,8 +10,8 @@ import (
 
 // TestDifferentialWarmVsCold solves random integer programs with the default
 // warm-started node relaxations (dual-simplex cleanup from the root basis)
-// and with Options.ColdStart, and demands matching outcomes: same error
-// class, same objective, and the same optimality proof. The two modes may
+// and with the unexported Options.coldStart, and demands matching outcomes:
+// same error class, same objective, and the same optimality proof. The two modes may
 // pick different vertices of tied relaxations — and therefore different
 // trees and node counts — so X is compared through a brute-force check of
 // the objective instead of element-wise. Runs under -race from `make
@@ -24,7 +24,7 @@ func TestDifferentialWarmVsCold(t *testing.T) {
 		for _, firstFeasible := range []bool{false, true} {
 			for _, workers := range []int{1, 4} {
 				warm, warmErr := m.Solve(Options{Workers: workers, FirstFeasible: firstFeasible})
-				cold, coldErr := m.Solve(Options{Workers: workers, FirstFeasible: firstFeasible, ColdStart: true})
+				cold, coldErr := m.Solve(Options{Workers: workers, FirstFeasible: firstFeasible, coldStart: true})
 				if (warmErr == nil) != (coldErr == nil) {
 					t.Fatalf("trial %d ff=%v w=%d: warm err %v, cold err %v",
 						trial, firstFeasible, workers, warmErr, coldErr)

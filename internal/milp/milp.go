@@ -225,11 +225,12 @@ type Options struct {
 	// branch path, so any exploration schedule converges to the same
 	// incumbent as the sequential search.
 	Workers int
-	// ColdStart solves every node's relaxation from scratch instead of
+	// coldStart solves every node's relaxation from scratch instead of
 	// warm-starting from the root basis snapshot. The search proves the
-	// same optimum either way (the differential tests pin this); cold
-	// starts exist as the reference mode for those tests and benchmarks.
-	ColdStart bool
+	// same optimum either way; the cold path is the oracle
+	// TestDifferentialWarmVsCold pins the warm one to, and only this
+	// package's tests can set it.
+	coldStart bool
 	// Interrupt aborts the search when the channel closes (or yields a
 	// value): workers stop picking up nodes and Solve returns ErrLimit.
 	// It is the cancellation hook for long-lived callers — the admission
@@ -381,7 +382,7 @@ func (m *Model) Solve(opts Options) (*Solution, error) {
 		compiled:      compiled,
 		sign:          sign,
 		firstFeasible: opts.FirstFeasible,
-		coldStart:     opts.ColdStart,
+		coldStart:     opts.coldStart,
 		intTol:        intTol,
 		maxNodes:      maxNodes,
 		deadline:      deadline,

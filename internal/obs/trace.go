@@ -42,10 +42,10 @@ const (
 	KindResync
 	// KindProbe marks a capacity-search admission probe verdict. A = offered
 	// load k, B = 1 pass / 0 fail. Label carries the probe phase
-	// ("pilot"/"full").
+	// ("analytic"/"full").
 	KindProbe
-	// KindAbort marks an early-abort monitor firing during a run. A = 1 for
-	// a heuristic (pilot) abort, 0 for a provable one.
+	// KindAbort marks the early-abort monitor proving, during a run, that
+	// some flow cannot recover toll quality.
 	KindAbort
 	// KindMark is a free-form annotation (e.g. the experiment id wrapping a
 	// meshbench run); only Label is meaningful.
