@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race check differential lpdebug examples obs-allocs scale-smoke admit-smoke class-smoke benchmark-smoke loc goldens profile bench clean
+.PHONY: all build test vet race check differential lpdebug examples obs-allocs scale-smoke admit-smoke class-smoke benchmark-smoke loc loc-check goldens profile bench clean
 
 all: check
 
@@ -26,13 +26,14 @@ race:
 # mutation vs. fresh builds, analytic-screened capacity search vs. the
 # linear reference scan, partitioned zone scheduling vs. the monolithic
 # ILP (window within 10%, bit-identical at any worker count), admission
-# engine verdicts vs. cold schedule.MinSlots re-plans — all under the race
-# detector.
+# engine verdicts vs. cold schedule.MinSlots re-plans, the one slot packer
+# (tdma.Packing) vs. a brute-force earliest-start scan and the two first-fit
+# searches it replaced — all under the race detector.
 differential:
-	$(GO) test -race -count=1 -run 'TestDifferential|TestWorkersByteIdentical|TestScreenedSearchMatchesLinear|TestGallopSearchWorkers|TestAnalyticSearchMatchesLinear|TestAnalyticVsSimulated' \
+	$(GO) test -race -count=1 -run 'TestDifferential|TestPacking|TestWorkersByteIdentical|TestScreenedSearchMatchesLinear|TestGallopSearchWorkers|TestAnalyticSearchMatchesLinear|TestAnalyticVsSimulated' \
 		./internal/sim ./internal/mac ./cmd/meshbench ./internal/core \
-		./internal/lp ./internal/milp ./internal/schedule ./internal/partition \
-		./internal/admit
+		./internal/lp ./internal/milp ./internal/tdma ./internal/schedule \
+		./internal/partition ./internal/admit
 
 # Re-run the solver packages with the lpdebug build tag: every simplex
 # terminates through an invariant check (basis consistency, B^-1 B = I,
@@ -107,7 +108,19 @@ loc:
 		awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; if (d !~ /^\.\/benchmark/) t += $$1 } \
 		END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d total outside benchmark/\n", t }'
 
-check: vet build race differential lpdebug examples obs-allocs admit-smoke class-smoke benchmark-smoke loc
+# The ratchet on that number: the ceilings are what `make loc` printed when
+# they were last edited. A PR that shrinks the code lowers them; one that
+# must grow past them raises them in its own diff, where a reviewer sees it.
+LOC_MAX_TOTAL = 21893
+LOC_MAX_ADMIT = 2343
+
+loc-check:
+	@$(MAKE) -s loc | awk -v total=$(LOC_MAX_TOTAL) -v admit=$(LOC_MAX_ADMIT) ' \
+		$$2 == "total" && $$1 > total { printf "loc-check: %d non-test lines outside benchmark/, ceiling %d\n", $$1, total; bad = 1 } \
+		$$2 == "./internal/admit" && $$1 > admit { printf "loc-check: %d non-test lines in internal/admit, ceiling %d\n", $$1, admit; bad = 1 } \
+		END { exit bad }'
+
+check: vet build race differential lpdebug examples obs-allocs admit-smoke class-smoke benchmark-smoke loc loc-check
 
 # Re-record internal/experiments/testdata/R<n>.golden after a deliberate
 # table change; review the goldens' diff before committing it.

@@ -62,12 +62,10 @@ func run(args []string, out io.Writer) error {
 		memProf    = fs.String("memprofile", "", "write an allocation profile taken after the run to this file")
 		metricsOut = fs.String("metrics-out", "", "write per-experiment obs counter snapshots (JSON) to this file; forces -workers 1")
 		tracePath  = fs.String("trace", "", "write a per-slot/per-frame event trace (JSON lines) to this file; forces -workers 1")
-		queueCap   = fs.Int("queue-cap", 0, "finite per-link queue depth in packets for capacity-search experiments; 0 keeps each MAC's default (changes physics: shallower queues drop sooner)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	experiments.SetQueueCap(*queueCap)
 	// Observability sinks are process-global (the sim kernels deep inside each
 	// experiment find them via obs.Default), so enabling either flag forces a
 	// sequential run: with concurrent experiments the counters could not be

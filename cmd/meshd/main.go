@@ -98,6 +98,9 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	if *milpWorkers < 1 {
 		return fmt.Errorf("-milp-workers %d: need at least 1", *milpWorkers)
 	}
+	if *budget < 0 {
+		return fmt.Errorf("-budget %d: must not be negative (0 = no node budget)", *budget)
+	}
 	if !(*rate > 0) || math.IsInf(*rate, 1) {
 		return fmt.Errorf("-rate %v: must be a positive finite number", *rate)
 	}

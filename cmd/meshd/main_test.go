@@ -131,6 +131,7 @@ func TestRunNonFiniteFlags(t *testing.T) {
 		{"-rate", "+Inf"},
 		{"-rate", "-Inf"},
 		{"-rate", "0"},
+		{"-budget", "-1"}, // a negative node budget silently rejected every call
 	} {
 		var sb strings.Builder
 		err := run(context.Background(), []string{tc.flag, tc.value}, &sb)

@@ -57,6 +57,7 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"-method", "magic"},
 		{"-codec", "mp3"},
 		{"-nodes", "1"},
+		{"-calls", "-5"}, // used to panic slicing the call sequence
 	}
 	for _, args := range cases {
 		var sb strings.Builder

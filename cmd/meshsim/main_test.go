@@ -62,6 +62,23 @@ func TestRunRejectsBadMAC(t *testing.T) {
 	}
 }
 
+// TestRunRejectsNegativeCalls: a negative call count, from the flag or from
+// a plan file, used to panic slicing the call sequence.
+func TestRunRejectsNegativeCalls(t *testing.T) {
+	path := t.TempDir() + "/plan.json"
+	plan := `{"spec":{"topology":"chain","nodes":4,"seed":0,"calls":-5,"codec":"g711","method":"greedy"},` +
+		`"frame":{"frameDuration":"10ms","controlSlots":0,"dataSlots":4},"windowSlots":1,"assignments":[]}`
+	if err := os.WriteFile(path, []byte(plan), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{{"-calls", "-5"}, {"-load", path}} {
+		var sb strings.Builder
+		if err := run(args, &sb); err == nil || !strings.Contains(err.Error(), "-5") {
+			t.Errorf("run(%v): err = %v, want an error naming the count", args, err)
+		}
+	}
+}
+
 func TestRunLoadRoundTrip(t *testing.T) {
 	// Produce a plan file the way meshplan -save does, then replay it.
 	dir := t.TempDir()

@@ -44,8 +44,8 @@
 // zone lock, so lock-order cycles cannot form. The zone locks freeze the
 // demand (and class totals) of the locked zones' links and guard their
 // solver models for the whole decision: every demand write holds the link's
-// zone lock and e.mu. e.mu alone guards the live schedule, the occupancy
-// index, the flow table and the tallies. decide holds e.mu through the
+// zone lock and e.mu. e.mu alone guards the live schedule, the flow table
+// and the tallies. decide holds e.mu through the
 // screens and the fastpath, releases it around each solve — so admissions in
 // disjoint zones solve in parallel and readers never wait for a solver — and
 // re-takes it to stitch and commit.
@@ -298,23 +298,22 @@ func (m *zoneModel) ensure(g *conflict.Graph, frame tdma.FrameConfig, demand map
 // concurrent use: a decision locks the zones its flows touch (a monolithic
 // engine has one), so the solver work of admissions in disjoint zones runs
 // in parallel and just the screens, the fastpath and the stitch — commit of
-// the shared schedule, occupancy index and tallies — serialize on e.mu. See
-// the package comment for the lock hierarchy.
+// the shared schedule and tallies — serialize on e.mu. See the package
+// comment for the lock hierarchy.
 type Engine struct {
 	cfg      Config
 	maxWin   int
 	maxPairs int
 
-	// mu is the stitch lock: it guards the live schedule, the occupancy
-	// index, the aggregate demand, the flow table and the tallies. The
-	// solver phase of a decision runs outside it, under the zone locks.
-	mu     sync.Mutex
-	sched  *tdma.Schedule
-	occ    occupancy
-	undo   []tdma.Assignment // stitch's rollback copy of the schedule
+	// mu is the stitch lock: it guards the live schedule, the aggregate
+	// demand, the flow table and the tallies. The solver phase of a decision
+	// runs outside it, under the zone locks.
+	mu sync.Mutex
+	// pack is the live schedule, held only in its placement-indexed form;
+	// Snapshot and Check flatten it into a tdma.Schedule on demand.
+	pack   *tdma.Packing
 	demand map[topology.LinkID]int
 	flows  map[FlowID]Flow
-	win    int
 	// cls tracks, per link, the aggregate guaranteed-class slots:
 	// [0] UGS, [1] rtPS. Maintained only when classed() — a deadline is
 	// configured — and guarded like demand.
@@ -381,10 +380,6 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.CompactEvery == 0 {
 		cfg.CompactEvery = defaultCompactEvery
 	}
-	s, err := tdma.NewSchedule(cfg.Frame)
-	if err != nil {
-		return nil, err
-	}
 	if cfg.UGSDeadline < 0 || cfg.RtPSWindow < 0 {
 		return nil, fmt.Errorf("%w: negative class deadline (ugs %d, rtps %d)",
 			ErrBadFlow, cfg.UGSDeadline, cfg.RtPSWindow)
@@ -397,8 +392,7 @@ func New(cfg Config) (*Engine, error) {
 		cfg:      cfg,
 		maxWin:   maxWin,
 		maxPairs: cfg.MaxZonePairs,
-		sched:    s,
-		occ:      newOccupancy(cfg.Graph),
+		pack:     tdma.NewPacking(cfg.Graph),
 		demand:   make(map[topology.LinkID]int),
 		flows:    make(map[FlowID]Flow),
 		cls:      make(map[topology.LinkID][2]int),
@@ -463,8 +457,8 @@ func New(cfg Config) (*Engine, error) {
 // Window returns the current schedule makespan in slots.
 //
 // Locking note: e.mu alone is sufficient for this and the other read
-// accessors. Every mutation of reader-visible state — e.sched, e.occ,
-// e.demand, e.flows, e.win, e.cls, e.stats — happens with e.mu held: a
+// accessors. Every mutation of reader-visible state — e.pack, e.demand,
+// e.flows, e.cls, e.stats — happens with e.mu held: a
 // decision mutates only solver state (models, memo, guarded by the zone
 // locks) during its unlocked solve phases, and screens, stitches and commits
 // under e.mu. TestShardedSnapshotRace hammers these accessors against
@@ -472,7 +466,7 @@ func New(cfg Config) (*Engine, error) {
 func (e *Engine) Window() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.win
+	return e.pack.Makespan()
 }
 
 // NumFlows returns the number of flows currently admitted.
@@ -489,17 +483,14 @@ func (e *Engine) Stats() Stats {
 	return e.stats
 }
 
-// Snapshot returns a copy of the live schedule. The assignment slice is
-// cloned under e.mu (see the locking note on Window), so the copy is a
-// consistent point-in-time schedule even while concurrent admissions and
-// background defrag run.
+// Snapshot returns the live schedule as a fresh tdma.Schedule, blocks by
+// link then start. It is flattened under e.mu (see the locking note on
+// Window), so it is a consistent point-in-time schedule even while
+// concurrent admissions and background defrag run.
 func (e *Engine) Snapshot() *tdma.Schedule {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	cp := &tdma.Schedule{Config: e.sched.Config,
-		Assignments: slices.Clone(e.sched.Assignments)}
-	cp.Invalidate()
-	return cp
+	return &tdma.Schedule{Config: e.cfg.Frame, Assignments: e.pack.Assignments()}
 }
 
 func (f Flow) validate(numLinks, frameSlots int) error {
@@ -542,30 +533,22 @@ func (f Flow) validate(numLinks, frameSlots int) error {
 	return nil
 }
 
-// Check verifies the engine's internal invariants: the schedule is
-// conflict-free, carries exactly the aggregate demand, and the occupancy
-// index and makespan mirror it; on a classed engine the class totals mirror
-// the flow table and every link's guaranteed prefixes are covered by their
-// deadlines. Test hook.
+// Check verifies the engine's internal invariants: the schedule stays
+// within the window cap, is conflict-free and carries exactly the aggregate
+// demand; on a classed engine the class totals mirror the flow table and
+// every link's guaranteed prefixes are covered by their deadlines. Test hook.
 func (e *Engine) Check() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if err := e.sched.Validate(e.cfg.Graph); err != nil {
+	if win := e.pack.Makespan(); win > e.maxWin {
+		return fmt.Errorf("admit: window %d beyond cap %d", win, e.maxWin)
+	}
+	s := &tdma.Schedule{Config: e.cfg.Frame, Assignments: e.pack.Assignments()}
+	if err := s.Validate(e.cfg.Graph); err != nil {
 		return err
 	}
-	if err := carries(e.sched.Assignments, e.demand); err != nil {
+	if err := carries(s.Assignments, e.demand); err != nil {
 		return err
-	}
-	if got := makespanOf(e.sched); got != e.win {
-		return fmt.Errorf("admit: window %d, makespan %d", e.win, got)
-	}
-	if e.win > e.maxWin {
-		return fmt.Errorf("admit: window %d beyond cap %d", e.win, e.maxWin)
-	}
-	mirror := newOccupancy(e.cfg.Graph)
-	mirror.rebuild(e.sched.Assignments)
-	if !slices.EqualFunc(mirror.iv, e.occ.iv, slices.Equal[[][2]int]) {
-		return fmt.Errorf("admit: occupancy index does not mirror the schedule")
 	}
 	if !e.classed() {
 		return nil
@@ -578,7 +561,7 @@ func (e *Engine) Check() error {
 		return fmt.Errorf("admit: class totals %v, flows say %v", e.cls, want)
 	}
 	for l, v := range e.cls {
-		if e.uncovered(&e.occ, l, v) {
+		if e.uncovered(e.pack, l, v) {
 			return fmt.Errorf("admit: link %d misses a class deadline (UGS/rtPS slots %v)", l, v)
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"maps"
 	"math"
 
+	"wimesh/internal/tdma"
 	"wimesh/internal/topology"
 )
 
@@ -133,10 +134,10 @@ func classAdd(m map[topology.LinkID][2]int, f Flow, sign int) {
 // uncovered reports whether link l, carrying the class totals v, has a
 // guaranteed prefix that o's blocks do not complete by its deadline — the
 // coverage invariant of a classed engine (see Check).
-func (e *Engine) uncovered(o *occupancy, l topology.LinkID, v [2]int) bool {
+func (e *Engine) uncovered(o *tdma.Packing, l topology.LinkID, v [2]int) bool {
 	D1, D2 := e.cfg.UGSDeadline, e.cfg.RtPSWindow
-	return D1 > 0 && v[0] > 0 && o.covered(l, D1) < v[0] ||
-		D2 > 0 && v[1] > 0 && o.covered(l, D2) < v[0]+v[1]
+	return D1 > 0 && v[0] > 0 && o.Covered(l, D1) < v[0] ||
+		D2 > 0 && v[1] > 0 && o.Covered(l, D2) < v[0]+v[1]
 }
 
 // capsFor translates prospective class totals into the per-link absolute
@@ -172,8 +173,8 @@ func (e *Engine) capsFor(cls map[topology.LinkID][2]int) map[topology.LinkID]int
 
 // stitchLimit bounds where the next re-stitched block of link l may end so
 // the link's deadline coverage holds once all its blocks are placed: with
-// k of the link's slots already re-placed — everything the occupancy index
-// holds for it, the stitch having dropped its old blocks — and n in this
+// k of the link's slots already re-placed — everything the live packing
+// holds for it, the stitch having cut its old blocks — and n in this
 // block, the block carries the next min(n, prefix-k) slots of each
 // guaranteed prefix, and those must end by the prefix's deadline.
 // Inductively this keeps coverage exact whatever order first-fit lands the
@@ -185,7 +186,7 @@ func (e *Engine) stitchLimit(l topology.LinkID, n int, cls map[topology.LinkID][
 	if !ok {
 		return lim
 	}
-	k := e.occ.covered(l, e.maxWin)
+	k := e.pack.Covered(l, e.maxWin)
 	if D1 := e.cfg.UGSDeadline; D1 > 0 && v[0] > 0 && k < v[0] {
 		lim = min(lim, D1+n-min(n, v[0]-k))
 	}

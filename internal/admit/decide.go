@@ -271,12 +271,9 @@ func (e *Engine) decide(ctx context.Context, flows []Flow) (Decision, error) {
 
 	if placed := e.tryFastpath(delta, newCls); placed != nil {
 		for _, a := range placed {
-			if err := e.sched.Add(a); err != nil {
-				return Decision{}, err
-			}
-			e.occ.add(a.Link, a.Start, a.End())
+			e.pack.Add(a)
 		}
-		dec := Decision{Admitted: true, Tier: TierFast, Window: e.win}
+		dec := Decision{Admitted: true, Tier: TierFast, Window: e.pack.Makespan()}
 		e.commit(flows, delta, dec)
 		return dec, nil
 	}
@@ -356,7 +353,7 @@ func (e *Engine) solverErr(ctx context.Context, tier Tier, err error) (Decision,
 	default:
 		return Decision{}, err
 	}
-	return Decision{Tier: tier, Window: e.win}, nil
+	return Decision{Tier: tier, Window: e.pack.Makespan()}, nil
 }
 
 // solution is what one solve phase hands back across the e.mu boundary.
@@ -412,7 +409,7 @@ func minSlots(ctx context.Context, inc *schedule.Incremental, p *schedule.Proble
 		r.solved += solved
 		r.pivots += pivots
 		if err == nil {
-			r.win, r.sat = makespanOf(s), true
+			r.win, r.sat = schedule.GreedyLength(s), true
 		}
 	}
 	if err == nil {
@@ -433,7 +430,7 @@ func (e *Engine) beginSolve() {
 // whole graph, with the exact-verdict memo in front of it. Called with e.mu
 // held; releases it for the solve.
 func (e *Engine) solveMono(ctx context.Context, flows []Flow, p *schedule.Problem, newCls map[topology.LinkID][2]int, opts milp.Options) (Decision, error) {
-	hint, exact := e.win, !e.solverDirty
+	hint, exact := e.pack.Makespan(), !e.solverDirty
 	e.beginSolve()
 	r, err := e.monoModel(ctx, p, newCls, hint, exact, opts)
 	e.mu.Lock()
@@ -442,14 +439,11 @@ func (e *Engine) solveMono(ctx context.Context, flows []Flow, p *schedule.Proble
 		return e.solverErr(ctx, tier, err)
 	}
 	if r.blocks == nil {
-		return Decision{Tier: tier, Window: e.win}, nil
+		return Decision{Tier: tier, Window: e.pack.Makespan()}, nil
 	}
 	// The solve covers the whole frozen demand, so its schedule replaces the
 	// live one outright — whatever compaction or defrag did to it meanwhile.
-	e.sched = &tdma.Schedule{Config: e.cfg.Frame, Assignments: r.blocks}
-	e.sched.Invalidate()
-	e.occ.rebuild(r.blocks)
-	e.win = r.win
+	e.pack.Reset(r.blocks)
 	e.solverDirty = r.sat
 	return Decision{Admitted: true, Tier: tier, Window: r.win, Solved: r.solved, Pivots: r.pivots}, nil
 }
@@ -547,7 +541,7 @@ func (e *Engine) solveZoned(ctx context.Context, flows []Flow, delta map[topolog
 	tier, nsolved, pivots := TierWarm, 0, 0
 	blocks := make([][]tdma.Assignment, len(zones))
 	for k, zi := range zones {
-		hint := e.occ.end(e.dec.Zones[zi].Links)
+		hint := e.pack.End(e.dec.Zones[zi].Links)
 		e.beginSolve()
 		zp := partition.ZoneProblem(full, e.dec, zi)
 		zp.StartCap = full.StartCap
@@ -561,20 +555,17 @@ func (e *Engine) solveZoned(ctx context.Context, flows []Flow, delta map[topolog
 			return e.solverErr(ctx, tier, err)
 		}
 		blocks[k] = r.blocks
+		slices.SortFunc(blocks[k], tdma.ByStart)
 		nsolved += r.solved
 		pivots += r.pivots
-		ok, err := e.stitch(zones[:k+1], blocks, newCls, k == len(zones)-1)
-		if err != nil {
-			return Decision{}, err
-		}
-		if !ok {
+		if !e.stitch(zones[:k+1], blocks, newCls, k == len(zones)-1) {
 			// Cross-zone packing failure (or a class deadline the stitch
 			// cannot keep): conservative rejection, like the partitioned
 			// planner's stitch failures.
-			return Decision{Tier: tier, Window: e.win}, nil
+			return Decision{Tier: tier, Window: e.pack.Makespan()}, nil
 		}
 	}
-	return Decision{Admitted: true, Tier: tier, Window: e.win, Solved: nsolved, Pivots: pivots}, nil
+	return Decision{Admitted: true, Tier: tier, Window: e.pack.Makespan(), Solved: nsolved, Pivots: pivots}, nil
 }
 
 // solveZone produces one zone's blocks for the zone problem zp: the greedy
@@ -599,49 +590,35 @@ func (e *Engine) solveZone(ctx context.Context, m *zoneModel, zp *schedule.Probl
 	return r, err
 }
 
-// stitch swaps the zones' allocations into the live schedule: per zone, drop
-// its old blocks, then first-fit the new ones in ascending start order (the
-// solver's layout is the placement hint; conflicts against other zones are
-// re-checked against the live occupancy, so halo links stay safe, and cls
-// bounds each block by its link's class deadlines through stitchLimit).
-// ok=false reports a block that does not fit. The schedule is restored
-// unless every block fit and keep is set. Called with e.mu held.
-func (e *Engine) stitch(zones []int, blocks [][]tdma.Assignment, cls map[topology.LinkID][2]int, keep bool) (ok bool, err error) {
-	e.undo = append(e.undo[:0], e.sched.Assignments...)
-	ok, err = e.place(zones, blocks, cls)
+// stitch swaps the zones' allocations into the live schedule: per zone, cut
+// its old blocks, then first-fit the new ones, which come in ByStart order
+// (the solver's layout is the placement hint; conflicts against other zones
+// are re-checked against the live packing, so halo links stay safe, and cls
+// bounds each block by its link's class deadlines through stitchLimit). It
+// reports whether every block fit. The zones' old blocks are put back unless
+// every block fit and keep is set; no other link is touched. Called with
+// e.mu held.
+func (e *Engine) stitch(zones []int, blocks [][]tdma.Assignment, cls map[topology.LinkID][2]int, keep bool) bool {
+	limit := func(l topology.LinkID, n int) int { return e.stitchLimit(l, n, cls) }
+	var old []tdma.Assignment
+	cut, ok := 0, true
+	for ok && cut < len(zones) {
+		old = append(old, e.pack.Cut(e.dec.Zones[zones[cut]].Links)...)
+		// Repack rewrites starts; the next trial stitches the solver's layout again.
+		trial := slices.Clone(blocks[cut])
+		ok = e.pack.Repack(trial, limit) == len(trial)
+		cut++
+	}
 	if ok && keep {
-		e.win = makespanOf(e.sched)
-		return true, nil
+		return true
 	}
-	e.sched.Assignments = append(e.sched.Assignments[:0], e.undo...)
-	e.sched.Invalidate()
-	e.occ.rebuild(e.undo)
-	return ok, err
-}
-
-// place is the mutating half of stitch.
-func (e *Engine) place(zones []int, blocks [][]tdma.Assignment, cls map[topology.LinkID][2]int) (bool, error) {
-	for i, zi := range zones {
-		e.sched.Assignments = slices.DeleteFunc(e.sched.Assignments, func(a tdma.Assignment) bool {
-			return e.dec.ZoneOf(a.Link) == zi
-		})
-		e.sched.Invalidate()
-		for _, l := range e.dec.Zones[zi].Links {
-			e.occ.iv[l] = e.occ.iv[l][:0]
-		}
-		slices.SortFunc(blocks[i], byStart)
-		for _, b := range blocks[i] {
-			s := e.occ.firstFit(b.Link, b.Length, e.stitchLimit(b.Link, b.Length, cls), nil)
-			if s < 0 {
-				return false, nil
-			}
-			if err := e.sched.Add(tdma.Assignment{Link: b.Link, Start: s, Length: b.Length}); err != nil {
-				return false, err
-			}
-			e.occ.add(b.Link, s, s+b.Length)
-		}
+	for _, zi := range zones[:cut] {
+		e.pack.Cut(e.dec.Zones[zi].Links)
 	}
-	return true, nil
+	for _, a := range old {
+		e.pack.Add(a)
+	}
+	return ok
 }
 
 // tryFastpath attempts first-fit placement of the delta entirely within the
@@ -654,7 +631,8 @@ func (e *Engine) place(zones []int, blocks [][]tdma.Assignment, cls map[topology
 // placement degenerates to the single unconstrained segment and is
 // byte-identical to the class-oblivious fastpath. Called with e.mu held.
 func (e *Engine) tryFastpath(delta map[topology.LinkID]int, newCls map[topology.LinkID][2]int) []tdma.Assignment {
-	if e.win == 0 {
+	win := e.pack.Makespan()
+	if win == 0 {
 		return nil
 	}
 	links := make([]topology.LinkID, 0, len(delta))
@@ -666,17 +644,17 @@ func (e *Engine) tryFastpath(delta map[topology.LinkID]int, newCls map[topology.
 	for _, l := range links {
 		need := delta[l]
 		n1, n2 := 0, 0
-		lim1, lim2 := e.win, e.win
+		lim1, lim2 := win, win
 		if newCls != nil {
 			v := newCls[l]
 			if D1 := e.cfg.UGSDeadline; D1 > 0 && v[0] > 0 {
-				if n1 = v[0] - e.occ.covered(l, D1); n1 < 0 {
+				if n1 = v[0] - e.pack.Covered(l, D1); n1 < 0 {
 					n1 = 0
 				}
 				lim1 = min(lim1, D1)
 			}
 			if D2 := e.cfg.RtPSWindow; D2 > 0 && v[1] > 0 {
-				if n2 = v[0] + v[1] - e.occ.covered(l, D2); n2 < 0 {
+				if n2 = v[0] + v[1] - e.pack.Covered(l, D2); n2 < 0 {
 					n2 = 0
 				}
 				lim2 = min(lim2, D2)
@@ -689,15 +667,15 @@ func (e *Engine) tryFastpath(delta map[topology.LinkID]int, newCls map[topology.
 				return nil
 			}
 		}
-		for _, seg := range [3][2]int{{n1, lim1}, {n2 - n1, lim2}, {need - n2, e.win}} {
+		for _, seg := range [3][2]int{{n1, lim1}, {n2 - n1, lim2}, {need - n2, win}} {
 			n, lim := seg[0], seg[1]
 			for n > 0 {
-				s := e.occ.firstFit(l, n, lim, pending)
+				s := e.pack.FirstFit(l, n, lim, pending)
 				m := n
 				if s < 0 {
 					// No room for the full run; take the largest leading free
 					// gap instead, splitting the demand across blocks.
-					s, m = e.occ.firstGap(l, lim, pending)
+					s, m = e.pack.FirstGap(l, lim, pending)
 					if s < 0 {
 						return nil
 					}
@@ -715,8 +693,8 @@ func (e *Engine) tryFastpath(delta map[topology.LinkID]int, newCls map[topology.
 
 // Release returns a flow's slots. The schedule shrinks in place (highest
 // start blocks first); every CompactEvery releases the engine re-packs all
-// blocks first-fit to reclaim fragmentation — the re-pack provably never
-// grows the makespan.
+// blocks first-fit to reclaim fragmentation — the re-pack never grows the
+// makespan (see tdma.Packing.Repack).
 //
 // The flow's zone locks must be taken before e.mu (lock order), so the flow
 // is looked up first, its zones locked, and the lookup repeated: a concurrent
@@ -766,7 +744,7 @@ func (e *Engine) Release(id FlowID) error {
 // and e.mu held.
 func (e *Engine) removeFlow(f Flow) error {
 	for l, d := range demandOf(f) {
-		if err := e.sched.TrimLink(l, d); err != nil {
+		if err := e.pack.Trim(l, d); err != nil {
 			return err
 		}
 		if e.demand[l] -= d; e.demand[l] <= 0 {
@@ -777,36 +755,21 @@ func (e *Engine) removeFlow(f Flow) error {
 	if e.classed() {
 		classAdd(e.cls, f, -1)
 	}
-	e.occ.rebuild(e.sched.Assignments)
-	e.win = makespanOf(e.sched)
 	e.solverDirty = true
 	e.gen++
 	return nil
 }
 
-// compact re-packs every block first-fit in byStart order. Sorted
-// re-insertion can only move a block to an earlier slot: all
-// earlier-starting conflicting blocks end at or before this block's old
-// start and are re-placed no later than they were, so the old position is
-// always still free. Hence the makespan never grows. Called with e.mu held.
+// compact re-packs every block first-fit in ByStart order, which can only
+// move a block earlier (see tdma.Packing.Repack). Called with e.mu held.
 func (e *Engine) compact() error {
 	start := time.Now()
-	blocks := slices.Clone(e.sched.Assignments)
-	slices.SortFunc(blocks, byStart)
-	e.sched.Assignments = e.sched.Assignments[:0]
-	e.sched.Invalidate()
-	e.occ.clear()
-	for _, b := range blocks {
-		s := e.occ.firstFit(b.Link, b.Length, e.maxWin, nil)
-		if s < 0 || s > b.Start {
-			return fmt.Errorf("admit: compaction moved link %d block from %d to %d", b.Link, b.Start, s)
-		}
-		if err := e.sched.Add(tdma.Assignment{Link: b.Link, Start: s, Length: b.Length}); err != nil {
-			return err
-		}
-		e.occ.add(b.Link, s, s+b.Length)
+	blocks := e.pack.Assignments()
+	slices.SortFunc(blocks, tdma.ByStart)
+	e.pack.Reset(nil)
+	if i := e.pack.Repack(blocks, func(topology.LinkID, int) int { return e.maxWin }); i < len(blocks) {
+		return fmt.Errorf("admit: compaction cannot re-place link %d's block from slot %d", blocks[i].Link, blocks[i].Start)
 	}
-	e.win = makespanOf(e.sched)
 	e.gen++
 	e.stats.Compactions++
 	e.cCompact.Inc()

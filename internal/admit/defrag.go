@@ -34,7 +34,7 @@ func (e *Engine) TryDefrag(ctx context.Context) (int, error) {
 	defer e.dfMu.Unlock()
 
 	e.mu.Lock()
-	gen0, win0 := e.gen, e.win
+	gen0, win0 := e.gen, e.pack.Makespan()
 	demand := maps.Clone(e.demand)
 	// Class totals snapshotted with the demand: a classed re-pack must keep
 	// every link's guaranteed prefixes covered by their deadlines, and the
@@ -82,15 +82,15 @@ func (e *Engine) TryDefrag(ctx context.Context) (int, error) {
 		// Deadline coverage check: the monolithic re-pack respects the caps
 		// by construction, but the zoned first-fit does not track them, so a
 		// candidate that uncovers a guaranteed prefix is simply not a win.
-		occ := newOccupancy(e.cfg.Graph)
-		occ.rebuild(cand)
+		occ := tdma.NewPacking(e.cfg.Graph)
+		occ.Reset(cand)
 		for l, v := range clsSnap {
-			if e.uncovered(&occ, l, v) {
+			if e.uncovered(occ, l, v) {
 				return 0, nil
 			}
 		}
 	}
-	win := makespanOf(tmp)
+	win := schedule.GreedyLength(tmp)
 	if win >= win0 {
 		return 0, nil
 	}
@@ -102,11 +102,7 @@ func (e *Engine) TryDefrag(ctx context.Context) (int, error) {
 		// longer matches the live demand. Drop it; the next pass re-snapshots.
 		return 0, nil
 	}
-	if err := e.sched.SetAssignments(cand); err != nil {
-		return 0, err
-	}
-	e.occ.rebuild(e.sched.Assignments)
-	e.win = win
+	e.pack.Reset(cand)
 	e.gen++
 	// The window shrank but is proven minimal only by the monolithic exact
 	// re-pack; staying conservative either way costs one lower-bound hint.
@@ -144,7 +140,7 @@ func noWin(err error) error {
 }
 
 // defragZoned re-solves every demand-carrying zone with the private per-zone
-// models and first-fits the union, in byStart order, into a scratch occupancy
+// models and first-fits the union, in ByStart order, into a scratch packing
 // capped strictly below the incumbent window — any placement failure means
 // no provable win (nil candidate). It reads only the immutable conflict
 // graph and decomposition, so it runs without any engine lock but dfMu.
@@ -162,15 +158,9 @@ func (e *Engine) defragZoned(ctx context.Context, full *schedule.Problem, win0 i
 		}
 		blocks = append(blocks, r.blocks...)
 	}
-	slices.SortFunc(blocks, byStart)
-	occ := newOccupancy(e.cfg.Graph)
-	for i, b := range blocks {
-		s := occ.firstFit(b.Link, b.Length, win0-1, nil)
-		if s < 0 {
-			return nil, nil
-		}
-		occ.add(b.Link, s, s+b.Length)
-		blocks[i].Start = s
+	slices.SortFunc(blocks, tdma.ByStart)
+	if tdma.NewPacking(e.cfg.Graph).Repack(blocks, func(topology.LinkID, int) int { return win0 - 1 }) < len(blocks) {
+		return nil, nil
 	}
 	return blocks, nil
 }

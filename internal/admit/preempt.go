@@ -29,17 +29,13 @@ func (e *Engine) tryPreempt(ctx context.Context, f Flow, rejected Decision) (Dec
 		return rejected, nil
 	}
 
-	snapAssigns := slices.Clone(e.sched.Assignments)
-	snapWin := e.win
+	snapBlocks := e.pack.Assignments()
 	snapDirty := e.solverDirty
 	snapDemand := maps.Clone(e.demand)
 	snapFlows := maps.Clone(e.flows)
 	snapCls := maps.Clone(e.cls)
 	restore := func() {
-		e.sched.Assignments = snapAssigns
-		e.sched.Invalidate()
-		e.occ.rebuild(snapAssigns)
-		e.win = snapWin
+		e.pack.Reset(snapBlocks)
 		e.gen++
 		e.solverDirty = snapDirty
 		e.demand = snapDemand

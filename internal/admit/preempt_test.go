@@ -234,8 +234,8 @@ func TestPreemptRollbackExact(t *testing.T) {
 			}
 			continue
 		}
-		blocks, demand, cls := slices.Clone(e.sched.Assignments), maps.Clone(e.demand), maps.Clone(e.cls)
-		flows, win, gen, attempts := len(e.flows), e.win, e.gen, e.stats.PreemptAttempts
+		blocks, demand, cls := e.pack.Assignments(), maps.Clone(e.demand), maps.Clone(e.cls)
+		flows, win, gen, attempts := len(e.flows), e.pack.Makespan(), e.gen, e.stats.PreemptAttempts
 		d, err := e.Admit(context.Background(), ev.Flow)
 		if err != nil {
 			t.Fatal(err)
@@ -247,8 +247,8 @@ func TestPreemptRollbackExact(t *testing.T) {
 		if e.gen != gen {
 			trialRollbacks++
 		}
-		if !slices.Equal(blocks, e.sched.Assignments) || !maps.Equal(demand, e.demand) ||
-			!maps.Equal(cls, e.cls) || flows != len(e.flows) || win != e.win {
+		if !slices.Equal(blocks, e.pack.Assignments()) || !maps.Equal(demand, e.demand) ||
+			!maps.Equal(cls, e.cls) || flows != len(e.flows) || win != e.pack.Makespan() {
 			t.Fatalf("failed preemption search for %s left the engine changed", ev.Flow.ID)
 		}
 		if err := e.Check(); err != nil {

@@ -136,6 +136,11 @@ func ServeConcurrent(ctx context.Context, e *Engine, w *Workload, opts ServeOpti
 		for _, v := range results[i].Latency.Values() {
 			st.Latency.Add(v)
 		}
+		for c := range st.ClassLatency {
+			for _, v := range results[i].ClassLatency[c].Values() {
+				st.ClassLatency[c].Add(v)
+			}
+		}
 	}
 	st.Wall = time.Since(start)
 	for _, err := range errs {

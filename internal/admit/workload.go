@@ -188,8 +188,10 @@ type ServeStats struct {
 	// replay (Config.Preempt). Evicted flows stay counted as Admitted —
 	// they were served until eviction — but their departures become no-ops.
 	Preempted int
-	// Latency collects per-decision latencies in seconds.
-	Latency stats.Sample
+	// Latency collects per-decision latencies in seconds; ClassLatency the
+	// same values split by the arriving flow's class.
+	Latency      stats.Sample
+	ClassLatency [ClassUGS + 1]stats.Sample
 	// Elapsed is the wall time spent inside Admit/Release calls.
 	Elapsed time.Duration
 	// Wall is the end-to-end replay time. For a serial replay it tracks
@@ -210,6 +212,7 @@ func (st *ServeStats) Record(f Flow, d Decision) {
 	st.Offered++
 	st.Elapsed += d.Latency
 	st.Latency.AddDuration(d.Latency)
+	st.ClassLatency[f.Class].AddDuration(d.Latency)
 	if d.Admitted {
 		st.Admitted++
 		if st.live == nil {

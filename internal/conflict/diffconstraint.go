@@ -31,12 +31,6 @@ func NewConstraintSystem(n int) *ConstraintSystem {
 	return &ConstraintSystem{n: n}
 }
 
-// NumVariables returns the number of variables.
-func (cs *ConstraintSystem) NumVariables() int { return cs.n }
-
-// NumConstraints returns the number of constraints added.
-func (cs *ConstraintSystem) NumConstraints() int { return len(cs.edges) }
-
 // AddLE adds the constraint x[j] - x[i] <= c.
 func (cs *ConstraintSystem) AddLE(j, i int, c float64) error {
 	if i < 0 || i >= cs.n || j < 0 || j >= cs.n {

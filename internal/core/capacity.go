@@ -182,6 +182,9 @@ func (cs *callSequence) prepare(k int) (*topology.FlowSet, error) {
 // non-gateway nodes and the gateway (uplink; plus downlink when downlink is
 // set), assigning callers round-robin over nodes sorted by ID.
 func GatewayCalls(topo *topology.Network, n int, codec voip.Codec, bound time.Duration, downlink bool) (*topology.FlowSet, error) {
+	if n < 0 {
+		return nil, fmt.Errorf("core: negative call count %d", n)
+	}
 	seq, err := newCallSequence(topo, codec, bound, downlink)
 	if err != nil {
 		return nil, err

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -207,6 +208,29 @@ func TestCallSequenceMatchesGatewayCalls(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestGatewayCallsCount: the call count arrives from flags and plan files; a
+// negative one must be an error naming the value, not a slice-bounds panic.
+func TestGatewayCallsCount(t *testing.T) {
+	topo, err := topology.Grid(3, 3, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		n       int
+		wantErr string
+	}{
+		{n: 0}, {n: 3}, {n: -1, wantErr: "-1"}, {n: -5, wantErr: "-5"},
+	} {
+		fs, err := GatewayCalls(topo, tc.n, voip.G711(), 150*time.Millisecond, false)
+		switch {
+		case tc.wantErr == "" && (err != nil || len(fs.Flows) != tc.n):
+			t.Errorf("GatewayCalls(%d) = %v flows, err %v", tc.n, fs, err)
+		case tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)):
+			t.Errorf("GatewayCalls(%d): err = %v, want one naming the count", tc.n, err)
+		}
 	}
 }
 

@@ -37,11 +37,6 @@ func WithFrame(f tdma.FrameConfig) Option {
 	return optionFunc(func(s *System) { s.Frame = f })
 }
 
-// WithMAC overrides the emulation MAC parameters (PHY, rate, guard).
-func WithMAC(c tdmaemu.Config) Option {
-	return optionFunc(func(s *System) { s.MAC = c })
-}
-
 // WithInterferenceRange overrides the interference/carrier-sense radius in
 // meters (default 250, i.e. 2.5x the generators' 100 m link spacing).
 func WithInterferenceRange(r float64) Option {

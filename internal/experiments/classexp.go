@@ -116,7 +116,7 @@ func r21Table(id string, points []r21Point) (*Table, error) {
 			if err != nil {
 				return nil, fmt.Errorf("%s n=%d preempt=%v: %w", id, pt.nodes, preempt, err)
 			}
-			st, lat, err := r21Serve(eng, w)
+			st, err := admit.Serve(context.Background(), eng, w)
 			if err != nil {
 				return nil, fmt.Errorf("%s n=%d preempt=%v: %w", id, pt.nodes, preempt, err)
 			}
@@ -127,42 +127,11 @@ func r21Table(id string, points []r21Point) (*Table, error) {
 			t.AddRow(pt.nodes, net.NumLinks(), preempt,
 				st.Offered, st.Admitted, st.Rejected, st.Preempted,
 				fmt.Sprintf("%.1f", admPct),
-				r21P99(lat[admit.ClassUGS]), r21P99(lat[admit.ClassRtPS]),
-				r21P99(lat[admit.ClassNrtPS]), r21P99(lat[admit.ClassBE]))
+				r21P99(&st.ClassLatency[admit.ClassUGS]), r21P99(&st.ClassLatency[admit.ClassRtPS]),
+				r21P99(&st.ClassLatency[admit.ClassNrtPS]), r21P99(&st.ClassLatency[admit.ClassBE]))
 		}
 	}
 	return t, nil
-}
-
-// r21Serve replays the workload like admit.Serve — same bookkeeping, through
-// ServeStats — but buckets each decision's latency by the arriving call's
-// service class, so the table can report how much deciding a guaranteed call
-// costs next to a best-effort one.
-func r21Serve(e *admit.Engine, w *admit.Workload) (st admit.ServeStats, lat map[admit.Class]*stats.Sample, err error) {
-	lat = map[admit.Class]*stats.Sample{
-		admit.ClassUGS:   {},
-		admit.ClassRtPS:  {},
-		admit.ClassNrtPS: {},
-		admit.ClassBE:    {},
-	}
-	ctx := context.Background()
-	for _, ev := range w.Events {
-		if !ev.Arrive {
-			if st.Depart(ev.Flow.ID) {
-				if err := e.Release(ev.Flow.ID); err != nil {
-					return st, lat, err
-				}
-			}
-			continue
-		}
-		dec, err := e.Admit(ctx, ev.Flow)
-		if err != nil {
-			return st, lat, err
-		}
-		lat[ev.Flow.Class].AddDuration(dec.Latency)
-		st.Record(ev.Flow, dec)
-	}
-	return st, lat, nil
 }
 
 // r21P99 formats a class's p99 decision latency in microseconds, or "-" when

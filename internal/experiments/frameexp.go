@@ -46,7 +46,7 @@ func R17FrameDuration() (*Table, error) {
 		points[i].pps = pps / voip.G711().PacketBytes()
 		points[i].capRes, err = sys.VoIPCapacityTDMA(core.CapacityConfig{
 			MaxCalls: 40,
-			Run:      core.RunConfig{Duration: 3 * time.Second, Seed: 61, QueueCap: QueueCap()},
+			Run:      core.RunConfig{Duration: 3 * time.Second, Seed: 61},
 			Workers:  Workers(),
 		})
 		return err

@@ -43,7 +43,7 @@ func R3VoIPCapacity() (*Table, error) {
 		}
 		capCfg := core.CapacityConfig{
 			MaxCalls: 40,
-			Run:      core.RunConfig{Duration: 3 * time.Second, Seed: 11, QueueCap: QueueCap()},
+			Run:      core.RunConfig{Duration: 3 * time.Second, Seed: 11},
 			Workers:  Workers(),
 		}
 		if i%2 == 0 {

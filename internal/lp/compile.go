@@ -37,9 +37,6 @@ type Compiled struct {
 	bigM float64
 }
 
-// NumRows returns the number of constraint rows.
-func (c *Compiled) NumRows() int { return c.m }
-
 // NumVars returns the number of structural variables.
 func (c *Compiled) NumVars() int { return c.n }
 

@@ -122,9 +122,6 @@ func NewProblemShared(sense Sense, obj, lower, upper []float64, rows []Row) *Pro
 // NumVars returns the number of structural variables.
 func (p *Problem) NumVars() int { return len(p.obj) }
 
-// NumConstraints returns the number of constraint rows (not counting bounds).
-func (p *Problem) NumConstraints() int { return len(p.rows) }
-
 // Sense returns the optimization direction.
 func (p *Problem) Sense() Sense { return p.sense }
 

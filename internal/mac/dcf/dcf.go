@@ -496,14 +496,6 @@ func (nw *Network) receive(at topology.NodeID, p *Packet) {
 	}
 }
 
-// QueueLen reports the interface queue length of a node (tests).
-func (nw *Network) QueueLen(id topology.NodeID) int {
-	if id >= 0 && int(id) < len(nw.nodes) {
-		return nw.nodes[id].qlen()
-	}
-	return 0
-}
-
 // linkRate returns the precomputed PHY rate for the hop from -> to (see the
 // rate matrix built in New).
 func (nw *Network) linkRate(from, to topology.NodeID) float64 {

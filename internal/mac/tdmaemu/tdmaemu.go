@@ -359,13 +359,6 @@ func (nw *Network) FailLink(l topology.LinkID) error {
 	return nil
 }
 
-// RestoreLink clears a link failure.
-func (nw *Network) RestoreLink(l topology.LinkID) {
-	if nw.hasLink(l) {
-		nw.failed[l] = false
-	}
-}
-
 func (nw *Network) hasLink(l topology.LinkID) bool {
 	return l >= 0 && int(l) < len(nw.queues)
 }
@@ -783,15 +776,6 @@ func (nw *Network) deliverBatch(d mac.Delivery, batch []*Packet) {
 		p.Hop++
 		nw.enqueue(p.Path[p.Hop], p)
 	}
-}
-
-// QueueLen reports the queue length of a link (tests). Unknown links report
-// zero.
-func (nw *Network) QueueLen(l topology.LinkID) int {
-	if !nw.hasLink(l) {
-		return 0
-	}
-	return len(nw.queues[l]) - nw.qhead[l]
 }
 
 // PacketsPerSlot returns how many packets of the given IP size fit in one

@@ -111,9 +111,6 @@ func (m *Model) AddVar(name string, typ VarType, upper, objCoef float64) (VarID,
 // NumVars returns the number of variables.
 func (m *Model) NumVars() int { return len(m.vars) }
 
-// NumConstraints returns the number of constraint rows.
-func (m *Model) NumConstraints() int { return len(m.rows) }
-
 // SetUpper replaces the upper bound of a Continuous or Integer variable;
 // the next Solve picks it up.
 func (m *Model) SetUpper(v VarID, upper float64) error {
@@ -664,14 +661,4 @@ func (m *Model) Describe() string {
 	}
 	return fmt.Sprintf("milp: %d vars (%d binary, %d integer), %d constraints",
 		len(m.vars), nBin, nInt, len(m.rows))
-}
-
-// SortedVarIDs returns all variable IDs ascending (test helper convenience).
-func (m *Model) SortedVarIDs() []VarID {
-	out := make([]VarID, len(m.vars))
-	for i := range out {
-		out[i] = VarID(i)
-	}
-	slices.Sort(out)
-	return out
 }

@@ -31,7 +31,6 @@ import (
 	"sort"
 	"time"
 
-	"wimesh/internal/conflict"
 	"wimesh/internal/milp"
 	"wimesh/internal/obs"
 	"wimesh/internal/schedule"
@@ -117,9 +116,6 @@ func (d *Decomposition) ZoneOf(l topology.LinkID) int {
 	}
 	return d.zoneOf[l]
 }
-
-// NumZones returns the number of non-empty zones.
-func (d *Decomposition) NumZones() int { return len(d.Zones) }
 
 // ZoneSet returns the sorted, deduplicated zone indices owning the given
 // links (links outside the decomposition are skipped). It is the zone→lock
@@ -418,7 +414,7 @@ func MinSlots(p *schedule.Problem, cfg tdma.FrameConfig, opts Options) (*Result,
 	}
 	res.Schedule = sched
 	res.Repairs = repairs
-	res.WindowSlots = makespan(sched)
+	res.WindowSlots = schedule.GreedyLength(sched)
 
 	// Defensive verification, mirroring what the monolithic solvers do
 	// before returning: the stitched schedule must be conflict-free under
@@ -525,58 +521,12 @@ func forEachZone(n, workers int, fn func(int)) {
 	}
 }
 
-// placedSlots tracks, per link, the slot intervals fixed so far during the
-// stitch. Links are placed as one contiguous block each by both zone
-// generators, but the tracker accepts several intervals per link.
-type placedSlots struct {
-	ivals [][][2]int // link -> [start, end) intervals
-}
-
-func newPlacedSlots(numLinks int) *placedSlots {
-	return &placedSlots{ivals: make([][][2]int, numLinks)}
-}
-
-func (ps *placedSlots) add(l topology.LinkID, start, end int) {
-	ps.ivals[l] = append(ps.ivals[l], [2]int{start, end})
-}
-
-// conflictEnd returns the largest end slot among placed intervals of links
-// conflicting with l that overlap [start, start+d), or -1 when the interval
-// is free.
-func (ps *placedSlots) conflictEnd(g *conflict.Graph, l topology.LinkID, start, d int) int {
-	end := -1
-	g.VisitNeighbors(l, func(nb topology.LinkID) bool {
-		for _, iv := range ps.ivals[nb] {
-			if iv[0] < start+d && start < iv[1] && iv[1] > end {
-				end = iv[1]
-			}
-		}
-		return true
-	})
-	return end
-}
-
-// firstFit returns the earliest start at which l's d slots avoid every
-// placed conflicting interval, or -1 when no start fits within frameSlots.
-func (ps *placedSlots) firstFit(g *conflict.Graph, l topology.LinkID, d, frameSlots int) int {
-	start := 0
-	for start+d <= frameSlots {
-		ce := ps.conflictEnd(g, l, start, d)
-		if ce < 0 {
-			return start
-		}
-		start = ce
+// byDemand is the first-fit-decreasing order: heaviest block first, then link.
+func byDemand(a, b tdma.Assignment) int {
+	if a.Length != b.Length {
+		return b.Length - a.Length
 	}
-	return -1
-}
-
-// stitchEntry is one link awaiting global placement: its total slot demand
-// and its start slot in the zone-local schedule (the hint).
-type stitchEntry struct {
-	link   topology.LinkID
-	demand int
-	hint   int
-	halo   bool
+	return int(a.Link - b.Link)
 }
 
 // stitch merges the per-zone schedules into one global conflict-free
@@ -609,42 +559,22 @@ type stitchEntry struct {
 // coordination pass had to move (or could pull earlier) because of
 // cross-zone contention.
 func stitch(p *schedule.Problem, dec *Decomposition, zoneScheds []*tdma.Schedule, cfg tdma.FrameConfig) (*tdma.Schedule, int, error) {
-	var entries []stitchEntry
+	// One block per link awaiting global placement: its total slot demand at
+	// its start in the zone-local schedule (the hint).
+	var entries []tdma.Assignment
+	halo := make(map[topology.LinkID]bool)
 	for zi, zs := range zoneScheds {
 		z := &dec.Zones[zi]
-		isHalo := make(map[topology.LinkID]bool, len(z.Halo))
 		for _, l := range z.Halo {
-			isHalo[l] = true
+			halo[l] = true
 		}
 		for _, l := range z.Links {
-			as := zs.LinkAssignments(l)
-			if len(as) == 0 {
-				continue
+			if as := zs.LinkAssignments(l); len(as) > 0 {
+				entries = append(entries, tdma.Assignment{Link: l, Start: as[0].Start, Length: zs.LinkSlots(l)})
 			}
-			entries = append(entries, stitchEntry{
-				link:   l,
-				demand: zs.LinkSlots(l),
-				hint:   as[0].Start,
-				halo:   isHalo[l],
-			})
 		}
 	}
-	byHint := func(a, b *stitchEntry) bool {
-		if a.hint != b.hint {
-			return a.hint < b.hint
-		}
-		if a.demand != b.demand {
-			return a.demand > b.demand
-		}
-		return a.link < b.link
-	}
-	byID := func(a, b *stitchEntry) bool { return a.link < b.link }
-	byDemand := func(a, b *stitchEntry) bool {
-		if a.demand != b.demand {
-			return a.demand > b.demand
-		}
-		return a.link < b.link
-	}
+	byID := func(a, b tdma.Assignment) int { return int(a.Link - b.Link) }
 	var best *tdma.Schedule
 	var firstErr error
 	consider := func(s *tdma.Schedule, err error) {
@@ -654,109 +584,75 @@ func stitch(p *schedule.Problem, dec *Decomposition, zoneScheds []*tdma.Schedule
 			}
 			return
 		}
-		if best == nil || makespan(s) < makespan(best) {
+		if best == nil || schedule.GreedyLength(s) < schedule.GreedyLength(best) {
 			best = s
 		}
 	}
-	consider(placeList(p, cfg, sortedEntries(entries, byHint)))
-	consider(placeHintPreserve(p, cfg, entries, byHint))
-	consider(placeList(p, cfg, sortedEntries(entries, byID)))
-	consider(placeList(p, cfg, sortedEntries(entries, byDemand)))
+	consider(placeList(p, cfg, entries, tdma.ByStart))
+	consider(placeHintPreserve(p, cfg, entries, halo))
+	consider(placeList(p, cfg, entries, byID))
+	consider(placeList(p, cfg, entries, byDemand))
 	if best == nil {
 		return nil, 0, firstErr
 	}
 	repairs := 0
 	for _, e := range entries {
-		if e.halo && len(best.LinkAssignments(e.link)) > 0 &&
-			best.LinkAssignments(e.link)[0].Start != e.hint {
+		if as := best.LinkAssignments(e.Link); halo[e.Link] && len(as) > 0 && as[0].Start != e.Start {
 			repairs++
 		}
 	}
 	return best, repairs, nil
 }
 
-// sortedEntries returns a copy of entries ordered by less.
-func sortedEntries(entries []stitchEntry, less func(a, b *stitchEntry) bool) []stitchEntry {
-	out := make([]stitchEntry, len(entries))
-	copy(out, entries)
-	sort.Slice(out, func(i, j int) bool { return less(&out[i], &out[j]) })
-	return out
-}
-
-// placeList first-fit places the entries in the given order: each link's
-// block goes to the earliest interval that avoids every conflicting block
-// placed before it.
-func placeList(p *schedule.Problem, cfg tdma.FrameConfig, entries []stitchEntry) (*tdma.Schedule, error) {
-	ps := newPlacedSlots(p.Graph.NumVertices())
+// placeList first-fit places a copy of the entries in the given order: each
+// link's block goes to the earliest interval that avoids every conflicting
+// block placed before it.
+func placeList(p *schedule.Problem, cfg tdma.FrameConfig, entries []tdma.Assignment, order func(a, b tdma.Assignment) int) (*tdma.Schedule, error) {
+	blocks := slices.Clone(entries)
+	slices.SortFunc(blocks, order)
+	fits := tdma.NewPacking(p.Graph).Repack(blocks, func(topology.LinkID, int) int { return p.FrameSlots })
+	if fits < len(blocks) {
+		return nil, fmt.Errorf("%w: link %d (demand %d) does not fit in %d slots after stitching",
+			ErrInfeasible, blocks[fits].Link, blocks[fits].Length, p.FrameSlots)
+	}
 	out, err := tdma.NewSchedule(cfg)
 	if err != nil {
 		return nil, err
 	}
-	for _, e := range entries {
-		start := ps.firstFit(p.Graph, e.link, e.demand, p.FrameSlots)
-		if start < 0 {
-			return nil, fmt.Errorf(
-				"%w: link %d (demand %d) does not fit in %d slots after stitching",
-				ErrInfeasible, e.link, e.demand, p.FrameSlots)
-		}
-		if err := out.Add(tdma.Assignment{Link: e.link, Start: start, Length: e.demand}); err != nil {
-			return nil, err
-		}
-		ps.add(e.link, start, start+e.demand)
+	if err := out.SetAssignments(blocks); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
 
 // placeHintPreserve keeps interior links on their zone-local slots,
 // coordinates halo links heaviest-first (hint slot when free, earliest fit
-// otherwise), then compacts the union with a start-order re-pack.
-func placeHintPreserve(p *schedule.Problem, cfg tdma.FrameConfig, entries []stitchEntry, byHint func(a, b *stitchEntry) bool) (*tdma.Schedule, error) {
-	ps := newPlacedSlots(p.Graph.NumVertices())
-	placed := make([]stitchEntry, 0, len(entries))
-	var halos []stitchEntry
+// otherwise), then compacts the union with a start-order re-pack: every link
+// can fall back to its current slot, so the sweep never grows the makespan.
+func placeHintPreserve(p *schedule.Problem, cfg tdma.FrameConfig, entries []tdma.Assignment, halo map[topology.LinkID]bool) (*tdma.Schedule, error) {
+	pk := tdma.NewPacking(p.Graph)
+	placed := make([]tdma.Assignment, 0, len(entries))
+	var halos []tdma.Assignment
 	for _, e := range entries {
-		if e.halo {
+		if halo[e.Link] {
 			halos = append(halos, e)
 			continue
 		}
-		ps.add(e.link, e.hint, e.hint+e.demand)
+		pk.Add(e)
 		placed = append(placed, e)
 	}
-	sort.Slice(halos, func(i, j int) bool {
-		if halos[i].demand != halos[j].demand {
-			return halos[i].demand > halos[j].demand
-		}
-		return halos[i].link < halos[j].link
-	})
+	slices.SortFunc(halos, byDemand)
 	for _, h := range halos {
-		start := h.hint
-		if ps.conflictEnd(p.Graph, h.link, start, h.demand) >= 0 {
-			start = ps.firstFit(p.Graph, h.link, h.demand, p.FrameSlots)
-			if start < 0 {
-				return nil, fmt.Errorf(
-					"%w: halo link %d (demand %d) does not fit in %d slots",
-					ErrInfeasible, h.link, h.demand, p.FrameSlots)
+		if !pk.Free(h) {
+			if h.Start = pk.FirstFit(h.Link, h.Length, p.FrameSlots, nil); h.Start < 0 {
+				return nil, fmt.Errorf("%w: halo link %d (demand %d) does not fit in %d slots",
+					ErrInfeasible, h.Link, h.Length, p.FrameSlots)
 			}
 		}
-		ps.add(h.link, start, start+h.demand)
-		h.hint = start
+		pk.Add(h)
 		placed = append(placed, h)
 	}
-	// Compaction: re-pack the union in start order (the hints now hold the
-	// assigned starts). Every link can fall back to its current slot, so
-	// the sweep never grows the makespan.
-	return placeList(p, cfg, sortedEntries(placed, byHint))
-}
-
-// makespan returns the last used slot + 1.
-func makespan(s *tdma.Schedule) int {
-	end := 0
-	for _, a := range s.Assignments {
-		if a.End() > end {
-			end = a.End()
-		}
-	}
-	return end
+	return placeList(p, cfg, placed, tdma.ByStart)
 }
 
 // ZoneProblem restricts p to the zi'th zone of the decomposition: the zone's

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -55,6 +56,17 @@ func TestBuildCodecAndMethodAndBound(t *testing.T) {
 	}
 	if _, err := (Spec{DelayBound: "soon"}).Bound(); err == nil {
 		t.Error("bad bound accepted")
+	}
+	for _, calls := range []int{-1, -5} {
+		sp := specChain()
+		sp.Calls = calls
+		topo, err := sp.BuildTopology()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sp.BuildFlows(topo); err == nil || !strings.Contains(err.Error(), fmt.Sprint(calls)) {
+			t.Errorf("calls %d: err = %v, want one naming the count", calls, err)
+		}
 	}
 	// Defaults: empty codec and method resolve.
 	if _, err := (Spec{}).BuildCodec(); err != nil {

@@ -17,7 +17,7 @@ import (
 // the scheduling delay the delay-aware order minimizes.
 //
 // The constant worst-case wait for the first window (up to one frame) is not
-// included; see WorstCaseDelay.
+// included.
 func PathDelay(s *tdma.Schedule, path topology.Path) (time.Duration, error) {
 	if len(path) == 0 {
 		return 0, nil
@@ -62,17 +62,6 @@ func earliestWindowAtOrAfter(ws [][2]time.Duration, t time.Duration, frame time.
 		}
 	}
 	return bestStart, bestEnd
-}
-
-// WorstCaseDelay returns the worst-case end-to-end delay of a path: one full
-// frame of initial wait (a packet may arrive just after its first window)
-// plus the scheduling delay.
-func WorstCaseDelay(s *tdma.Schedule, path topology.Path) (time.Duration, error) {
-	d, err := PathDelay(s, path)
-	if err != nil {
-		return 0, err
-	}
-	return s.Config.FrameDuration + d, nil
 }
 
 // MaxPathDelay returns the maximum PathDelay over the problem's flows —

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"wimesh/internal/tdma"
-	"wimesh/internal/topology"
 )
 
 // Greedy assigns slots by first-fit decreasing-demand interval coloring on
@@ -31,26 +30,25 @@ func Greedy(p *Problem, cfg tdma.FrameConfig) (*tdma.Schedule, error) {
 		return links[i] < links[j]
 	})
 
-	placedBy := make(map[topology.LinkID]placedInterval, len(links))
+	placed := tdma.NewPacking(p.Graph)
 	s, err := tdma.NewSchedule(cfg)
 	if err != nil {
 		return nil, err
 	}
 	for _, l := range links {
-		d := p.Demand[l]
-		start, ok := firstFit(p, l, d, placedBy)
-		if !ok {
+		a := tdma.Assignment{Link: l, Length: p.Demand[l]}
+		if a.Start = placed.FirstFit(l, a.Length, p.FrameSlots, nil); a.Start < 0 {
 			return nil, fmt.Errorf("%w: greedy could not place link %d (demand %d) in %d slots",
-				ErrInfeasible, l, d, p.FrameSlots)
+				ErrInfeasible, l, a.Length, p.FrameSlots)
 		}
-		if cap, capped := p.StartCap[l]; capped && start > cap {
+		if cap, capped := p.StartCap[l]; capped && a.Start > cap {
 			// First-fit already found the earliest conflict-free start, so a
 			// start past the link's deadline cap cannot be repaired greedily.
 			return nil, fmt.Errorf("%w: greedy start %d for link %d past its cap %d",
-				ErrInfeasible, start, l, cap)
+				ErrInfeasible, a.Start, l, cap)
 		}
-		placedBy[l] = placedInterval{start: start, end: start + d}
-		if err := s.Add(tdma.Assignment{Link: l, Start: start, Length: d}); err != nil {
+		placed.Add(a)
+		if err := s.Add(a); err != nil {
 			return nil, err
 		}
 	}
@@ -58,36 +56,6 @@ func Greedy(p *Problem, cfg tdma.FrameConfig) (*tdma.Schedule, error) {
 		return nil, err
 	}
 	return s, nil
-}
-
-// firstFit returns the earliest start slot where link l's interval of d
-// slots avoids every conflicting placed interval.
-func firstFit(p *Problem, l topology.LinkID, d int, placedBy map[topology.LinkID]placedInterval) (int, bool) {
-	start := 0
-	for start+d <= p.FrameSlots {
-		conflictEnd := -1
-		for other, iv := range placedBy {
-			if !p.Graph.Conflicts(l, other) {
-				continue
-			}
-			if start < iv.end && other != l && iv.start < start+d {
-				if iv.end > conflictEnd {
-					conflictEnd = iv.end
-				}
-			}
-		}
-		if conflictEnd < 0 {
-			return start, true
-		}
-		start = conflictEnd
-	}
-	return 0, false
-}
-
-// placedInterval is a half-open slot interval [start, end) occupied by a
-// placed link.
-type placedInterval struct {
-	start, end int
 }
 
 // GreedyLength returns the makespan (last used slot + 1) of a schedule.

@@ -284,9 +284,9 @@ func SolveWindow(p *Problem, winSlots int, cfg tdma.FrameConfig, opts milp.Optio
 // feasible at w+1 (the start-variable bounds and order big-Ms only relax) —
 // so instead of the paper's linear scan the search gallops up from the
 // clique lower bound (lb, lb+1, lb+3, lb+7, ...) to bracket the answer and
-// binary-searches the bracket. The returned window is exactly the linear
-// scan's answer; only the probe count (and therefore the solved count)
-// differs.
+// binary-searches the bracket (searchWindow). The returned window is exactly
+// the linear scan's answer; only the probe count (and therefore the solved
+// count) differs.
 func MinSlots(p *Problem, cfg tdma.FrameConfig, opts milp.Options) (int, *tdma.Schedule, int, error) {
 	if err := p.Validate(); err != nil {
 		return 0, nil, 0, err
@@ -316,46 +316,51 @@ func MinSlots(p *Problem, cfg tdma.FrameConfig, opts milp.Options) (int, *tdma.S
 		s, _, err := im.solveFeasible(p, cfg, opts)
 		return s, err
 	}
-	// Galloping phase: bracket the smallest feasible window.
-	lastBad := lb - 1
-	best := 0
-	var bestSched *tdma.Schedule
-	for step, w := 1, lb; ; {
+	win, s, err := searchWindow(probe, lb, lb, p.FrameSlots)
+	if err != nil {
+		return 0, nil, solved, err
+	}
+	return win, s, solved, nil
+}
+
+// searchWindow returns the smallest window in [lb, hi] at which probe finds
+// a schedule, with that schedule. Every window below lb must be known
+// infeasible, and feasibility monotone in the window. The search probes hint
+// (clamped into [lb, hi]) first: when it is feasible the answer is bisected
+// out of [lb, hint]; otherwise the search gallops up (hint+1, hint+3,
+// hint+7, ... capped at hi) to bracket the answer and bisects the bracket.
+// The best window is always a probed-feasible one with its schedule cached,
+// so the result never needs a re-solve. Errors other than ErrInfeasible
+// abort the search.
+func searchWindow(probe func(win int) (*tdma.Schedule, error), hint, lb, hi int) (int, *tdma.Schedule, error) {
+	w := min(max(hint, lb), hi)
+	var best *tdma.Schedule
+	for step := 1; best == nil; step *= 2 {
 		s, err := probe(w)
-		if err == nil {
-			best, bestSched = w, s
-			break
-		}
-		if !errors.Is(err, ErrInfeasible) {
-			return 0, nil, solved, err
-		}
-		lastBad = w
-		if w == p.FrameSlots {
-			return 0, nil, solved, fmt.Errorf("%w: no window up to %d slots supports the demands",
-				ErrInfeasible, p.FrameSlots)
-		}
-		w += step
-		step *= 2
-		if w > p.FrameSlots {
-			w = p.FrameSlots
+		switch {
+		case err == nil:
+			best = s
+		case !errors.Is(err, ErrInfeasible):
+			return 0, nil, err
+		case w == hi:
+			return 0, nil, fmt.Errorf("%w: no window up to %d slots supports the demands", ErrInfeasible, hi)
+		default:
+			lb, w = w+1, min(w+step, hi)
 		}
 	}
-	// Binary phase on (lastBad, best]: the loop invariant keeps best a
-	// probed-feasible window with its schedule cached, so the result never
-	// needs a re-solve.
-	for lo, hi := lastBad+1, best; lo < hi; {
-		mid := (lo + hi) / 2
+	for lb < w {
+		mid := (lb + w) / 2
 		s, err := probe(mid)
 		switch {
 		case err == nil:
-			best, bestSched, hi = mid, s, mid
+			best, w = s, mid
 		case errors.Is(err, ErrInfeasible):
-			lo = mid + 1
+			lb = mid + 1
 		default:
-			return 0, nil, solved, err
+			return 0, nil, err
 		}
 	}
-	return best, bestSched, solved, nil
+	return w, best, nil
 }
 
 // MinMaxDelayResult is the outcome of the exact order optimization.

@@ -229,71 +229,9 @@ func (inc *Incremental) MinSlots(p *Problem, hint, lo, maxWin int, opts milp.Opt
 		pivots += piv
 		return s, err
 	}
-	if hint < lb {
-		hint = lb
-	}
-	if hint > maxWin {
-		hint = maxWin
-	}
-	s, err := probe(hint)
-	switch {
-	case err == nil:
-		// Feasible at the hint: the minimum is in [lb, hint]. When the hint
-		// is the lower bound (the steady-state admission case: the incumbent
-		// window was exact and demands only grew) this is already the answer.
-		best, bestSched := hint, s
-		for lw, hw := lb, hint; lw < hw; {
-			mid := (lw + hw) / 2
-			ms, err := probe(mid)
-			switch {
-			case err == nil:
-				best, bestSched, hw = mid, ms, mid
-			case errors.Is(err, ErrInfeasible):
-				lw = mid + 1
-			default:
-				return 0, nil, solved, pivots, err
-			}
-		}
-		return best, bestSched, solved, pivots, nil
-	case errors.Is(err, ErrInfeasible):
-		// Gallop up from the hint to bracket the minimum, then binary search.
-		lastBad := hint
-		best := 0
-		var bestSched *tdma.Schedule
-		for step, w := 1, hint; ; {
-			if w == maxWin {
-				return 0, nil, solved, pivots, fmt.Errorf(
-					"%w: no window up to %d slots supports the demands", ErrInfeasible, maxWin)
-			}
-			w += step
-			step *= 2
-			if w > maxWin {
-				w = maxWin
-			}
-			gs, err := probe(w)
-			if err == nil {
-				best, bestSched = w, gs
-				break
-			}
-			if !errors.Is(err, ErrInfeasible) {
-				return 0, nil, solved, pivots, err
-			}
-			lastBad = w
-		}
-		for lw, hw := lastBad+1, best; lw < hw; {
-			mid := (lw + hw) / 2
-			ms, err := probe(mid)
-			switch {
-			case err == nil:
-				best, bestSched, hw = mid, ms, mid
-			case errors.Is(err, ErrInfeasible):
-				lw = mid + 1
-			default:
-				return 0, nil, solved, pivots, err
-			}
-		}
-		return best, bestSched, solved, pivots, nil
-	default:
+	win, s, err := searchWindow(probe, hint, lb, maxWin)
+	if err != nil {
 		return 0, nil, solved, pivots, err
 	}
+	return win, s, solved, pivots, nil
 }

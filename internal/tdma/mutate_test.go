@@ -68,52 +68,3 @@ func TestInvalidateAfterInPlaceMutation(t *testing.T) {
 		t.Errorf("LinkSlots(3) = %d, want 1", got)
 	}
 }
-
-// TestTrimLink covers the self-invalidating release-path mutator: trims come
-// off the highest-start block first, empty blocks are dropped, and the caches
-// refresh without an explicit Invalidate call.
-func TestTrimLink(t *testing.T) {
-	s, err := NewSchedule(mutateTestFrame(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, a := range []Assignment{
-		{Link: 2, Start: 0, Length: 3},
-		{Link: 2, Start: 10, Length: 2},
-		{Link: 7, Start: 3, Length: 1},
-	} {
-		if err := s.Add(a); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Warm the cache so a buggy TrimLink would leave it stale.
-	if got := s.LinkAssignments(2); len(got) != 2 {
-		t.Fatalf("LinkAssignments(2) = %v", got)
-	}
-
-	// Trim 3: consumes the [10,12) block entirely and one slot of [0,3).
-	if err := s.TrimLink(2, 3); err != nil {
-		t.Fatal(err)
-	}
-	got := s.LinkAssignments(2)
-	if len(got) != 1 || got[0].Start != 0 || got[0].Length != 2 {
-		t.Errorf("after trim, LinkAssignments(2) = %v, want [{2 0 2}]", got)
-	}
-	if s.LinkSlots(2) != 2 {
-		t.Errorf("LinkSlots(2) = %d, want 2", s.LinkSlots(2))
-	}
-	if s.LinkSlots(7) != 1 {
-		t.Errorf("LinkSlots(7) = %d, want 1 (other links untouched)", s.LinkSlots(7))
-	}
-
-	// Over-trim must fail without modifying anything.
-	if err := s.TrimLink(2, 5); err == nil {
-		t.Error("over-trim accepted")
-	}
-	if s.LinkSlots(2) != 2 {
-		t.Errorf("failed trim modified the schedule: LinkSlots(2) = %d", s.LinkSlots(2))
-	}
-	if err := s.TrimLink(2, 0); err == nil {
-		t.Error("zero trim accepted")
-	}
-}

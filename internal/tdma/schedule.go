@@ -28,12 +28,10 @@ type Schedule struct {
 
 	// byLink / winsByLink lazily cache the per-link query results. Add drops
 	// them and the length check below catches external appends/truncations,
-	// but an in-place mutation of an Assignment (the admission engine's
-	// release path shrinks block lengths without changing the slice length)
-	// is invisible to both — such callers must call Invalidate, or use the
-	// mutating helpers (TrimLink) which do. Planner delay evaluation queries
-	// the same few links once per flow, so the grouping and sorting work is
-	// paid once per schedule, not per call.
+	// but an in-place rewrite of an Assignment is invisible to both — such
+	// callers must call Invalidate. Planner delay evaluation queries the same
+	// few links once per flow, so the grouping and sorting work is paid once
+	// per schedule, not per call.
 	byLink     map[topology.LinkID][]Assignment
 	winsByLink map[topology.LinkID][][2]time.Duration
 	cacheLen   int
@@ -50,11 +48,7 @@ func (s *Schedule) Invalidate() {
 
 // SetAssignments replaces the whole assignment list in one step and drops
 // the per-link caches, after validating every entry against the frame
-// bounds. It is the swap entry point of the admission engine's solver-driven
-// defragmentation: a background re-pack is computed off to the side and,
-// once validated, installed over the live schedule under the engine's lock
-// without intermediate states ever being observable. The slice is adopted,
-// not copied; the caller must not retain it.
+// bounds. The slice is adopted, not copied; the caller must not retain it.
 func (s *Schedule) SetAssignments(as []Assignment) error {
 	for _, a := range as {
 		if a.Length <= 0 {
@@ -90,41 +84,6 @@ func (s *Schedule) Add(a Assignment) error {
 	}
 	s.Assignments = append(s.Assignments, a)
 	s.byLink, s.winsByLink = nil, nil
-	return nil
-}
-
-// TrimLink removes n slots from link l's allocation, shrinking — and, once
-// empty, dropping — the link's blocks from the highest start slot downward:
-// the shape of an admission release, which returns the most recently packed
-// capacity first. The mutation is in place and self-invalidating (see
-// Invalidate). It fails without modifying the schedule if the link holds
-// fewer than n slots.
-func (s *Schedule) TrimLink(l topology.LinkID, n int) error {
-	if n <= 0 {
-		return fmt.Errorf("%w: non-positive trim %d for link %d", ErrBadAssignment, n, l)
-	}
-	if got := s.LinkSlots(l); got < n {
-		return fmt.Errorf("%w: link %d holds %d slots, cannot trim %d", ErrBadAssignment, l, got, n)
-	}
-	for n > 0 {
-		best := -1
-		for i := range s.Assignments {
-			if s.Assignments[i].Link == l && (best < 0 || s.Assignments[i].Start > s.Assignments[best].Start) {
-				best = i
-			}
-		}
-		a := &s.Assignments[best]
-		if a.Length > n {
-			a.Length -= n
-			n = 0
-		} else {
-			n -= a.Length
-			last := len(s.Assignments) - 1
-			s.Assignments[best] = s.Assignments[last]
-			s.Assignments = s.Assignments[:last]
-		}
-	}
-	s.Invalidate()
 	return nil
 }
 

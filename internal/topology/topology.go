@@ -202,13 +202,6 @@ func (n *Network) OutLinks(id NodeID) []LinkID {
 	return out
 }
 
-// InLinks returns the IDs of links entering node id.
-func (n *Network) InLinks(id NodeID) []LinkID {
-	out := make([]LinkID, len(n.in[id]))
-	copy(out, n.in[id])
-	return out
-}
-
 // Neighbors returns the IDs of nodes reachable by one outgoing link from id,
 // sorted ascending. The slice is a copy; prefer VisitNeighbors on hot paths.
 func (n *Network) Neighbors(id NodeID) []NodeID {
