@@ -111,13 +111,15 @@ loc:
 # The ratchet on that number: the ceilings are what `make loc` printed when
 # they were last edited. A PR that shrinks the code lowers them; one that
 # must grow past them raises them in its own diff, where a reviewer sees it.
-LOC_MAX_TOTAL = 21893
-LOC_MAX_ADMIT = 2343
+LOC_MAX_TOTAL = 21760
+LOC_MAX_ADMIT = 2320
+LOC_MAX_SCHEDULE = 1608
 
 loc-check:
-	@$(MAKE) -s loc | awk -v total=$(LOC_MAX_TOTAL) -v admit=$(LOC_MAX_ADMIT) ' \
+	@$(MAKE) -s loc | awk -v total=$(LOC_MAX_TOTAL) -v admit=$(LOC_MAX_ADMIT) -v schedule=$(LOC_MAX_SCHEDULE) ' \
 		$$2 == "total" && $$1 > total { printf "loc-check: %d non-test lines outside benchmark/, ceiling %d\n", $$1, total; bad = 1 } \
 		$$2 == "./internal/admit" && $$1 > admit { printf "loc-check: %d non-test lines in internal/admit, ceiling %d\n", $$1, admit; bad = 1 } \
+		$$2 == "./internal/schedule" && $$1 > schedule { printf "loc-check: %d non-test lines in internal/schedule, ceiling %d\n", $$1, schedule; bad = 1 } \
 		END { exit bad }'
 
 check: vet build race differential lpdebug examples obs-allocs admit-smoke class-smoke benchmark-smoke loc loc-check

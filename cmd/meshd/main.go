@@ -104,6 +104,9 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	if !(*rate > 0) || math.IsInf(*rate, 1) {
 		return fmt.Errorf("-rate %v: must be a positive finite number", *rate)
 	}
+	if !(*zoneSize >= 0) || math.IsInf(*zoneSize, 1) {
+		return fmt.Errorf("-zone-size %v: must be a non-negative finite number (0 = automatic)", *zoneSize)
+	}
 	mix, err := parseClassMix(*classMix)
 	if err != nil {
 		return err

@@ -131,7 +131,10 @@ func TestRunNonFiniteFlags(t *testing.T) {
 		{"-rate", "+Inf"},
 		{"-rate", "-Inf"},
 		{"-rate", "0"},
-		{"-budget", "-1"}, // a negative node budget silently rejected every call
+		{"-budget", "-1"},     // a negative node budget silently rejected every call
+		{"-zone-size", "NaN"}, // served every call over a garbage zoning
+		{"-zone-size", "+Inf"},
+		{"-zone-size", "-1"},
 	} {
 		var sb strings.Builder
 		err := run(context.Background(), []string{tc.flag, tc.value}, &sb)

@@ -38,7 +38,7 @@ func run(args []string, out io.Writer) error {
 		topoName   = fs.String("topology", "chain", "topology: chain, ring, grid, tree, random")
 		nodes      = fs.Int("nodes", 6, "number of nodes")
 		calls      = fs.Int("calls", 2, "number of VoIP calls to the gateway")
-		method     = fs.String("method", "path-major", "TDMA scheduler: ilp, minmax-delay, path-major, tree-order, greedy")
+		method     = fs.String("method", "path-major", "TDMA scheduler: ilp, minmax-delay, path-major, tree-order, greedy, partitioned")
 		codec      = fs.String("codec", "g711", "voice codec: g711, g729, g723")
 		duration   = fs.Duration("duration", 10*time.Second, "simulated duration")
 		seed       = fs.Int64("seed", 1, "simulation seed")
@@ -53,6 +53,12 @@ func run(args []string, out io.Writer) error {
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *duration < 0 {
+		return fmt.Errorf("-duration %v: must not be negative", *duration)
+	}
+	if *queueCap < 0 {
+		return fmt.Errorf("-queue-cap %d: must not be negative (0 keeps the MAC default)", *queueCap)
 	}
 
 	// Observability is opt-in per flag: installing the process defaults here

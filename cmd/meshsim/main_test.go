@@ -79,6 +79,23 @@ func TestRunRejectsNegativeCalls(t *testing.T) {
 	}
 }
 
+// TestRunRejectsNegativeRunFlags: -queue-cap -2 used to panic sizing the DCF
+// queues (and was silently ignored under tdma), and -duration -1s "succeeded"
+// having simulated nothing.
+func TestRunRejectsNegativeRunFlags(t *testing.T) {
+	for _, args := range [][]string{
+		{"-mac", "dcf", "-queue-cap", "-2"},
+		{"-mac", "tdma", "-queue-cap", "-2"},
+		{"-duration", "-1s"},
+	} {
+		var sb strings.Builder
+		flag := args[len(args)-2]
+		if err := run(append(args, "-nodes", "4", "-calls", "1"), &sb); err == nil || !strings.Contains(err.Error(), flag+" ") {
+			t.Errorf("run(%v): err = %v, want an error naming %s", args, err, flag)
+		}
+	}
+}
+
 func TestRunLoadRoundTrip(t *testing.T) {
 	// Produce a plan file the way meshplan -save does, then replay it.
 	dir := t.TempDir()

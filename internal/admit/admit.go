@@ -15,9 +15,10 @@
 //     same states constantly (a call arrives, holds, departs, and the mesh
 //     is back where it was), and a revisit replays the remembered exact
 //     schedule and verdict without touching the solver at all.
-//   - Cold: the model's support set does not cover the new demand; rebuild
-//     it over the widened support and solve. Support only ever grows, so
-//     cold admits become rarer as the engine warms up.
+//   - Cold: the new demand wakes a link the model has never carried, so the
+//     model had to grow before the solve (schedule.Incremental.Cover). A
+//     model only ever grows, so cold admits become rarer as the engine
+//     warms up.
 //
 // Rejections are always solver verdicts (the fast tier only admits), so the
 // engine's accept/reject answers match a cold schedule.MinSlots re-plan —
@@ -65,7 +66,6 @@ import (
 	"errors"
 	"fmt"
 	"maps"
-	"slices"
 	"sync"
 	"time"
 
@@ -236,9 +236,6 @@ type Config struct {
 	// decomposition of ZoneSize meters (0 = automatic): city-scale mode.
 	Zoned    bool
 	ZoneSize float64
-	// MaxZonePairs gates zone ILP size as in internal/partition; larger
-	// zones fall back to greedy packing (0 = partition default).
-	MaxZonePairs int
 	// CompactEvery re-packs the schedule after that many releases to
 	// reclaim fragmented slots (0 = 64, negative = never).
 	CompactEvery int
@@ -264,36 +261,6 @@ type memoEntry struct {
 	assigns  []tdma.Assignment
 }
 
-// zoneModel is one persistent ILP model over a grow-only support set: the
-// links that ever carried demand in its scope (a dense city zone can hold
-// tens of thousands of conflicting link pairs, so a model over all zone links
-// would be intractable; the links that ever carry demand are few).
-type zoneModel struct {
-	inc     *schedule.Incremental
-	support []topology.LinkID
-}
-
-// ensure makes the model cover every link with positive demand, rebuilding
-// it over the widened support when it does not; cold reports a rebuild.
-func (m *zoneModel) ensure(g *conflict.Graph, frame tdma.FrameConfig, demand map[topology.LinkID]int) (cold bool, err error) {
-	if m.inc != nil && m.inc.Supports(demand) {
-		return false, nil
-	}
-	support := m.support
-	for l, d := range demand {
-		if d > 0 && !slices.Contains(support, l) {
-			support = append(support, l)
-		}
-	}
-	inc, err := schedule.NewIncremental(g, support, frame)
-	if err != nil {
-		return false, err
-	}
-	slices.Sort(support)
-	m.inc, m.support = inc, support
-	return true, nil
-}
-
 // Engine is the long-lived admission engine. All methods are safe for
 // concurrent use: a decision locks the zones its flows touch (a monolithic
 // engine has one), so the solver work of admissions in disjoint zones runs
@@ -301,8 +268,10 @@ func (m *zoneModel) ensure(g *conflict.Graph, frame tdma.FrameConfig, demand map
 // the shared schedule and tallies — serialize on e.mu. See the package
 // comment for the lock hierarchy.
 type Engine struct {
-	cfg      Config
-	maxWin   int
+	cfg    Config
+	maxWin int
+	// maxPairs gates zone ILP size as in internal/partition; larger zones
+	// fall back to greedy packing.
 	maxPairs int
 
 	// mu is the stitch lock: it guards the live schedule, the aggregate
@@ -334,13 +303,17 @@ type Engine struct {
 
 	// dec is the static decomposition over the full link set (nil on a
 	// monolithic engine). zoneMu has one lock per zone — one in all on a
-	// monolithic engine — and allZones lists them ascending. models[i] and
-	// the demand entries of zone i's links are guarded by zoneMu[i] (demand
+	// monolithic engine — and allZones lists them ascending. models[i] —
+	// one persistent ILP model per zone, over the links that ever carried
+	// demand there (a dense city zone can hold tens of thousands of
+	// conflicting link pairs, so a model over all zone links would be
+	// intractable; the links that ever carry demand are few) — and the
+	// demand entries of zone i's links are guarded by zoneMu[i] (demand
 	// writes additionally hold e.mu).
 	dec      *partition.Decomposition
 	zoneMu   []sync.Mutex
 	allZones []int
-	models   []zoneModel
+	models   []*schedule.Incremental
 	// Exact-solve memo of the monolithic model: demand fingerprint ->
 	// verdict, FIFO-evicted at memoCap entries. Guarded by zoneMu[0].
 	memo      map[string]memoEntry
@@ -349,7 +322,7 @@ type Engine struct {
 	// dfMu serializes background re-packs (one at a time); dfModels are
 	// private so a defrag solve never touches the decision-path models.
 	dfMu     sync.Mutex
-	dfModels []zoneModel
+	dfModels []*schedule.Incremental
 
 	stats Stats
 
@@ -391,15 +364,12 @@ func New(cfg Config) (*Engine, error) {
 	e := &Engine{
 		cfg:      cfg,
 		maxWin:   maxWin,
-		maxPairs: cfg.MaxZonePairs,
+		maxPairs: partition.DefaultMaxZonePairs,
 		pack:     tdma.NewPacking(cfg.Graph),
 		demand:   make(map[topology.LinkID]int),
 		flows:    make(map[FlowID]Flow),
 		cls:      make(map[topology.LinkID][2]int),
 		memo:     make(map[string]memoEntry, memoCap),
-	}
-	if e.maxPairs <= 0 {
-		e.maxPairs = partition.DefaultMaxZonePairs
 	}
 	zones := 1
 	if cfg.Zoned {
@@ -422,11 +392,18 @@ func New(cfg Config) (*Engine, error) {
 		zones = len(dec.Zones)
 	}
 	e.zoneMu = make([]sync.Mutex, zones)
-	e.models = make([]zoneModel, zones)
-	e.dfModels = make([]zoneModel, zones)
+	e.models = make([]*schedule.Incremental, zones)
+	e.dfModels = make([]*schedule.Incremental, zones)
 	e.allZones = make([]int, zones)
 	for i := range e.allZones {
 		e.allZones[i] = i
+		// Empty models: each grows to the links its zone comes to carry.
+		for _, ms := range [][]*schedule.Incremental{e.models, e.dfModels} {
+			var err error
+			if ms[i], err = schedule.NewIncremental(cfg.Graph, nil, cfg.Frame); err != nil {
+				return nil, err
+			}
+		}
 	}
 	if r := cfg.Registry; r != nil {
 		e.cFast = r.Counter("admit.fastpath_hit")

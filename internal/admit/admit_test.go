@@ -319,14 +319,14 @@ func TestZonedAdmit(t *testing.T) {
 	frame := testFrame(t, 32)
 	e, err := New(Config{
 		Graph: g, Frame: frame, Zoned: true, ZoneSize: 250,
-		// A tight pair gate keeps the test fast: bigger zones take the
-		// greedy fallback, which is also the path under test.
-		MaxZonePairs: 40,
-		MILP:         milp.Options{MaxNodes: 100_000, Workers: 1},
+		MILP: milp.Options{MaxNodes: 100_000, Workers: 1},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A tight pair gate keeps the test fast: bigger zones take the
+	// greedy fallback, which is also the path under test.
+	e.maxPairs = 40
 	w, err := Generate(WorkloadConfig{
 		Topo: topo, Calls: 25, ArrivalRate: 10, MeanHolding: 500 * time.Millisecond,
 		SlotsPerLink: 1, Seed: 11,

@@ -317,13 +317,13 @@ func TestShardedSnapshotRace(t *testing.T) {
 	frame := testFrame(t, 32)
 	e, err := New(Config{
 		Graph: g, Frame: frame,
-		MILP:         milp.Options{MaxNodes: 50_000, Workers: 1},
-		Zoned:        true,
-		MaxZonePairs: 40,
+		MILP:  milp.Options{MaxNodes: 50_000, Workers: 1},
+		Zoned: true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	e.maxPairs = 40
 	w, err := Generate(WorkloadConfig{
 		Topo: topo, Calls: 80, ArrivalRate: 100, MeanHolding: 300 * time.Millisecond,
 		SlotsPerLink: 1, Seed: 7,

@@ -460,7 +460,7 @@ func (e *Engine) monoModel(ctx context.Context, p *schedule.Problem, newCls map[
 		}
 		return r, nil
 	}
-	cold, err := e.models[0].ensure(e.cfg.Graph, e.cfg.Frame, p.Demand)
+	cold, err := e.models[0].Cover(p.Demand)
 	if err != nil {
 		return solution{}, err
 	}
@@ -471,7 +471,7 @@ func (e *Engine) monoModel(ctx context.Context, p *schedule.Problem, newCls map[
 		// case is a single warm probe.
 		lo = hint
 	}
-	r, err := minSlots(ctx, e.models[0].inc, p, hint, lo, e.maxWin, e.cfg.BudgetRejects, opts)
+	r, err := minSlots(ctx, e.models[0], p, hint, lo, e.maxWin, e.cfg.BudgetRejects, opts)
 	r.cold = cold
 	if errors.Is(err, schedule.ErrInfeasible) {
 		e.memoStore(fp, memoEntry{})
@@ -545,7 +545,7 @@ func (e *Engine) solveZoned(ctx context.Context, flows []Flow, delta map[topolog
 		e.beginSolve()
 		zp := partition.ZoneProblem(full, e.dec, zi)
 		zp.StartCap = full.StartCap
-		r, err := e.solveZone(ctx, &e.models[zi], zp, hint, e.maxWin, e.cfg.BudgetRejects, opts)
+		r, err := e.solveZone(ctx, e.models[zi], zp, hint, e.maxWin, e.cfg.BudgetRejects, opts)
 		e.mu.Lock()
 		tier = max(tier, e.book(r))
 		if err == nil {
@@ -573,7 +573,7 @@ func (e *Engine) solveZoned(ctx context.Context, flows []Flow, delta map[topolog
 // grown to cover the demand — searched over windows up to hi. It touches
 // only m and its arguments, so it runs under the zone lock (or dfMu, for
 // defrag's private models) alone.
-func (e *Engine) solveZone(ctx context.Context, m *zoneModel, zp *schedule.Problem, hint, hi int, satisfice bool, opts milp.Options) (solution, error) {
+func (e *Engine) solveZone(ctx context.Context, m *schedule.Incremental, zp *schedule.Problem, hint, hi int, satisfice bool, opts milp.Options) (solution, error) {
 	if partition.ActivePairs(zp) > e.maxPairs {
 		gs, err := schedule.Greedy(zp, e.cfg.Frame)
 		if err != nil {
@@ -581,11 +581,11 @@ func (e *Engine) solveZone(ctx context.Context, m *zoneModel, zp *schedule.Probl
 		}
 		return solution{blocks: gs.Assignments, greedy: true}, nil
 	}
-	cold, err := m.ensure(e.cfg.Graph, e.cfg.Frame, zp.Demand)
+	cold, err := m.Cover(zp.Demand)
 	if err != nil {
 		return solution{}, err
 	}
-	r, err := minSlots(ctx, m.inc, zp, hint, 0, hi, satisfice, opts)
+	r, err := minSlots(ctx, m, zp, hint, 0, hi, satisfice, opts)
 	r.cold = cold
 	return r, err
 }

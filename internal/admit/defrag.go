@@ -119,11 +119,11 @@ func (e *Engine) TryDefrag(ctx context.Context) (int, error) {
 // model, probing strictly below the incumbent window. A nil candidate with a
 // nil error reports "no win" (incumbent already minimal, budget exhausted).
 func (e *Engine) defragMono(full *schedule.Problem, win0 int, opts milp.Options) ([]tdma.Assignment, error) {
-	m := &e.dfModels[0]
-	if _, err := m.ensure(e.cfg.Graph, e.cfg.Frame, full.Demand); err != nil {
+	m := e.dfModels[0]
+	if _, err := m.Cover(full.Demand); err != nil {
 		return nil, err
 	}
-	_, s, _, _, err := m.inc.Repack(full, win0, opts)
+	_, s, _, _, err := m.Repack(full, win0, opts)
 	if err != nil {
 		return nil, noWin(err)
 	}
@@ -152,7 +152,7 @@ func (e *Engine) defragZoned(ctx context.Context, full *schedule.Problem, win0 i
 		if !slices.ContainsFunc(e.dec.Zones[zi].Links, func(l topology.LinkID) bool { return zp.Demand[l] > 0 }) {
 			continue
 		}
-		r, err := e.solveZone(ctx, &e.dfModels[zi], zp, 0, win0-1, false, opts)
+		r, err := e.solveZone(ctx, e.dfModels[zi], zp, 0, win0-1, false, opts)
 		if err != nil {
 			return nil, noWin(err)
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -214,6 +215,23 @@ func TestRunValidation(t *testing.T) {
 	}
 	if _, err := sys.RunDCF(topology.NewFlowSet(sys.Topo), RunConfig{}); err == nil {
 		t.Error("empty flow set accepted by RunDCF")
+	}
+	// A negative QueueCap panicked in dcf.New and was ignored by RunTDMA; a
+	// negative Duration ran nothing and reported a result. Both MACs refuse
+	// both, naming the field.
+	for _, tc := range []struct {
+		field string
+		cfg   RunConfig
+	}{
+		{"QueueCap", RunConfig{Duration: time.Second, QueueCap: -2}},
+		{"Duration", RunConfig{Duration: -time.Second}},
+	} {
+		if _, err := sys.RunTDMA(plan, fs, tc.cfg); err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("RunTDMA negative %s: err = %v, want an error naming the field", tc.field, err)
+		}
+		if _, err := sys.RunDCF(fs, tc.cfg); err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("RunDCF negative %s: err = %v, want an error naming the field", tc.field, err)
+		}
 	}
 }
 

@@ -79,6 +79,30 @@ func DefaultMILPOptions() milp.Options {
 	return milp.Options{MaxNodes: 500_000, TimeLimit: 30 * time.Second}
 }
 
+// bytesPerSlot returns how many bytes of packetBytes-sized packets one slot
+// carries on link l. It honors the link's PHY rate (adaptive modulation):
+// slower links carry fewer bytes per slot and therefore demand more slots.
+func (s *System) bytesPerSlot(l topology.LinkID, packetBytes int) (int, error) {
+	mac := s.MAC.Defaulted()
+	lk, err := s.Topo.Link(l)
+	if err != nil {
+		return 0, fmt.Errorf("core: %w", err)
+	}
+	rate := mac.DataRateBps
+	if lk.RateBps > 0 && mac.PHY.SupportsRate(lk.RateBps) {
+		rate = lk.RateBps
+	}
+	b, err := tdmaemu.BytesPerSlotAtRate(mac, s.Frame, packetBytes, rate)
+	if err != nil {
+		return 0, err
+	}
+	if b <= 0 {
+		return 0, fmt.Errorf("core: a %v slot at %g b/s cannot carry a %d-byte packet (link %d)",
+			s.Frame.SlotDuration(), rate, packetBytes, l)
+	}
+	return b, nil
+}
+
 // Plan computes a conflict-free TDMA schedule supporting every flow in fs
 // (demands from packet sizes, delay bounds from flow DelayBounds).
 // packetBytes is the IP packet size the flows carry (voip codec packets);
@@ -90,27 +114,11 @@ func (s *System) Plan(fs *topology.FlowSet, method PlanMethod, packetBytes int) 
 	if packetBytes <= 0 {
 		return nil, fmt.Errorf("core: bad packet size %d", packetBytes)
 	}
-	// Per-link slot capacity honors each link's PHY rate (adaptive
-	// modulation): slower links carry fewer bytes per slot and therefore
-	// demand more slots.
-	mac := s.MAC.Defaulted()
 	perLink := make(map[topology.LinkID]int)
 	for l := range fs.LinkDemandBps() {
-		lk, err := s.Topo.Link(l)
-		if err != nil {
-			return nil, fmt.Errorf("core: %w", err)
-		}
-		rate := mac.DataRateBps
-		if lk.RateBps > 0 && mac.PHY.SupportsRate(lk.RateBps) {
-			rate = lk.RateBps
-		}
-		b, err := tdmaemu.BytesPerSlotAtRate(mac, s.Frame, packetBytes, rate)
+		b, err := s.bytesPerSlot(l, packetBytes)
 		if err != nil {
 			return nil, err
-		}
-		if b <= 0 {
-			return nil, fmt.Errorf("core: a %v slot at %g b/s cannot carry a %d-byte packet (link %d)",
-				s.Frame.SlotDuration(), rate, packetBytes, l)
 		}
 		perLink[l] = b
 	}

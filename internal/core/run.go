@@ -51,6 +51,23 @@ type RunConfig struct {
 	Trace *obs.Trace
 }
 
+// prepare is the prologue RunTDMA and RunDCF share: it rejects an empty flow
+// set and the config values no run can honour (zero means "the default"),
+// then fills the defaults in.
+func (c *RunConfig) prepare(fs *topology.FlowSet) error {
+	if fs == nil || len(fs.Flows) == 0 {
+		return errors.New("core: no flows")
+	}
+	if c.Duration < 0 {
+		return fmt.Errorf("core: negative RunConfig.Duration %v", c.Duration)
+	}
+	if c.QueueCap < 0 {
+		return fmt.Errorf("core: negative RunConfig.QueueCap %d", c.QueueCap)
+	}
+	c.applyDefaults()
+	return nil
+}
+
 func (c *RunConfig) applyDefaults() {
 	if c.Duration == 0 {
 		c.Duration = 10 * time.Second
@@ -152,10 +169,9 @@ func (s *System) RunTDMA(plan *Plan, fs *topology.FlowSet, cfg RunConfig) (*RunR
 	if plan == nil || plan.Schedule == nil {
 		return nil, errors.New("core: nil plan")
 	}
-	if fs == nil || len(fs.Flows) == 0 {
-		return nil, errors.New("core: no flows")
+	if err := cfg.prepare(fs); err != nil {
+		return nil, err
 	}
-	cfg.applyDefaults()
 	kernel := sim.NewKernel()
 
 	var ts *timesync.Sync
@@ -247,10 +263,9 @@ func (s *System) RunTDMA(plan *Plan, fs *topology.FlowSet, cfg RunConfig) (*RunR
 
 // RunDCF simulates the flow set over plain 802.11 DCF (no schedule).
 func (s *System) RunDCF(fs *topology.FlowSet, cfg RunConfig) (*RunResult, error) {
-	if fs == nil || len(fs.Flows) == 0 {
-		return nil, errors.New("core: no flows")
+	if err := cfg.prepare(fs); err != nil {
+		return nil, err
 	}
-	cfg.applyDefaults()
 	kernel := sim.NewKernel()
 
 	lo, hi := measurementWindow(cfg, s.Frame.FrameDuration)

@@ -6,7 +6,6 @@ import (
 	"math"
 
 	"wimesh/internal/admit"
-	"wimesh/internal/mac/tdmaemu"
 	"wimesh/internal/milp"
 	"wimesh/internal/obs"
 	"wimesh/internal/topology"
@@ -111,24 +110,11 @@ func (s *System) ServiceSlots(path topology.Path, svc voip.Service) ([]int, erro
 	if err := svc.Validate(); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	mac := s.MAC.Defaulted()
 	slots := make([]int, len(path))
 	for i, l := range path {
-		lk, err := s.Topo.Link(l)
-		if err != nil {
-			return nil, fmt.Errorf("core: %w", err)
-		}
-		rate := mac.DataRateBps
-		if lk.RateBps > 0 && mac.PHY.SupportsRate(lk.RateBps) {
-			rate = lk.RateBps
-		}
-		b, err := tdmaemu.BytesPerSlotAtRate(mac, s.Frame, svc.PacketBytes, rate)
+		b, err := s.bytesPerSlot(l, svc.PacketBytes)
 		if err != nil {
 			return nil, err
-		}
-		if b <= 0 {
-			return nil, fmt.Errorf("core: a %v slot at %g b/s cannot carry a %d-byte packet (link %d)",
-				s.Frame.SlotDuration(), rate, svc.PacketBytes, l)
 		}
 		d := int(math.Ceil(svc.BitrateBps * s.Frame.FrameDuration.Seconds() / float64(8*b)))
 		if d < 1 {

@@ -47,16 +47,17 @@ var (
 	ErrInfeasible = errors.New("partition: infeasible")
 )
 
-// DefaultMaxZonePairs is the zone-ILP size gate used when
-// Options.MaxZonePairs is zero: zones whose subproblem has more conflicting
-// active-link pairs (= binary ordering variables) skip the exact search and
-// are scheduled by the greedy coloring. The threshold is calibrated to where
-// the branch-and-bound stops paying for itself: beyond a couple hundred
-// ordering variables a saturated zone exhausts any node budget without a
-// feasible incumbent (burning seconds per zone), while the greedy coloring
-// finishes in milliseconds. At city scale a dense zone can reach thousands
-// of pairs, where even the root LP relaxation is slower than colouring the
-// whole zone.
+// DefaultMaxZonePairs is the zone-ILP size gate: zones whose subproblem has
+// more conflicting active-link pairs — each pair is one binary ordering
+// variable in the formulation, so the count is the model size — skip the
+// exact search and are scheduled by the greedy coloring. The gate depends
+// only on the subproblem, so it is deterministic. The threshold is
+// calibrated to where the branch-and-bound stops paying for itself: beyond a
+// couple hundred ordering variables a saturated zone exhausts any node budget
+// without a feasible incumbent (burning seconds per zone), while the greedy
+// coloring finishes in milliseconds. At city scale a dense zone can reach
+// thousands of pairs, where even the root LP relaxation is slower than
+// colouring the whole zone.
 const DefaultMaxZonePairs = 150
 
 // Options configures the partitioned solver.
@@ -69,14 +70,6 @@ type Options struct {
 	// Workers is the number of zone ILPs solved concurrently (0 =
 	// GOMAXPROCS). The stitched schedule is bit-identical for any value.
 	Workers int
-	// MaxZonePairs caps the size of zone ILPs. A zone whose subproblem has
-	// more conflicting active-link pairs than this — each pair is one
-	// binary ordering variable in the formulation, so the count is the
-	// model size — skips the exact search and goes straight to the greedy
-	// coloring. Zero selects DefaultMaxZonePairs; negative disables the
-	// gate. The gate depends only on the subproblem, so it is
-	// deterministic.
-	MaxZonePairs int
 	// MILP bounds each per-zone branch-and-bound search. A zone that
 	// exhausts the budget (milp.ErrLimit) falls back to the greedy coloring
 	// for that zone instead of failing the whole solve; MaxNodes defaults
@@ -154,8 +147,8 @@ func Decompose(p *schedule.Problem, zoneSize float64) (*Decomposition, error) {
 	}
 	net := p.Graph.Network()
 	active := p.ActiveLinks()
-	if zoneSize < 0 {
-		return nil, fmt.Errorf("%w: negative zone size %g", ErrBadZone, zoneSize)
+	if !(zoneSize >= 0) || math.IsInf(zoneSize, 1) {
+		return nil, fmt.Errorf("%w: zone size %g is not a non-negative finite number", ErrBadZone, zoneSize)
 	}
 	if zoneSize == 0 {
 		zoneSize = autoZoneSize(net, active)
@@ -284,7 +277,7 @@ type Result struct {
 	ILPsSolved int
 	// GreedyFallbacks counts zones scheduled by the greedy coloring, either
 	// because their branch-and-bound budget ran out or because the
-	// subproblem exceeded the MaxZonePairs size gate.
+	// subproblem exceeded the DefaultMaxZonePairs size gate.
 	GreedyFallbacks int
 }
 
@@ -328,7 +321,7 @@ func MinSlots(p *schedule.Problem, cfg tdma.FrameConfig, opts Options) (*Result,
 
 	subs := make([]*schedule.Problem, len(dec.Zones))
 	for zi := range dec.Zones {
-		subs[zi] = zoneProblem(p, dec, zi)
+		subs[zi] = ZoneProblem(p, dec, zi)
 	}
 	milpOpts := opts.MILP
 	if milpOpts.MaxNodes == 0 {
@@ -337,10 +330,6 @@ func MinSlots(p *schedule.Problem, cfg tdma.FrameConfig, opts Options) (*Result,
 	// Zone ILPs run on their own pool; each zone's branch-and-bound stays
 	// sequential so concurrency lives where the parallelism is widest.
 	milpOpts.Workers = 1
-	maxPairs := opts.MaxZonePairs
-	if maxPairs == 0 {
-		maxPairs = DefaultMaxZonePairs
-	}
 
 	type zoneResult struct {
 		win    int
@@ -352,7 +341,7 @@ func MinSlots(p *schedule.Problem, cfg tdma.FrameConfig, opts Options) (*Result,
 	results := make([]zoneResult, len(dec.Zones))
 	solveZone := func(zi int) {
 		start := time.Now()
-		if maxPairs > 0 && activePairs(subs[zi]) > maxPairs {
+		if ActivePairs(subs[zi]) > DefaultMaxZonePairs {
 			// The ILP would be too large to even relax profitably; colour
 			// the zone greedily without touching the exact search.
 			gs, gerr := schedule.Greedy(subs[zi], cfg)
@@ -439,9 +428,11 @@ func MinSlots(p *schedule.Problem, cfg tdma.FrameConfig, opts Options) (*Result,
 	return res, nil
 }
 
-// zoneProblem restricts p to one zone: the zone's demands, plus the delay
-// requirements of flows whose full path stays in the zone.
-func zoneProblem(p *schedule.Problem, dec *Decomposition, zi int) *schedule.Problem {
+// ZoneProblem restricts p to the zi'th zone of the decomposition: the zone's
+// demands, plus the delay requirements of flows whose full path stays inside
+// it. The admission engine uses it too: it keeps one persistent ILP model
+// per zone and re-solves only the zones an admission delta touches.
+func ZoneProblem(p *schedule.Problem, dec *Decomposition, zi int) *schedule.Problem {
 	z := &dec.Zones[zi]
 	demand := make(map[topology.LinkID]int, len(z.Links))
 	for _, l := range z.Links {
@@ -468,10 +459,10 @@ func zoneProblem(p *schedule.Problem, dec *Decomposition, zi int) *schedule.Prob
 	}
 }
 
-// activePairs counts conflicting pairs among a subproblem's demanded links —
+// ActivePairs counts conflicting pairs among a problem's demanded links —
 // exactly the binary ordering variables its ILP formulation would need, and
-// hence the model size the MaxZonePairs gate compares against.
-func activePairs(p *schedule.Problem) int {
+// hence the model size the DefaultMaxZonePairs gate compares against.
+func ActivePairs(p *schedule.Problem) int {
 	n := 0
 	for l, d := range p.Demand {
 		if d <= 0 {
@@ -653,19 +644,4 @@ func placeHintPreserve(p *schedule.Problem, cfg tdma.FrameConfig, entries []tdma
 		placed = append(placed, h)
 	}
 	return placeList(p, cfg, placed, tdma.ByStart)
-}
-
-// ZoneProblem restricts p to the zi'th zone of the decomposition: the zone's
-// demands, plus the delay requirements of flows whose full path stays inside
-// it. Exported for the admission engine, which keeps one persistent ILP
-// model per zone and re-solves only the zones an admission delta touches.
-func ZoneProblem(p *schedule.Problem, dec *Decomposition, zi int) *schedule.Problem {
-	return zoneProblem(p, dec, zi)
-}
-
-// ActivePairs counts conflicting pairs among the problem's demanded links —
-// the binary-variable count of its ILP model, the size measure the
-// MaxZonePairs gate compares against.
-func ActivePairs(p *schedule.Problem) int {
-	return activePairs(p)
 }

@@ -156,8 +156,11 @@ func TestDecomposeBadZoneSize(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := unitProblem(t, net, conflict.ModelTwoHop, 32)
-	if _, err := Decompose(p, -1); !errors.Is(err, ErrBadZone) {
-		t.Fatalf("got %v, want ErrBadZone", err)
+	// NaN passed a plain `< 0` check and went on to index cells by int(x/NaN).
+	for _, size := range []float64{-1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := Decompose(p, size); !errors.Is(err, ErrBadZone) {
+			t.Errorf("zone size %v: got %v, want ErrBadZone", size, err)
+		}
 	}
 }
 

@@ -121,7 +121,7 @@ func TestOrderToScheduleStableUnderCaching(t *testing.T) {
 		warmed, _ := chainProblemN(t, n, 16)
 		// Warm every cache on one copy.
 		warmed.ActiveLinks()
-		warmed.ConflictingPairs()
+		warmed.conflictingPairs()
 		warmed.CliqueLowerBound()
 
 		of := PathMajorOrder(fresh)

@@ -46,7 +46,7 @@ type FlowRequirement struct {
 // Problem bundles the inputs of the scheduling optimizations.
 //
 // Graph and Demand are treated as immutable once the optimizers start
-// consuming the problem: the derived views (ActiveLinks, ConflictingPairs,
+// consuming the problem: the derived views (ActiveLinks, conflictingPairs,
 // CliqueLowerBound) are computed once and cached on the Problem, keyed by a
 // cheap fingerprint of Demand so stale caches are dropped if a caller does
 // mutate demands between optimizations. The cache is safe for concurrent
@@ -126,8 +126,9 @@ func (p *Problem) activeLinks() []topology.LinkID {
 	return p.active
 }
 
-// conflictingPairs returns the cached conflicting active pairs (a < b),
-// sorted lexicographically. Callers must not mutate the result.
+// conflictingPairs returns the cached unordered pairs (a, b), a < b, of
+// active links that conflict, sorted lexicographically. Callers must not
+// mutate the result.
 func (p *Problem) conflictingPairs() [][2]topology.LinkID {
 	active := p.activeLinks()
 	p.mu.Lock()
@@ -196,19 +197,6 @@ func (p *Problem) ActiveLinks() []topology.LinkID {
 	return out
 }
 
-// ConflictingPairs returns all unordered pairs (a, b), a < b, of active
-// links that conflict, sorted lexicographically. The slice is a copy of the
-// cached view and may be mutated by the caller.
-func (p *Problem) ConflictingPairs() [][2]topology.LinkID {
-	pairs := p.conflictingPairs()
-	if len(pairs) == 0 {
-		return nil
-	}
-	out := make([][2]topology.LinkID, len(pairs))
-	copy(out, pairs)
-	return out
-}
-
 // CliqueLowerBound returns a lower bound on the schedule length: the total
 // demand of a greedy maximal clique in the conflict graph (links of a clique
 // must occupy disjoint slots), but at least the maximum single demand.
@@ -243,18 +231,6 @@ func (p *Problem) CliqueLowerBound() int {
 	p.cliqueLB, p.haveLB = lb, true
 	p.mu.Unlock()
 	return lb
-}
-
-// startUpper returns the upper bound of link l's start variable at window
-// win: the window bound win-demand tightened by the link's absolute StartCap
-// when one is set. A negative result means the link cannot be scheduled at
-// any window (the cap itself is violated).
-func (p *Problem) startUpper(l topology.LinkID, win int) int {
-	up := win - p.Demand[l]
-	if cap, ok := p.StartCap[l]; ok && cap < up {
-		up = cap
-	}
-	return up
 }
 
 // checkSchedule verifies that a produced schedule meets the demands and is

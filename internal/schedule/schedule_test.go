@@ -191,7 +191,7 @@ func TestNaiveOrderComplete(t *testing.T) {
 		t.Error("naive order incomplete")
 	}
 	// Lower link IDs come first.
-	pairs := p.ConflictingPairs()
+	pairs := p.conflictingPairs()
 	for _, pair := range pairs {
 		b, ok := o.Before(pair[0], pair[1])
 		if !ok || !b {
