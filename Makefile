@@ -111,9 +111,9 @@ loc:
 # The ratchet on that number: the ceilings are what `make loc` printed when
 # they were last edited. A PR that shrinks the code lowers them; one that
 # must grow past them raises them in its own diff, where a reviewer sees it.
-LOC_MAX_TOTAL = 21760
+LOC_MAX_TOTAL = 21735
 LOC_MAX_ADMIT = 2320
-LOC_MAX_SCHEDULE = 1608
+LOC_MAX_SCHEDULE = 1607
 
 loc-check:
 	@$(MAKE) -s loc | awk -v total=$(LOC_MAX_TOTAL) -v admit=$(LOC_MAX_ADMIT) -v schedule=$(LOC_MAX_SCHEDULE) ' \

@@ -189,7 +189,11 @@ func BenchmarkSimplexLP(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := build().Solve(); err != nil {
+		c, err := lp.Compile(build())
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := lp.NewSolver().Solve(c, nil, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -197,7 +201,7 @@ func BenchmarkSimplexLP(b *testing.B) {
 
 // BenchmarkLPSolve measures the steady-state simplex hot path of the
 // branch-and-bound search: one Compile up front, then repeated solves from a
-// pooled workspace. Pivoting itself is allocation-free; the reported allocs
+// reused workspace. Pivoting itself is allocation-free; the reported allocs
 // are the returned Solution.
 func BenchmarkLPSolve(b *testing.B) {
 	p := lp.NewProblem(lp.Maximize, 20)

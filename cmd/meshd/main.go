@@ -101,6 +101,15 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	if *budget < 0 {
 		return fmt.Errorf("-budget %d: must not be negative (0 = no node budget)", *budget)
 	}
+	if *timeLimit < 0 {
+		return fmt.Errorf("-time-limit %v: must not be negative (0 = none)", *timeLimit)
+	}
+	if *batchMax < 1 {
+		return fmt.Errorf("-batch %d: need at least 1", *batchMax)
+	}
+	if *maxWindow < 0 {
+		return fmt.Errorf("-max-window %d: must not be negative (0 = whole frame)", *maxWindow)
+	}
 	if !(*rate > 0) || math.IsInf(*rate, 1) {
 		return fmt.Errorf("-rate %v: must be a positive finite number", *rate)
 	}

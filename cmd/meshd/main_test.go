@@ -144,6 +144,25 @@ func TestRunNonFiniteFlags(t *testing.T) {
 	}
 }
 
+// TestRunOutOfRangeFlags: a negative -time-limit meant "no limit" (milp only
+// honours a positive one), a -batch below 1 served with the default cap of
+// 16 while the summary printed the flag's value, and a negative -max-window
+// silently meant the whole frame.
+func TestRunOutOfRangeFlags(t *testing.T) {
+	for _, args := range [][]string{
+		{"-time-limit", "-1s"},
+		{"-batch", "0", "-workers", "2"},
+		{"-batch", "-3", "-workers", "2"},
+		{"-max-window", "-5"},
+	} {
+		var sb strings.Builder
+		err := run(context.Background(), append(args, "-calls", "4"), &sb)
+		if err == nil || !strings.Contains(err.Error(), args[0]+" ") {
+			t.Errorf("%v: err = %v, want an error naming the flag", args, err)
+		}
+	}
+}
+
 // FuzzParseClassMix: whatever the string, an accepted mix has only positive
 // finite weights and non-negative slots-per-link — what admit.Generate's
 // class draw assumes.

@@ -37,9 +37,6 @@ type Compiled struct {
 	bigM float64
 }
 
-// NumVars returns the number of structural variables.
-func (c *Compiled) NumVars() int { return c.n }
-
 // Compile freezes a Problem into its immutable matrix form. The Problem can
 // keep being mutated afterwards (bounds, RHS, rows) and recompiled; the
 // Compiled snapshot is unaffected.

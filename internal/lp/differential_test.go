@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -114,7 +115,7 @@ func TestDifferentialSimplexVsReference(t *testing.T) {
 	counts := map[string]int{}
 	for iter := 0; iter < 1500; iter++ {
 		p := randomLP(rng)
-		got, gerr := p.Solve()
+		got, gerr := solve(p)
 		want, werr := refSolve(p)
 		gc, wc := classify(gerr), classify(werr)
 		if gc == "iterlimit" || wc == "iterlimit" {
@@ -167,7 +168,7 @@ func TestDifferentialWarmStart(t *testing.T) {
 		}
 		warm, warmErr := s.Solve(c, st, []BoundChange{{Col: int32(j), Upper: upper, Val: val}})
 
-		p2 := p.Clone()
+		p2 := NewProblemShared(p.sense, p.obj, slices.Clone(p.lower), slices.Clone(p.upper), p.rows)
 		if upper {
 			if val < 0 {
 				// Mirrors a branch emptying the [0, u] box.
@@ -176,13 +177,9 @@ func TestDifferentialWarmStart(t *testing.T) {
 				}
 				continue
 			}
-			if val < p2.Upper(j) {
-				p2.SetUpper(j, val)
-			}
+			p2.upper[j] = min(p2.upper[j], val)
 		} else {
-			if val > p2.Lower(j) {
-				p2.SetLower(j, val)
-			}
+			p2.lower[j] = max(p2.lower[j], val)
 		}
 		c2, err := Compile(p2)
 		if err != nil {
@@ -218,5 +215,45 @@ func TestDifferentialWarmStart(t *testing.T) {
 	}
 	if warmed < 100 {
 		t.Fatalf("only %d warm re-solves exercised", warmed)
+	}
+}
+
+// TestSnapshotRecycled: a Solver warm-starting from the State it just
+// snapshotted continues from its live workspace, but once another Solver has
+// snapshotted into that State again it must restore the new contents.
+func TestSnapshotRecycled(t *testing.T) {
+	// max x0 + x1, x0 + 2 x1 <= 4, x in [0, 3]^2: the root rests at x0 = 3.
+	p := NewProblem(Maximize, 2)
+	for j := 0; j < 2; j++ {
+		if err := errors.Join(p.SetObjCoef(j, 1), p.SetUpper(j, 3)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := p.AddConstraint(map[int]float64{0: 1, 1: 2}, LE, 4); err != nil {
+		t.Fatal(err)
+	}
+	c, err := Compile(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := NewSolver(), NewSolver()
+	if _, err := a.Solve(c, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	st := a.Snapshot(nil)
+	if _, err := b.Solve(c, st, []BoundChange{{Col: 0, Upper: true, Val: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	b.Snapshot(st) // st is now b's basis under x0 <= 1
+	got, err := a.Solve(c, st, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := NewSolver().Solve(c, st, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got.X, want.X) || got.X[0] != 1 {
+		t.Fatalf("warm start from a recycled State: x = %v, want %v", got.X, want.X)
 	}
 }

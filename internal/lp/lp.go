@@ -14,8 +14,7 @@
 // constraint regardless of how many variables are bounded. Solving is split
 // into Compile (immutable matrix form, shareable across goroutines) and
 // Solver (a reusable workspace whose steady-state pivoting is
-// allocation-free); Problem.Solve is a convenience wrapper over a pooled
-// Solver.
+// allocation-free).
 package lp
 
 import (
@@ -23,7 +22,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 )
 
 // Sense is the optimization direction.
@@ -113,17 +111,14 @@ func NewProblem(sense Sense, numVars int) *Problem {
 // without copying them. The caller promises the slices stay alive and are
 // not resized while the problem is in use; mutating bound or RHS values
 // between Compile calls is allowed and is the intended way to re-solve a
-// structurally identical program with new data (internal/milp and
-// internal/schedule use this to rebuild nothing between iterations).
+// structurally identical program with new data (internal/milp uses this to
+// rebuild nothing between iterations).
 func NewProblemShared(sense Sense, obj, lower, upper []float64, rows []Row) *Problem {
 	return &Problem{sense: sense, obj: obj, lower: lower, upper: upper, rows: rows}
 }
 
 // NumVars returns the number of structural variables.
 func (p *Problem) NumVars() int { return len(p.obj) }
-
-// Sense returns the optimization direction.
-func (p *Problem) Sense() Sense { return p.sense }
 
 // SetObjCoef sets the objective coefficient of variable j.
 func (p *Problem) SetObjCoef(j int, v float64) error {
@@ -146,46 +141,8 @@ func (p *Problem) SetUpper(j int, u float64) error {
 	return nil
 }
 
-// Upper returns the upper bound of variable j.
-func (p *Problem) Upper(j int) float64 { return p.upper[j] }
-
-// SetLower sets the lower bound of variable j (default 0). A lower bound of
-// -Inf makes the variable free below; the solver handles it via an
-// artificial bound internally.
-func (p *Problem) SetLower(j int, l float64) error {
-	if j < 0 || j >= len(p.obj) {
-		return fmt.Errorf("lp: bound variable %d out of range", j)
-	}
-	if math.IsNaN(l) {
-		return fmt.Errorf("lp: NaN lower bound for variable %d", j)
-	}
-	p.lower[j] = l
-	return nil
-}
-
-// Lower returns the lower bound of variable j.
-func (p *Problem) Lower(j int) float64 { return p.lower[j] }
-
-// Clone returns an independent copy of the problem that can be tightened and
-// solved without affecting the original: objective and bound slices are
-// copied, and the row slice is copied at exact length so appends on either
-// copy never share backing storage. The per-row index/value slices are shared
-// — no Problem method mutates an existing row — which keeps cloning cheap.
-func (p *Problem) Clone() *Problem {
-	rows := make([]Row, len(p.rows))
-	copy(rows, p.rows)
-	return &Problem{
-		sense: p.sense,
-		obj:   append([]float64(nil), p.obj...),
-		lower: append([]float64(nil), p.lower...),
-		upper: append([]float64(nil), p.upper...),
-		rows:  rows,
-	}
-}
-
 // AddConstraint adds the row coef . x rel rhs. The map is converted to the
-// sparse row form (ascending indices, zero coefficients dropped); prefer
-// AddConstraintIdx in hot paths to skip the conversion.
+// sparse row form (ascending indices, zero coefficients dropped).
 func (p *Problem) AddConstraint(coef map[int]float64, rel Rel, rhs float64) error {
 	idx := make([]int32, 0, len(coef))
 	for j, v := range coef {
@@ -202,20 +159,6 @@ func (p *Problem) AddConstraint(coef map[int]float64, rel Rel, rhs float64) erro
 		val[k] = coef[int(j)]
 	}
 	return p.addRow(Row{Idx: idx, Val: val, Rel: rel, RHS: rhs})
-}
-
-// AddConstraintIdx adds the sparse row sum_k val[k]*x[idx[k]] rel rhs. The
-// indices must be ascending without duplicates; both slices are copied.
-func (p *Problem) AddConstraintIdx(idx []int32, val []float64, rel Rel, rhs float64) error {
-	if len(idx) != len(val) {
-		return fmt.Errorf("lp: index/value length mismatch %d != %d", len(idx), len(val))
-	}
-	return p.addRow(Row{
-		Idx: append([]int32(nil), idx...),
-		Val: append([]float64(nil), val...),
-		Rel: rel,
-		RHS: rhs,
-	})
 }
 
 func (p *Problem) addRow(r Row) error {
@@ -240,19 +183,4 @@ type Solution struct {
 	Objective float64
 	// Iterations is the simplex pivot count.
 	Iterations int
-}
-
-// solverPool backs Problem.Solve so one-shot solves reuse workspaces.
-var solverPool = sync.Pool{New: func() any { return NewSolver() }}
-
-// Solve compiles and optimizes the problem with a pooled solver workspace
-// and returns the optimum, ErrInfeasible, or ErrUnbounded.
-func (p *Problem) Solve() (*Solution, error) {
-	c, err := Compile(p)
-	if err != nil {
-		return nil, err
-	}
-	s := solverPool.Get().(*Solver)
-	defer solverPool.Put(s)
-	return s.Solve(c, nil, nil)
 }

@@ -9,6 +9,15 @@ import (
 
 func approx(a, b float64) bool { return math.Abs(a-b) < 1e-6 }
 
+// solve compiles p and cold-solves it on a fresh workspace.
+func solve(p *Problem) (*Solution, error) {
+	c, err := Compile(p)
+	if err != nil {
+		return nil, err
+	}
+	return NewSolver().Solve(c, nil, nil)
+}
+
 func TestMaximizeSimple2D(t *testing.T) {
 	// max 3x + 2y s.t. x + y <= 4, x + 3y <= 6 -> x=4, y=0, obj=12.
 	p := NewProblem(Maximize, 2)
@@ -24,7 +33,7 @@ func TestMaximizeSimple2D(t *testing.T) {
 	if err := p.AddConstraint(map[int]float64{0: 1, 1: 3}, LE, 6); err != nil {
 		t.Fatal(err)
 	}
-	s, err := p.Solve()
+	s, err := solve(p)
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}
@@ -51,7 +60,7 @@ func TestMinimizeWithGE(t *testing.T) {
 	if err := p.SetUpper(0, 6); err != nil {
 		t.Fatal(err)
 	}
-	s, err := p.Solve()
+	s, err := solve(p)
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}
@@ -72,7 +81,7 @@ func TestEqualityConstraint(t *testing.T) {
 	if err := p.AddConstraint(map[int]float64{0: 1, 1: 2}, EQ, 4); err != nil {
 		t.Fatal(err)
 	}
-	s, err := p.Solve()
+	s, err := solve(p)
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}
@@ -93,7 +102,7 @@ func TestInfeasible(t *testing.T) {
 	if err := p.AddConstraint(map[int]float64{0: 1}, GE, 2); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Solve(); !errors.Is(err, ErrInfeasible) {
+	if _, err := solve(p); !errors.Is(err, ErrInfeasible) {
 		t.Errorf("got %v, want ErrInfeasible", err)
 	}
 }
@@ -104,7 +113,7 @@ func TestUnbounded(t *testing.T) {
 	if err := p.SetObjCoef(0, 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Solve(); !errors.Is(err, ErrUnbounded) {
+	if _, err := solve(p); !errors.Is(err, ErrUnbounded) {
 		t.Errorf("got %v, want ErrUnbounded", err)
 	}
 }
@@ -118,7 +127,7 @@ func TestNegativeRHS(t *testing.T) {
 	if err := p.AddConstraint(map[int]float64{0: -1}, LE, -3); err != nil {
 		t.Fatal(err)
 	}
-	s, err := p.Solve()
+	s, err := solve(p)
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}
@@ -142,7 +151,7 @@ func TestUpperBounds(t *testing.T) {
 	if err := p.SetUpper(1, 0.25); err != nil {
 		t.Fatal(err)
 	}
-	s, err := p.Solve()
+	s, err := solve(p)
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}
@@ -170,7 +179,7 @@ func TestDegenerateKleeMintyLike(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	s, err := p.Solve()
+	s, err := solve(p)
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}
@@ -191,7 +200,7 @@ func TestRedundantEqualityRows(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	s, err := p.Solve()
+	s, err := solve(p)
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}
@@ -237,7 +246,7 @@ func TestPropertySolutionFeasibleAndDominant(t *testing.T) {
 		if err := p.AddConstraint(map[int]float64{0: 1, 1: 1, 2: 1}, LE, 3); err != nil {
 			return false
 		}
-		s, err := p.Solve()
+		s, err := solve(p)
 		if err != nil {
 			return false
 		}

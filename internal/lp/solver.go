@@ -30,9 +30,11 @@ type BoundChange struct {
 // artificial big-M bounds installed by the cold start). A State is only
 // meaningful with the Compiled it was snapshotted from; it is read-only once
 // taken and may be shared across goroutines, each restoring it into its own
-// Solver.
+// Solver. A State may be recycled: Snapshot into it again and it describes
+// the new basis.
 type State struct {
 	m, nTot int
+	gen     uint64 // bumped by every Snapshot into this State
 	binv    []float64
 	xB      []float64
 	d       []float64
@@ -63,6 +65,14 @@ type Solver struct {
 	rhs     []float64 // scratch for recomputing xB
 
 	pivots uint64 // cumulative pivot count across Solve calls
+	// held is the State the workspace still equals, at generation heldGen:
+	// set by Snapshot, cleared by Solve. Warm-starting from it skips the
+	// restore copy — the branch-and-bound child explored right after its
+	// parent continues from the live workspace. The generation keeps a
+	// recycled State, since snapshotted again by another Solver, from
+	// matching.
+	held    *State
+	heldGen uint64
 }
 
 // Pivots returns the cumulative simplex pivot count across every Solve call
@@ -203,6 +213,8 @@ func (s *Solver) Snapshot(dst *State) *State {
 		dst = &State{}
 	}
 	dst.m, dst.nTot = s.m, s.nTot
+	dst.gen++
+	s.held, s.heldGen = dst, dst.gen
 	dst.binv = append(dst.binv[:0], s.binv...)
 	dst.xB = append(dst.xB[:0], s.xB...)
 	dst.d = append(dst.d[:0], s.d...)
@@ -289,17 +301,20 @@ func (s *Solver) recomputeXB(c *Compiled) {
 // from the same Compiled) and re-solves after applying the bound changes
 // with a dual-simplex cleanup — the warm path is how branch-and-bound
 // re-solves thousands of bound-tightened children without rebuilding
-// anything. Changes may be nil.
+// anything. A snapshot this workspace took and has not moved from since is
+// not copied back. Changes may be nil.
 func (s *Solver) Solve(c *Compiled, warm *State, changes []BoundChange) (*Solution, error) {
 	s.ensure(c)
-	if warm != nil {
-		if warm.m != c.m || warm.nTot != c.nTot {
-			return nil, fmt.Errorf("lp: warm state has %d rows / %d columns, compiled has %d / %d",
-				warm.m, warm.nTot, c.m, c.nTot)
-		}
-		s.restore(warm)
-	} else {
+	held := s.held
+	s.held = nil
+	switch {
+	case warm == nil:
 		s.coldInit(c)
+	case warm.m != c.m || warm.nTot != c.nTot:
+		return nil, fmt.Errorf("lp: warm state has %d rows / %d columns, compiled has %d / %d",
+			warm.m, warm.nTot, c.m, c.nTot)
+	case warm != held || warm.gen != s.heldGen:
+		s.restore(warm)
 	}
 	if err := s.applyChanges(changes); err != nil {
 		return nil, err

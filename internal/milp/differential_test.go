@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -275,5 +276,225 @@ func TestDifferentialMutationSoak(t *testing.T) {
 	}
 	if feasible == 0 || infeasible == 0 {
 		t.Fatalf("weak coverage: %d feasible, %d infeasible rounds", feasible, infeasible)
+	}
+}
+
+// orderingModel is a random instance of the ordering program the schedule
+// package solves: integer start slots s_l in [0, win-d_l], and per
+// conflicting pair a < b an order binary o with the big-M rows
+// s_b - s_a - win*o >= d_a - win and s_a - s_b + win*o >= d_b. A pair with a
+// dormant endpoint (demand 0) orders nothing; pin chooses how its two rows
+// say so — the pinning rows -o >= 0 and o >= 0, or all-zero rows.
+type orderingModel struct {
+	m     *Model
+	win   float64
+	start []VarID
+	pairs [][2]int
+	o     []VarID
+	rows  [][2]int
+	pin   bool
+}
+
+// newOrderingModel lays down the variables and rows; setDemand fills them in.
+func newOrderingModel(t *testing.T, win int, cost []float64, pairs [][2]int, pin bool) *orderingModel {
+	t.Helper()
+	om := &orderingModel{m: NewModel(Minimize), win: float64(win), pairs: pairs, pin: pin}
+	for l, c := range cost {
+		v, err := om.m.AddVar(fmt.Sprintf("s_%d", l), Integer, om.win, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		om.start = append(om.start, v)
+	}
+	for _, p := range pairs {
+		o, err := om.m.AddVar(fmt.Sprintf("o_%d_%d", p[0], p[1]), Binary, 1, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids := []VarID{om.start[p[0]], om.start[p[1]], o}
+		r1, err1 := om.m.AddConstraintIdx(ids, []float64{0, 0, 0}, GE, 0)
+		r2, err2 := om.m.AddConstraintIdx(ids, []float64{0, 0, 0}, GE, 0)
+		if err := errors.Join(err1, err2); err != nil {
+			t.Fatal(err)
+		}
+		om.o = append(om.o, o)
+		om.rows = append(om.rows, [2]int{r1, r2})
+	}
+	return om
+}
+
+// setDemand retargets the model to a demand vector by mutation only.
+func (om *orderingModel) setDemand(t *testing.T, demand []int) {
+	t.Helper()
+	set := func(row int, ids []VarID, c [4]float64) {
+		for k, v := range ids {
+			if err := om.m.SetCoef(row, v, c[k]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := om.m.SetRHS(row, c[3]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for l, d := range demand {
+		if err := om.m.SetUpper(om.start[l], om.win-float64(d)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, p := range om.pairs {
+		da, db := float64(demand[p[0]]), float64(demand[p[1]])
+		row1, row2 := [4]float64{-1, 1, -om.win, da - om.win}, [4]float64{1, -1, om.win, db}
+		switch {
+		case da > 0 && db > 0:
+		case om.pin:
+			row1, row2 = [4]float64{0, 0, -1, 0}, [4]float64{0, 0, 1, 0}
+		default:
+			row1, row2 = [4]float64{}, [4]float64{}
+		}
+		ids := []VarID{om.start[p[0]], om.start[p[1]], om.o[i]}
+		set(om.rows[i][0], ids, row1)
+		set(om.rows[i][1], ids, row2)
+	}
+}
+
+// randomOrdering draws an instance: a window, per-link start costs, the
+// conflicting pairs, and a stream of demand vectors with a random dormant
+// subset each.
+func randomOrdering(rng *rand.Rand, rounds int) (win int, cost []float64, pairs [][2]int, demands [][]int) {
+	links := 4 + rng.Intn(6)
+	win = 4 + rng.Intn(7)
+	cost = make([]float64, links)
+	for l := range cost {
+		cost[l] = float64(rng.Intn(3))
+	}
+	for a := 0; a < links; a++ {
+		for b := a + 1; b < links; b++ {
+			if rng.Intn(2) == 0 {
+				pairs = append(pairs, [2]int{a, b})
+			}
+		}
+	}
+	for r := 0; r < rounds; r++ {
+		d := make([]int, links)
+		for l := range d {
+			if rng.Intn(3) > 0 {
+				d[l] = 1 + rng.Intn(3)
+			}
+		}
+		demands = append(demands, d)
+	}
+	return win, cost, pairs, demands
+}
+
+// sameSolve demands two solves agree exactly: error class, X, objective
+// and optimality, and with work also the node and pivot counts.
+func sameSolve(t *testing.T, what string, a, b *Solution, errA, errB error, work bool) {
+	t.Helper()
+	if (errA == nil) != (errB == nil) || (errA != nil && errors.Is(errA, ErrInfeasible) != errors.Is(errB, ErrInfeasible)) {
+		t.Fatalf("%s: err %v vs %v", what, errA, errB)
+	}
+	if errA != nil {
+		return
+	}
+	if !slices.Equal(a.X, b.X) || a.Objective != b.Objective || a.Optimal != b.Optimal {
+		t.Fatalf("%s: X %v obj %g opt %v vs X %v obj %g opt %v", what, a.X, a.Objective, a.Optimal, b.X, b.Objective, b.Optimal)
+	}
+	if work && (a.Nodes != b.Nodes || a.Pivots != b.Pivots) {
+		t.Fatalf("%s: %d nodes / %d pivots vs %d / %d", what, a.Nodes, a.Pivots, b.Nodes, b.Pivots)
+	}
+}
+
+// TestDifferentialZeroRows pins the relaxation's all-zero rows to the
+// pinning rows they replace: a dormant ordering pair written as two
+// all-zero rows must solve exactly as the pair written as -o >= 0, o >= 0 —
+// the same X and objective at any worker count, and at one worker the same
+// nodes and pivots, because the dropped rows' slacks would have sat basic at
+// zero, coupled to no live row. Both models are persistent and retargeted by
+// mutation, so the dormant set changes under a recycled node state. Runs
+// under -race from `make differential`.
+func TestDifferentialZeroRows(t *testing.T) {
+	rng := rand.New(rand.NewSource(2718))
+	branched, infeasible, dormant := 0, 0, 0
+	for trial := 0; trial < 40; trial++ {
+		win, cost, pairs, demands := randomOrdering(rng, 6)
+		pinned := newOrderingModel(t, win, cost, pairs, true)
+		zeroed := newOrderingModel(t, win, cost, pairs, false)
+		for r, d := range demands {
+			pinned.setDemand(t, d)
+			zeroed.setDemand(t, d)
+			if slices.Contains(d, 0) {
+				dormant++
+			}
+			opts := Options{FirstFeasible: rng.Intn(2) == 0, MaxNodes: 20_000}
+			var seq *Solution
+			var seqErr error
+			for _, workers := range []int{1, 4} {
+				opts.Workers = workers
+				what := fmt.Sprintf("trial %d round %d workers %d", trial, r, workers)
+				want, wantErr := pinned.m.Solve(opts)
+				got, gotErr := zeroed.m.Solve(opts)
+				sameSolve(t, what, want, got, wantErr, gotErr, workers == 1)
+				if workers > 1 {
+					sameSolve(t, what+" vs one worker", seq, got, seqErr, gotErr, false)
+					continue
+				}
+				seq, seqErr = got, gotErr
+				if gotErr != nil {
+					infeasible++
+				} else if got.Nodes > 1 {
+					branched++
+				}
+			}
+		}
+	}
+	if branched < 20 || infeasible == 0 || dormant == 0 {
+		t.Fatalf("weak coverage: %d branched, %d infeasible, %d rounds with dormant links", branched, infeasible, dormant)
+	}
+
+	// An unsatisfiable all-zero row makes the model infeasible; a
+	// satisfiable one changes nothing.
+	win, cost, pairs, demands := randomOrdering(rand.New(rand.NewSource(5)), 1)
+	base := newOrderingModel(t, win, cost, pairs, false)
+	base.setDemand(t, demands[0])
+	want, wantErr := base.m.Solve(Options{Workers: 1})
+	for _, c := range []struct {
+		rel      Rel
+		rhs      float64
+		feasible bool
+	}{{GE, 1, false}, {LE, -1, false}, {EQ, 2, false}, {GE, 0, true}, {LE, 0, true}, {EQ, 0, true}, {GE, -3, true}, {LE, 0.5, true}} {
+		om := newOrderingModel(t, win, cost, pairs, false)
+		om.setDemand(t, demands[0])
+		if _, err := om.m.AddConstraintIdx([]VarID{om.start[0]}, []float64{0}, c.rel, c.rhs); err != nil {
+			t.Fatal(err)
+		}
+		got, err := om.m.Solve(Options{Workers: 1})
+		if !c.feasible {
+			if !errors.Is(err, ErrInfeasible) {
+				t.Fatalf("0 %v %g: got %v, want ErrInfeasible", c.rel, c.rhs, err)
+			}
+			continue
+		}
+		sameSolve(t, fmt.Sprintf("0 %v %g", c.rel, c.rhs), want, got, wantErr, err, true)
+	}
+
+	// A model whose rows are all zero is a box: every variable rests on the
+	// bound its objective prefers, at the root.
+	m := NewModel(Maximize)
+	a, _ := m.AddVar("a", Binary, 1, 3)
+	b, _ := m.AddVar("b", Integer, 4, -1)
+	c, _ := m.AddVar("c", Integer, 5, 2)
+	if _, err := m.AddConstraintIdx([]VarID{a, b, c}, []float64{0, 0, 0}, LE, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.AddConstraint(map[VarID]float64{a: 0}, EQ, 0); err != nil {
+		t.Fatal(err)
+	}
+	sol, err := m.Solve(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(sol.X, []float64{1, 0, 5}) || sol.Objective != 13 || !sol.Optimal || sol.Nodes != 1 {
+		t.Fatalf("all-zero model: X %v obj %g optimal %v nodes %d, want [1 0 5] 13 true 1",
+			sol.X, sol.Objective, sol.Optimal, sol.Nodes)
 	}
 }

@@ -12,6 +12,12 @@
 // of its parent's snapshot and its own branch, and the root is solved cold,
 // so by induction every snapshot is bit-identical no matter which worker
 // produced it and the parallel search stays deterministic.
+//
+// The relaxation holds only rows with a non-zero coefficient: an all-zero
+// row constrains nothing (or, unsatisfiable, makes the model infeasible), so
+// a persistent model can switch rows off by zeroing them and pay nothing for
+// them in the dense basis. Snapshots and solver workspaces, each O(rows²),
+// are recycled through a free list owned by the Model.
 package milp
 
 import (
@@ -82,6 +88,12 @@ type Model struct {
 	sense Sense
 	vars  []variable
 	rows  []lp.Row
+
+	// mu guards the free list: solver workspaces and basis snapshots of
+	// earlier searches, kept for the next Solve on this model.
+	mu      sync.Mutex
+	solvers []*lp.Solver
+	states  []*lp.State
 }
 
 // NewModel returns an empty model with the given optimization direction.
@@ -107,9 +119,6 @@ func (m *Model) AddVar(name string, typ VarType, upper, objCoef float64) (VarID,
 	m.vars = append(m.vars, variable{name: name, typ: typ, upper: upper, objCoef: objCoef})
 	return id, nil
 }
-
-// NumVars returns the number of variables.
-func (m *Model) NumVars() int { return len(m.vars) }
 
 // SetUpper replaces the upper bound of a Continuous or Integer variable;
 // the next Solve picks it up.
@@ -282,26 +291,41 @@ type node struct {
 }
 
 // stateRef shares one parent snapshot between the two children it seeds;
-// the last reader returns the snapshot's buffers to the pool.
+// the last reader returns the snapshot to the model's free list.
 type stateRef struct {
 	st   *lp.State
 	refs atomic.Int32
 }
 
-var statePool sync.Pool // of *lp.State
-
-func newStateRef(solver *lp.Solver) *stateRef {
-	st, _ := statePool.Get().(*lp.State)
+// newStateRef snapshots the solver into a recycled State.
+func (m *Model) newStateRef(solver *lp.Solver) *stateRef {
+	m.mu.Lock()
+	st := pop(&m.states)
+	m.mu.Unlock()
 	r := &stateRef{st: solver.Snapshot(st)}
 	r.refs.Store(2)
 	return r
 }
 
-// release drops one reference. The snapshot must not be read afterwards.
-func (r *stateRef) release() {
+// release drops one reference to r. The snapshot must not be read
+// afterwards.
+func (m *Model) release(r *stateRef) {
 	if r != nil && r.refs.Add(-1) == 0 {
-		statePool.Put(r.st)
+		m.mu.Lock()
+		m.states = append(m.states, r.st)
+		m.mu.Unlock()
 	}
+}
+
+// pop takes the last element of a free list, or nil when it is empty.
+func pop[T any](free *[]*T) *T {
+	n := len(*free)
+	if n == 0 {
+		return nil
+	}
+	x := (*free)[n-1]
+	*free = (*free)[:n-1]
+	return x
 }
 
 // search is the shared state of one Solve call: the worker pool's work
@@ -401,6 +425,9 @@ func (m *Model) Solve(opts Options) (*Solution, error) {
 		}()
 	}
 	wg.Wait()
+	for _, n := range s.stack {
+		m.release(n.parent)
+	}
 
 	if s.err != nil {
 		return nil, s.err
@@ -437,7 +464,10 @@ func (s *search) interrupted() bool {
 
 // compileRelaxation freezes the LP relaxation of the model without any
 // branch bounds. The bound and objective slices are built fresh (picking up
-// SetUpper-style mutations) and the rows are lent to lp without copying.
+// SetUpper-style mutations) and the rows are lent to lp without copying,
+// minus every all-zero row: a satisfiable one constrains nothing, an
+// unsatisfiable one makes the model infeasible. The rows kept stay in
+// order, so the simplex breaks ties exactly as over the full row set.
 func (m *Model) compileRelaxation() (*lp.Compiled, error) {
 	n := len(m.vars)
 	obj := make([]float64, n)
@@ -447,14 +477,33 @@ func (m *Model) compileRelaxation() (*lp.Compiled, error) {
 		obj[j] = v.objCoef
 		upper[j] = v.upper
 	}
-	return lp.Compile(lp.NewProblemShared(m.sense, obj, lower, upper, m.rows))
+	rows := make([]lp.Row, 0, len(m.rows))
+	for _, r := range m.rows {
+		switch {
+		case slices.ContainsFunc(r.Val, func(c float64) bool { return c != 0 }):
+			rows = append(rows, r)
+		case r.Rel == GE && r.RHS > 0, r.Rel == LE && r.RHS < 0, r.Rel == EQ && r.RHS != 0:
+			return nil, lp.ErrInfeasible
+		}
+	}
+	return lp.Compile(lp.NewProblemShared(m.sense, obj, lower, upper, rows))
 }
 
 // run is one pool worker: pop a node, expand it, push its children, until
 // the tree is exhausted or a limit fires. Each worker owns one lp.Solver
-// workspace for the whole search.
+// workspace, taken from the model's free list, for the whole search.
 func (s *search) run() {
-	solver := lp.NewSolver()
+	s.m.mu.Lock()
+	solver := pop(&s.m.solvers)
+	s.m.mu.Unlock()
+	if solver == nil {
+		solver = lp.NewSolver()
+	}
+	defer func() {
+		s.m.mu.Lock()
+		s.m.solvers = append(s.m.solvers, solver)
+		s.m.mu.Unlock()
+	}()
 	var changes []lp.BoundChange
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -475,10 +524,11 @@ func (s *search) run() {
 		// old early-exit behaviour: every node after the incumbent prunes
 		// here).
 		if s.firstFeasible && s.haveInc && bytes.Compare(cur.key, s.incumbentKey) >= 0 {
-			cur.parent.release()
+			s.m.release(cur.parent)
 			continue
 		}
 		if s.nodes >= s.maxNodes || (!s.deadline.IsZero() && time.Now().After(s.deadline)) || s.interrupted() {
+			s.m.release(cur.parent)
 			s.limitHit = true
 			s.stopped = true
 			s.cond.Broadcast()
@@ -493,7 +543,7 @@ func (s *search) run() {
 			changes = append(changes, lp.BoundChange{Col: int32(b.v), Upper: b.rel == LE, Val: b.val})
 		}
 		children, err := s.expand(cur, solver, changes)
-		cur.parent.release()
+		s.m.release(cur.parent)
 
 		s.mu.Lock()
 		s.active--
@@ -546,7 +596,7 @@ func (s *search) expand(cur node, solver *lp.Solver, changes []lp.BoundChange) (
 	fracVar, fracVal := s.m.mostFractional(sol.X, s.intTol)
 	if fracVar == -1 {
 		// Integral: candidate incumbent.
-		x := roundIntegral(s.m, sol.X, s.intTol)
+		x := roundIntegral(s.m, sol.X)
 		s.mu.Lock()
 		if s.acceptsLocked(bound, cur.key) {
 			s.incumbent, s.incumbentObj = x, bound
@@ -558,10 +608,11 @@ func (s *search) expand(cur node, solver *lp.Solver, changes []lp.BoundChange) (
 	// Branch. floor child: x <= floor(v); ceil child: x >= ceil(v). The
 	// child nearer the fractional value is preferred (key byte 0) and goes
 	// last so the LIFO pops it first. Both children share this node's
-	// post-solve snapshot as their warm-start seed.
+	// post-solve snapshot as their warm-start seed; the solver still holds
+	// it, so whichever child this worker pops next skips the restore.
 	var parent *stateRef
 	if !s.coldStart {
-		parent = newStateRef(solver)
+		parent = s.m.newStateRef(solver)
 	}
 	floorB := append(append([]branch(nil), cur.branches...), branch{v: fracVar, rel: LE, val: math.Floor(fracVal)})
 	ceilB := append(append([]branch(nil), cur.branches...), branch{v: fracVar, rel: GE, val: math.Ceil(fracVal)})
@@ -628,7 +679,7 @@ func (m *Model) mostFractional(x []float64, tol float64) (VarID, float64) {
 	return best, x[best]
 }
 
-func roundIntegral(m *Model, x []float64, tol float64) []float64 {
+func roundIntegral(m *Model, x []float64) []float64 {
 	out := make([]float64, len(x))
 	copy(out, x)
 	for j, v := range m.vars {
@@ -636,29 +687,5 @@ func roundIntegral(m *Model, x []float64, tol float64) []float64 {
 			out[j] = math.Round(out[j])
 		}
 	}
-	_ = tol
 	return out
-}
-
-// VarName returns the name of a variable (diagnostics).
-func (m *Model) VarName(v VarID) string {
-	if v < 0 || int(v) >= len(m.vars) {
-		return fmt.Sprintf("var(%d)", int(v))
-	}
-	return m.vars[v].name
-}
-
-// Describe returns a human-readable summary of the model size.
-func (m *Model) Describe() string {
-	nBin, nInt := 0, 0
-	for _, v := range m.vars {
-		switch v.typ {
-		case Binary:
-			nBin++
-		case Integer:
-			nInt++
-		}
-	}
-	return fmt.Sprintf("milp: %d vars (%d binary, %d integer), %d constraints",
-		len(m.vars), nBin, nInt, len(m.rows))
 }

@@ -2,7 +2,9 @@ package milp
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
 	"time"
@@ -246,23 +248,6 @@ func TestValidation(t *testing.T) {
 	}
 }
 
-func TestDescribeAndVarName(t *testing.T) {
-	m := NewModel(Minimize)
-	v, err := m.AddVar("order_1_2", Binary, 1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := m.VarName(v); got != "order_1_2" {
-		t.Errorf("VarName = %q", got)
-	}
-	if got := m.VarName(99); got == "order_1_2" {
-		t.Errorf("VarName(99) = %q", got)
-	}
-	if m.Describe() == "" {
-		t.Error("Describe empty")
-	}
-}
-
 // Property: branch-and-bound on random small binary knapsacks matches brute
 // force.
 func TestPropertyMatchesBruteForce(t *testing.T) {
@@ -307,5 +292,46 @@ func TestPropertyMatchesBruteForce(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 150}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestResolveRecyclesNodeState re-solves one branching model. Once the first
+// Solve has stocked the model's free list, a Solve allocates less than a
+// single basis snapshot (m² float64s for m rows): solver workspaces and
+// snapshots are recycled, not reallocated — and the re-solve is the same
+// search.
+func TestResolveRecyclesNodeState(t *testing.T) {
+	const links, win = 12, 14
+	var pairs [][2]int
+	for a := 0; a < links; a++ {
+		for b := a + 1; b < links; b++ {
+			pairs = append(pairs, [2]int{a, b})
+		}
+	}
+	cost, demand := make([]float64, links), make([]int, links)
+	for l := range demand {
+		cost[l], demand[l] = float64(l%3), 1
+	}
+	om := newOrderingModel(t, win, cost, pairs, false)
+	om.setDemand(t, demand)
+	opts := Options{Workers: 1, FirstFeasible: true}
+	first, err := om.m.Solve(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.Nodes < 5 {
+		t.Fatalf("only %d nodes: the model must branch", first.Nodes)
+	}
+	const runs = 5
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		sol, err := om.m.Solve(opts)
+		sameSolve(t, fmt.Sprintf("re-solve %d", i), first, sol, nil, err, true)
+	}
+	runtime.ReadMemStats(&after)
+	rows := 2 * len(pairs)
+	if perSolve := (after.TotalAlloc - before.TotalAlloc) / runs; perSolve >= uint64(rows*rows*8) {
+		t.Fatalf("re-solve allocates %d bytes, one %d-row basis snapshot is %d", perSolve, rows, rows*rows*8)
 	}
 }

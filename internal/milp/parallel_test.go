@@ -140,3 +140,36 @@ func TestWorkersDefault(t *testing.T) {
 		t.Fatalf("objective = %g, want 3", sol.Objective)
 	}
 }
+
+// TestDifferentialRecycledState solves a stream of persistent models at four
+// workers, each retargeted and re-solved many times, so every search runs on
+// workspaces and snapshots recycled from the searches before it — some
+// snapshotted by another goroutine into a State a worker last held under an
+// older generation. A recycled snapshot mistaken for the live workspace
+// would warm-start a node from the wrong basis and bounds; every result must
+// instead equal a one-worker solve of a fresh twin model. Runs under -race
+// from `make differential`.
+func TestDifferentialRecycledState(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	branched := 0
+	for trial := 0; trial < 30; trial++ {
+		win, cost, pairs, demands := randomOrdering(rng, 8)
+		par := newOrderingModel(t, win, cost, pairs, false)
+		for r, d := range demands {
+			par.setDemand(t, d)
+			twin := newOrderingModel(t, win, cost, pairs, false)
+			twin.setDemand(t, d)
+			want, wantErr := twin.m.Solve(Options{Workers: 1})
+			if wantErr == nil && want.Nodes > 1 {
+				branched++
+			}
+			for rep := 0; rep < 2; rep++ {
+				got, gotErr := par.m.Solve(Options{Workers: 4})
+				sameSolve(t, fmt.Sprintf("trial %d round %d rep %d", trial, r, rep), want, got, wantErr, gotErr, false)
+			}
+		}
+	}
+	if branched < 50 {
+		t.Fatalf("weak coverage: only %d branching solves", branched)
+	}
+}

@@ -39,12 +39,13 @@ var ErrUnsupportedLink = errors.New("schedule: demand outside incremental suppor
 //
 // Links of the support set that currently carry no demand stay in the model
 // as dormant columns: their start variable is unconstrained within the
-// window and both ordering rows of every pair touching them are repurposed
-// to pin the pair's order binary at zero (-o >= 0 and o >= 0), so dormant
-// binaries can never come out of a node relaxation fractional and the
-// branch-and-bound never branches on them. A demand outside the support set
-// cannot be expressed: MinSlots fails with ErrUnsupportedLink until Cover
-// has widened the support.
+// window and both ordering rows of every pair touching them are written as
+// all-zero rows, which the relaxation leaves out (see package milp). The
+// pair's order binary then sits in no row at zero cost, rests at zero, and
+// is never branched on — exactly as rows pinning it at zero would hold it,
+// pivot for pivot, without their O(rows²) share of every node's basis. A
+// demand outside the support set cannot be expressed: MinSlots fails with
+// ErrUnsupportedLink until Cover has widened the support.
 type Incremental struct {
 	graph *conflict.Graph
 	frame tdma.FrameConfig
@@ -246,7 +247,7 @@ func (inc *Incremental) Cover(demand map[topology.LinkID]int) (rebuilt bool, err
 
 // apply retargets the model to (p's demands, win): the start-variable upper
 // bounds, the coefficients and right-hand sides of both ordering rows per
-// pair — vacuous for pairs with a dormant endpoint — and the
+// pair — all zero for pairs with a dormant endpoint — and the
 // demand-dependent right-hand sides of the flow rows.
 func (inc *Incremental) apply(p *Problem, win int) error {
 	m, winF := inc.model, float64(win)
@@ -284,13 +285,11 @@ func (inc *Incremental) apply(p *Problem, win int) error {
 		// s_b - s_a - win*o >= d_a - win ; s_a - s_b + win*o >= d_b.
 		row1, row2 := [4]float64{-1, 1, -winF, da - winF}, [4]float64{1, -1, winF, db}
 		if da <= 0 || db <= 0 {
-			// Dormant endpoint: the pair imposes no ordering, so repurpose
-			// its rows to pin the order binary at zero (-o >= 0 and o >= 0).
-			// Leaving o free with vacuous rows looks equivalent but is
-			// poison for the search: a free binary can come out of the node
-			// relaxations fractional, and the brancher then burns its budget
-			// splitting on variables that constrain nothing.
-			row1, row2 = [4]float64{0, 0, -1, 0}, [4]float64{0, 0, 1, 0}
+			// Dormant endpoint: the pair imposes no ordering, so both rows
+			// become all-zero rows, outside the relaxation. o must not stay
+			// in a vacuous row instead: free there, it could come out of the
+			// node relaxations fractional and be branched on for nothing.
+			row1, row2 = [4]float64{}, [4]float64{}
 		}
 		if err := setRow(pr.row1, pr, row1); err != nil {
 			return err
