@@ -80,7 +80,7 @@ scale-smoke:
 admit-smoke:
 	$(GO) vet ./...
 	$(GO) test -race -count=1 -run 'TestAdmitSmoke|TestShardSmoke' ./internal/experiments
-	$(GO) test -race -count=1 -run 'TestDifferentialShardedVsSerial|TestConcurrent|TestReleaseStorm|TestShardedSnapshotRace|TestDecisionTraceGolden' ./internal/admit
+	$(GO) test -race -count=1 -run 'TestDifferentialShardedVsSerial|TestConcurrent|TestReleaseStorm|TestShardedSnapshotRace|TestDecisionTraceGolden|TestDefragTraceGolden' ./internal/admit
 
 # A reduced R21 (120-node zoned city, mixed UGS/rtPS/nrtPS/BE workload under
 # overload) through the class-aware serving pipeline — class deadlines, the
@@ -111,14 +111,16 @@ loc:
 # The ratchet on that number: the ceilings are what `make loc` printed when
 # they were last edited. A PR that shrinks the code lowers them; one that
 # must grow past them raises them in its own diff, where a reviewer sees it.
-LOC_MAX_TOTAL = 21735
-LOC_MAX_ADMIT = 2320
-LOC_MAX_SCHEDULE = 1607
+LOC_MAX_TOTAL = 21728
+LOC_MAX_ADMIT = 2290
+LOC_MAX_PARTITION = 682
+LOC_MAX_SCHEDULE = 1591
 
 loc-check:
-	@$(MAKE) -s loc | awk -v total=$(LOC_MAX_TOTAL) -v admit=$(LOC_MAX_ADMIT) -v schedule=$(LOC_MAX_SCHEDULE) ' \
+	@$(MAKE) -s loc | awk -v total=$(LOC_MAX_TOTAL) -v admit=$(LOC_MAX_ADMIT) -v partition=$(LOC_MAX_PARTITION) -v schedule=$(LOC_MAX_SCHEDULE) ' \
 		$$2 == "total" && $$1 > total { printf "loc-check: %d non-test lines outside benchmark/, ceiling %d\n", $$1, total; bad = 1 } \
 		$$2 == "./internal/admit" && $$1 > admit { printf "loc-check: %d non-test lines in internal/admit, ceiling %d\n", $$1, admit; bad = 1 } \
+		$$2 == "./internal/partition" && $$1 > partition { printf "loc-check: %d non-test lines in internal/partition, ceiling %d\n", $$1, partition; bad = 1 } \
 		$$2 == "./internal/schedule" && $$1 > schedule { printf "loc-check: %d non-test lines in internal/schedule, ceiling %d\n", $$1, schedule; bad = 1 } \
 		END { exit bad }'
 

@@ -47,6 +47,7 @@ import (
 	"wimesh/internal/core"
 	"wimesh/internal/milp"
 	"wimesh/internal/obs"
+	"wimesh/internal/partition"
 	"wimesh/internal/tdma"
 	"wimesh/internal/topology"
 )
@@ -144,6 +145,9 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		Preempt:       *preempt,
 		Registry:      reg,
 	})
+	if errors.Is(err, partition.ErrBadZone) {
+		return fmt.Errorf("-zone-size %v: %w", *zoneSize, err)
+	}
 	if err != nil {
 		return err
 	}

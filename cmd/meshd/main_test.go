@@ -146,14 +146,18 @@ func TestRunNonFiniteFlags(t *testing.T) {
 
 // TestRunOutOfRangeFlags: a negative -time-limit meant "no limit" (milp only
 // honours a positive one), a -batch below 1 served with the default cap of
-// 16 while the summary printed the flag's value, and a negative -max-window
-// silently meant the whole frame.
+// 16 while the summary printed the flag's value, a negative -max-window
+// silently meant the whole frame, and a zone size too small to key the grid
+// served a garbage zoning.
 func TestRunOutOfRangeFlags(t *testing.T) {
 	for _, args := range [][]string{
 		{"-time-limit", "-1s"},
 		{"-batch", "0", "-workers", "2"},
 		{"-batch", "-3", "-workers", "2"},
 		{"-max-window", "-5"},
+		// Served over 24 transmitters keyed into 2 zones by an overflowed
+		// cell index.
+		{"-zone-size", "1e-300", "-zoned"},
 	} {
 		var sb strings.Builder
 		err := run(context.Background(), append(args, "-calls", "4"), &sb)

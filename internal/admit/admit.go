@@ -16,17 +16,17 @@
 //     the mesh is back where it was) by replaying the remembered schedule
 //     and verdict without touching the solver at all.
 //   - Cold: the new demand wakes a link the model has never carried, so the
-//     model had to grow before the solve (schedule.Incremental.Cover). A
-//     model only ever grows, so cold admits become rarer as the engine
-//     warms up.
+//     model had to be built or grown before the solve
+//     (schedule.Incremental.Cover). A model only ever grows, so cold admits
+//     become rarer as the engine warms up.
 //
 // Rejections are always solver verdicts (the fast tier only admits), so the
 // engine's accept/reject answers match a cold schedule.MinSlots re-plan —
 // the differential tests pin this. In zoned mode (city scale) the engine
-// instead keeps one persistent model per spatial zone (internal/partition),
-// re-solves only the zones an admission touches and first-fits their blocks
-// back against the rest of the schedule; zoned verdicts are conservative,
-// as for the partitioned planner.
+// instead re-solves only the zones an admission touches, through the zone
+// planner of internal/partition, and first-fits their blocks back against
+// the rest of the schedule; zoned verdicts are conservative, as for the
+// partitioned planner.
 //
 // # One decision path
 //
@@ -236,15 +236,13 @@ type Config struct {
 	// decomposition of ZoneSize meters (0 = automatic): city-scale mode.
 	Zoned    bool
 	ZoneSize float64
-	// CompactEvery re-packs the schedule after that many releases to
-	// reclaim fragmented slots (0 = 64, negative = never).
-	CompactEvery int
 	// Registry receives admit.* counters and the decision-latency
 	// histogram; nil disables metrics.
 	Registry *obs.Registry
 }
 
 const (
+	// defaultCompactEvery releases pass between re-packs of fragmented slots.
 	defaultCompactEvery = 64
 	// memoCap bounds the exact-solve memo of the monolithic warm tier.
 	// Entries are keyed by the full aggregate demand vector, so a hit is
@@ -297,23 +295,25 @@ type Engine struct {
 	// monolithic warm solve may not use it as a lower bound.
 	solverDirty bool
 	releases    int
+	// compactEvery is defaultCompactEvery; tests set it after New
+	// (non-positive = never compact).
+	compactEvery int
 	// solveHook, when set, runs as a decision lets go of e.mu for a solve
 	// (its zone locks still held). Test hook.
 	solveHook func()
 
 	// dec is the static decomposition over the full link set (nil on a
 	// monolithic engine). zoneMu has one lock per zone — one in all on a
-	// monolithic engine — and allZones lists them ascending. models[i] —
-	// one persistent ILP model per zone, over the links that ever carried
-	// demand there (a dense city zone can hold tens of thousands of
-	// conflicting link pairs, so a model over all zone links would be
-	// intractable; the links that ever carry demand are few) — and the
-	// demand entries of zone i's links are guarded by zoneMu[i] (demand
-	// writes additionally hold e.mu).
+	// monolithic engine — and allZones lists them ascending. Zone i's model
+	// in models — built over the links that ever carried demand there (a
+	// dense city zone can hold tens of thousands of conflicting link pairs,
+	// so a model over all zone links would be intractable; the links that
+	// ever carry demand are few) — and the demand entries of zone i's links
+	// are guarded by zoneMu[i] (demand writes additionally hold e.mu).
 	dec      *partition.Decomposition
 	zoneMu   []sync.Mutex
 	allZones []int
-	models   []*schedule.Incremental
+	models   *partition.Models
 	// Exact-solve memo of the monolithic model: demand fingerprint ->
 	// verdict, FIFO-evicted at memoCap entries. Guarded by zoneMu[0].
 	memo      map[string]memoEntry
@@ -322,7 +322,7 @@ type Engine struct {
 	// dfMu serializes background re-packs (one at a time); dfModels are
 	// private so a defrag solve never touches the decision-path models.
 	dfMu     sync.Mutex
-	dfModels []*schedule.Incremental
+	dfModels *partition.Models
 
 	stats Stats
 
@@ -350,9 +350,6 @@ func New(cfg Config) (*Engine, error) {
 	if maxWin <= 0 || maxWin > cfg.Frame.DataSlots {
 		maxWin = cfg.Frame.DataSlots
 	}
-	if cfg.CompactEvery == 0 {
-		cfg.CompactEvery = defaultCompactEvery
-	}
 	if cfg.UGSDeadline < 0 || cfg.RtPSWindow < 0 {
 		return nil, fmt.Errorf("%w: negative class deadline (ugs %d, rtps %d)",
 			ErrBadFlow, cfg.UGSDeadline, cfg.RtPSWindow)
@@ -362,14 +359,15 @@ func New(cfg Config) (*Engine, error) {
 			ErrBadFlow, cfg.RtPSWindow, cfg.UGSDeadline)
 	}
 	e := &Engine{
-		cfg:      cfg,
-		maxWin:   maxWin,
-		maxPairs: partition.DefaultMaxZonePairs,
-		pack:     tdma.NewPacking(cfg.Graph),
-		demand:   make(map[topology.LinkID]int),
-		flows:    make(map[FlowID]Flow),
-		cls:      make(map[topology.LinkID][2]int),
-		memo:     make(map[string]memoEntry, memoCap),
+		cfg:          cfg,
+		maxWin:       maxWin,
+		maxPairs:     partition.DefaultMaxZonePairs,
+		compactEvery: defaultCompactEvery,
+		pack:         tdma.NewPacking(cfg.Graph),
+		demand:       make(map[topology.LinkID]int),
+		flows:        make(map[FlowID]Flow),
+		cls:          make(map[topology.LinkID][2]int),
+		memo:         make(map[string]memoEntry, memoCap),
 	}
 	zones := 1
 	if cfg.Zoned {
@@ -392,18 +390,11 @@ func New(cfg Config) (*Engine, error) {
 		zones = len(dec.Zones)
 	}
 	e.zoneMu = make([]sync.Mutex, zones)
-	e.models = make([]*schedule.Incremental, zones)
-	e.dfModels = make([]*schedule.Incremental, zones)
+	e.models = partition.NewModels(zones, cfg.Frame)
+	e.dfModels = partition.NewModels(zones, cfg.Frame)
 	e.allZones = make([]int, zones)
 	for i := range e.allZones {
 		e.allZones[i] = i
-		// Empty models: each grows to the links its zone comes to carry.
-		for _, ms := range [][]*schedule.Incremental{e.models, e.dfModels} {
-			var err error
-			if ms[i], err = schedule.NewIncremental(cfg.Graph, nil, cfg.Frame); err != nil {
-				return nil, err
-			}
-		}
 	}
 	if r := cfg.Registry; r != nil {
 		e.cFast = r.Counter("admit.fastpath_hit")

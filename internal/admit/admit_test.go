@@ -48,12 +48,12 @@ func differentialServe(t *testing.T, workers int) {
 	frame := testFrame(t, 24)
 	e, err := New(Config{
 		Graph: g, Frame: frame,
-		MILP:         milp.Options{MaxNodes: 200_000, Workers: workers},
-		CompactEvery: 1, // compact on every release: exercises the re-pack constantly
+		MILP: milp.Options{MaxNodes: 200_000, Workers: workers},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	e.compactEvery = 1 // compact on every release: exercises the re-pack constantly
 	w, err := Generate(WorkloadConfig{
 		Topo: topo, Calls: 40, ArrivalRate: 20, MeanHolding: 400 * time.Millisecond,
 		SlotsPerLink: 2, Seed: 5,
@@ -272,11 +272,11 @@ func TestObsCounters(t *testing.T) {
 	topo, g := testMesh(t, 2, 2)
 	frame := testFrame(t, 8)
 	reg := obs.NewRegistry()
-	e, err := New(Config{Graph: g, Frame: frame, MILP: milp.Options{Workers: 1},
-		Registry: reg, CompactEvery: 1})
+	e, err := New(Config{Graph: g, Frame: frame, MILP: milp.Options{Workers: 1}, Registry: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
+	e.compactEvery = 1
 	path, err := topo.ShortestPath(0, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -343,6 +343,9 @@ func TestZonedAdmit(t *testing.T) {
 	}
 	if err := e.Check(); err != nil {
 		t.Fatal(err)
+	}
+	if e.Stats().ZoneGreedy == 0 {
+		t.Fatal("no zone went past the pair gate: the greedy fallback was not exercised")
 	}
 	t.Logf("zoned: %+v", st)
 }

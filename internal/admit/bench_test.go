@@ -28,10 +28,11 @@ func benchSetup(b *testing.B, compactEvery int) (*Engine, Flow, map[topology.Lin
 	}
 	frame := tdma.FrameConfig{FrameDuration: 20 * time.Millisecond, DataSlots: 64}
 	e, err := New(Config{Graph: g, Frame: frame,
-		MILP: milp.Options{MaxNodes: 200_000, Workers: 1}, CompactEvery: compactEvery})
+		MILP: milp.Options{MaxNodes: 200_000, Workers: 1}})
 	if err != nil {
 		b.Fatal(err)
 	}
+	e.compactEvery = compactEvery
 	ctx := context.Background()
 	for i, dst := range []topology.NodeID{8, 6, 2} {
 		path, err := topo.ShortestPath(0, dst)

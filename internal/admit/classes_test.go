@@ -323,6 +323,8 @@ func TestShardedSnapshotRace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A tight pair gate keeps the replay fast and sends the bigger zones
+	// down the greedy fallback, which the final assertion requires.
 	e.maxPairs = 40
 	w, err := Generate(WorkloadConfig{
 		Topo: topo, Calls: 80, ArrivalRate: 100, MeanHolding: 300 * time.Millisecond,
@@ -355,6 +357,9 @@ func TestShardedSnapshotRace(t *testing.T) {
 			}
 			if err := e.Check(); err != nil {
 				t.Fatal(err)
+			}
+			if e.Stats().ZoneGreedy == 0 {
+				t.Fatal("no zone went past the pair gate: the greedy fallback was not exercised")
 			}
 			return
 		default:

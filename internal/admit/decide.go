@@ -356,18 +356,14 @@ func (e *Engine) solverErr(ctx context.Context, tier Tier, err error) (Decision,
 	return Decision{Tier: tier, Window: e.pack.Makespan()}, nil
 }
 
-// solution is what one solve phase hands back across the e.mu boundary.
+// solution is what one solve phase hands back across the e.mu boundary: the
+// solver's layout — the whole schedule of a monolithic solve, one zone's
+// blocks of a zone solve; nil Blocks with a nil error is a memoized proof of
+// infeasibility — with its counts, and whether the satisficing step (sat) or
+// the exact memo (memo) decided.
 type solution struct {
-	// blocks is the solver's layout: the whole schedule of a monolithic
-	// solve, one zone's blocks of a zone solve. Nil with a nil error is a
-	// memoized proof of infeasibility.
-	blocks         []tdma.Assignment
-	win            int
-	solved, pivots int
-	// cold: the model was rebuilt over a wider support; greedy: the zone was
-	// past the pair gate and packed greedily; sat: the satisficing fallback
-	// decided; memo: the exact memo answered.
-	cold, greedy, sat, memo bool
+	partition.ZoneSolution
+	sat, memo bool
 }
 
 // book records a solve phase's side tallies and returns the tier it ran on.
@@ -377,7 +373,7 @@ func (e *Engine) book(r solution) Tier {
 		e.stats.MemoHits++
 		e.cMemo.Inc()
 	}
-	if r.greedy {
+	if r.Greedy {
 		e.stats.ZoneGreedy++
 		e.cZoneGreedy.Inc()
 	}
@@ -385,35 +381,36 @@ func (e *Engine) book(r solution) Tier {
 		e.stats.Satisficed++
 		e.cSatisfice.Inc()
 	}
-	if r.cold {
+	if r.Cold {
 		return TierCold
 	}
 	return TierWarm
 }
 
-// minSlots wraps Incremental.MinSlots over [lo, hi] with the satisficing
-// fallback of Config.BudgetRejects: when satisfice is set and the exact
-// search blows its budget under a live context, probe hi once — lo = hint =
-// hi makes it a single feasibility check — and return that schedule with sat
-// set (the window is then the probe schedule's makespan, feasible but not
-// proven minimal). It touches no engine state beyond the model it is handed,
-// so it runs under a zone lock alone; the caller books the outcome under e.mu.
-func minSlots(ctx context.Context, inc *schedule.Incremental, p *schedule.Problem, hint, lo, hi int, satisfice bool, opts milp.Options) (r solution, err error) {
-	var s *tdma.Schedule
-	r.win, s, r.solved, r.pivots, err = inc.MinSlots(p, hint, lo, hi, opts)
-	if err != nil && satisfice && errors.Is(err, milp.ErrLimit) && (ctx == nil || ctx.Err() == nil) {
-		var solved, pivots int
-		// ErrInfeasible here is still exact — nothing fits within the cap —
-		// and a second ErrLimit becomes the conservative budget rejection.
-		_, s, solved, pivots, err = inc.MinSlots(p, hi, hi, hi, opts)
-		r.solved += solved
-		r.pivots += pivots
-		if err == nil {
-			r.win, r.sat = schedule.GreedyLength(s), true
-		}
+// satisfice takes zone zi's exact solve (zs, err) to the decision's solve
+// phase outcome. It is the satisficing step of Config.BudgetRejects: when the
+// exact search blew its budget under a live context, it probes the window cap
+// once — lo = hint = hi makes that a single feasibility check — and decides
+// by that schedule, whose window is then its makespan (feasible, not proven
+// minimal). ErrInfeasible is still exact — nothing fits within the cap — and
+// a second ErrLimit becomes the conservative budget rejection. It touches
+// only the model, so it runs under the zone lock alone; the caller books the
+// solution under e.mu.
+func (e *Engine) satisfice(ctx context.Context, zi int, p *schedule.Problem, zs partition.ZoneSolution, err error, opts milp.Options) (solution, error) {
+	r := solution{ZoneSolution: zs}
+	if !e.cfg.BudgetRejects || !errors.Is(err, milp.ErrLimit) || ctx != nil && ctx.Err() != nil {
+		return r, err
 	}
+	m, _, err := e.models.Model(zi, p)
+	if err != nil {
+		return r, err
+	}
+	probe, err := partition.Search(m, p, e.maxWin, e.maxWin, e.maxWin, opts)
+	r.Solved += probe.Solved
+	r.Pivots += probe.Pivots
 	if err == nil {
-		r.blocks = s.Assignments
+		r.Blocks, r.sat = probe.Blocks, true
+		r.Window = schedule.GreedyLength(&tdma.Schedule{Assignments: probe.Blocks})
 	}
 	return r, err
 }
@@ -438,14 +435,14 @@ func (e *Engine) solveMono(ctx context.Context, flows []Flow, p *schedule.Proble
 	if err != nil {
 		return e.solverErr(ctx, tier, err)
 	}
-	if r.blocks == nil {
+	if r.Blocks == nil {
 		return Decision{Tier: tier, Window: e.pack.Makespan()}, nil
 	}
 	// The solve covers the whole frozen demand, so its schedule replaces the
 	// live one outright — whatever compaction or defrag did to it meanwhile.
-	e.pack.Reset(r.blocks)
+	e.pack.Reset(r.Blocks)
 	e.solverDirty = r.sat
-	return Decision{Admitted: true, Tier: tier, Window: r.win, Solved: r.solved, Pivots: r.pivots}, nil
+	return Decision{Admitted: true, Tier: tier, Window: r.Window, Solved: r.Solved, Pivots: r.Pivots}, nil
 }
 
 // monoModel answers the demand vector from the memo or the whole-graph
@@ -454,13 +451,15 @@ func (e *Engine) solveMono(ctx context.Context, flows []Flow, p *schedule.Proble
 func (e *Engine) monoModel(ctx context.Context, p *schedule.Problem, newCls map[topology.LinkID][2]int, hint int, exact bool, opts milp.Options) (solution, error) {
 	fp := fingerprint(p.Demand, newCls)
 	if ent, ok := e.memo[fp]; ok {
-		r := solution{memo: true, win: ent.win}
+		r := solution{ZoneSolution: partition.ZoneSolution{Window: ent.win}, memo: true}
 		if ent.feasible {
-			r.blocks = slices.Clone(ent.assigns)
+			r.Blocks = slices.Clone(ent.assigns)
 		}
 		return r, nil
 	}
-	cold, err := e.models[0].Cover(p.Demand)
+	// The whole-graph model skips the pair gate: the engine has no greedy
+	// fallback for a monolithic solve.
+	m, cold, err := e.models.Model(0, p)
 	if err != nil {
 		return solution{}, err
 	}
@@ -471,14 +470,15 @@ func (e *Engine) monoModel(ctx context.Context, p *schedule.Problem, newCls map[
 		// case is a single warm probe.
 		lo = hint
 	}
-	r, err := minSlots(ctx, e.models[0], p, hint, lo, e.maxWin, e.cfg.BudgetRejects, opts)
-	r.cold = cold
+	zs, err := partition.Search(m, p, hint, lo, e.maxWin, opts)
+	zs.Cold = cold
+	r, err := e.satisfice(ctx, 0, p, zs, err, opts)
 	if errors.Is(err, schedule.ErrInfeasible) {
 		e.memoStore(fp, memoEntry{})
 	} else if err == nil && !r.sat {
 		// Satisficed windows are feasible but not proven minimal, so they
 		// never enter the exact memo.
-		e.memoStore(fp, memoEntry{feasible: true, win: r.win, assigns: slices.Clone(r.blocks)})
+		e.memoStore(fp, memoEntry{feasible: true, win: r.Window, assigns: slices.Clone(r.Blocks)})
 	}
 	return r, err
 }
@@ -544,8 +544,8 @@ func (e *Engine) solveZoned(ctx context.Context, flows []Flow, delta map[topolog
 		hint := e.pack.End(e.dec.Zones[zi].Links)
 		e.beginSolve()
 		zp := partition.ZoneProblem(full, e.dec, zi)
-		zp.StartCap = full.StartCap
-		r, err := e.solveZone(ctx, e.models[zi], zp, hint, e.maxWin, e.cfg.BudgetRejects, opts)
+		zs, err := e.models.SolveZone(zi, zp, hint, e.maxWin, e.maxPairs, opts)
+		r, err := e.satisfice(ctx, zi, zp, zs, err, opts)
 		e.mu.Lock()
 		tier = max(tier, e.book(r))
 		if err == nil {
@@ -554,10 +554,9 @@ func (e *Engine) solveZoned(ctx context.Context, flows []Flow, delta map[topolog
 		if err != nil {
 			return e.solverErr(ctx, tier, err)
 		}
-		blocks[k] = r.blocks
-		slices.SortFunc(blocks[k], tdma.ByStart)
-		nsolved += r.solved
-		pivots += r.pivots
+		blocks[k] = r.Blocks
+		nsolved += r.Solved
+		pivots += r.Pivots
 		if !e.stitch(zones[:k+1], blocks, newCls, k == len(zones)-1) {
 			// Cross-zone packing failure (or a class deadline the stitch
 			// cannot keep): conservative rejection, like the partitioned
@@ -566,28 +565,6 @@ func (e *Engine) solveZoned(ctx context.Context, flows []Flow, delta map[topolog
 		}
 	}
 	return Decision{Admitted: true, Tier: tier, Window: e.pack.Makespan(), Solved: nsolved, Pivots: pivots}, nil
-}
-
-// solveZone produces one zone's blocks for the zone problem zp: the greedy
-// packing when the zone is past the pair gate, else the persistent model m —
-// grown to cover the demand — searched over windows up to hi. It touches
-// only m and its arguments, so it runs under the zone lock (or dfMu, for
-// defrag's private models) alone.
-func (e *Engine) solveZone(ctx context.Context, m *schedule.Incremental, zp *schedule.Problem, hint, hi int, satisfice bool, opts milp.Options) (solution, error) {
-	if partition.ActivePairs(zp) > e.maxPairs {
-		gs, err := schedule.Greedy(zp, e.cfg.Frame)
-		if err != nil {
-			return solution{}, err
-		}
-		return solution{blocks: gs.Assignments, greedy: true}, nil
-	}
-	cold, err := m.Cover(zp.Demand)
-	if err != nil {
-		return solution{}, err
-	}
-	r, err := minSlots(ctx, m, zp, hint, 0, hi, satisfice, opts)
-	r.cold = cold
-	return r, err
 }
 
 // stitch swaps the zones' allocations into the live schedule: per zone, cut
@@ -692,7 +669,7 @@ func (e *Engine) tryFastpath(delta map[topology.LinkID]int, newCls map[topology.
 }
 
 // Release returns a flow's slots. The schedule shrinks in place (highest
-// start blocks first); every CompactEvery releases the engine re-packs all
+// start blocks first); every 64th release the engine re-packs all
 // blocks first-fit to reclaim fragmentation — the re-pack never grows the
 // makespan (see tdma.Packing.Repack).
 //
@@ -729,7 +706,7 @@ func (e *Engine) Release(id FlowID) error {
 	e.stats.Releases++
 	e.cRelease.Inc()
 	e.releases++
-	if every := e.cfg.CompactEvery; every > 0 && e.releases >= every {
+	if every := e.compactEvery; every > 0 && e.releases >= every {
 		e.releases = 0
 		return e.compact()
 	}

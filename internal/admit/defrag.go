@@ -59,7 +59,7 @@ func (e *Engine) TryDefrag(ctx context.Context) (int, error) {
 	if e.dec == nil {
 		cand, err = e.defragMono(full, win0, opts)
 	} else {
-		cand, err = e.defragZoned(ctx, full, win0, opts)
+		cand, err = e.defragZoned(full, win0, opts)
 	}
 	if err != nil || cand == nil {
 		return 0, err
@@ -116,18 +116,20 @@ func (e *Engine) TryDefrag(ctx context.Context) (int, error) {
 }
 
 // defragMono re-packs the aggregate demand with the private whole-graph
-// model, probing strictly below the incumbent window. A nil candidate with a
+// model, searching strictly below the incumbent window and probing one slot
+// below it first: release fragmentation typically leaves only a slot or two
+// of recoverable slack, so that probe usually decides. A nil candidate with a
 // nil error reports "no win" (incumbent already minimal, budget exhausted).
 func (e *Engine) defragMono(full *schedule.Problem, win0 int, opts milp.Options) ([]tdma.Assignment, error) {
-	m := e.dfModels[0]
-	if _, err := m.Cover(full.Demand); err != nil {
+	m, _, err := e.dfModels.Model(0, full)
+	if err != nil {
 		return nil, err
 	}
-	_, s, _, _, err := m.Repack(full, win0, opts)
+	r, err := partition.Search(m, full, win0-1, 0, win0-1, opts)
 	if err != nil {
 		return nil, noWin(err)
 	}
-	return slices.Clone(s.Assignments), nil
+	return r.Blocks, nil
 }
 
 // noWin maps the solver outcomes that just mean "no provable win" — nothing
@@ -139,24 +141,24 @@ func noWin(err error) error {
 	return err
 }
 
-// defragZoned re-solves every demand-carrying zone with the private per-zone
-// models and first-fits the union, in ByStart order, into a scratch packing
-// capped strictly below the incumbent window — any placement failure means
-// no provable win (nil candidate). It reads only the immutable conflict
-// graph and decomposition, so it runs without any engine lock but dfMu.
-func (e *Engine) defragZoned(ctx context.Context, full *schedule.Problem, win0 int, opts milp.Options) ([]tdma.Assignment, error) {
+// defragZoned re-solves every demand-carrying zone with the private zone
+// planner, capped strictly below the incumbent window, and first-fits the
+// union, in ByStart order, into a scratch packing under the same cap — any
+// placement failure or budget miss means no provable win (nil candidate). It
+// reads only the immutable conflict graph and decomposition, so it runs
+// without any engine lock but dfMu.
+func (e *Engine) defragZoned(full *schedule.Problem, win0 int, opts milp.Options) ([]tdma.Assignment, error) {
 	var blocks []tdma.Assignment
 	for zi := range e.dec.Zones {
 		zp := partition.ZoneProblem(full, e.dec, zi)
-		zp.StartCap = full.StartCap
 		if !slices.ContainsFunc(e.dec.Zones[zi].Links, func(l topology.LinkID) bool { return zp.Demand[l] > 0 }) {
 			continue
 		}
-		r, err := e.solveZone(ctx, e.dfModels[zi], zp, 0, win0-1, false, opts)
+		r, err := e.dfModels.SolveZone(zi, zp, 0, win0-1, e.maxPairs, opts)
 		if err != nil {
 			return nil, noWin(err)
 		}
-		blocks = append(blocks, r.blocks...)
+		blocks = append(blocks, r.Blocks...)
 	}
 	slices.SortFunc(blocks, tdma.ByStart)
 	if tdma.NewPacking(e.cfg.Graph).Repack(blocks, func(topology.LinkID, int) int { return win0 - 1 }) < len(blocks) {

@@ -11,8 +11,8 @@ import (
 )
 
 // TestCompactEveryBoundary pins the release-count trigger exactly: with the
-// default cadence (CompactEvery 0 = 64) the 63rd release must not compact and
-// the 64th must, an explicit 64 behaves identically, and a negative value
+// default cadence (64, every = 0 leaves it) the 63rd release must not compact
+// and the 64th must, an explicit 64 behaves identically, and a negative value
 // never compacts.
 func TestCompactEveryBoundary(t *testing.T) {
 	cases := []struct {
@@ -32,11 +32,13 @@ func TestCompactEveryBoundary(t *testing.T) {
 			topo, g := testMesh(t, 2, 2)
 			e, err := New(Config{
 				Graph: g, Frame: testFrame(t, 128),
-				CompactEvery: tc.every,
-				MILP:         milp.Options{MaxNodes: 50_000, Workers: 1},
+				MILP: milp.Options{MaxNodes: 50_000, Workers: 1},
 			})
 			if err != nil {
 				t.Fatal(err)
+			}
+			if tc.every != 0 {
+				e.compactEvery = tc.every
 			}
 			path, err := topo.ShortestPath(0, 1)
 			if err != nil {
@@ -84,13 +86,13 @@ func TestDefragMono(t *testing.T) {
 	reg := obs.NewRegistry()
 	e, err := New(Config{
 		Graph: g, Frame: testFrame(t, 32),
-		CompactEvery: -1, // isolate TryDefrag from release-triggered re-packs
-		MILP:         milp.Options{MaxNodes: 100_000, Workers: 1},
-		Registry:     reg,
+		MILP:     milp.Options{MaxNodes: 100_000, Workers: 1},
+		Registry: reg,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	e.compactEvery = -1 // isolate TryDefrag from release-triggered re-packs
 	ctx := context.Background()
 	for i, pair := range [][2]topology.NodeID{{0, 1}, {1, 2}, {2, 3}} {
 		path, err := topo.ShortestPath(pair[0], pair[1])
@@ -179,12 +181,12 @@ func TestDefragShardedZoned(t *testing.T) {
 	e, err := New(Config{
 		Graph: g, Frame: testFrame(t, 32), MaxWindow: 16,
 		Zoned: true, ZoneSize: 500,
-		CompactEvery: -1,
-		MILP:         milp.Options{MaxNodes: 100_000, Workers: 1},
+		MILP: milp.Options{MaxNodes: 100_000, Workers: 1},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	e.compactEvery = -1
 	ctx := context.Background()
 	for c := 0; c < 2; c++ {
 		base := topology.NodeID(c * 4)

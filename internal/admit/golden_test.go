@@ -13,27 +13,27 @@ import (
 	"wimesh/internal/milp"
 )
 
-var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/decision_trace.golden from this run")
+var updateGolden = flag.Bool("update-golden", false, "rewrite the testdata/*.golden traces from this run")
 
-// TestDecisionTraceGolden pins single-caller behaviour decision by decision:
-// three seeded replays whose every (Admitted, Tier, Window, Solved, Pivots,
-// Preempted) and final canonical schedule must equal the recorded trace.
-// Every solve is bounded by a node budget with one worker and no time limit,
-// so the trace is a property of the input, not of the host. The replays are
-// sized so each exercises what the name says: the monolithic one takes memo
-// hits, satisficing fallbacks and budget rejections; the zoned one routes
-// across several 250 m zones under a cap tight enough that a zone's stitch
-// fails with later zones still unsolved (48 such decisions when recorded,
-// counted by instrumenting the stitch loop; 135 in the classed replay,
-// preemption retries included); the classed one admits by eviction and
-// rolls failed preemption searches back.
-func TestDecisionTraceGolden(t *testing.T) {
-	replays := []struct {
-		name string
-		w, h int
-		cfg  Config
-		load WorkloadConfig
-	}{
+// traceReplay is one seeded serving replay of the golden traces.
+type traceReplay struct {
+	name string
+	w, h int
+	cfg  Config
+	load WorkloadConfig
+}
+
+// traceReplays are sized so each exercises what the name says: the
+// monolithic one takes memo hits, satisficing fallbacks and budget
+// rejections; the zoned one routes across several 250 m zones under a cap
+// tight enough that a zone's stitch fails with later zones still unsolved
+// (48 such decisions when recorded, counted by instrumenting the stitch loop;
+// 135 in the classed replay, preemption retries included); the classed one
+// admits by eviction and rolls failed preemption searches back. Every solve
+// is bounded by a node budget with one worker and no time limit, so a trace
+// is a property of the input, not of the host.
+func traceReplays() []traceReplay {
+	return []traceReplay{
 		{
 			name: "mono-3x4", w: 3, h: 4,
 			cfg: Config{MaxWindow: 24, MILP: milp.Options{MaxNodes: 8, Workers: 1}, BudgetRejects: true},
@@ -61,53 +61,100 @@ func TestDecisionTraceGolden(t *testing.T) {
 				}},
 		},
 	}
-	var sb strings.Builder
-	for _, r := range replays {
-		topo, g := testMesh(t, r.w, r.h)
-		r.cfg.Graph, r.cfg.Frame = g, testFrame(t, 32)
-		e, err := New(r.cfg)
-		if err != nil {
-			t.Fatalf("%s: %v", r.name, err)
-		}
-		r.load.Topo = topo
-		w, err := Generate(r.load)
-		if err != nil {
-			t.Fatalf("%s: %v", r.name, err)
-		}
-		fmt.Fprintf(&sb, "== %s\n", r.name)
-		var replay ServeStats
-		for _, ev := range w.Events {
-			if !ev.Arrive {
-				if replay.Depart(ev.Flow.ID) {
-					if err := e.Release(ev.Flow.ID); err != nil {
-						t.Fatalf("%s: release %s: %v", r.name, ev.Flow.ID, err)
-					}
+}
+
+// replayTrace serves r's workload one event at a time and writes one line
+// per decision, then the final canonical schedule and the tallies. With
+// defragEvery > 0 it also runs TryDefrag after every defragEvery-th event and
+// writes the slots won and the window after the pass.
+func replayTrace(t *testing.T, sb *strings.Builder, r traceReplay, defragEvery int) {
+	t.Helper()
+	topo, g := testMesh(t, r.w, r.h)
+	r.cfg.Graph, r.cfg.Frame = g, testFrame(t, 32)
+	e, err := New(r.cfg)
+	if err != nil {
+		t.Fatalf("%s: %v", r.name, err)
+	}
+	r.load.Topo = topo
+	w, err := Generate(r.load)
+	if err != nil {
+		t.Fatalf("%s: %v", r.name, err)
+	}
+	ctx := context.Background()
+	fmt.Fprintf(sb, "== %s\n", r.name)
+	var replay ServeStats
+	for i, ev := range w.Events {
+		if !ev.Arrive {
+			if replay.Depart(ev.Flow.ID) {
+				if err := e.Release(ev.Flow.ID); err != nil {
+					t.Fatalf("%s: release %s: %v", r.name, ev.Flow.ID, err)
 				}
-				continue
 			}
-			d, err := e.Admit(context.Background(), ev.Flow)
+		} else {
+			d, err := e.Admit(ctx, ev.Flow)
 			if err != nil {
 				t.Fatalf("%s: admit %s: %v", r.name, ev.Flow.ID, err)
 			}
 			replay.Record(ev.Flow, d)
-			fmt.Fprintf(&sb, "%s %v %v win=%d solved=%d pivots=%d preempted=%v\n",
+			fmt.Fprintf(sb, "%s %v %v win=%d solved=%d pivots=%d preempted=%v\n",
 				ev.Flow.ID, d.Admitted, d.Tier, d.Window, d.Solved, d.Pivots, d.Preempted)
 		}
-		if err := e.Check(); err != nil {
-			t.Fatalf("%s: %v", r.name, err)
+		if defragEvery > 0 && i%defragEvery == defragEvery-1 {
+			won, err := e.TryDefrag(ctx)
+			if err != nil {
+				t.Fatalf("%s: defrag after event %d: %v", r.name, i, err)
+			}
+			fmt.Fprintf(sb, "defrag@%d won=%d win=%d\n", i, won, e.Window())
 		}
-		fmt.Fprintf(&sb, "schedule: %v\n", canonical(e.Snapshot().Assignments))
-		st := e.Stats()
-		fmt.Fprintf(&sb, "stats: fast=%d warm=%d cold=%d rejected=%d memo=%d satisficed=%d budget=%d greedy=%d preempt=%d/%d/%d\n",
-			st.Fast, st.Warm, st.Cold, st.Rejected, st.MemoHits, st.Satisficed, st.BudgetRejected, st.ZoneGreedy,
-			st.PreemptAttempts, st.PreemptAdmits, st.PreemptEvicted)
 	}
-	path := filepath.Join("testdata", "decision_trace.golden")
+	if err := e.Check(); err != nil {
+		t.Fatalf("%s: %v", r.name, err)
+	}
+	fmt.Fprintf(sb, "schedule: %v\n", canonical(e.Snapshot().Assignments))
+	st := e.Stats()
+	fmt.Fprintf(sb, "stats: fast=%d warm=%d cold=%d rejected=%d memo=%d satisficed=%d budget=%d greedy=%d preempt=%d/%d/%d\n",
+		st.Fast, st.Warm, st.Cold, st.Rejected, st.MemoHits, st.Satisficed, st.BudgetRejected, st.ZoneGreedy,
+		st.PreemptAttempts, st.PreemptAdmits, st.PreemptEvicted)
+	if defragEvery > 0 {
+		fmt.Fprintf(sb, "defrags: %d (%d slots)\n", st.Defrags, st.DefragSlots)
+	}
+}
+
+// TestDecisionTraceGolden pins single-caller behaviour decision by decision:
+// the three seeded replays, whose every (Admitted, Tier, Window, Solved,
+// Pivots, Preempted) and final canonical schedule must equal the recorded
+// trace.
+func TestDecisionTraceGolden(t *testing.T) {
+	var sb strings.Builder
+	for _, r := range traceReplays() {
+		replayTrace(t, &sb, r, 0)
+	}
+	checkGolden(t, "decision_trace.golden", sb.String())
+}
+
+// TestDefragTraceGolden pins the zoned solver-driven defragmentation: the
+// two zoned replays with a TryDefrag pass after every 7th event, whose won
+// slots, windows and final canonical schedule must equal the recorded trace.
+func TestDefragTraceGolden(t *testing.T) {
+	var sb strings.Builder
+	for _, r := range traceReplays() {
+		if r.cfg.Zoned {
+			replayTrace(t, &sb, r, 7)
+		}
+	}
+	checkGolden(t, "defrag_trace.golden", sb.String())
+}
+
+// checkGolden compares got with testdata/name, or rewrites the file under
+// -update-golden.
+func checkGolden(t *testing.T, name, got string) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
 	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(path, []byte(sb.String()), 0o644); err != nil {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
@@ -116,7 +163,6 @@ func TestDecisionTraceGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := sb.String()
 	if got == string(want) {
 		return
 	}

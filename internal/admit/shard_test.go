@@ -514,12 +514,12 @@ func TestReleaseStorm(t *testing.T) {
 	e, err := New(Config{
 		Graph: g, Frame: testFrame(t, 32), MaxWindow: 16,
 		Zoned: true, ZoneSize: 500,
-		CompactEvery: 1,
-		MILP:         milp.Options{MaxNodes: 200_000, Workers: 1},
+		MILP: milp.Options{MaxNodes: 200_000, Workers: 1},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	e.compactEvery = 1
 	ctx := context.Background()
 	var wg sync.WaitGroup
 	errCh := make(chan error, 8)
@@ -546,7 +546,7 @@ func TestReleaseStorm(t *testing.T) {
 				}
 				if dec.Admitted {
 					// Release immediately: every release triggers a compaction
-					// (CompactEvery 1), interleaving re-packs with the other
+					// (compactEvery 1), interleaving re-packs with the other
 					// goroutines' admissions.
 					if err := e.Release(id); err != nil {
 						errCh <- err

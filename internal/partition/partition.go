@@ -6,6 +6,11 @@
 // concurrently, on a deterministic worker pool), and stitches the per-zone
 // schedules into one global conflict-free frame.
 //
+// The zone-solve policy lives here once, in Models.SolveZone: the pair gate,
+// the per-zone model built on the zone's first exact solve, and its window
+// search. MinSlots runs it over fresh models; the admission engine's zoned
+// decisions and zoned defragmentation run it over persistent ones.
+//
 // The stitch is a deterministic list schedule seeded by the zone solutions:
 // links are merged in ascending zone-local start order and each is placed at
 // its earliest conflict-free interval under the full conflict graph. Within
@@ -126,15 +131,6 @@ func (d *Decomposition) ZoneSet(links []topology.LinkID) []int {
 	return slices.Compact(zones)
 }
 
-// NumHalo returns the total number of halo links across all zones.
-func (d *Decomposition) NumHalo() int {
-	n := 0
-	for i := range d.Zones {
-		n += len(d.Zones[i].Halo)
-	}
-	return n
-}
-
 // Decompose cuts the problem's active links into square zones of zoneSize
 // meters (0 = automatic, see Options.ZoneSize) keyed by the transmitter
 // position, and classifies each link as interior or halo by probing the
@@ -155,6 +151,7 @@ func Decompose(p *schedule.Problem, zoneSize float64) (*Decomposition, error) {
 	}
 	// Bounding box over the transmitters of active links.
 	minX, minY := math.Inf(1), math.Inf(1)
+	maxX, maxY := math.Inf(-1), math.Inf(-1)
 	txOf := make([]topology.Node, len(active))
 	for i, l := range active {
 		lk, err := net.Link(l)
@@ -168,6 +165,8 @@ func Decompose(p *schedule.Problem, zoneSize float64) (*Decomposition, error) {
 		txOf[i] = nd
 		minX = math.Min(minX, nd.X)
 		minY = math.Min(minY, nd.Y)
+		maxX = math.Max(maxX, nd.X)
+		maxY = math.Max(maxY, nd.Y)
 	}
 	d := &Decomposition{ZoneSize: zoneSize, zoneOf: make([]int, p.Graph.NumVertices())}
 	for i := range d.zoneOf {
@@ -176,27 +175,20 @@ func Decompose(p *schedule.Problem, zoneSize float64) (*Decomposition, error) {
 	if len(active) == 0 {
 		return d, nil
 	}
-	// Cell keys in row-major order; zones are the sorted distinct keys, so
-	// zone IDs are independent of link iteration order.
-	cellOf := make([]int, len(active))
-	maxCol, maxRow := 0, 0
-	for i := range active {
-		col := int((txOf[i].X - minX) / zoneSize)
-		row := int((txOf[i].Y - minY) / zoneSize)
-		if col > maxCol {
-			maxCol = col
-		}
-		if row > maxRow {
-			maxRow = row
-		}
-		cellOf[i] = col<<32 | row // packed; re-split below
+	// Cells are keyed row-major, row*Cols + col, which fits an int only while
+	// each axis has fewer than 2^31 cells. Zones are the sorted distinct keys,
+	// so zone IDs are independent of link iteration order.
+	cols, rows := (maxX-minX)/zoneSize, (maxY-minY)/zoneSize
+	if !(cols < 1<<31 && rows < 1<<31) {
+		return nil, fmt.Errorf("%w: zone size %g cuts the %g x %g m extent into 2^31 or more cells per axis",
+			ErrBadZone, zoneSize, maxX-minX, maxY-minY)
 	}
-	d.Cols, d.Rows = maxCol+1, maxRow+1
+	d.Cols, d.Rows = int(cols)+1, int(rows)+1
+	cellOf := make([]int, len(active))
 	keys := make([]int, 0, len(active))
-	seen := make(map[int]int) // packed cell -> zone index
+	seen := make(map[int]int) // cell key -> zone index
 	for i := range active {
-		col, row := cellOf[i]>>32, cellOf[i]&0xffffffff
-		key := row*d.Cols + col
+		key := int((txOf[i].Y-minY)/zoneSize)*d.Cols + int((txOf[i].X-minX)/zoneSize)
 		cellOf[i] = key
 		if _, ok := seen[key]; !ok {
 			seen[key] = -1
@@ -263,8 +255,6 @@ type Result struct {
 	Schedule *tdma.Schedule
 	// WindowSlots is the makespan of the stitched schedule.
 	WindowSlots int
-	// ZoneWindows holds each zone's locally optimal window, in zone order.
-	ZoneWindows []int
 	// Zones, InteriorLinks and HaloLinks describe the decomposition.
 	Zones         int
 	InteriorLinks int
@@ -291,8 +281,8 @@ type Result struct {
 // The partitioned path is a throughput planner: slot demands are met
 // exactly, but flow delay bounds (Problem.Flows with BoundSlots > 0) only
 // steer the zone solves of fully in-zone flows — the stitch re-packs slots
-// and does not re-check them. Use the monolithic MinSlots when delay bounds
-// must be guaranteed.
+// and does not re-check them; start caps likewise reach only the zone
+// solves. Use the monolithic MinSlots when delay bounds must be guaranteed.
 //
 // The result is deterministic for any Options.Workers value.
 func MinSlots(p *schedule.Problem, cfg tdma.FrameConfig, opts Options) (*Result, error) {
@@ -319,10 +309,6 @@ func MinSlots(p *schedule.Problem, cfg tdma.FrameConfig, opts Options) (*Result,
 		obsSolveMS   = reg.Histogram("partition.zone_solve_ms", 0, 1000, 100)
 	)
 
-	subs := make([]*schedule.Problem, len(dec.Zones))
-	for zi := range dec.Zones {
-		subs[zi] = ZoneProblem(p, dec, zi)
-	}
 	milpOpts := opts.MILP
 	if milpOpts.MaxNodes == 0 {
 		milpOpts.MaxNodes = 100_000
@@ -331,52 +317,28 @@ func MinSlots(p *schedule.Problem, cfg tdma.FrameConfig, opts Options) (*Result,
 	// sequential so concurrency lives where the parallelism is widest.
 	milpOpts.Workers = 1
 
-	type zoneResult struct {
-		win    int
-		sched  *tdma.Schedule
-		solved int
-		greedy bool
-		err    error
-	}
-	results := make([]zoneResult, len(dec.Zones))
-	solveZone := func(zi int) {
+	models := NewModels(len(dec.Zones), cfg)
+	sols := make([]ZoneSolution, len(dec.Zones))
+	errs := make([]error, len(dec.Zones))
+	forEachZone(len(dec.Zones), opts.Workers, func(zi int) {
 		start := time.Now()
-		if ActivePairs(subs[zi]) > DefaultMaxZonePairs {
-			// The ILP would be too large to even relax profitably; colour
-			// the zone greedily without touching the exact search.
-			gs, gerr := schedule.Greedy(subs[zi], cfg)
-			if gerr != nil {
-				results[zi] = zoneResult{err: gerr}
-			} else {
-				results[zi] = zoneResult{win: schedule.GreedyLength(gs), sched: gs, greedy: true}
-			}
-			obsSolveMS.Observe(float64(time.Since(start).Milliseconds()))
-			return
+		zp := ZoneProblem(p, dec, zi)
+		sol, err := models.SolveZone(zi, zp, 0, 0, DefaultMaxZonePairs, milpOpts)
+		if errors.Is(err, milp.ErrLimit) {
+			// Budget exhausted: the greedy coloring (every zone is past a
+			// gate of -1 pairs) still yields a valid, if longer, schedule.
+			solved := sol.Solved
+			sol, err = models.SolveZone(zi, zp, 0, 0, -1, milpOpts)
+			sol.Solved = solved
 		}
-		win, sched, solved, err := schedule.MinSlots(subs[zi], cfg, milpOpts)
-		if err != nil && errors.Is(err, milp.ErrLimit) {
-			// Budget exhausted: the greedy coloring still yields a valid
-			// (if longer) zone schedule.
-			gs, gerr := schedule.Greedy(subs[zi], cfg)
-			if gerr == nil {
-				results[zi] = zoneResult{win: schedule.GreedyLength(gs), sched: gs,
-					solved: solved, greedy: true}
-				obsSolveMS.Observe(float64(time.Since(start).Milliseconds()))
-				return
-			}
-			err = gerr
-		}
-		results[zi] = zoneResult{win: win, sched: sched, solved: solved, err: err}
+		sols[zi], errs[zi] = sol, err
 		obsSolveMS.Observe(float64(time.Since(start).Milliseconds()))
-	}
-	forEachZone(len(dec.Zones), opts.Workers, solveZone)
+	})
 
-	res := &Result{
-		Zones:       len(dec.Zones),
-		ZoneWindows: make([]int, len(dec.Zones)),
-	}
-	for zi := range results {
-		if err := results[zi].err; err != nil {
+	res := &Result{Zones: len(dec.Zones)}
+	var blocks []tdma.Assignment
+	for zi, sol := range sols {
+		if err := errs[zi]; err != nil {
 			z := &dec.Zones[zi]
 			if errors.Is(err, schedule.ErrInfeasible) {
 				return nil, fmt.Errorf("%w: zone %d (cell %d,%d; %d links): %v",
@@ -384,20 +346,16 @@ func MinSlots(p *schedule.Problem, cfg tdma.FrameConfig, opts Options) (*Result,
 			}
 			return nil, fmt.Errorf("partition: zone %d: %w", zi, err)
 		}
-		res.ZoneWindows[zi] = results[zi].win
-		res.ILPsSolved += results[zi].solved
-		if results[zi].greedy {
+		res.ILPsSolved += sol.Solved
+		if sol.Greedy {
 			res.GreedyFallbacks++
 		}
 		res.InteriorLinks += len(dec.Zones[zi].Interior)
 		res.HaloLinks += len(dec.Zones[zi].Halo)
+		blocks = append(blocks, sol.Blocks...)
 	}
 
-	zoneScheds := make([]*tdma.Schedule, len(results))
-	for zi := range results {
-		zoneScheds[zi] = results[zi].sched
-	}
-	sched, repairs, err := stitch(p, dec, zoneScheds, cfg)
+	sched, repairs, err := stitch(p, dec, blocks, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -426,56 +384,6 @@ func MinSlots(p *schedule.Problem, cfg tdma.FrameConfig, opts Options) (*Result,
 	obsFallbacks.Add(uint64(res.GreedyFallbacks))
 	obsRepairs.Add(uint64(res.Repairs))
 	return res, nil
-}
-
-// ZoneProblem restricts p to the zi'th zone of the decomposition: the zone's
-// demands, plus the delay requirements of flows whose full path stays inside
-// it. The admission engine uses it too: it keeps one persistent ILP model
-// per zone and re-solves only the zones an admission delta touches.
-func ZoneProblem(p *schedule.Problem, dec *Decomposition, zi int) *schedule.Problem {
-	z := &dec.Zones[zi]
-	demand := make(map[topology.LinkID]int, len(z.Links))
-	for _, l := range z.Links {
-		demand[l] = p.Demand[l]
-	}
-	var flows []schedule.FlowRequirement
-	for _, f := range p.Flows {
-		inside := len(f.Path) > 0
-		for _, l := range f.Path {
-			if dec.zoneOf[l] != zi {
-				inside = false
-				break
-			}
-		}
-		if inside {
-			flows = append(flows, f)
-		}
-	}
-	return &schedule.Problem{
-		Graph:      p.Graph,
-		Demand:     demand,
-		FrameSlots: p.FrameSlots,
-		Flows:      flows,
-	}
-}
-
-// ActivePairs counts conflicting pairs among a problem's demanded links —
-// exactly the binary ordering variables its ILP formulation would need, and
-// hence the model size the DefaultMaxZonePairs gate compares against.
-func ActivePairs(p *schedule.Problem) int {
-	n := 0
-	for l, d := range p.Demand {
-		if d <= 0 {
-			continue
-		}
-		p.Graph.VisitNeighbors(l, func(nb topology.LinkID) bool {
-			if nb > l && p.Demand[nb] > 0 {
-				n++
-			}
-			return true
-		})
-	}
-	return n
 }
 
 // forEachZone runs fn(0..n-1) on up to workers goroutines (0 = GOMAXPROCS).
@@ -520,12 +428,13 @@ func byDemand(a, b tdma.Assignment) int {
 	return int(a.Link - b.Link)
 }
 
-// stitch merges the per-zone schedules into one global conflict-free
-// schedule. No single merge heuristic dominates — preserving zone slots
-// wins when zones are loosely coupled, global re-packing wins when most
-// links are halo — so the stitch runs a small deterministic portfolio of
-// first-fit placements (all linear sweeps, no integer programming) and
-// keeps the shortest:
+// stitch merges the zones' blocks — one per demanded link, at its zone-local
+// start (the hint) — into one global conflict-free schedule. No single merge
+// heuristic dominates — preserving zone slots wins when zones are loosely
+// coupled, global re-packing wins when most links are halo — so the stitch
+// runs a small deterministic portfolio of first-fit placements (all linear
+// sweeps, no integer programming) and keeps the shortest. Every order below
+// is total, so the blocks may arrive in any order:
 //
 //   - hint order: links sorted by zone-local start, each placed at its
 //     earliest conflict-free interval. Within one zone this reproduces the
@@ -549,20 +458,11 @@ func byDemand(a, b tdma.Assignment) int {
 // winning schedule differs from their zone-local hint: the links the outer
 // coordination pass had to move (or could pull earlier) because of
 // cross-zone contention.
-func stitch(p *schedule.Problem, dec *Decomposition, zoneScheds []*tdma.Schedule, cfg tdma.FrameConfig) (*tdma.Schedule, int, error) {
-	// One block per link awaiting global placement: its total slot demand at
-	// its start in the zone-local schedule (the hint).
-	var entries []tdma.Assignment
+func stitch(p *schedule.Problem, dec *Decomposition, entries []tdma.Assignment, cfg tdma.FrameConfig) (*tdma.Schedule, int, error) {
 	halo := make(map[topology.LinkID]bool)
-	for zi, zs := range zoneScheds {
-		z := &dec.Zones[zi]
-		for _, l := range z.Halo {
+	for zi := range dec.Zones {
+		for _, l := range dec.Zones[zi].Halo {
 			halo[l] = true
-		}
-		for _, l := range z.Links {
-			if as := zs.LinkAssignments(l); len(as) > 0 {
-				entries = append(entries, tdma.Assignment{Link: l, Start: as[0].Start, Length: zs.LinkSlots(l)})
-			}
 		}
 	}
 	byID := func(a, b tdma.Assignment) int { return int(a.Link - b.Link) }

@@ -145,21 +145,47 @@ func TestDecomposeSingleZone(t *testing.T) {
 	if len(d.Zones) != 1 {
 		t.Fatalf("want 1 zone, got %d", len(d.Zones))
 	}
-	if h := d.NumHalo(); h != 0 {
+	if h := len(d.Zones[0].Halo); h != 0 {
 		t.Fatalf("single zone has %d halo links, want 0", h)
 	}
 }
 
 func TestDecomposeBadZoneSize(t *testing.T) {
-	net, err := topology.Chain(3, 100)
+	// meshd's 4x6 grid at 100 m spacing, every link active.
+	net, err := topology.Grid(4, 6, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := unitProblem(t, net, conflict.ModelTwoHop, 32)
 	// NaN passed a plain `< 0` check and went on to index cells by int(x/NaN).
-	for _, size := range []float64{-1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+	// At 1e-7 m the packed cell keys overflowed into negative columns out of
+	// row-major order; at 1e-300 the float-to-int conversion overflowed and
+	// 24 transmitters landed in 2 zones.
+	for _, size := range []float64{-1, math.NaN(), math.Inf(1), math.Inf(-1), 1e-7, 1e-300, math.SmallestNonzeroFloat64} {
 		if _, err := Decompose(p, size); !errors.Is(err, ErrBadZone) {
 			t.Errorf("zone size %v: got %v, want ErrBadZone", size, err)
+		}
+	}
+	// The smallest sizes that still key: one zone per transmitter, each cell
+	// inside the grid, zones in row-major cell order.
+	for _, size := range []float64{1e-6, 500.0 / (1 << 31) * 1.01} {
+		d, err := Decompose(p, size)
+		if err != nil {
+			t.Fatalf("zone size %v: %v", size, err)
+		}
+		if len(d.Zones) != net.NumNodes() {
+			t.Errorf("zone size %v: %d zones, want one per node (%d)", size, len(d.Zones), net.NumNodes())
+		}
+		for zi, z := range d.Zones {
+			if z.Col < 0 || z.Col >= d.Cols || z.Row < 0 || z.Row >= d.Rows {
+				t.Fatalf("zone size %v: zone %d cell (%d,%d) outside %dx%d grid", size, zi, z.Col, z.Row, d.Cols, d.Rows)
+			}
+			if zi == 0 {
+				continue
+			}
+			if prev := d.Zones[zi-1]; prev.Row > z.Row || prev.Row == z.Row && prev.Col >= z.Col {
+				t.Fatalf("zone size %v: zone %d (%d,%d) after (%d,%d): not row-major", size, zi, z.Col, z.Row, prev.Col, prev.Row)
+			}
 		}
 	}
 }

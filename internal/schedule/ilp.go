@@ -48,7 +48,7 @@ func SolveWindow(p *Problem, winSlots int, cfg tdma.FrameConfig, opts milp.Optio
 // Incremental.MinSlots). It returns the window, the schedule, and the number
 // of integer programs solved.
 func MinSlots(p *Problem, cfg tdma.FrameConfig, opts milp.Options) (int, *tdma.Schedule, int, error) {
-	inc, err := newModel(p, cfg, false)
+	inc, err := NewIncremental(p, cfg)
 	if err != nil {
 		return 0, nil, 0, err
 	}

@@ -76,13 +76,13 @@ type flowRows struct {
 	bound, delay int
 }
 
-// NewIncremental builds the persistent model over the given support links
-// (deduplicated and sorted internally), without flow rows.
-func NewIncremental(g *conflict.Graph, support []topology.LinkID, cfg tdma.FrameConfig) (*Incremental, error) {
+// NewIncremental builds the persistent model of problem p: its support is
+// p's active links and its flow rows are p's flows.
+func NewIncremental(p *Problem, cfg tdma.FrameConfig) (*Incremental, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return newModel(supportProblem(g, support, cfg, nil), cfg, false)
+	return newModel(p, cfg, false)
 }
 
 // supportProblem is the synthetic all-ones problem whose active links are
@@ -361,22 +361,6 @@ func (inc *Incremental) decodeOrder(x []float64) *Order {
 		}
 	}
 	return o
-}
-
-// Repack searches for a schedule of the problem's demands strictly shorter
-// than the incumbent window: the solver-driven defragmentation entry point.
-// It probes the persistent model over [1, incumbent-1] starting at
-// incumbent-1 (release fragmentation typically leaves only a slot or two of
-// recoverable slack, so the first probe usually decides), returning the
-// minimum window and its witness schedule, or ErrInfeasible when the
-// incumbent is already the true minimum. The result is exact: a successful
-// Repack proves the returned window minimal for the demand vector.
-func (inc *Incremental) Repack(p *Problem, incumbent int, opts milp.Options) (int, *tdma.Schedule, int, int, error) {
-	if incumbent <= 1 {
-		return 0, nil, 0, 0, fmt.Errorf("%w: incumbent window %d leaves no room below it",
-			ErrInfeasible, incumbent)
-	}
-	return inc.MinSlots(p, incumbent-1, 0, incumbent-1, opts)
 }
 
 // MinSlots finds the smallest window in [lo, maxWin] feasible for the

@@ -45,7 +45,7 @@ func TestDifferentialIncrementalVsMonolithic(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	opts := milp.Options{MaxNodes: 50_000, Workers: 1}
 	g, support, cfg := incrementalFixture(t, 8, 12)
-	inc, err := NewIncremental(g, support, cfg)
+	inc, err := NewIncremental(supportProblem(g, support, cfg, nil), cfg)
 	if err != nil {
 		t.Fatalf("NewIncremental: %v", err)
 	}
@@ -115,7 +115,7 @@ func TestDifferentialIncrementalVsMonolithic(t *testing.T) {
 // the search stops after exactly one integer program.
 func TestIncrementalHintAtBoundSingleProbe(t *testing.T) {
 	g, support, cfg := incrementalFixture(t, 6, 16)
-	inc, err := NewIncremental(g, support, cfg)
+	inc, err := NewIncremental(supportProblem(g, support, cfg, nil), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestIncrementalHintAtBoundSingleProbe(t *testing.T) {
 func TestIncrementalSupports(t *testing.T) {
 	g, support, cfg := incrementalFixture(t, 6, 16)
 	half := support[:len(support)/2]
-	inc, err := NewIncremental(g, half, cfg)
+	inc, err := NewIncremental(supportProblem(g, half, cfg, nil), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestCoverMatchesFreshUnion(t *testing.T) {
 	opts := milp.Options{MaxNodes: 50_000, Workers: 1}
 	g, all, cfg := incrementalFixture(t, 8, 12)
 	union := []topology.LinkID{all[0]}
-	inc, err := NewIncremental(g, union, cfg)
+	inc, err := NewIncremental(supportProblem(g, union, cfg, nil), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +223,7 @@ func TestCoverMatchesFreshUnion(t *testing.T) {
 		if rebuilt {
 			rebuilds++
 		}
-		fresh, err := NewIncremental(g, union, cfg)
+		fresh, err := NewIncremental(supportProblem(g, union, cfg, nil), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -8,13 +8,13 @@ import (
 	"wimesh/internal/topology"
 )
 
-// TestRepack pins the defragmentation entry point: an incumbent above the
-// true minimum re-packs down to exactly the minimum with a valid witness, an
-// incumbent at the minimum proves ErrInfeasible (nothing shorter exists), and
-// a degenerate incumbent is rejected outright.
+// TestRepack pins the search a defragmentation pass runs: capped strictly
+// below an incumbent above the true minimum it re-packs down to exactly the
+// minimum with a valid witness, and below an incumbent at the minimum it
+// proves ErrInfeasible (nothing shorter exists).
 func TestRepack(t *testing.T) {
 	g, support, cfg := incrementalFixture(t, 6, 16)
-	inc, err := NewIncremental(g, support, cfg)
+	inc, err := NewIncremental(supportProblem(g, support, cfg, nil), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,8 +27,8 @@ func TestRepack(t *testing.T) {
 		t.Fatalf("MinSlots: %v", err)
 	}
 
-	// A fragmented incumbent: Repack must land exactly on the minimum.
-	win, sched, solved, _, err := inc.Repack(p, min+3, opts)
+	// A fragmented incumbent: the re-pack must land exactly on the minimum.
+	win, sched, solved, _, err := inc.MinSlots(p, min+2, 0, min+2, opts)
 	if err != nil {
 		t.Fatalf("Repack from %d: %v", min+3, err)
 	}
@@ -43,12 +43,7 @@ func TestRepack(t *testing.T) {
 	}
 
 	// Incumbent already minimal: strictly-shorter search is infeasible.
-	if _, _, _, _, err := inc.Repack(p, min, opts); !errors.Is(err, ErrInfeasible) {
-		t.Fatalf("Repack at the minimum: err = %v, want ErrInfeasible", err)
-	}
-
-	// Incumbent <= 1 leaves no room below it.
-	if _, _, _, _, err := inc.Repack(p, 1, opts); !errors.Is(err, ErrInfeasible) {
-		t.Fatalf("Repack at incumbent 1: err = %v, want ErrInfeasible", err)
+	if _, _, _, _, err := inc.MinSlots(p, min-1, 0, min-1, opts); !errors.Is(err, ErrInfeasible) {
+		t.Fatalf("Repack below the minimum: err = %v, want ErrInfeasible", err)
 	}
 }
