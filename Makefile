@@ -22,7 +22,7 @@ race:
 # The overhauls are pinned to their reference implementations: slab kernel
 # vs. heap kernel, dense bitset medium vs. map-based medium, parallel
 # meshbench vs. sequential, bounded-variable simplex vs. the dense two-phase
-# oracle, warm-started branch-and-bound vs. cold, incremental window
+# oracle, the sparse-pattern B^-1 vs. the dense one, warm-started branch-and-bound vs. cold, incremental window
 # mutation vs. fresh builds, analytic-screened capacity search vs. the
 # linear reference scan, partitioned zone scheduling vs. the monolithic
 # ILP (window within 10%, bit-identical at any worker count), admission
@@ -37,7 +37,8 @@ differential:
 
 # Re-run the solver packages with the lpdebug build tag: every simplex
 # terminates through an invariant check (basis consistency, B^-1 B = I,
-# primal feasibility, dual sign conditions).
+# the non-zero pattern covering B^-1 with its exact transpose, primal
+# feasibility, dual sign conditions).
 lpdebug:
 	$(GO) test -count=1 -tags lpdebug ./internal/lp ./internal/milp ./internal/schedule
 
@@ -111,17 +112,19 @@ loc:
 # The ratchet on that number: the ceilings are what `make loc` printed when
 # they were last edited. A PR that shrinks the code lowers them; one that
 # must grow past them raises them in its own diff, where a reviewer sees it.
-LOC_MAX_TOTAL = 21728
+LOC_MAX_TOTAL = 21932
 LOC_MAX_ADMIT = 2290
 LOC_MAX_PARTITION = 682
 LOC_MAX_SCHEDULE = 1591
+LOC_MAX_LP = 1148
 
 loc-check:
-	@$(MAKE) -s loc | awk -v total=$(LOC_MAX_TOTAL) -v admit=$(LOC_MAX_ADMIT) -v partition=$(LOC_MAX_PARTITION) -v schedule=$(LOC_MAX_SCHEDULE) ' \
+	@$(MAKE) -s loc | awk -v total=$(LOC_MAX_TOTAL) -v admit=$(LOC_MAX_ADMIT) -v partition=$(LOC_MAX_PARTITION) -v schedule=$(LOC_MAX_SCHEDULE) -v lp=$(LOC_MAX_LP) ' \
 		$$2 == "total" && $$1 > total { printf "loc-check: %d non-test lines outside benchmark/, ceiling %d\n", $$1, total; bad = 1 } \
 		$$2 == "./internal/admit" && $$1 > admit { printf "loc-check: %d non-test lines in internal/admit, ceiling %d\n", $$1, admit; bad = 1 } \
 		$$2 == "./internal/partition" && $$1 > partition { printf "loc-check: %d non-test lines in internal/partition, ceiling %d\n", $$1, partition; bad = 1 } \
 		$$2 == "./internal/schedule" && $$1 > schedule { printf "loc-check: %d non-test lines in internal/schedule, ceiling %d\n", $$1, schedule; bad = 1 } \
+		$$2 == "./internal/lp" && $$1 > lp { printf "loc-check: %d non-test lines in internal/lp, ceiling %d\n", $$1, lp; bad = 1 } \
 		END { exit bad }'
 
 check: vet build race differential lpdebug examples obs-allocs admit-smoke class-smoke benchmark-smoke loc loc-check

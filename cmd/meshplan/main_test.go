@@ -58,6 +58,11 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"-codec", "mp3"},
 		{"-nodes", "1"},
 		{"-calls", "-5"}, // used to panic slicing the call sequence
+		// Grid and tree used to round these up to a 4-node grid / 3-node tree.
+		{"-topology", "grid", "-nodes", "-4"},
+		{"-topology", "grid", "-nodes", "0"},
+		{"-topology", "tree", "-nodes", "-5"},
+		{"-topology", "tree", "-nodes", "0"},
 	}
 	for _, args := range cases {
 		var sb strings.Builder

@@ -1,12 +1,14 @@
 package main
 
 import (
+	"errors"
 	"os"
 	"strings"
 	"testing"
 
 	"wimesh/internal/core"
 	"wimesh/internal/scenario"
+	"wimesh/internal/topology"
 	"wimesh/internal/voip"
 )
 
@@ -92,6 +94,27 @@ func TestRunRejectsNegativeRunFlags(t *testing.T) {
 		flag := args[len(args)-2]
 		if err := run(append(args, "-nodes", "4", "-calls", "1"), &sb); err == nil || !strings.Contains(err.Error(), flag+" ") {
 			t.Errorf("run(%v): err = %v, want an error naming %s", args, err, flag)
+		}
+	}
+}
+
+// TestRunRejectsNonPositiveNodes: grid and tree used to round a size below 1
+// up to a 4-node grid or a 3-node tree, from the flag or from a plan file.
+func TestRunRejectsNonPositiveNodes(t *testing.T) {
+	path := t.TempDir() + "/plan.json"
+	plan := `{"spec":{"topology":"grid","nodes":-4,"seed":0,"calls":1,"codec":"g711","method":"greedy"},` +
+		`"frame":{"frameDuration":"10ms","controlSlots":0,"dataSlots":4},"windowSlots":1,"assignments":[]}`
+	if err := os.WriteFile(path, []byte(plan), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{
+		{"-topology", "grid", "-nodes", "-4"},
+		{"-topology", "tree", "-nodes", "0"},
+		{"-load", path},
+	} {
+		var sb strings.Builder
+		if err := run(append(args, "-calls", "1", "-duration", "1s"), &sb); !errors.Is(err, topology.ErrBadParameter) {
+			t.Errorf("run(%v): err = %v, want ErrBadParameter", args, err)
 		}
 	}
 }

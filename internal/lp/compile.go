@@ -25,6 +25,12 @@ type Compiled struct {
 	rowIdx []int32
 	vals   []float64
 
+	// The same entries row by row (CSR, ascending columns): the pivot row is
+	// summed over the rows its pattern reaches.
+	rowPtr []int32
+	colIdx []int32
+	rowVal []float64
+
 	b []float64 // len m, as written (no sign normalization)
 
 	// Bounds of all nTot variables. Logical bounds encode the relation of
@@ -75,9 +81,15 @@ func Compile(p *Problem) (*Compiled, error) {
 	}
 	c.rowIdx = make([]int32, nnz)
 	c.vals = make([]float64, nnz)
+	c.rowPtr = make([]int32, 1, m+1)
+	c.colIdx = make([]int32, 0, nnz)
+	c.rowVal = make([]float64, 0, nnz)
 	next := append([]int32(nil), c.colPtr[:n]...)
 	for i, r := range p.rows {
 		c.b[i] = r.RHS
+		c.colIdx = append(c.colIdx, r.Idx...)
+		c.rowVal = append(c.rowVal, r.Val...)
+		c.rowPtr = append(c.rowPtr, int32(len(c.colIdx)))
 		for k, j := range r.Idx {
 			pos := next[j]
 			next[j]++

@@ -9,9 +9,9 @@ import (
 
 // debugCheck validates the solver's terminal state when built with
 // -tags lpdebug: basis/status/position-index consistency, B^-1 correctness,
-// primal feasibility of the basis, bounded-variable statuses resting on
-// finite bounds, and dual-feasible reduced-cost signs. It is wired into
-// `make check` via the lpdebug target.
+// its sparsity pattern, primal feasibility of the basis, bounded-variable
+// statuses resting on finite bounds, and dual-feasible reduced-cost signs.
+// It is wired into `make check` via the lpdebug target.
 func debugCheck(c *Compiled, s *Solver) error {
 	m, n, nTot := c.m, c.n, c.nTot
 
@@ -82,6 +82,22 @@ func debugCheck(c *Compiled, s *Solver) error {
 				return fmt.Errorf("lpdebug: (B^-1 B)[%d][%d] = %g, want %g", i, k, acc, want)
 			}
 		}
+	}
+
+	// The pattern, unless dropped, covers every non-zero of B^-1, its column
+	// bitmaps are exactly the transpose of its row bitmaps, and nnz counts it.
+	nnz := 0
+	for i := 0; i < m && !s.dense; i++ {
+		for k := 0; k < m; k++ {
+			inRow, inCol := s.rowPat[i*s.w+k>>6]>>(k&63)&1, s.colPat[k*s.w+i>>6]>>(i&63)&1
+			if inRow != inCol || (inRow == 0 && s.binv[i*m+k] != 0) {
+				return fmt.Errorf("lpdebug: B^-1[%d][%d] = %g with row bit %d, column bit %d", i, k, s.binv[i*m+k], inRow, inCol)
+			}
+			nnz += int(inRow)
+		}
+	}
+	if !s.dense && nnz != s.nnz {
+		return fmt.Errorf("lpdebug: the pattern has %d bits, nnz = %d", nnz, s.nnz)
 	}
 
 	// Terminal primal feasibility: basic values within bounds.

@@ -3,6 +3,7 @@ package lp
 import (
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // Nonbasic/basic variable statuses. A variable is either basic (one per
@@ -35,20 +36,34 @@ type BoundChange struct {
 type State struct {
 	m, nTot int
 	gen     uint64 // bumped by every Snapshot into this State
-	binv    []float64
-	xB      []float64
-	d       []float64
-	basis   []int32
-	rowOf   []int32
-	status  []uint8
-	lo, up  []float64
-	artLo   []bool
-	artUp   []bool
+	// A sparse snapshot keeps B^-1's row pattern in pat and, in binv, the
+	// entries it covers row by row in ascending column order; a dense one
+	// (dense set, pat unused) keeps all m×m entries.
+	dense  bool
+	pat    []uint64
+	binv   []float64
+	xB     []float64
+	d      []float64
+	basis  []int32
+	rowOf  []int32
+	status []uint8
+	lo, up []float64
+	artLo  []bool
+	artUp  []bool
 }
 
 // Solver is a reusable simplex workspace. Steady-state solving allocates
 // only the returned Solution: all internal vectors are grown once and kept.
 // A Solver is not safe for concurrent use; create one per goroutine.
+//
+// B^-1 is a dense row-major array with a sparsity pattern beside it: bit k
+// of row i's w words in rowPat is set when binv[i][k] may be non-zero,
+// colPat is its exact transpose, and every entry outside them is zero. Every
+// O(m²) pass walks only the pattern, summing what it sums in the dense order;
+// a term left out is a product with an exact zero, which can change only the
+// sign of a zero result, so the pivots are those of the dense loops. Once the
+// pattern covers a quarter of B^-1 the solver drops it (dense) and runs the
+// dense loops until the next cold start or sparse restore.
 type Solver struct {
 	m, nTot int
 	binv    []float64 // m x m basis inverse, row-major
@@ -60,9 +75,17 @@ type Solver struct {
 	lo, up  []float64 // effective bounds (artificial big-M applied)
 	artLo   []bool
 	artUp   []bool
-	alpha   []float64 // pivot-row coefficients of nonbasic columns
+	alpha   []float64 // pivot-row coefficients of the columns in cols
 	acol    []float64 // pivot column B^-1 A_q
 	rhs     []float64 // scratch for recomputing xB
+
+	w              int      // words per pattern row
+	rowPat, colPat []uint64 // m rows / columns of w words
+	nnz            int      // set bits of rowPat
+	dense          bool     // no pattern: B^-1 filled in, or a new layout
+	seen           []uint64 // scratch bitmap over columns, then rows
+	cols, prow     []int32  // columns the pivot row reaches, rows the pivot column does
+	idx            []int32  // one pattern row as a list
 
 	pivots uint64 // cumulative pivot count across Solve calls
 	// held is the State the workspace still equals, at generation heldGen:
@@ -86,45 +109,77 @@ func (s *Solver) Pivots() uint64 { return s.pivots }
 // solves.
 func NewSolver() *Solver { return &Solver{} }
 
-func growF(s []float64, n int) []float64 {
+func grow[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]float64, n)
+		return make([]T, n)
 	}
 	return s[:n]
 }
 
-func growI(s []int32, n int) []int32 {
-	if cap(s) < n {
-		return make([]int32, n)
+// ones returns dst[:0] followed by the set bits of a bitmap, ascending.
+func ones(dst []int32, pat []uint64) []int32 {
+	dst = dst[:0]
+	for x, word := range pat {
+		for ; word != 0; word &= word - 1 {
+			dst = append(dst, int32(x<<6|bits.TrailingZeros64(word)))
+		}
 	}
-	return s[:n]
+	return dst
 }
 
 func (s *Solver) ensure(c *Compiled) {
 	m, nTot := c.m, c.nTot
+	if m != s.m {
+		s.dense = true // a new layout: the next cold start or restore clears all of binv
+	}
 	s.m, s.nTot = m, nTot
-	s.binv = growF(s.binv, m*m)
-	s.xB = growF(s.xB, m)
-	s.d = growF(s.d, nTot)
-	s.basis = growI(s.basis, m)
-	s.rowOf = growI(s.rowOf, nTot)
-	if cap(s.status) < nTot {
-		s.status = make([]uint8, nTot)
-	} else {
-		s.status = s.status[:nTot]
+	s.binv = grow(s.binv, m*m)
+	s.xB = grow(s.xB, m)
+	s.d = grow(s.d, nTot)
+	s.basis = grow(s.basis, m)
+	s.rowOf = grow(s.rowOf, nTot)
+	s.status = grow(s.status, nTot)
+	s.lo = grow(s.lo, nTot)
+	s.up = grow(s.up, nTot)
+	s.artLo = grow(s.artLo, nTot)
+	s.artUp = grow(s.artUp, nTot)
+	s.alpha = grow(s.alpha, nTot)
+	s.acol = grow(s.acol, m)
+	s.rhs = grow(s.rhs, m)
+	s.w = (m + 63) >> 6
+	s.rowPat = grow(s.rowPat, m*s.w)
+	s.colPat = grow(s.colPat, m*s.w)
+	s.seen = grow(s.seen, (nTot+63)>>6)
+}
+
+// row returns row i of the pattern.
+func (s *Solver) row(i int) []uint64 { return s.rowPat[i*s.w : i*s.w+s.w] }
+
+// set marks binv[i][k] as non-zero (on) or zero in both bitmaps.
+func (s *Solver) set(i, k int, on bool) {
+	rw, rb := &s.rowPat[i*s.w+k>>6], uint64(1)<<(k&63)
+	if on != (*rw&rb != 0) {
+		*rw ^= rb
+		s.colPat[k*s.w+i>>6] ^= 1 << (i & 63)
+		s.nnz += int(*rw>>(k&63)&1)*2 - 1 // +1 on, -1 off
 	}
-	s.lo = growF(s.lo, nTot)
-	s.up = growF(s.up, nTot)
-	if cap(s.artLo) < nTot {
-		s.artLo = make([]bool, nTot)
-		s.artUp = make([]bool, nTot)
-	} else {
-		s.artLo = s.artLo[:nTot]
-		s.artUp = s.artUp[:nTot]
+}
+
+// clearBinv zeroes B^-1 (through the pattern unless dense) and empties the
+// pattern.
+func (s *Solver) clearBinv() {
+	if s.dense {
+		clear(s.binv)
 	}
-	s.alpha = growF(s.alpha, nTot)
-	s.acol = growF(s.acol, m)
-	s.rhs = growF(s.rhs, m)
+	for i := 0; i < s.m && !s.dense; i++ {
+		s.idx = ones(s.idx, s.row(i))
+		for _, k := range s.idx {
+			s.binv[i*s.m+int(k)] = 0
+		}
+	}
+	clear(s.rowPat)
+	clear(s.colPat)
+	s.dense, s.nnz = false, 0
 }
 
 // nbVal is the resting value of a nonbasic variable.
@@ -146,11 +201,10 @@ func (s *Solver) nbVal(j int) float64 {
 // resting on it at the optimum certifies unboundedness.
 func (s *Solver) coldInit(c *Compiled) {
 	m, n := c.m, c.n
-	for i := range s.binv {
-		s.binv[i] = 0
-	}
+	s.clearBinv()
 	for i := 0; i < m; i++ {
 		s.binv[i*m+i] = 1
+		s.set(i, i, true)
 	}
 	copy(s.lo, c.lo)
 	copy(s.up, c.up)
@@ -194,7 +248,20 @@ func (s *Solver) coldInit(c *Compiled) {
 
 // restore loads a snapshot into the workspace.
 func (s *Solver) restore(st *State) {
-	copy(s.binv, st.binv)
+	if st.dense {
+		copy(s.binv, st.binv)
+		s.dense = true
+	} else {
+		s.clearBinv()
+		v := st.binv
+		for i := 0; i < s.m; i++ {
+			s.idx = ones(s.idx, st.pat[i*s.w:i*s.w+s.w])
+			for _, k := range s.idx {
+				s.binv[i*s.m+int(k)], v = v[0], v[1:]
+				s.set(i, int(k), true)
+			}
+		}
+	}
 	copy(s.xB, st.xB)
 	copy(s.d, st.d)
 	copy(s.basis, st.basis)
@@ -215,7 +282,19 @@ func (s *Solver) Snapshot(dst *State) *State {
 	dst.m, dst.nTot = s.m, s.nTot
 	dst.gen++
 	s.held, s.heldGen = dst, dst.gen
-	dst.binv = append(dst.binv[:0], s.binv...)
+	dst.dense = s.dense
+	if s.dense {
+		dst.binv = append(dst.binv[:0], s.binv...)
+	} else {
+		dst.pat = append(dst.pat[:0], s.rowPat...)
+		dst.binv = grow(dst.binv, s.nnz)[:0]
+		for i := 0; i < s.m; i++ {
+			s.idx = ones(s.idx, s.row(i))
+			for _, k := range s.idx {
+				dst.binv = append(dst.binv, s.binv[i*s.m+int(k)])
+			}
+		}
+	}
 	dst.xB = append(dst.xB[:0], s.xB...)
 	dst.d = append(dst.d[:0], s.d...)
 	dst.basis = append(dst.basis[:0], s.basis...)
@@ -289,8 +368,15 @@ func (s *Solver) recomputeXB(c *Compiled) {
 	for i := 0; i < m; i++ {
 		row := s.binv[i*m : i*m+m]
 		acc := 0.0
-		for k, rv := range rhs {
-			acc += row[k] * rv
+		if s.dense {
+			for k, rv := range rhs {
+				acc += row[k] * rv
+			}
+		} else {
+			s.idx = ones(s.idx, s.row(i))
+			for _, k := range s.idx {
+				acc += row[k] * rhs[k]
+			}
 		}
 		s.xB[i] = acc
 	}
@@ -328,6 +414,136 @@ func (s *Solver) Solve(c *Compiled, warm *State, changes []BoundChange) (*Soluti
 	return s.extract(c, iters)
 }
 
+// pivotRow sets alpha_j = rho . A_j, rho = e_r B^-1, for the columns in
+// cols: dense, every nonbasic column, summed down its CSC column; else the
+// columns rho's pattern reaches, summed over the CSR rows of that pattern in
+// the same ascending row order. The others keep alpha = 0.
+func (s *Solver) pivotRow(c *Compiled, r int) {
+	m, n := c.m, c.n
+	rho := s.binv[r*m : r*m+m]
+	if s.dense {
+		s.cols = s.cols[:0]
+		for j := 0; j < c.nTot; j++ {
+			if s.status[j] == stBasic {
+				continue
+			}
+			var a float64
+			if j < n {
+				for k := c.colPtr[j]; k < c.colPtr[j+1]; k++ {
+					a += rho[c.rowIdx[k]] * c.vals[k]
+				}
+			} else {
+				a = rho[j-n]
+			}
+			s.alpha[j] = a
+			s.cols = append(s.cols, int32(j))
+		}
+		return
+	}
+	clear(s.seen)
+	s.idx = ones(s.idx, s.row(r))
+	for _, i := range s.idx {
+		ri := rho[i]
+		for k := c.rowPtr[i]; k < c.rowPtr[i+1]; k++ {
+			j := c.colIdx[k]
+			if s.seen[j>>6]&(1<<(j&63)) == 0 {
+				s.seen[j>>6] |= 1 << (j & 63)
+				s.alpha[j] = 0
+			}
+			s.alpha[j] += ri * c.rowVal[k]
+		}
+		j := n + int(i)
+		s.seen[j>>6] |= 1 << (j & 63)
+		s.alpha[j] = ri
+	}
+	s.cols = ones(s.cols, s.seen)
+}
+
+// pivotCol sets acol = B^-1 A_q: on every row when dense, else on prow, the
+// union of the column patterns of A_q's rows, and exact zero elsewhere.
+func (s *Solver) pivotCol(c *Compiled, q int) {
+	m, acol := c.m, s.acol
+	if s.dense {
+		for i := 0; i < m; i++ {
+			acol[i] = s.dot(c, i, q)
+		}
+		return
+	}
+	clear(s.seen)
+	clear(acol)
+	if q >= c.n {
+		s.orCol(q - c.n)
+	} else {
+		for k := c.colPtr[q]; k < c.colPtr[q+1]; k++ {
+			s.orCol(int(c.rowIdx[k]))
+		}
+	}
+	s.prow = ones(s.prow, s.seen[:s.w])
+	for _, i := range s.prow {
+		acol[i] = s.dot(c, int(i), q)
+	}
+}
+
+// dot is row i of B^-1 times column q of [A I].
+func (s *Solver) dot(c *Compiled, i, q int) float64 {
+	if q >= c.n {
+		return s.binv[i*s.m+q-c.n]
+	}
+	row := s.binv[i*s.m : i*s.m+s.m]
+	acc := 0.0
+	for k := c.colPtr[q]; k < c.colPtr[q+1]; k++ {
+		acc += row[c.rowIdx[k]] * c.vals[k]
+	}
+	return acc
+}
+
+// orCol adds column k's pattern to seen.
+func (s *Solver) orCol(k int) {
+	for x, b := range s.colPat[k*s.w : k*s.w+s.w] {
+		s.seen[x] |= b
+	}
+}
+
+// update applies the Gauss-Jordan step of pivoting on acol[r] to B^-1: row r
+// is scaled, and every other row the pivot column reaches loses its multiple
+// of it — over row r's pattern unless dense. An entry that fills in is ORed
+// into both bitmaps; one that cancels to zero leaves them.
+func (s *Solver) update(r int) {
+	m, acol := s.m, s.acol
+	inv := 1 / acol[r]
+	rowR := s.binv[r*m : r*m+m]
+	if s.dense {
+		for k := range rowR {
+			rowR[k] *= inv
+		}
+		for i := 0; i < m; i++ {
+			if f := acol[i]; i != r && f != 0 {
+				rowI := s.binv[i*m : i*m+m]
+				for k := range rowI {
+					rowI[k] -= f * rowR[k]
+				}
+			}
+		}
+		return
+	}
+	s.idx = ones(s.idx, s.row(r))
+	for _, k := range s.idx {
+		rowR[k] *= inv
+	}
+	for _, i := range s.prow {
+		f := acol[i]
+		if int(i) == r || f == 0 {
+			continue
+		}
+		rowI := s.binv[int(i)*m : int(i)*m+m]
+		for _, k := range s.idx {
+			rowI[k] -= f * rowR[k]
+			s.set(int(i), int(k), rowI[k] != 0)
+		}
+	}
+	s.dense = 4*s.nnz > m*m
+}
+
 // dualSimplex pivots until every basic variable is within its bounds (the
 // workspace is dual-feasible by construction). It returns ErrInfeasible when
 // a violated row admits no entering column, and ErrIterLimit as a safety
@@ -335,7 +551,7 @@ func (s *Solver) Solve(c *Compiled, warm *State, changes []BoundChange) (*Soluti
 // smallest basic variable index) and best dual ratio (ties to the smallest
 // column index), degrading to Bland's rule after blandThreshold iterations.
 func (s *Solver) dualSimplex(c *Compiled) (int, error) {
-	m, n, nTot := c.m, c.n, c.nTot
+	m, nTot := c.m, c.nTot
 	maxIter := 20000 + 50*(m+nTot)
 	for iter := 0; ; iter++ {
 		if iter >= maxIter {
@@ -373,26 +589,14 @@ func (s *Solver) dualSimplex(c *Compiled) (int, error) {
 			return iter, nil // primal feasible: optimal
 		}
 
-		// Entering column: dual ratio test over the pivot row
-		// rho = e_r B^-1. alpha[j] = rho . A_j is kept for the reduced-cost
-		// update below.
-		rho := s.binv[r*m : r*m+m]
+		// Entering column: dual ratio test over the pivot row. A column out
+		// of reach has alpha = 0 and is never eligible.
+		s.pivotRow(c, r)
 		q := -1
 		bestRatio := 0.0
-		for j := 0; j < nTot; j++ {
+		for _, j := range s.cols {
 			st := s.status[j]
-			if st == stBasic {
-				continue
-			}
-			var a float64
-			if j < n {
-				for k := c.colPtr[j]; k < c.colPtr[j+1]; k++ {
-					a += rho[c.rowIdx[k]] * c.vals[k]
-				}
-			} else {
-				a = rho[j-n]
-			}
-			s.alpha[j] = a
+			a := s.alpha[j]
 			eligible := false
 			switch st {
 			case stLower:
@@ -407,30 +611,15 @@ func (s *Solver) dualSimplex(c *Compiled) (int, error) {
 			}
 			ratio := math.Abs(s.d[j]) / math.Abs(a)
 			if q == -1 || ratio < bestRatio-eps {
-				q, bestRatio = j, ratio
+				q, bestRatio = int(j), ratio
 			}
 		}
 		if q == -1 {
 			return iter, ErrInfeasible
 		}
 
-		// Pivot column B^-1 A_q.
+		s.pivotCol(c, q)
 		acol := s.acol
-		if q < n {
-			for i := 0; i < m; i++ {
-				row := s.binv[i*m : i*m+m]
-				acc := 0.0
-				for k := c.colPtr[q]; k < c.colPtr[q+1]; k++ {
-					acc += row[c.rowIdx[k]] * c.vals[k]
-				}
-				acol[i] = acc
-			}
-		} else {
-			col := q - n
-			for i := 0; i < m; i++ {
-				acol[i] = s.binv[i*m+col]
-			}
-		}
 		piv := acol[r]
 
 		// Primal step: the leaving variable lands on its violated bound.
@@ -450,7 +639,7 @@ func (s *Solver) dualSimplex(c *Compiled) (int, error) {
 		// dual-feasible because theta respects the ratio test.
 		theta := s.d[q] / piv
 		if theta != 0 {
-			for j := 0; j < nTot; j++ {
+			for _, j := range s.cols {
 				if s.status[j] != stBasic {
 					s.d[j] -= theta * s.alpha[j]
 				}
@@ -459,25 +648,7 @@ func (s *Solver) dualSimplex(c *Compiled) (int, error) {
 		s.d[q] = 0
 		s.d[p] = -theta
 
-		// Basis inverse update (product form, one Gauss-Jordan step).
-		inv := 1 / piv
-		rowR := s.binv[r*m : r*m+m]
-		for k := range rowR {
-			rowR[k] *= inv
-		}
-		for i := 0; i < m; i++ {
-			if i == r {
-				continue
-			}
-			f := acol[i]
-			if f == 0 {
-				continue
-			}
-			rowI := s.binv[i*m : i*m+m]
-			for k := range rowI {
-				rowI[k] -= f * rowR[k]
-			}
-		}
+		s.update(r)
 
 		if below {
 			s.status[p] = stLower

@@ -16,8 +16,8 @@
 // The relaxation holds only rows with a non-zero coefficient: an all-zero
 // row constrains nothing (or, unsatisfiable, makes the model infeasible), so
 // a persistent model can switch rows off by zeroing them and pay nothing for
-// them in the dense basis. Snapshots and solver workspaces, each O(rows²),
-// are recycled through a free list owned by the Model.
+// them in the basis. Workspaces and snapshots (only B^-1's non-zeros, a few
+// percent of it) are recycled through a free list owned by the Model.
 package milp
 
 import (

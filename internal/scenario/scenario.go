@@ -36,8 +36,13 @@ type Spec struct {
 	Method string `json:"method"`
 }
 
-// BuildTopology constructs the topology the spec names.
+// BuildTopology constructs the topology the spec names. Grid and tree round
+// a size up, but never one below 1: that is topology.ErrBadParameter, as
+// the other generators report it.
 func (s Spec) BuildTopology() (*topology.Network, error) {
+	if s.Nodes < 1 && (s.Topology == "grid" || s.Topology == "tree") {
+		return nil, fmt.Errorf("scenario: %s of %d nodes: %w", s.Topology, s.Nodes, topology.ErrBadParameter)
+	}
 	switch s.Topology {
 	case "chain":
 		return topology.Chain(s.Nodes, 100)

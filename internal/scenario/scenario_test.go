@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -9,6 +10,7 @@ import (
 
 	"wimesh/internal/core"
 	"wimesh/internal/tdma"
+	"wimesh/internal/topology"
 	"wimesh/internal/voip"
 )
 
@@ -31,6 +33,22 @@ func TestBuildTopologyAllKinds(t *testing.T) {
 	}
 	if _, err := (Spec{Topology: "donut"}).BuildTopology(); err == nil {
 		t.Error("unknown topology accepted")
+	}
+}
+
+// TestBuildTopologyRejectsNonPositiveNodes: grid and tree used to round any
+// size up to their smallest shape, so -nodes -4 planned a 4-node grid and
+// -nodes -5 a 3-node tree. Chain, ring and random already rejected them.
+func TestBuildTopologyRejectsNonPositiveNodes(t *testing.T) {
+	for _, s := range []Spec{
+		{Topology: "grid", Nodes: -4},
+		{Topology: "grid", Nodes: 0},
+		{Topology: "tree", Nodes: -5},
+		{Topology: "tree", Nodes: 0},
+	} {
+		if _, err := s.BuildTopology(); !errors.Is(err, topology.ErrBadParameter) {
+			t.Errorf("%s of %d nodes: err %v, want ErrBadParameter", s.Topology, s.Nodes, err)
+		}
 	}
 }
 

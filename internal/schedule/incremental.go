@@ -43,7 +43,7 @@ var ErrUnsupportedLink = errors.New("schedule: demand outside incremental suppor
 // all-zero rows, which the relaxation leaves out (see package milp). The
 // pair's order binary then sits in no row at zero cost, rests at zero, and
 // is never branched on — exactly as rows pinning it at zero would hold it,
-// pivot for pivot, without their O(rows²) share of every node's basis. A
+// pivot for pivot, without their rows in every node's basis. A
 // demand outside the support set cannot be expressed: MinSlots fails with
 // ErrUnsupportedLink until Cover has widened the support.
 type Incremental struct {
