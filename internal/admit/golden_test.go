@@ -41,6 +41,12 @@ func traceReplays() []traceReplay {
 				SlotsPerLink: 2, Seed: 42, ToGateway: true},
 		},
 		{
+			name: "mono-village", w: 3, h: 4,
+			cfg: Config{MaxWindow: 32, MILP: milp.Options{MaxNodes: 8, Workers: 1}, BudgetRejects: true},
+			load: WorkloadConfig{Calls: 400, ArrivalRate: 16, MeanHolding: 500 * time.Millisecond,
+				SlotsPerLink: 1, Seed: 42},
+		},
+		{
 			name: "zoned-8x2", w: 8, h: 2,
 			cfg: Config{MaxWindow: 12, Zoned: true, ZoneSize: 250,
 				MILP: milp.Options{MaxNodes: 60, Workers: 1}, BudgetRejects: true},
@@ -132,15 +138,13 @@ func TestDecisionTraceGolden(t *testing.T) {
 	checkGolden(t, "decision_trace.golden", sb.String())
 }
 
-// TestDefragTraceGolden pins the zoned solver-driven defragmentation: the
-// two zoned replays with a TryDefrag pass after every 7th event, whose won
-// slots, windows and final canonical schedule must equal the recorded trace.
+// TestDefragTraceGolden pins the solver-driven defragmentation: every replay
+// with a TryDefrag pass after every 7th event, whose won slots, windows and
+// final canonical schedule must equal the recorded trace.
 func TestDefragTraceGolden(t *testing.T) {
 	var sb strings.Builder
 	for _, r := range traceReplays() {
-		if r.cfg.Zoned {
-			replayTrace(t, &sb, r, 7)
-		}
+		replayTrace(t, &sb, r, 7)
 	}
 	checkGolden(t, "defrag_trace.golden", sb.String())
 }
