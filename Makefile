@@ -112,8 +112,8 @@ loc:
 # The ratchet on that number: the ceilings are what `make loc` printed when
 # they were last edited. A PR that shrinks the code lowers them; one that
 # must grow past them raises them in its own diff, where a reviewer sees it.
-LOC_MAX_TOTAL = 21932
-LOC_MAX_ADMIT = 2290
+LOC_MAX_TOTAL = 21816
+LOC_MAX_ADMIT = 2165
 LOC_MAX_PARTITION = 682
 LOC_MAX_SCHEDULE = 1591
 LOC_MAX_LP = 1148

@@ -184,8 +184,8 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		st.Offered, st.Admitted, st.Rejected, st.Elapsed.Round(time.Millisecond), admPerSec)
 	fmt.Fprintf(out, "tiers: %d fastpath, %d warm, %d cold\n", st.Fast, st.Warm, st.Cold)
 	es := sess.Stats()
-	fmt.Fprintf(out, "engine: %d releases, %d compactions, %d memo hits, %d satisficed, %d budget rejects; %d live calls, window %d\n",
-		es.Releases, es.Compactions, es.MemoHits, es.Satisficed, es.BudgetRejected, sess.NumCalls(), sess.Window())
+	fmt.Fprintf(out, "engine: %d releases, %d compactions, %d satisficed, %d budget rejects; %d live calls, window %d\n",
+		es.Releases, es.Compactions, es.Satisficed, es.BudgetRejected, sess.NumCalls(), sess.Window())
 	if *classMix != "" || *preempt || *ugsDeadline > 0 || *rtpsWindow > 0 {
 		// Class line only when a class feature is on, so the default output
 		// stays byte-identical release to release.

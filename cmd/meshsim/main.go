@@ -54,6 +54,16 @@ func run(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	// DCF has no schedule, slot guard or clock model: a TDMA-only flag next
+	// to an explicit -mac dcf is an error, not silently dropped. Visit sees
+	// only flags set on the command line, so defaults never trip this.
+	set := make(map[string]bool)
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	for _, name := range []string{"load", "sync", "guard", "method"} {
+		if set["mac"] && *macKind == "dcf" && set[name] {
+			return fmt.Errorf("-mac dcf with -%s: -%s applies to the TDMA MAC only", name, name)
+		}
+	}
 	if *duration < 0 {
 		return fmt.Errorf("-duration %v: must not be negative", *duration)
 	}
@@ -98,7 +108,6 @@ func run(args []string, out io.Writer) error {
 		}
 		saved = sp
 		spec = sp.Spec
-		*macKind = "tdma"
 	} else {
 		spec = scenario.Spec{
 			Topology: *topoName,

@@ -98,6 +98,29 @@ func TestRunRejectsNegativeRunFlags(t *testing.T) {
 	}
 }
 
+// TestRunRejectsTDMAOnlyFlagsUnderDCF: -mac dcf used to run TDMA under -load
+// and to drop -sync, -guard and -method without a word. An explicit -mac dcf
+// next to any of them is an error naming both flags; the defaults never trip
+// it.
+func TestRunRejectsTDMAOnlyFlagsUnderDCF(t *testing.T) {
+	for _, args := range [][]string{
+		{"-load", savePlan(t)},
+		{"-sync"},
+		{"-guard", "1ms"},
+		{"-method", "greedy"},
+	} {
+		var sb strings.Builder
+		err := run(append([]string{"-mac", "dcf", "-nodes", "4", "-calls", "1", "-duration", "1s"}, args...), &sb)
+		if err == nil || !strings.Contains(err.Error(), "-mac dcf") || !strings.Contains(err.Error(), args[0]+":") {
+			t.Errorf("run(-mac dcf %v): err = %v, want an error naming -mac dcf and %s", args, err, args[0])
+		}
+	}
+	var sb strings.Builder
+	if err := run([]string{"-mac", "dcf", "-nodes", "4", "-calls", "1", "-duration", "1s"}, &sb); err != nil {
+		t.Errorf("run(-mac dcf) with TDMA flags at their defaults: %v", err)
+	}
+}
+
 // TestRunRejectsNonPositiveNodes: grid and tree used to round a size below 1
 // up to a 4-node grid or a 3-node tree, from the flag or from a plan file.
 func TestRunRejectsNonPositiveNodes(t *testing.T) {
@@ -119,10 +142,11 @@ func TestRunRejectsNonPositiveNodes(t *testing.T) {
 	}
 }
 
-func TestRunLoadRoundTrip(t *testing.T) {
-	// Produce a plan file the way meshplan -save does, then replay it.
-	dir := t.TempDir()
-	path := dir + "/plan.json"
+// savePlan writes a 4-node chain plan the way meshplan -save does and
+// returns its path.
+func savePlan(t *testing.T) string {
+	t.Helper()
+	path := t.TempDir() + "/plan.json"
 	spec := scenario.Spec{Topology: "chain", Nodes: 4, Calls: 2,
 		Codec: "g711", DelayBound: "150ms", Method: "path-major"}
 	topo, err := spec.BuildTopology()
@@ -149,6 +173,11 @@ func TestRunLoadRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Close()
+	return path
+}
+
+func TestRunLoadRoundTrip(t *testing.T) {
+	path := savePlan(t)
 	var sb strings.Builder
 	if err := run([]string{"-load", path, "-duration", "2s"}, &sb); err != nil {
 		t.Fatalf("meshsim -load: %v", err)

@@ -11,10 +11,7 @@
 //   - Warm: re-solve of a persistent, mutation-driven ILP model
 //     (schedule.Incremental) hinted at the incumbent window; on the seed-42
 //     benchmark a slow city_churn decision solves ~16 integer programs for
-//     ~280 dual pivots. An exact memo of solved aggregate demand vectors
-//     serves churn's constant revisits (a call arrives, holds, departs, and
-//     the mesh is back where it was) by replaying the remembered schedule
-//     and verdict without touching the solver at all.
+//     ~280 dual pivots.
 //   - Cold: the new demand wakes a link the model has never carried, so the
 //     model had to be built or grown before the solve
 //     (schedule.Incremental.Cover). A model only ever grows, so cold admits
@@ -23,18 +20,21 @@
 // Rejections are always solver verdicts (the fast tier only admits), so the
 // engine's accept/reject answers match a cold schedule.MinSlots re-plan —
 // the differential tests pin this. In zoned mode (city scale) the engine
-// instead re-solves only the zones an admission touches, through the zone
-// planner of internal/partition, and first-fits their blocks back against
-// the rest of the schedule; zoned verdicts are conservative, as for the
-// partitioned planner.
+// re-solves only the zones an admission touches and first-fits their blocks
+// back against the rest of the schedule; zoned verdicts are conservative, as
+// for the partitioned planner.
 //
 // # One decision path
 //
 // Admit, AdmitBatch and the preemption retry all run the same routine,
-// decide, over a group of one or more flows, on every engine. A monolithic
-// engine is the engine with one zone whose solver phase is the whole-graph
-// model (with the memo and the incumbent-window lower bound) instead of a
-// zone model plus stitch.
+// decide, over a group of one or more flows, on every engine, and every
+// solve goes through the zone planner of internal/partition. A monolithic
+// engine is the engine whose decomposition is one zone holding every link,
+// with no pair gate. One rule, keyed on the decomposition having one zone,
+// keeps that zone exact: its solver layout replaces the live schedule
+// verbatim (a first-fit re-stitch would move decisions), and while no
+// release, eviction, satisficed solve or defrag swap has intervened, the
+// incumbent window is the lower bound of its next search.
 //
 // Lock hierarchy, strictly outside-in:
 //
@@ -66,6 +66,7 @@ import (
 	"errors"
 	"fmt"
 	"maps"
+	"math"
 	"sync"
 	"time"
 
@@ -174,7 +175,9 @@ type Stats struct {
 	// schedule; DefragSlots is the total window shrinkage they bought.
 	Defrags     uint64
 	DefragSlots uint64
-	// MemoHits counts warm admissions answered from the exact-solve memo.
+	// MemoHits is always zero: the engine keeps no memo of solved demand
+	// vectors. It stays because the repository benchmark (benchmark/serving.go)
+	// still reads it.
 	MemoHits uint64
 	// Satisficed counts admissions decided by the satisficing fallback: the
 	// exact min-window search blew its budget and a single probe at the
@@ -241,23 +244,8 @@ type Config struct {
 	Registry *obs.Registry
 }
 
-const (
-	// defaultCompactEvery releases pass between re-packs of fragmented slots.
-	defaultCompactEvery = 64
-	// memoCap bounds the exact-solve memo of the monolithic warm tier.
-	// Entries are keyed by the full aggregate demand vector, so a hit is
-	// always exact.
-	memoCap = 256
-)
-
-// memoEntry is one remembered exact verdict: the minimum window and a
-// witness schedule for a specific aggregate demand vector, or its proven
-// infeasibility.
-type memoEntry struct {
-	feasible bool
-	win      int
-	assigns  []tdma.Assignment
-}
+// defaultCompactEvery releases pass between re-packs of fragmented slots.
+const defaultCompactEvery = 64
 
 // Engine is the long-lived admission engine. All methods are safe for
 // concurrent use: a decision locks the zones its flows touch (a monolithic
@@ -269,7 +257,7 @@ type Engine struct {
 	cfg    Config
 	maxWin int
 	// maxPairs gates zone ILP size as in internal/partition; larger zones
-	// fall back to greedy packing.
+	// fall back to greedy packing. A monolithic engine has no gate.
 	maxPairs int
 
 	// mu is the stitch lock: it guards the live schedule, the aggregate
@@ -291,8 +279,8 @@ type Engine struct {
 	// schedule moved underneath the solve.
 	gen uint64
 	// solverDirty is set whenever the incumbent window stops being a proven
-	// minimum (release, eviction, satisficed solve, defrag swap), so the
-	// monolithic warm solve may not use it as a lower bound.
+	// minimum (release, eviction, satisficed solve, defrag swap), so a
+	// one-zone solve may not use it as a lower bound.
 	solverDirty bool
 	releases    int
 	// compactEvery is defaultCompactEvery; tests set it after New
@@ -302,22 +290,18 @@ type Engine struct {
 	// (its zone locks still held). Test hook.
 	solveHook func()
 
-	// dec is the static decomposition over the full link set (nil on a
-	// monolithic engine). zoneMu has one lock per zone — one in all on a
-	// monolithic engine — and allZones lists them ascending. Zone i's model
-	// in models — built over the links that ever carried demand there (a
-	// dense city zone can hold tens of thousands of conflicting link pairs,
-	// so a model over all zone links would be intractable; the links that
-	// ever carry demand are few) — and the demand entries of zone i's links
-	// are guarded by zoneMu[i] (demand writes additionally hold e.mu).
+	// dec is the static decomposition over the full link set — one zone on
+	// a monolithic engine. zoneMu has one lock per zone and allZones lists
+	// them ascending. Zone i's model in models — built over the links that
+	// ever carried demand there (a dense city zone can hold tens of
+	// thousands of conflicting link pairs, so a model over all zone links
+	// would be intractable; the links that ever carry demand are few) — and
+	// the demand entries of zone i's links are guarded by zoneMu[i] (demand
+	// writes additionally hold e.mu).
 	dec      *partition.Decomposition
 	zoneMu   []sync.Mutex
 	allZones []int
 	models   *partition.Models
-	// Exact-solve memo of the monolithic model: demand fingerprint ->
-	// verdict, FIFO-evicted at memoCap entries. Guarded by zoneMu[0].
-	memo      map[string]memoEntry
-	memoOrder []string
 
 	// dfMu serializes background re-packs (one at a time); dfModels are
 	// private so a defrag solve never touches the decision-path models.
@@ -329,7 +313,7 @@ type Engine struct {
 	cFast, cWarm, cCold, cReject *obs.Counter
 	cRelease, cCompact           *obs.Counter
 	cZoneGreedy, cWarmPivots     *obs.Counter
-	cMemo, cSatisfice, cBudget   *obs.Counter
+	cSatisfice, cBudget          *obs.Counter
 	cDefrag, cDefragSlots        *obs.Counter
 	cPreemptAttempt              *obs.Counter
 	cPreemptAdmit, cPreemptEvict *obs.Counter
@@ -367,28 +351,29 @@ func New(cfg Config) (*Engine, error) {
 		demand:       make(map[topology.LinkID]int),
 		flows:        make(map[FlowID]Flow),
 		cls:          make(map[topology.LinkID][2]int),
-		memo:         make(map[string]memoEntry, memoCap),
 	}
-	zones := 1
-	if cfg.Zoned {
-		// Static zoning over the full link universe: decompose a synthetic
-		// all-active problem so every link has a zone for the engine's
-		// lifetime, whatever the demand pattern does.
-		synth := &schedule.Problem{
-			Graph:      cfg.Graph,
-			Demand:     make(map[topology.LinkID]int, cfg.Graph.NumVertices()),
-			FrameSlots: cfg.Frame.DataSlots,
-		}
-		for l := 0; l < cfg.Graph.NumVertices(); l++ {
-			synth.Demand[topology.LinkID(l)] = 1
-		}
-		dec, err := partition.Decompose(synth, cfg.ZoneSize)
-		if err != nil {
-			return nil, err
-		}
-		e.dec = dec
-		zones = len(dec.Zones)
+	// Static zoning over the full link universe: decompose a synthetic
+	// all-active problem so every link has a zone for the engine's lifetime,
+	// whatever the demand pattern does. A monolithic engine's zone is wider
+	// than the mesh, so it gets one zone holding every link.
+	synth := &schedule.Problem{
+		Graph:      cfg.Graph,
+		Demand:     make(map[topology.LinkID]int, cfg.Graph.NumVertices()),
+		FrameSlots: cfg.Frame.DataSlots,
 	}
+	for l := 0; l < cfg.Graph.NumVertices(); l++ {
+		synth.Demand[topology.LinkID(l)] = 1
+	}
+	size := cfg.ZoneSize
+	if !cfg.Zoned {
+		size, e.maxPairs = math.MaxFloat64, math.MaxInt
+	}
+	dec, err := partition.Decompose(synth, size)
+	if err != nil {
+		return nil, err
+	}
+	e.dec = dec
+	zones := len(dec.Zones)
 	e.zoneMu = make([]sync.Mutex, zones)
 	e.models = partition.NewModels(zones, cfg.Frame)
 	e.dfModels = partition.NewModels(zones, cfg.Frame)
@@ -405,7 +390,6 @@ func New(cfg Config) (*Engine, error) {
 		e.cCompact = r.Counter("admit.compact")
 		e.cZoneGreedy = r.Counter("admit.zone_greedy")
 		e.cWarmPivots = r.Counter("admit.warm_pivots")
-		e.cMemo = r.Counter("admit.memo_hit")
 		e.cSatisfice = r.Counter("admit.satisfice")
 		e.cBudget = r.Counter("admit.budget_reject")
 		e.cDefrag = r.Counter("admit.defrag")
@@ -426,10 +410,10 @@ func New(cfg Config) (*Engine, error) {
 //
 // Locking note: e.mu alone is sufficient for this and the other read
 // accessors. Every mutation of reader-visible state — e.pack, e.demand,
-// e.flows, e.cls, e.stats — happens with e.mu held: a
-// decision mutates only solver state (models, memo, guarded by the zone
-// locks) during its unlocked solve phases, and screens, stitches and commits
-// under e.mu. TestShardedSnapshotRace hammers these accessors against
+// e.flows, e.cls, e.stats — happens with e.mu held: a decision mutates only
+// solver state (the zone models, guarded by the zone locks) during its
+// unlocked solve phases, and screens, stitches and commits under e.mu.
+// TestShardedSnapshotRace hammers these accessors against
 // ServeConcurrent under the race detector to keep it that way.
 func (e *Engine) Window() int {
 	e.mu.Lock()

@@ -71,27 +71,21 @@ func benchSetup(b *testing.B, compactEvery int) (*Engine, Flow, map[topology.Lin
 // BenchmarkAdmitRelease compares one admission's cost across the repair
 // tiers against the from-scratch re-plan the engine replaces:
 //
-//   - warm: Admit+Release through the warm tier's exact-solve memo — the
-//     steady-state churn case (the same aggregate demand vector recurs, the
-//     remembered schedule replays without solver work).
-//   - warm-solve: the same cycle with the memo disabled, so every
-//     admission is a genuine hinted re-solve of the persistent model.
+//   - warm-solve: Admit+Release in a steady-state churn cycle, so every
+//     admission is a hinted re-solve of the persistent model.
 //   - cold-replan: the same decision answered the pre-engine way — build
 //     the ILP model from scratch and run the full MinSlots window search
 //     over the identical aggregate demand.
 //   - fast: Admit+Release of a flow the first-fit tier absorbs, for scale.
-//
-// The acceptance bar is warm ≥ 10x faster than cold-replan.
 func BenchmarkAdmitRelease(b *testing.B) {
-	b.Run("warm", func(b *testing.B) {
+	b.Run("warm-solve", func(b *testing.B) {
 		// Compact on every release: the freed slots do not linger as
 		// in-window slack, so each admission must re-solve (fastpath slack
 		// is benchmarked separately below).
 		e, f, _, _ := benchSetup(b, 1)
 		ctx := context.Background()
-		// One untimed cycle so the support set and the memo include the
-		// bench flow's state: iteration one would otherwise pay the cold
-		// rebuild.
+		// One untimed cycle so the support set includes the bench flow's
+		// links: iteration one would otherwise pay the cold rebuild.
 		if dec, err := e.Admit(ctx, f); err != nil || !dec.Admitted {
 			b.Fatalf("prewarm: %+v, %v", dec, err)
 		}
@@ -101,36 +95,6 @@ func BenchmarkAdmitRelease(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			dec, err := e.Admit(ctx, f)
-			if err != nil || !dec.Admitted {
-				b.Fatalf("admit: %+v, %v", dec, err)
-			}
-			if dec.Tier != TierWarm {
-				b.Fatalf("iteration hit tier %v, want warm", dec.Tier)
-			}
-			if err := e.Release(f.ID); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("warm-solve", func(b *testing.B) {
-		e, f, _, _ := benchSetup(b, 1)
-		// Forget the memo before every admit so each one reaches the solver.
-		forget := func() {
-			clear(e.memo)
-			e.memoOrder = e.memoOrder[:0]
-		}
-		ctx := context.Background()
-		if dec, err := e.Admit(ctx, f); err != nil || !dec.Admitted {
-			b.Fatalf("prewarm: %+v, %v", dec, err)
-		}
-		if err := e.Release(f.ID); err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			forget()
 			dec, err := e.Admit(ctx, f)
 			if err != nil || !dec.Admitted {
 				b.Fatalf("admit: %+v, %v", dec, err)

@@ -2,7 +2,6 @@ package admit
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"slices"
@@ -16,9 +15,9 @@ import (
 )
 
 // This file is the decision path: the lock protocol, the one group routine
-// decide every entry point runs, its two solver phases (whole-graph model,
-// zone models plus stitch), and release. The package comment states the lock
-// hierarchy and the invariant decide keeps whenever it lets go of e.mu.
+// decide every entry point runs, its solver phase (zone models plus stitch),
+// and release. The package comment states the lock hierarchy and the
+// invariant decide keeps whenever it lets go of e.mu.
 
 // lock acquires the given zone locks in ascending order, then e.mu — the
 // whole hierarchy, in the one order that cannot deadlock — recording the time
@@ -45,15 +44,6 @@ func (e *Engine) unlock(zones []int) {
 	}
 }
 
-// zonesOf returns the zone locks guarding the links, ascending: the zones
-// owning them, or the single lock of a monolithic engine.
-func (e *Engine) zonesOf(links []topology.LinkID) []int {
-	if e.dec == nil {
-		return e.allZones
-	}
-	return e.dec.ZoneSet(links)
-}
-
 // preempts reports whether a rejection of f would enter the preemption
 // search: only guaranteed-class arrivals ever do, so a BE or nrtPS arrival
 // can never evict anything. Such an arrival must hold every zone lock.
@@ -61,11 +51,11 @@ func (e *Engine) preempts(f Flow) bool {
 	return e.cfg.Preempt && f.Class.Guaranteed()
 }
 
-// HomeZone returns the zone of the flow's first path link (0 when the engine
-// is not zoned): the dispatch key ServeConcurrent shards arrivals by, so all
-// events of one flow land on one worker in order.
+// HomeZone returns the zone of the flow's first path link (always 0 on a
+// monolithic engine): the dispatch key ServeConcurrent shards arrivals by, so
+// all events of one flow land on one worker in order.
 func (e *Engine) HomeZone(f Flow) int {
-	if e.dec == nil || len(f.Path) == 0 {
+	if len(f.Path) == 0 {
 		return 0
 	}
 	if zi := e.dec.ZoneOf(f.Path[0]); zi >= 0 {
@@ -85,7 +75,7 @@ func (e *Engine) Admit(ctx context.Context, f Flow) (Decision, error) {
 	}
 	zones := e.allZones
 	if !e.preempts(f) {
-		zones = e.zonesOf(f.Path)
+		zones = e.dec.ZoneSet(f.Path)
 	}
 	e.lock(zones)
 	defer e.unlock(zones)
@@ -123,7 +113,7 @@ func (e *Engine) AdmitBatch(ctx context.Context, flows []Flow) ([]Decision, erro
 	e.hBatch.Observe(float64(len(flows)))
 	zones := e.allZones
 	if !preempts {
-		zones = e.zonesOf(union)
+		zones = e.dec.ZoneSet(union)
 	}
 	e.lock(zones)
 	defer e.unlock(zones)
@@ -292,15 +282,7 @@ func (e *Engine) decide(ctx context.Context, flows []Flow) (Decision, error) {
 	// The prospective class totals reach the solvers as absolute start caps.
 	full := &schedule.Problem{Graph: e.cfg.Graph, Demand: newDemand, FrameSlots: e.cfg.Frame.DataSlots,
 		StartCap: e.capsFor(newCls)}
-	var (
-		dec Decision
-		err error
-	)
-	if e.dec == nil {
-		dec, err = e.solveMono(ctx, flows, full, newCls, opts)
-	} else {
-		dec, err = e.solveZoned(ctx, flows, delta, full, newCls, opts)
-	}
+	dec, err := e.solveZoned(ctx, flows, delta, full, newCls, opts)
 	if err != nil || !dec.Admitted {
 		return dec, err
 	}
@@ -356,23 +338,17 @@ func (e *Engine) solverErr(ctx context.Context, tier Tier, err error) (Decision,
 	return Decision{Tier: tier, Window: e.pack.Makespan()}, nil
 }
 
-// solution is what one solve phase hands back across the e.mu boundary: the
-// solver's layout — the whole schedule of a monolithic solve, one zone's
-// blocks of a zone solve; nil Blocks with a nil error is a memoized proof of
-// infeasibility — with its counts, and whether the satisficing step (sat) or
-// the exact memo (memo) decided.
+// solution is what one zone solve hands back across the e.mu boundary: the
+// solver's layout of the zone with its counts, and whether the satisficing
+// step (sat) decided.
 type solution struct {
 	partition.ZoneSolution
-	sat, memo bool
+	sat bool
 }
 
 // book records a solve phase's side tallies and returns the tier it ran on.
 // Called with e.mu held.
 func (e *Engine) book(r solution) Tier {
-	if r.memo {
-		e.stats.MemoHits++
-		e.cMemo.Inc()
-	}
 	if r.Greedy {
 		e.stats.ZoneGreedy++
 		e.cZoneGreedy.Inc()
@@ -423,128 +399,51 @@ func (e *Engine) beginSolve() {
 	}
 }
 
-// solveMono is the monolithic solver phase: one persistent model over the
-// whole graph, with the exact-verdict memo in front of it. Called with e.mu
-// held; releases it for the solve.
-func (e *Engine) solveMono(ctx context.Context, flows []Flow, p *schedule.Problem, newCls map[topology.LinkID][2]int, opts milp.Options) (Decision, error) {
-	hint, exact := e.pack.Makespan(), !e.solverDirty
-	e.beginSolve()
-	r, err := e.monoModel(ctx, p, newCls, hint, exact, opts)
-	e.mu.Lock()
-	tier := e.book(r)
-	if err != nil {
-		return e.solverErr(ctx, tier, err)
-	}
-	if r.Blocks == nil {
-		return Decision{Tier: tier, Window: e.pack.Makespan()}, nil
-	}
-	// The solve covers the whole frozen demand, so its schedule replaces the
-	// live one outright — whatever compaction or defrag did to it meanwhile.
-	e.pack.Reset(r.Blocks)
-	e.solverDirty = r.sat
-	return Decision{Admitted: true, Tier: tier, Window: r.Window, Solved: r.Solved, Pivots: r.Pivots}, nil
+// oneZone reports whether the decomposition is a single zone, as on every
+// monolithic engine. That zone's problem is the whole demand, so its exact
+// solve proves the window minimal: the solver's layout is placed verbatim,
+// and until solverDirty the incumbent window bounds the next search from
+// below.
+func (e *Engine) oneZone() bool {
+	return len(e.dec.Zones) == 1
 }
 
-// monoModel answers the demand vector from the memo or the whole-graph
-// model. hint is the incumbent window; exact says it is a proven minimum.
-// Called with zoneMu[0] held and e.mu released.
-func (e *Engine) monoModel(ctx context.Context, p *schedule.Problem, newCls map[topology.LinkID][2]int, hint int, exact bool, opts milp.Options) (solution, error) {
-	fp := fingerprint(p.Demand, newCls)
-	if ent, ok := e.memo[fp]; ok {
-		r := solution{ZoneSolution: partition.ZoneSolution{Window: ent.win}, memo: true}
-		if ent.feasible {
-			r.Blocks = slices.Clone(ent.assigns)
-		}
-		return r, nil
+// zoneProblem restricts the full problem to zone zi; the one zone's problem
+// is the full problem itself.
+func (e *Engine) zoneProblem(full *schedule.Problem, zi int) *schedule.Problem {
+	if e.oneZone() {
+		return full
 	}
-	// The whole-graph model skips the pair gate: the engine has no greedy
-	// fallback for a monolithic solve.
-	m, cold, err := e.models.Model(0, p)
-	if err != nil {
-		return solution{}, err
-	}
-	lo := 0
-	if !cold && exact {
-		// Demand has only grown since the last exact solve, so its window
-		// is a sound lower bound; with the hint equal to it, the common
-		// case is a single warm probe.
-		lo = hint
-	}
-	zs, err := partition.Search(m, p, hint, lo, e.maxWin, opts)
-	zs.Cold = cold
-	r, err := e.satisfice(ctx, 0, p, zs, err, opts)
-	if errors.Is(err, schedule.ErrInfeasible) {
-		e.memoStore(fp, memoEntry{})
-	} else if err == nil && !r.sat {
-		// Satisficed windows are feasible but not proven minimal, so they
-		// never enter the exact memo.
-		e.memoStore(fp, memoEntry{feasible: true, win: r.Window, assigns: slices.Clone(r.Blocks)})
-	}
-	return r, err
+	return partition.ZoneProblem(full, e.dec, zi)
 }
 
-// fingerprint serializes a demand vector into a memo key: links ascending.
-// A classed engine folds the per-link class totals in too — the same
-// aggregate demand under a different UGS/rtPS composition has different
-// start caps, so the verdicts are not interchangeable. With cls nil the
-// key bytes are exactly the pre-class ones.
-func fingerprint(demand map[topology.LinkID]int, cls map[topology.LinkID][2]int) string {
-	links := make([]topology.LinkID, 0, len(demand))
-	for l, d := range demand {
-		if d > 0 {
-			links = append(links, l)
-		}
-	}
-	slices.Sort(links)
-	var b []byte
-	for _, l := range links {
-		b = binary.AppendVarint(b, int64(l))
-		b = binary.AppendVarint(b, int64(demand[l]))
-	}
-	if cls != nil {
-		b = append(b, 0xff)
-		for _, l := range links {
-			v := cls[l]
-			b = binary.AppendVarint(b, int64(v[0]))
-			b = binary.AppendVarint(b, int64(v[1]))
-		}
-	}
-	return string(b)
-}
-
-// memoStore inserts an exact verdict, evicting FIFO at capacity. Called
-// with zoneMu[0] held.
-func (e *Engine) memoStore(fp string, ent memoEntry) {
-	if _, ok := e.memo[fp]; !ok {
-		if len(e.memoOrder) >= memoCap {
-			delete(e.memo, e.memoOrder[0])
-			e.memoOrder = e.memoOrder[1:]
-		}
-		e.memoOrder = append(e.memoOrder, fp)
-	}
-	e.memo[fp] = ent
-}
-
-// solveZoned is the zoned solver phase: re-solve the zones the delta touches,
-// in ascending order, and first-fit their new blocks back against the rest
-// of the schedule. After each zone's solve the zones solved so far are
-// stitched on trial, so a cross-zone packing failure rejects before the
-// remaining zones are solved at all; only the last zone's stitch is kept
-// (see the package invariant). Called with e.mu held; releases it for each
-// solve.
+// solveZoned is the solver phase: re-solve the zones the delta touches, in
+// ascending order, and first-fit their new blocks back against the rest of
+// the schedule. After each zone's solve the zones solved so far are stitched
+// on trial, so a cross-zone packing failure rejects before the remaining
+// zones are solved at all; only the last zone's stitch is kept (see the
+// package invariant). The one zone of a monolithic engine is not stitched
+// but replaces the schedule (see oneZone). Called with e.mu held; releases it
+// for each solve.
 func (e *Engine) solveZoned(ctx context.Context, flows []Flow, delta map[topology.LinkID]int, full *schedule.Problem, newCls map[topology.LinkID][2]int, opts milp.Options) (Decision, error) {
 	links := make([]topology.LinkID, 0, len(delta))
 	for l := range delta {
 		links = append(links, l)
 	}
-	zones := e.dec.ZoneSet(links)
+	zones, one := e.dec.ZoneSet(links), e.oneZone()
 	tier, nsolved, pivots := TierWarm, 0, 0
 	blocks := make([][]tdma.Assignment, len(zones))
 	for k, zi := range zones {
-		hint := e.pack.End(e.dec.Zones[zi].Links)
+		hint, lo := e.pack.End(e.dec.Zones[zi].Links), 0
+		if one && !e.solverDirty {
+			// Demand has only grown since the incumbent window was proven
+			// minimal, so it is a sound lower bound; with the hint equal to
+			// it, the common case is a single warm probe.
+			lo = hint
+		}
 		e.beginSolve()
-		zp := partition.ZoneProblem(full, e.dec, zi)
-		zs, err := e.models.SolveZone(zi, zp, hint, e.maxWin, e.maxPairs, opts)
+		zp := e.zoneProblem(full, zi)
+		zs, err := e.models.SolveZone(zi, zp, hint, lo, e.maxWin, e.maxPairs, opts)
 		r, err := e.satisfice(ctx, zi, zp, zs, err, opts)
 		e.mu.Lock()
 		tier = max(tier, e.book(r))
@@ -557,7 +456,13 @@ func (e *Engine) solveZoned(ctx context.Context, flows []Flow, delta map[topolog
 		blocks[k] = r.Blocks
 		nsolved += r.Solved
 		pivots += r.Pivots
-		if !e.stitch(zones[:k+1], blocks, newCls, k == len(zones)-1) {
+		if one {
+			// The solve covers the whole frozen demand, so its layout
+			// replaces the live schedule outright, whatever defrag did to it
+			// meanwhile. A first-fit re-stitch would move later decisions.
+			e.pack.Reset(r.Blocks)
+			e.solverDirty = r.sat
+		} else if !e.stitch(zones[:k+1], blocks, newCls, k == len(zones)-1) {
 			// Cross-zone packing failure (or a class deadline the stitch
 			// cannot keep): conservative rejection, like the partitioned
 			// planner's stitch failures.
@@ -686,7 +591,7 @@ func (e *Engine) Release(id FlowID) error {
 	e.mu.Unlock()
 	zones := e.allZones
 	if ok {
-		zones = e.zonesOf(f0.Path)
+		zones = e.dec.ZoneSet(f0.Path)
 	} else if !e.cfg.Preempt {
 		return fmt.Errorf("%w: %s", ErrUnknownFlow, id)
 	}

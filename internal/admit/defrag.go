@@ -8,7 +8,6 @@ import (
 	"slices"
 
 	"wimesh/internal/milp"
-	"wimesh/internal/partition"
 	"wimesh/internal/schedule"
 	"wimesh/internal/tdma"
 	"wimesh/internal/topology"
@@ -54,13 +53,7 @@ func (e *Engine) TryDefrag(ctx context.Context) (int, error) {
 	}
 	full := &schedule.Problem{Graph: e.cfg.Graph, Demand: demand, FrameSlots: e.cfg.Frame.DataSlots,
 		StartCap: e.capsFor(clsSnap)}
-	var cand []tdma.Assignment
-	var err error
-	if e.dec == nil {
-		cand, err = e.defragMono(full, win0, opts)
-	} else {
-		cand, err = e.defragZoned(full, win0, opts)
-	}
+	cand, err := e.defragZoned(full, win0, opts)
 	if err != nil || cand == nil {
 		return 0, err
 	}
@@ -115,23 +108,6 @@ func (e *Engine) TryDefrag(ctx context.Context) (int, error) {
 	return won, nil
 }
 
-// defragMono re-packs the aggregate demand with the private whole-graph
-// model, searching strictly below the incumbent window and probing one slot
-// below it first: release fragmentation typically leaves only a slot or two
-// of recoverable slack, so that probe usually decides. A nil candidate with a
-// nil error reports "no win" (incumbent already minimal, budget exhausted).
-func (e *Engine) defragMono(full *schedule.Problem, win0 int, opts milp.Options) ([]tdma.Assignment, error) {
-	m, _, err := e.dfModels.Model(0, full)
-	if err != nil {
-		return nil, err
-	}
-	r, err := partition.Search(m, full, win0-1, 0, win0-1, opts)
-	if err != nil {
-		return nil, noWin(err)
-	}
-	return r.Blocks, nil
-}
-
 // noWin maps the solver outcomes that just mean "no provable win" — nothing
 // fits below the incumbent window, or the budget ran out — to nil.
 func noWin(err error) error {
@@ -144,21 +120,31 @@ func noWin(err error) error {
 // defragZoned re-solves every demand-carrying zone with the private zone
 // planner, capped strictly below the incumbent window, and first-fits the
 // union, in ByStart order, into a scratch packing under the same cap — any
-// placement failure or budget miss means no provable win (nil candidate). It
-// reads only the immutable conflict graph and decomposition, so it runs
-// without any engine lock but dfMu.
+// placement failure or budget miss means no provable win (nil candidate).
+// The one zone of a monolithic engine probes one slot below the incumbent
+// first — release fragmentation typically leaves only a slot or two of
+// recoverable slack, so that probe usually decides — and its layout is the
+// candidate as it stands (see oneZone). It reads only the immutable conflict
+// graph and decomposition, so it runs without any engine lock but dfMu.
 func (e *Engine) defragZoned(full *schedule.Problem, win0 int, opts milp.Options) ([]tdma.Assignment, error) {
+	hint, one := 0, e.oneZone()
+	if one {
+		hint = win0 - 1
+	}
 	var blocks []tdma.Assignment
 	for zi := range e.dec.Zones {
-		zp := partition.ZoneProblem(full, e.dec, zi)
+		zp := e.zoneProblem(full, zi)
 		if !slices.ContainsFunc(e.dec.Zones[zi].Links, func(l topology.LinkID) bool { return zp.Demand[l] > 0 }) {
 			continue
 		}
-		r, err := e.dfModels.SolveZone(zi, zp, 0, win0-1, e.maxPairs, opts)
+		r, err := e.dfModels.SolveZone(zi, zp, hint, 0, win0-1, e.maxPairs, opts)
 		if err != nil {
 			return nil, noWin(err)
 		}
 		blocks = append(blocks, r.Blocks...)
+	}
+	if one {
+		return blocks, nil
 	}
 	slices.SortFunc(blocks, tdma.ByStart)
 	if tdma.NewPacking(e.cfg.Graph).Repack(blocks, func(topology.LinkID, int) int { return win0 - 1 }) < len(blocks) {

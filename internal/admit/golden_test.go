@@ -24,8 +24,10 @@ type traceReplay struct {
 }
 
 // traceReplays are sized so each exercises what the name says: the
-// monolithic one takes memo hits, satisficing fallbacks and budget
-// rejections; the zoned one routes across several 250 m zones under a cap
+// monolithic ones take satisficing fallbacks and budget rejections, and
+// mono-village, shaped like the village_churn serving workload, pins the
+// one-zone placement rule (a first-fit re-stitch of its single zone diverges
+// at call-38); the zoned one routes across several 250 m zones under a cap
 // tight enough that a zone's stitch fails with later zones still unsolved
 // (48 such decisions when recorded, counted by instrumenting the stitch loop;
 // 135 in the classed replay, preemption retries included); the classed one
@@ -118,8 +120,8 @@ func replayTrace(t *testing.T, sb *strings.Builder, r traceReplay, defragEvery i
 	}
 	fmt.Fprintf(sb, "schedule: %v\n", canonical(e.Snapshot().Assignments))
 	st := e.Stats()
-	fmt.Fprintf(sb, "stats: fast=%d warm=%d cold=%d rejected=%d memo=%d satisficed=%d budget=%d greedy=%d preempt=%d/%d/%d\n",
-		st.Fast, st.Warm, st.Cold, st.Rejected, st.MemoHits, st.Satisficed, st.BudgetRejected, st.ZoneGreedy,
+	fmt.Fprintf(sb, "stats: fast=%d warm=%d cold=%d rejected=%d satisficed=%d budget=%d greedy=%d preempt=%d/%d/%d\n",
+		st.Fast, st.Warm, st.Cold, st.Rejected, st.Satisficed, st.BudgetRejected, st.ZoneGreedy,
 		st.PreemptAttempts, st.PreemptAdmits, st.PreemptEvicted)
 	if defragEvery > 0 {
 		fmt.Fprintf(sb, "defrags: %d (%d slots)\n", st.Defrags, st.DefragSlots)

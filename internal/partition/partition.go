@@ -323,12 +323,12 @@ func MinSlots(p *schedule.Problem, cfg tdma.FrameConfig, opts Options) (*Result,
 	forEachZone(len(dec.Zones), opts.Workers, func(zi int) {
 		start := time.Now()
 		zp := ZoneProblem(p, dec, zi)
-		sol, err := models.SolveZone(zi, zp, 0, 0, DefaultMaxZonePairs, milpOpts)
+		sol, err := models.SolveZone(zi, zp, 0, 0, 0, DefaultMaxZonePairs, milpOpts)
 		if errors.Is(err, milp.ErrLimit) {
 			// Budget exhausted: the greedy coloring (every zone is past a
 			// gate of -1 pairs) still yields a valid, if longer, schedule.
 			solved := sol.Solved
-			sol, err = models.SolveZone(zi, zp, 0, 0, -1, milpOpts)
+			sol, err = models.SolveZone(zi, zp, 0, 0, 0, -1, milpOpts)
 			sol.Solved = solved
 		}
 		sols[zi], errs[zi] = sol, err

@@ -101,10 +101,10 @@ func (ms *Models) Model(zi int, p *schedule.Problem) (m *schedule.Incremental, c
 // packed greedily, without a model: beyond a couple hundred ordering
 // variables the branch-and-bound stops paying for itself (see
 // DefaultMaxZonePairs). Otherwise the zone's model searches for the minimum
-// window up to hi (0 = the frame), probing hint first. When the node budget
-// runs out the error is milp.ErrLimit and the solution carries the counts
-// spent; what to do then is the caller's.
-func (ms *Models) SolveZone(zi int, zp *schedule.Problem, hint, hi, maxPairs int, opts milp.Options) (ZoneSolution, error) {
+// window in [lo, hi] (lo a sound lower bound, hi 0 = the frame) from hint.
+// When the node budget runs out the error is milp.ErrLimit and the solution
+// carries the counts spent; what to do then is the caller's.
+func (ms *Models) SolveZone(zi int, zp *schedule.Problem, hint, lo, hi, maxPairs int, opts milp.Options) (ZoneSolution, error) {
 	if activePairs(zp) > maxPairs {
 		gs, err := schedule.Greedy(zp, ms.frame)
 		if err != nil {
@@ -117,7 +117,7 @@ func (ms *Models) SolveZone(zi int, zp *schedule.Problem, hint, hi, maxPairs int
 	if err != nil {
 		return ZoneSolution{}, err
 	}
-	r, err := Search(m, zp, hint, 0, hi, opts)
+	r, err := Search(m, zp, hint, lo, hi, opts)
 	r.Cold = cold
 	return r, err
 }
