@@ -31,10 +31,12 @@
 // solve goes through the zone planner of internal/partition. A monolithic
 // engine is the engine whose decomposition is one zone holding every link,
 // with no pair gate. One rule, keyed on the decomposition having one zone,
-// keeps that zone exact: its solver layout replaces the live schedule
+// keeps that zone exact: its exact solver layout replaces the live schedule
 // verbatim (a first-fit re-stitch would move decisions), and while no
-// release, eviction, satisficed solve or defrag swap has intervened, the
-// incumbent window is the lower bound of its next search.
+// release, eviction, satisficed or greedy solve or defrag swap has
+// intervened, the incumbent window is the lower bound of its next search. A
+// greedy layout past the pair gate, which only a zoned engine with one zone
+// can reach, ignores the window cap and is stitched like any zone's.
 //
 // Lock hierarchy, strictly outside-in:
 //
@@ -279,8 +281,8 @@ type Engine struct {
 	// schedule moved underneath the solve.
 	gen uint64
 	// solverDirty is set whenever the incumbent window stops being a proven
-	// minimum (release, eviction, satisficed solve, defrag swap), so a
-	// one-zone solve may not use it as a lower bound.
+	// minimum (release, eviction, satisficed or greedy solve, defrag swap),
+	// so a one-zone solve may not use it as a lower bound.
 	solverDirty bool
 	releases    int
 	// compactEvery is defaultCompactEvery; tests set it after New

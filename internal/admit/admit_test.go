@@ -350,6 +350,58 @@ func TestZonedAdmit(t *testing.T) {
 	t.Logf("zoned: %+v", st)
 }
 
+// TestZonedOneZoneGreedyRespectsCap pins the one-zone rule's exactness
+// condition: a zoned engine whose zone is wider than the mesh has one zone
+// but keeps its pair gate, and past the gate its zone solve is a greedy
+// layout that knows nothing of MaxWindow. Such a layout must be first-fit
+// stitched under the cap, never placed verbatim, so the window stays within
+// MaxWindow after every decision.
+func TestZonedOneZoneGreedyRespectsCap(t *testing.T) {
+	const maxWin = 12
+	topo, g := testMesh(t, 4, 4)
+	e, err := New(Config{
+		Graph: g, Frame: testFrame(t, 64), MaxWindow: maxWin,
+		Zoned: true, ZoneSize: 1e6, BudgetRejects: true,
+		MILP: milp.Options{MaxNodes: 500, Workers: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !e.oneZone() {
+		t.Fatalf("zone size wider than the mesh gave %d zones", len(e.dec.Zones))
+	}
+	w, err := Generate(WorkloadConfig{
+		Topo: topo, Calls: 30, ArrivalRate: 40, MeanHolding: time.Second,
+		SlotsPerLink: 1, Seed: 3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	var st ServeStats
+	for _, ev := range w.Events {
+		if !ev.Arrive {
+			if st.Depart(ev.Flow.ID) {
+				if err := e.Release(ev.Flow.ID); err != nil {
+					t.Fatal(err)
+				}
+			}
+			continue
+		}
+		d, err := e.Admit(ctx, ev.Flow)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st.Record(ev.Flow, d)
+		if err := e.Check(); err != nil {
+			t.Fatalf("after %s (admitted=%v tier=%v): %v", ev.Flow.ID, d.Admitted, d.Tier, err)
+		}
+	}
+	if e.Stats().ZoneGreedy == 0 {
+		t.Fatal("the one zone never went past the pair gate: the greedy layout was not exercised")
+	}
+}
+
 // TestAdmitCancelRollsBack pins the deterministic half of cancellation: a
 // solver-tier admission under an already-cancelled context returns ctx.Err()
 // — the milp interrupt fires before any node is expanded — and the engine

@@ -400,21 +400,12 @@ func (e *Engine) beginSolve() {
 }
 
 // oneZone reports whether the decomposition is a single zone, as on every
-// monolithic engine. That zone's problem is the whole demand, so its exact
-// solve proves the window minimal: the solver's layout is placed verbatim,
-// and until solverDirty the incumbent window bounds the next search from
-// below.
+// monolithic engine. That zone's problem is the whole demand, so an exact
+// solve proves the window minimal: its layout is placed verbatim, and until
+// solverDirty the incumbent window bounds the next search from below. A
+// greedy layout (past a zoned engine's gate) ignores the cap: it is stitched.
 func (e *Engine) oneZone() bool {
 	return len(e.dec.Zones) == 1
-}
-
-// zoneProblem restricts the full problem to zone zi; the one zone's problem
-// is the full problem itself.
-func (e *Engine) zoneProblem(full *schedule.Problem, zi int) *schedule.Problem {
-	if e.oneZone() {
-		return full
-	}
-	return partition.ZoneProblem(full, e.dec, zi)
 }
 
 // solveZoned is the solver phase: re-solve the zones the delta touches, in
@@ -442,7 +433,7 @@ func (e *Engine) solveZoned(ctx context.Context, flows []Flow, delta map[topolog
 			lo = hint
 		}
 		e.beginSolve()
-		zp := e.zoneProblem(full, zi)
+		zp := partition.ZoneProblem(full, e.dec, zi)
 		zs, err := e.models.SolveZone(zi, zp, hint, lo, e.maxWin, e.maxPairs, opts)
 		r, err := e.satisfice(ctx, zi, zp, zs, err, opts)
 		e.mu.Lock()
@@ -456,13 +447,17 @@ func (e *Engine) solveZoned(ctx context.Context, flows []Flow, delta map[topolog
 		blocks[k] = r.Blocks
 		nsolved += r.Solved
 		pivots += r.Pivots
-		if one {
-			// The solve covers the whole frozen demand, so its layout
+		if one && !r.Greedy {
+			// The exact solve covers the whole frozen demand, so its layout
 			// replaces the live schedule outright, whatever defrag did to it
 			// meanwhile. A first-fit re-stitch would move later decisions.
 			e.pack.Reset(r.Blocks)
 			e.solverDirty = r.sat
-		} else if !e.stitch(zones[:k+1], blocks, newCls, k == len(zones)-1) {
+			continue
+		}
+		// A greedy window is not a proven minimum.
+		e.solverDirty = e.solverDirty || r.Greedy
+		if !e.stitch(zones[:k+1], blocks, newCls, k == len(zones)-1) {
 			// Cross-zone packing failure (or a class deadline the stitch
 			// cannot keep): conservative rejection, like the partitioned
 			// planner's stitch failures.

@@ -8,6 +8,7 @@ import (
 	"slices"
 
 	"wimesh/internal/milp"
+	"wimesh/internal/partition"
 	"wimesh/internal/schedule"
 	"wimesh/internal/tdma"
 	"wimesh/internal/topology"
@@ -123,8 +124,8 @@ func noWin(err error) error {
 // placement failure or budget miss means no provable win (nil candidate).
 // The one zone of a monolithic engine probes one slot below the incumbent
 // first — release fragmentation typically leaves only a slot or two of
-// recoverable slack, so that probe usually decides — and its layout is the
-// candidate as it stands (see oneZone). It reads only the immutable conflict
+// recoverable slack, so that probe usually decides — and its exact layout is
+// the candidate as it stands (see oneZone). It reads only the immutable conflict
 // graph and decomposition, so it runs without any engine lock but dfMu.
 func (e *Engine) defragZoned(full *schedule.Problem, win0 int, opts milp.Options) ([]tdma.Assignment, error) {
 	hint, one := 0, e.oneZone()
@@ -132,8 +133,9 @@ func (e *Engine) defragZoned(full *schedule.Problem, win0 int, opts milp.Options
 		hint = win0 - 1
 	}
 	var blocks []tdma.Assignment
+	exact := one
 	for zi := range e.dec.Zones {
-		zp := e.zoneProblem(full, zi)
+		zp := partition.ZoneProblem(full, e.dec, zi)
 		if !slices.ContainsFunc(e.dec.Zones[zi].Links, func(l topology.LinkID) bool { return zp.Demand[l] > 0 }) {
 			continue
 		}
@@ -141,9 +143,10 @@ func (e *Engine) defragZoned(full *schedule.Problem, win0 int, opts milp.Options
 		if err != nil {
 			return nil, noWin(err)
 		}
+		exact = exact && !r.Greedy
 		blocks = append(blocks, r.Blocks...)
 	}
-	if one {
+	if exact {
 		return blocks, nil
 	}
 	slices.SortFunc(blocks, tdma.ByStart)
