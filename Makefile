@@ -13,8 +13,10 @@ vet:
 test:
 	$(GO) test ./...
 
-# The MILP worker pool, the Problem caches and the parallel experiment
-# runner must stay race-clean. The R-table goldens (TestRTableGolden in
+# What still runs concurrently must stay race-clean: the partitioned
+# planner's zone pool, the sharded admission engine and its serving workers,
+# the capacity search's parallel probes, the Problem caches and the parallel
+# experiment runner. The R-table goldens (TestRTableGolden in
 # internal/experiments) ride this target in `make check`.
 race:
 	$(GO) test -race ./...
@@ -112,15 +114,17 @@ loc:
 # The ratchet on that number: the ceilings are what `make loc` printed when
 # they were last edited. A PR that shrinks the code lowers them; one that
 # must grow past them raises them in its own diff, where a reviewer sees it.
-LOC_MAX_TOTAL = 21816
+LOC_MAX_TOTAL = 21647
+LOC_MAX_MILP = 524
 LOC_MAX_ADMIT = 2165
 LOC_MAX_PARTITION = 682
 LOC_MAX_SCHEDULE = 1591
 LOC_MAX_LP = 1148
 
 loc-check:
-	@$(MAKE) -s loc | awk -v total=$(LOC_MAX_TOTAL) -v admit=$(LOC_MAX_ADMIT) -v partition=$(LOC_MAX_PARTITION) -v schedule=$(LOC_MAX_SCHEDULE) -v lp=$(LOC_MAX_LP) ' \
+	@$(MAKE) -s loc | awk -v total=$(LOC_MAX_TOTAL) -v milp=$(LOC_MAX_MILP) -v admit=$(LOC_MAX_ADMIT) -v partition=$(LOC_MAX_PARTITION) -v schedule=$(LOC_MAX_SCHEDULE) -v lp=$(LOC_MAX_LP) ' \
 		$$2 == "total" && $$1 > total { printf "loc-check: %d non-test lines outside benchmark/, ceiling %d\n", $$1, total; bad = 1 } \
+		$$2 == "./internal/milp" && $$1 > milp { printf "loc-check: %d non-test lines in internal/milp, ceiling %d\n", $$1, milp; bad = 1 } \
 		$$2 == "./internal/admit" && $$1 > admit { printf "loc-check: %d non-test lines in internal/admit, ceiling %d\n", $$1, admit; bad = 1 } \
 		$$2 == "./internal/partition" && $$1 > partition { printf "loc-check: %d non-test lines in internal/partition, ceiling %d\n", $$1, partition; bad = 1 } \
 		$$2 == "./internal/schedule" && $$1 > schedule { printf "loc-check: %d non-test lines in internal/schedule, ceiling %d\n", $$1, schedule; bad = 1 } \

@@ -5,7 +5,6 @@
 package main
 
 import (
-	"strconv"
 	"testing"
 	"time"
 
@@ -145,25 +144,6 @@ func BenchmarkConflictsQuery(b *testing.B) {
 	}
 }
 
-// BenchmarkMILPParallel measures the branch-and-bound min-max delay search
-// with a sequential and a parallel worker pool (identical results either
-// way; the win scales with GOMAXPROCS).
-func BenchmarkMILPParallel(b *testing.B) {
-	frame := tdma.FrameConfig{FrameDuration: 20 * time.Millisecond, DataSlots: 16}
-	p := chainProblem(b, 7, frame)
-	for _, workers := range []int{1, 4} {
-		b.Run("workers="+strconv.Itoa(workers), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := schedule.MinMaxDelayOrder(p, frame.DataSlots, frame,
-					milp.Options{MaxNodes: 300_000, Workers: workers}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 func BenchmarkSimplexLP(b *testing.B) {
 	// A 20-var, 25-row LP representative of relaxations in the search.
 	build := func() *lp.Problem {
@@ -245,7 +225,7 @@ func BenchmarkMILPWarm(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := schedule.SolveWindow(p, 3, frame,
-			milp.Options{MaxNodes: 200_000, Workers: 1}); err != nil {
+			milp.Options{MaxNodes: 200_000}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -260,7 +240,7 @@ func BenchmarkMinSlotsSearch(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, _, err := schedule.MinSlots(p, frame, milp.Options{MaxNodes: 200_000, Workers: 1}); err != nil {
+		if _, _, _, err := schedule.MinSlots(p, frame, milp.Options{MaxNodes: 200_000}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -81,7 +81,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		workers     = fs.Int("workers", 1, "admission workers; >1 decides arrivals concurrently, in parallel where they touch disjoint zones (-zoned; a monolithic engine has one zone, so its workers only batch). 1 replays byte-identically run to run")
 		batchMax    = fs.Int("batch", 16, "max arrivals decided by one joint solve when workers queue up (workers > 1 only)")
 		defrag      = fs.Bool("defrag", false, "run background solver-driven defragmentation during the replay")
-		milpWorkers = fs.Int("milp-workers", 1, "branch-and-bound worker threads inside each admission solve")
 		classMix    = fs.String("class-mix", "", "weighted service-class mix, e.g. ugs=0.5,rtps=0.2/2,nrtps=0.2/2,be=0.1 (class=weight[/slots-per-link]); empty serves pure best-effort calls as before")
 		preempt     = fs.Bool("preempt", false, "let guaranteed-class (UGS/rtPS) arrivals evict best-effort and nrtPS calls when every repair tier fails; such an arrival locks every zone while it decides")
 		ugsDeadline = fs.Int("ugs-deadline", 0, "per-link slot deadline for aggregate UGS traffic (0 = none)")
@@ -95,9 +94,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	}
 	if *workers < 1 {
 		return fmt.Errorf("-workers %d: need at least 1", *workers)
-	}
-	if *milpWorkers < 1 {
-		return fmt.Errorf("-milp-workers %d: need at least 1", *milpWorkers)
 	}
 	if *budget < 0 {
 		return fmt.Errorf("-budget %d: must not be negative (0 = no node budget)", *budget)
@@ -137,7 +133,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	reg := obs.NewRegistry()
 	sess, err := sys.NewSession(core.SessionConfig{
 		MaxWindow:     *maxWindow,
-		MILP:          milp.Options{MaxNodes: *budget, TimeLimit: *timeLimit, Workers: *milpWorkers},
+		MILP:          milp.Options{MaxNodes: *budget, TimeLimit: *timeLimit},
 		BudgetRejects: true,
 		Zoned:         *zoned,
 		UGSDeadline:   *ugsDeadline,

@@ -105,7 +105,6 @@ func TestRunBadFlags(t *testing.T) {
 		{"-nodes", "4"},
 		{"-not-a-flag"},
 		{"-workers", "0"},
-		{"-milp-workers", "0"},
 		{"-class-mix", "voice=1"},
 		{"-class-mix", "ugs"},
 		{"-class-mix", "ugs=0"},

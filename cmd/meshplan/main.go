@@ -40,7 +40,7 @@ func run(args []string, out io.Writer) error {
 		calls    = fs.Int("calls", 2, "number of VoIP calls to the gateway")
 		method   = fs.String("method", "path-major", "scheduler: ilp, minmax-delay, path-major, tree-order, greedy, partitioned")
 		codec    = fs.String("codec", "g711", "voice codec: g711, g729, g723")
-		bound    = fs.Duration("delay-bound", 150*time.Millisecond, "per-call delay bound")
+		bound    = fs.Duration("delay-bound", 150*time.Millisecond, "per-call delay bound (0 = none; negative is an error)")
 		seed     = fs.Int64("seed", 1, "random topology seed")
 		asJSON   = fs.Bool("json", false, "emit a JSON report instead of text")
 		savePath = fs.String("save", "", "write a replayable plan file (meshsim -load)")

@@ -37,18 +37,17 @@ func testFrame(t *testing.T, slots int) tdma.FrameConfig {
 	return cfg
 }
 
-// differentialServe replays a workload and, after every decision, pins the
+// TestDifferentialAdmitVsColdWorkers1 replays a workload and, after every decision, pins the
 // engine against the cold re-planner: identical accept/reject verdicts, the
 // engine's witness schedule valid and exactly carrying the aggregate
 // demand, and its window never below the cold minimum (fastpath fill-ins
 // and post-release fragmentation may leave it above, never beyond the cap).
-func differentialServe(t *testing.T, workers int) {
-	t.Helper()
+func TestDifferentialAdmitVsColdWorkers1(t *testing.T) {
 	topo, g := testMesh(t, 3, 3)
 	frame := testFrame(t, 24)
 	e, err := New(Config{
 		Graph: g, Frame: frame,
-		MILP: milp.Options{MaxNodes: 200_000, Workers: workers},
+		MILP: milp.Options{MaxNodes: 200_000},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -61,7 +60,7 @@ func differentialServe(t *testing.T, workers int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	coldOpts := milp.Options{MaxNodes: 200_000, Workers: workers}
+	coldOpts := milp.Options{MaxNodes: 200_000}
 	demand := make(map[topology.LinkID]int)
 	admitted := make(map[FlowID]Flow)
 	decided := 0
@@ -151,12 +150,9 @@ func differentialServe(t *testing.T, workers int) {
 	if st.Rejected == 0 {
 		t.Fatalf("workload never saturated: %d admits, 0 rejects", st.Admitted)
 	}
-	t.Logf("workers=%d: %d admits (%d fast / %d warm / %d cold), %d rejects, %d compactions",
-		workers, st.Admitted, st.Fast, st.Warm, st.Cold, st.Rejected, st.Compactions)
+	t.Logf("%d admits (%d fast / %d warm / %d cold), %d rejects, %d compactions",
+		st.Admitted, st.Fast, st.Warm, st.Cold, st.Rejected, st.Compactions)
 }
-
-func TestDifferentialAdmitVsColdWorkers1(t *testing.T) { differentialServe(t, 1) }
-func TestDifferentialAdmitVsColdWorkers4(t *testing.T) { differentialServe(t, 4) }
 
 // TestFastpathFillIn pins the tier-1 contract: a flow that fits in the free
 // space of the incumbent window is admitted without any solver work and the
@@ -164,7 +160,7 @@ func TestDifferentialAdmitVsColdWorkers4(t *testing.T) { differentialServe(t, 4)
 func TestFastpathFillIn(t *testing.T) {
 	topo, g := testMesh(t, 1, 4) // a 4-node chain as a 1x4 grid
 	frame := testFrame(t, 16)
-	e, err := New(Config{Graph: g, Frame: frame, MILP: milp.Options{Workers: 1}})
+	e, err := New(Config{Graph: g, Frame: frame, MILP: milp.Options{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +225,7 @@ func TestFastpathFillIn(t *testing.T) {
 func TestAdmitValidation(t *testing.T) {
 	topo, g := testMesh(t, 2, 2)
 	frame := testFrame(t, 8)
-	e, err := New(Config{Graph: g, Frame: frame, MILP: milp.Options{Workers: 1}})
+	e, err := New(Config{Graph: g, Frame: frame, MILP: milp.Options{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +268,7 @@ func TestObsCounters(t *testing.T) {
 	topo, g := testMesh(t, 2, 2)
 	frame := testFrame(t, 8)
 	reg := obs.NewRegistry()
-	e, err := New(Config{Graph: g, Frame: frame, MILP: milp.Options{Workers: 1}, Registry: reg})
+	e, err := New(Config{Graph: g, Frame: frame, MILP: milp.Options{}, Registry: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +315,7 @@ func TestZonedAdmit(t *testing.T) {
 	frame := testFrame(t, 32)
 	e, err := New(Config{
 		Graph: g, Frame: frame, Zoned: true, ZoneSize: 250,
-		MILP: milp.Options{MaxNodes: 100_000, Workers: 1},
+		MILP: milp.Options{MaxNodes: 100_000},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -362,7 +358,7 @@ func TestZonedOneZoneGreedyRespectsCap(t *testing.T) {
 	e, err := New(Config{
 		Graph: g, Frame: testFrame(t, 64), MaxWindow: maxWin,
 		Zoned: true, ZoneSize: 1e6, BudgetRejects: true,
-		MILP: milp.Options{MaxNodes: 500, Workers: 1},
+		MILP: milp.Options{MaxNodes: 500},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -409,7 +405,7 @@ func TestZonedOneZoneGreedyRespectsCap(t *testing.T) {
 func TestAdmitCancelRollsBack(t *testing.T) {
 	topo, g := testMesh(t, 3, 3)
 	frame := testFrame(t, 24)
-	e, err := New(Config{Graph: g, Frame: frame, MILP: milp.Options{Workers: 2}})
+	e, err := New(Config{Graph: g, Frame: frame, MILP: milp.Options{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -449,7 +445,7 @@ func TestServeCancelNoLeak(t *testing.T) {
 	topo, g := testMesh(t, 3, 3)
 	frame := testFrame(t, 24)
 	e, err := New(Config{Graph: g, Frame: frame,
-		MILP: milp.Options{MaxNodes: 500_000, Workers: 4}})
+		MILP: milp.Options{MaxNodes: 500_000}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -488,8 +484,8 @@ func TestServeCancelNoLeak(t *testing.T) {
 	if err := e.Check(); err != nil {
 		t.Fatalf("engine inconsistent after cancel: %v", err)
 	}
-	// Solver workers drain asynchronously after the interrupt; give them a
-	// bounded grace period.
+	// The serving goroutine drains asynchronously after the interrupt; give
+	// it a bounded grace period.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		runtime.GC()

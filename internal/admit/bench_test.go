@@ -28,7 +28,7 @@ func benchSetup(b *testing.B, compactEvery int) (*Engine, Flow, map[topology.Lin
 	}
 	frame := tdma.FrameConfig{FrameDuration: 20 * time.Millisecond, DataSlots: 64}
 	e, err := New(Config{Graph: g, Frame: frame,
-		MILP: milp.Options{MaxNodes: 200_000, Workers: 1}})
+		MILP: milp.Options{MaxNodes: 200_000}})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func BenchmarkAdmitRelease(b *testing.B) {
 	})
 	b.Run("cold-replan", func(b *testing.B) {
 		_, _, demand, frame := benchSetup(b, -1)
-		opts := milp.Options{MaxNodes: 200_000, Workers: 1}
+		opts := milp.Options{MaxNodes: 200_000}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

@@ -26,15 +26,15 @@ func TestClassStrictExtension(t *testing.T) {
 		name string
 		cfg  Config
 	}{
-		{"no deadlines", Config{Graph: g, Frame: frame, MILP: milp.Options{MaxNodes: 200_000, Workers: 1}}},
-		{"slack deadline", Config{Graph: g, Frame: frame, MILP: milp.Options{MaxNodes: 200_000, Workers: 1},
+		{"no deadlines", Config{Graph: g, Frame: frame, MILP: milp.Options{MaxNodes: 200_000}}},
+		{"slack deadline", Config{Graph: g, Frame: frame, MILP: milp.Options{MaxNodes: 200_000},
 			UGSDeadline: frame.DataSlots}},
 	}
 	for _, arm := range arms {
 		name := arm.name
 		// Fresh engines per arm: solver warm state survives a drain and can
 		// reorder (not change) later schedules, which would be a false diff.
-		base, err := New(Config{Graph: g, Frame: frame, MILP: milp.Options{MaxNodes: 200_000, Workers: 1}})
+		base, err := New(Config{Graph: g, Frame: frame, MILP: milp.Options{MaxNodes: 200_000}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -133,7 +133,7 @@ func TestPreemptClassOrder(t *testing.T) {
 	topo, g := testMesh(t, 2, 2)
 	frame := testFrame(t, 8)
 	reg := obs.NewRegistry()
-	e, err := New(Config{Graph: g, Frame: frame, MILP: milp.Options{MaxNodes: 200_000, Workers: 1},
+	e, err := New(Config{Graph: g, Frame: frame, MILP: milp.Options{MaxNodes: 200_000},
 		Preempt: true, Registry: reg})
 	if err != nil {
 		t.Fatal(err)
@@ -235,7 +235,7 @@ func TestPreemptClassOrder(t *testing.T) {
 func TestPreemptServe(t *testing.T) {
 	topo, g := testMesh(t, 3, 3)
 	frame := testFrame(t, 12)
-	e, err := New(Config{Graph: g, Frame: frame, MILP: milp.Options{MaxNodes: 200_000, Workers: 1},
+	e, err := New(Config{Graph: g, Frame: frame, MILP: milp.Options{MaxNodes: 200_000},
 		Preempt: true})
 	if err != nil {
 		t.Fatal(err)
@@ -274,7 +274,7 @@ func TestValidateFoldedDuplicateDemand(t *testing.T) {
 	dup := []topology.LinkID{path[0], path[0]}
 	ctx := context.Background()
 
-	e, err := New(Config{Graph: g, Frame: frame, MILP: milp.Options{Workers: 1}})
+	e, err := New(Config{Graph: g, Frame: frame, MILP: milp.Options{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +284,7 @@ func TestValidateFoldedDuplicateDemand(t *testing.T) {
 	}
 	// Fold within the frame but beyond the window cap: a verdict, not an
 	// error, matching the single-entry structural screen.
-	capped, err := New(Config{Graph: g, Frame: frame, MaxWindow: 4, MILP: milp.Options{Workers: 1}})
+	capped, err := New(Config{Graph: g, Frame: frame, MaxWindow: 4, MILP: milp.Options{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +317,7 @@ func TestShardedSnapshotRace(t *testing.T) {
 	frame := testFrame(t, 32)
 	e, err := New(Config{
 		Graph: g, Frame: frame,
-		MILP:  milp.Options{MaxNodes: 50_000, Workers: 1},
+		MILP:  milp.Options{MaxNodes: 50_000},
 		Zoned: true,
 	})
 	if err != nil {

@@ -32,7 +32,7 @@ func TestCompactEveryBoundary(t *testing.T) {
 			topo, g := testMesh(t, 2, 2)
 			e, err := New(Config{
 				Graph: g, Frame: testFrame(t, 128),
-				MILP: milp.Options{MaxNodes: 50_000, Workers: 1},
+				MILP: milp.Options{MaxNodes: 50_000},
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -86,7 +86,7 @@ func TestDefragMono(t *testing.T) {
 	reg := obs.NewRegistry()
 	e, err := New(Config{
 		Graph: g, Frame: testFrame(t, 32),
-		MILP:     milp.Options{MaxNodes: 100_000, Workers: 1},
+		MILP:     milp.Options{MaxNodes: 100_000},
 		Registry: reg,
 	})
 	if err != nil {
@@ -181,7 +181,7 @@ func TestDefragShardedZoned(t *testing.T) {
 	e, err := New(Config{
 		Graph: g, Frame: testFrame(t, 32), MaxWindow: 16,
 		Zoned: true, ZoneSize: 500,
-		MILP: milp.Options{MaxNodes: 100_000, Workers: 1},
+		MILP: milp.Options{MaxNodes: 100_000},
 	})
 	if err != nil {
 		t.Fatal(err)

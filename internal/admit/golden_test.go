@@ -38,27 +38,27 @@ func traceReplays() []traceReplay {
 	return []traceReplay{
 		{
 			name: "mono-3x4", w: 3, h: 4,
-			cfg: Config{MaxWindow: 24, MILP: milp.Options{MaxNodes: 8, Workers: 1}, BudgetRejects: true},
+			cfg: Config{MaxWindow: 24, MILP: milp.Options{MaxNodes: 8}, BudgetRejects: true},
 			load: WorkloadConfig{Calls: 150, ArrivalRate: 16, MeanHolding: 500 * time.Millisecond,
 				SlotsPerLink: 2, Seed: 42, ToGateway: true},
 		},
 		{
 			name: "mono-village", w: 3, h: 4,
-			cfg: Config{MaxWindow: 32, MILP: milp.Options{MaxNodes: 8, Workers: 1}, BudgetRejects: true},
+			cfg: Config{MaxWindow: 32, MILP: milp.Options{MaxNodes: 8}, BudgetRejects: true},
 			load: WorkloadConfig{Calls: 400, ArrivalRate: 16, MeanHolding: 500 * time.Millisecond,
 				SlotsPerLink: 1, Seed: 42},
 		},
 		{
 			name: "zoned-8x2", w: 8, h: 2,
 			cfg: Config{MaxWindow: 12, Zoned: true, ZoneSize: 250,
-				MILP: milp.Options{MaxNodes: 60, Workers: 1}, BudgetRejects: true},
+				MILP: milp.Options{MaxNodes: 60}, BudgetRejects: true},
 			load: WorkloadConfig{Calls: 120, ArrivalRate: 30, MeanHolding: 400 * time.Millisecond,
 				SlotsPerLink: 1, Seed: 7},
 		},
 		{
 			name: "zoned-classed-preempt-8x2", w: 8, h: 2,
 			cfg: Config{MaxWindow: 14, Zoned: true, ZoneSize: 250, UGSDeadline: 6, RtPSWindow: 10, Preempt: true,
-				MILP: milp.Options{MaxNodes: 60, Workers: 1}, BudgetRejects: true},
+				MILP: milp.Options{MaxNodes: 60}, BudgetRejects: true},
 			load: WorkloadConfig{Calls: 140, ArrivalRate: 30, MeanHolding: 600 * time.Millisecond,
 				SlotsPerLink: 1, Seed: 11,
 				ClassMix: []ClassShare{

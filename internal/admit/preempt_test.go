@@ -24,7 +24,7 @@ func preemptTestEngine(t *testing.T) (*topology.Network, *Engine) {
 	topo, g := testMesh(t, 8, 2)
 	e, err := New(Config{Graph: g, Frame: testFrame(t, 32), MaxWindow: 14, Zoned: true, ZoneSize: 250,
 		UGSDeadline: 6, RtPSWindow: 10, Preempt: true,
-		MILP: milp.Options{MaxNodes: 12, Workers: 1}, BudgetRejects: true})
+		MILP: milp.Options{MaxNodes: 12}, BudgetRejects: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,7 +375,7 @@ func TestServeConcurrentPreempt(t *testing.T) {
 // panic: ServeConcurrent delegated to Serve before normalising ctx.
 func TestServeConcurrentNilContext(t *testing.T) {
 	topo, g := testMesh(t, 2, 2)
-	e, err := New(Config{Graph: g, Frame: testFrame(t, 8), MILP: milp.Options{Workers: 1}})
+	e, err := New(Config{Graph: g, Frame: testFrame(t, 8), MILP: milp.Options{}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -52,7 +52,7 @@ func clusterMesh(t *testing.T, n int) (*topology.Network, *conflict.Graph) {
 func TestConcurrentAdmitMonolithic(t *testing.T) {
 	topo, g := testMesh(t, 3, 3)
 	e, err := New(Config{Graph: g, Frame: testFrame(t, 24), MaxWindow: 12,
-		MILP: milp.Options{MaxNodes: 20_000, Workers: 1}, BudgetRejects: true})
+		MILP: milp.Options{MaxNodes: 20_000}, BudgetRejects: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func shardTestEngine(t *testing.T, g *conflict.Graph) *Engine {
 		MaxWindow: 12,
 		Zoned:     true,
 		ZoneSize:  500,
-		MILP:      milp.Options{MaxNodes: 200_000, Workers: 1},
+		MILP:      milp.Options{MaxNodes: 200_000},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -375,7 +375,7 @@ func TestAdmitBatchMatchesSequential(t *testing.T) {
 	}
 	// AdmitBatch also works on monolithic engines.
 	ePlain, err := New(Config{Graph: g, Frame: testFrame(t, 32), MaxWindow: 12,
-		MILP: milp.Options{MaxNodes: 200_000, Workers: 1}})
+		MILP: milp.Options{MaxNodes: 200_000}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -514,7 +514,7 @@ func TestReleaseStorm(t *testing.T) {
 	e, err := New(Config{
 		Graph: g, Frame: testFrame(t, 32), MaxWindow: 16,
 		Zoned: true, ZoneSize: 500,
-		MILP: milp.Options{MaxNodes: 200_000, Workers: 1},
+		MILP: milp.Options{MaxNodes: 200_000},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -93,7 +93,7 @@ func r19Table(id string, points []r19Point) (*Table, error) {
 			Graph:         g,
 			Frame:         cfg,
 			MaxWindow:     pt.maxWin,
-			MILP:          milp.Options{MaxNodes: r19SolveBudget, TimeLimit: r19SolveTime, Workers: 1},
+			MILP:          milp.Options{MaxNodes: r19SolveBudget, TimeLimit: r19SolveTime},
 			BudgetRejects: true,
 			Zoned:         pt.zoned,
 		})

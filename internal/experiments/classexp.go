@@ -105,7 +105,7 @@ func r21Table(id string, points []r21Point) (*Table, error) {
 			eng, err := admit.New(admit.Config{
 				Graph:         g,
 				Frame:         cfg,
-				MILP:          milp.Options{MaxNodes: r21SolveBudget, Workers: 1},
+				MILP:          milp.Options{MaxNodes: r21SolveBudget},
 				BudgetRejects: true,
 				Zoned:         true,
 				ZoneSize:      r21ZoneSize,

@@ -13,7 +13,7 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/R<n>.gold
 // notPinned names the experiments whose tables are not a function of their
 // inputs yet, with the reason. Both stay covered by TestAdmitSmoke,
 // TestShardSmoke, admit's TestDecisionTraceGolden and the benchmark's exact
-// rows until ROADMAP item 2 makes their verdicts reproducible.
+// rows until ROADMAP item 3 makes their verdicts reproducible.
 var notPinned = map[string]string{
 	"R19": "admission solves run under a 250 ms TimeLimit, so borderline verdicts and the tier split move with host speed",
 	"R20": "concurrent serving decides in goroutine-interleaving order, so the verdict set differs run to run",

@@ -98,7 +98,7 @@ func r20Table(id string, points []r20Point, workerSet []int) (*Table, error) {
 			eng, err := admit.New(admit.Config{
 				Graph:         g,
 				Frame:         cfg,
-				MILP:          milp.Options{MaxNodes: r20SolveBudget, Workers: 1},
+				MILP:          milp.Options{MaxNodes: r20SolveBudget},
 				BudgetRejects: true,
 				Zoned:         true,
 				ZoneSize:      r20ZoneSize,

@@ -23,33 +23,27 @@ func TestDifferentialWarmVsCold(t *testing.T) {
 	for trial := 0; trial < 80; trial++ {
 		m := randomModel(t, rng)
 		for _, firstFeasible := range []bool{false, true} {
-			for _, workers := range []int{1, 4} {
-				warm, warmErr := m.Solve(Options{Workers: workers, FirstFeasible: firstFeasible})
-				cold, coldErr := m.Solve(Options{Workers: workers, FirstFeasible: firstFeasible, coldStart: true})
-				if (warmErr == nil) != (coldErr == nil) {
-					t.Fatalf("trial %d ff=%v w=%d: warm err %v, cold err %v",
-						trial, firstFeasible, workers, warmErr, coldErr)
-				}
-				if warmErr != nil {
-					if !errors.Is(warmErr, ErrInfeasible) || !errors.Is(coldErr, ErrInfeasible) {
-						t.Fatalf("trial %d ff=%v w=%d: error mismatch: warm %v, cold %v",
-							trial, firstFeasible, workers, warmErr, coldErr)
-					}
-					infeasible++
-					continue
-				}
-				feasible++
-				if !firstFeasible && math.Abs(warm.Objective-cold.Objective) > 1e-6 {
-					t.Fatalf("trial %d w=%d: objective warm %g != cold %g",
-						trial, workers, warm.Objective, cold.Objective)
-				}
-				if warm.Optimal != cold.Optimal {
-					t.Fatalf("trial %d ff=%v w=%d: optimal warm %v != cold %v",
-						trial, firstFeasible, workers, warm.Optimal, cold.Optimal)
-				}
-				checkIntegral(t, m, warm.X)
-				checkIntegral(t, m, cold.X)
+			warm, warmErr := m.Solve(Options{FirstFeasible: firstFeasible})
+			cold, coldErr := m.Solve(Options{FirstFeasible: firstFeasible, coldStart: true})
+			if (warmErr == nil) != (coldErr == nil) {
+				t.Fatalf("trial %d ff=%v: warm err %v, cold err %v", trial, firstFeasible, warmErr, coldErr)
 			}
+			if warmErr != nil {
+				if !errors.Is(warmErr, ErrInfeasible) || !errors.Is(coldErr, ErrInfeasible) {
+					t.Fatalf("trial %d ff=%v: error mismatch: warm %v, cold %v", trial, firstFeasible, warmErr, coldErr)
+				}
+				infeasible++
+				continue
+			}
+			feasible++
+			if !firstFeasible && math.Abs(warm.Objective-cold.Objective) > 1e-6 {
+				t.Fatalf("trial %d: objective warm %g != cold %g", trial, warm.Objective, cold.Objective)
+			}
+			if warm.Optimal != cold.Optimal {
+				t.Fatalf("trial %d ff=%v: optimal warm %v != cold %v", trial, firstFeasible, warm.Optimal, cold.Optimal)
+			}
+			checkIntegral(t, m, warm.X)
+			checkIntegral(t, m, cold.X)
 		}
 	}
 	if feasible == 0 || infeasible == 0 {
@@ -132,8 +126,8 @@ func TestDifferentialIncrementalMutation(t *testing.T) {
 			}
 		}
 		fresh, _, _, _, _, _ := build(win)
-		mutSol, mutErr := m.Solve(Options{FirstFeasible: true, Workers: 1})
-		freshSol, freshErr := fresh.Solve(Options{FirstFeasible: true, Workers: 1})
+		mutSol, mutErr := m.Solve(Options{FirstFeasible: true})
+		freshSol, freshErr := fresh.Solve(Options{FirstFeasible: true})
 		if (mutErr == nil) != (freshErr == nil) {
 			t.Fatalf("win %g: mutated err %v, fresh err %v", win, mutErr, freshErr)
 		}
@@ -208,7 +202,7 @@ func TestDifferentialMutationSoak(t *testing.T) {
 	if testing.Short() {
 		rounds = 100
 	}
-	opts := Options{FirstFeasible: true, Workers: 1}
+	opts := Options{FirstFeasible: true}
 	feasible, infeasible := 0, 0
 	for round := 0; round < rounds; round++ {
 		// Each round applies a random batch of 1-4 mutations to both the
@@ -277,6 +271,47 @@ func TestDifferentialMutationSoak(t *testing.T) {
 	if feasible == 0 || infeasible == 0 {
 		t.Fatalf("weak coverage: %d feasible, %d infeasible rounds", feasible, infeasible)
 	}
+}
+
+// randomModel builds a random bounded integer program: binary and small
+// integer variables, mixed-relation constraints. Deterministic for a seed.
+func randomModel(t *testing.T, rng *rand.Rand) *Model {
+	t.Helper()
+	sense := Minimize
+	if rng.Intn(2) == 1 {
+		sense = Maximize
+	}
+	m := NewModel(sense)
+	nVars := 3 + rng.Intn(5)
+	vars := make([]VarID, nVars)
+	for j := 0; j < nVars; j++ {
+		typ := Binary
+		upper := 1.0
+		if rng.Intn(3) == 0 {
+			typ = Integer
+			upper = float64(2 + rng.Intn(4))
+		}
+		v, err := m.AddVar(fmt.Sprintf("x%d", j), typ, upper, float64(rng.Intn(11)-5))
+		if err != nil {
+			t.Fatalf("add var: %v", err)
+		}
+		vars[j] = v
+	}
+	nCons := 2 + rng.Intn(5)
+	for i := 0; i < nCons; i++ {
+		coef := make(map[VarID]float64)
+		for _, v := range vars {
+			if rng.Intn(2) == 0 {
+				coef[v] = float64(rng.Intn(7) - 3)
+			}
+		}
+		rel := []Rel{LE, GE, EQ}[rng.Intn(3)]
+		rhs := float64(rng.Intn(9) - 2)
+		if err := m.AddConstraint(coef, rel, rhs); err != nil {
+			t.Fatalf("add constraint: %v", err)
+		}
+	}
+	return m
 }
 
 // orderingModel is a random instance of the ordering program the schedule
@@ -407,9 +442,8 @@ func sameSolve(t *testing.T, what string, a, b *Solution, errA, errB error, work
 // TestDifferentialZeroRows pins the relaxation's all-zero rows to the
 // pinning rows they replace: a dormant ordering pair written as two
 // all-zero rows must solve exactly as the pair written as -o >= 0, o >= 0 —
-// the same X and objective at any worker count, and at one worker the same
-// nodes and pivots, because the dropped rows' slacks would have sat basic at
-// zero, coupled to no live row. Both models are persistent and retargeted by
+// the same X, objective, nodes and pivots, because the dropped rows' slacks
+// would have sat basic at zero, coupled to no live row. Both models are persistent and retargeted by
 // mutation, so the dormant set changes under a recycled node state. Runs
 // under -race from `make differential`.
 func TestDifferentialZeroRows(t *testing.T) {
@@ -426,24 +460,13 @@ func TestDifferentialZeroRows(t *testing.T) {
 				dormant++
 			}
 			opts := Options{FirstFeasible: rng.Intn(2) == 0, MaxNodes: 20_000}
-			var seq *Solution
-			var seqErr error
-			for _, workers := range []int{1, 4} {
-				opts.Workers = workers
-				what := fmt.Sprintf("trial %d round %d workers %d", trial, r, workers)
-				want, wantErr := pinned.m.Solve(opts)
-				got, gotErr := zeroed.m.Solve(opts)
-				sameSolve(t, what, want, got, wantErr, gotErr, workers == 1)
-				if workers > 1 {
-					sameSolve(t, what+" vs one worker", seq, got, seqErr, gotErr, false)
-					continue
-				}
-				seq, seqErr = got, gotErr
-				if gotErr != nil {
-					infeasible++
-				} else if got.Nodes > 1 {
-					branched++
-				}
+			want, wantErr := pinned.m.Solve(opts)
+			got, gotErr := zeroed.m.Solve(opts)
+			sameSolve(t, fmt.Sprintf("trial %d round %d", trial, r), want, got, wantErr, gotErr, true)
+			if gotErr != nil {
+				infeasible++
+			} else if got.Nodes > 1 {
+				branched++
 			}
 		}
 	}
@@ -456,7 +479,7 @@ func TestDifferentialZeroRows(t *testing.T) {
 	win, cost, pairs, demands := randomOrdering(rand.New(rand.NewSource(5)), 1)
 	base := newOrderingModel(t, win, cost, pairs, false)
 	base.setDemand(t, demands[0])
-	want, wantErr := base.m.Solve(Options{Workers: 1})
+	want, wantErr := base.m.Solve(Options{})
 	for _, c := range []struct {
 		rel      Rel
 		rhs      float64
@@ -467,7 +490,7 @@ func TestDifferentialZeroRows(t *testing.T) {
 		if _, err := om.m.AddConstraintIdx([]VarID{om.start[0]}, []float64{0}, c.rel, c.rhs); err != nil {
 			t.Fatal(err)
 		}
-		got, err := om.m.Solve(Options{Workers: 1})
+		got, err := om.m.Solve(Options{})
 		if !c.feasible {
 			if !errors.Is(err, ErrInfeasible) {
 				t.Fatalf("0 %v %g: got %v, want ErrInfeasible", c.rel, c.rhs, err)
@@ -496,5 +519,38 @@ func TestDifferentialZeroRows(t *testing.T) {
 	if !slices.Equal(sol.X, []float64{1, 0, 5}) || sol.Objective != 13 || !sol.Optimal || sol.Nodes != 1 {
 		t.Fatalf("all-zero model: X %v obj %g optimal %v nodes %d, want [1 0 5] 13 true 1",
 			sol.X, sol.Objective, sol.Optimal, sol.Nodes)
+	}
+}
+
+// TestDifferentialRecycledState solves a stream of persistent models, each
+// retargeted and re-solved many times, so every search runs on a workspace
+// and snapshots recycled from the searches before it — some snapshotted
+// into a State the workspace last held under an older generation. A
+// recycled snapshot mistaken for the live workspace would warm-start a node
+// from the wrong basis and bounds; every result must instead equal the solve
+// of a fresh twin model, nodes and pivots included. Runs under -race from
+// `make differential`.
+func TestDifferentialRecycledState(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	branched := 0
+	for trial := 0; trial < 30; trial++ {
+		win, cost, pairs, demands := randomOrdering(rng, 8)
+		om := newOrderingModel(t, win, cost, pairs, false)
+		for r, d := range demands {
+			om.setDemand(t, d)
+			twin := newOrderingModel(t, win, cost, pairs, false)
+			twin.setDemand(t, d)
+			want, wantErr := twin.m.Solve(Options{})
+			if wantErr == nil && want.Nodes > 1 {
+				branched++
+			}
+			for rep := 0; rep < 2; rep++ {
+				got, gotErr := om.m.Solve(Options{})
+				sameSolve(t, fmt.Sprintf("trial %d round %d rep %d", trial, r, rep), want, got, wantErr, gotErr, true)
+			}
+		}
+	}
+	if branched < 50 {
+		t.Fatalf("weak coverage: only %d branching solves", branched)
 	}
 }

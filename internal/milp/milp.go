@@ -10,8 +10,8 @@
 // basis snapshot — one new bound to clean up, typically a handful of pivots —
 // instead of two phases from scratch. A node's relaxation is a pure function
 // of its parent's snapshot and its own branch, and the root is solved cold,
-// so by induction every snapshot is bit-identical no matter which worker
-// produced it and the parallel search stays deterministic.
+// so by induction every snapshot — and with it the node and pivot counts of
+// the sequential depth-first search — is a pure function of the model.
 //
 // The relaxation holds only rows with a non-zero coefficient: an all-zero
 // row constrains nothing (or, unsatisfiable, makes the model infeasible), so
@@ -21,14 +21,10 @@
 package milp
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"slices"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"wimesh/internal/lp"
@@ -83,17 +79,17 @@ type variable struct {
 // Model is a MILP under construction. Constraint rows are stored in the
 // sparse lp.Row form; AddConstraintIdx, SetCoef, SetRHS, and SetUpper allow
 // re-solving a structurally stable model with mutated data (the incremental
-// window search in internal/schedule relies on this).
+// window search in internal/schedule relies on this). A Model is not safe
+// for concurrent use.
 type Model struct {
 	sense Sense
 	vars  []variable
 	rows  []lp.Row
 
-	// mu guards the free list: solver workspaces and basis snapshots of
-	// earlier searches, kept for the next Solve on this model.
-	mu      sync.Mutex
-	solvers []*lp.Solver
-	states  []*lp.State
+	// The solver workspace and a free list of basis snapshots, kept from
+	// earlier searches for the next Solve on this model.
+	solver *lp.Solver
+	states []*lp.State
 }
 
 // NewModel returns an empty model with the given optimization direction.
@@ -223,13 +219,9 @@ type Options struct {
 	// FirstFeasible stops at the first integral solution (feasibility
 	// problems).
 	FirstFeasible bool
-	// IntTol is the integrality tolerance (0 = 1e-6 default).
-	IntTol float64
-	// Workers is the number of goroutines exploring the branch-and-bound
-	// tree (0 = GOMAXPROCS). The result is deterministic regardless of the
-	// worker count: ties between equally good solutions are broken by the
-	// branch path, so any exploration schedule converges to the same
-	// incumbent as the sequential search.
+	// Workers is ignored: the search is sequential. It stays because the
+	// repository benchmark (benchmark/plan.go, probes.go, serving.go) still
+	// sets it.
 	Workers int
 	// coldStart solves every node's relaxation from scratch instead of
 	// warm-starting from the root basis snapshot. The search proves the
@@ -238,12 +230,12 @@ type Options struct {
 	// package's tests can set it.
 	coldStart bool
 	// Interrupt aborts the search when the channel closes (or yields a
-	// value): workers stop picking up nodes and Solve returns ErrLimit.
-	// It is the cancellation hook for long-lived callers — the admission
-	// engine wires a context's Done channel here so a daemon shuts down
-	// cleanly mid-solve. Which nodes were explored before the interrupt is
-	// timing-dependent, so an interrupted solve is not deterministic; nil
-	// (the default) keeps the search fully deterministic.
+	// value): the search stops before its next node and Solve returns
+	// ErrLimit. It is the cancellation hook for long-lived callers — the
+	// admission engine wires a context's Done channel here so a daemon
+	// shuts down cleanly mid-solve. Which nodes were explored before the
+	// interrupt is timing-dependent, so an interrupted solve is not
+	// deterministic; nil (the default) keeps the search fully deterministic.
 	Interrupt <-chan struct{}
 }
 
@@ -260,11 +252,14 @@ type Solution struct {
 	// (lp.Solution.Iterations summed over the search). It is the honest
 	// cost measure of a warm-started re-solve — a good warm start re-proves
 	// feasibility in a handful of dual pivots where a cold solve pays a full
-	// two-phase run. With Workers > 1 the explored node set (and hence the
-	// pivot count) can vary run to run even though the returned solution
-	// never does.
+	// two-phase run. Like Nodes, it is a function of the model and the
+	// options unless a TimeLimit or Interrupt cuts the search short.
 	Pivots int
 }
+
+// intTol is the integrality tolerance: a value within it of an integer
+// counts as integral.
+const intTol = 1e-6
 
 // branch is one bound tightened on the path to a node: variable v rel value.
 type branch struct {
@@ -276,112 +271,53 @@ type branch struct {
 // node is one open subproblem of the branch-and-bound tree.
 type node struct {
 	branches []branch
-	// key encodes the branch path from the root, one byte per level: 0 for
-	// the child the sequential search explores first, 1 for the other.
-	// Sequential DFS visits nodes in ascending key order (bytes.Compare,
-	// prefixes first), so breaking incumbent ties by smallest key makes any
-	// exploration schedule — including a parallel one — converge to the
-	// exact incumbent the sequential search would return.
-	key []byte
 	// parent is the parent node's post-solve basis snapshot (nil at the
 	// root and in cold-start mode). The snapshot already carries every
 	// ancestor bound, so the node warm-starts from it with only its own
-	// branch applied.
-	parent *stateRef
+	// branch applied. Both children share it; the one popped last, marked
+	// last, returns it to the model's free list.
+	parent *lp.State
+	last   bool
 }
 
-// stateRef shares one parent snapshot between the two children it seeds;
-// the last reader returns the snapshot to the model's free list.
-type stateRef struct {
-	st   *lp.State
-	refs atomic.Int32
-}
-
-// newStateRef snapshots the solver into a recycled State.
-func (m *Model) newStateRef(solver *lp.Solver) *stateRef {
-	m.mu.Lock()
-	st := pop(&m.states)
-	m.mu.Unlock()
-	r := &stateRef{st: solver.Snapshot(st)}
-	r.refs.Store(2)
-	return r
-}
-
-// release drops one reference to r. The snapshot must not be read
-// afterwards.
-func (m *Model) release(r *stateRef) {
-	if r != nil && r.refs.Add(-1) == 0 {
-		m.mu.Lock()
-		m.states = append(m.states, r.st)
-		m.mu.Unlock()
+// release returns n's parent snapshot to the free list if n is its last
+// reader. The snapshot must not be read afterwards.
+func (m *Model) release(n node) {
+	if n.last {
+		m.states = append(m.states, n.parent)
 	}
 }
 
-// pop takes the last element of a free list, or nil when it is empty.
-func pop[T any](free *[]*T) *T {
-	n := len(*free)
-	if n == 0 {
-		return nil
-	}
-	x := (*free)[n-1]
-	*free = (*free)[:n-1]
-	return x
-}
-
-// search is the shared state of one Solve call: the worker pool's work
-// stack, the incumbent, and the limit bookkeeping.
+// search is the state of one Solve call: the depth-first stack, the
+// incumbent, and the limit bookkeeping.
 type search struct {
-	m             *Model
-	compiled      *lp.Compiled
-	sign          float64 // minimization-form multiplier
-	firstFeasible bool
-	coldStart     bool
-	intTol        float64
-	maxNodes      int
-	deadline      time.Time
-	interrupt     <-chan struct{}
+	m        *Model
+	compiled *lp.Compiled
+	sign     float64 // minimization-form multiplier
+	opts     Options // MaxNodes defaulted
+	deadline time.Time
 
-	pivots atomic.Uint64 // simplex pivots across node relaxations
-
-	mu       sync.Mutex
-	cond     *sync.Cond
-	stack    []node // LIFO: DFS order when sequential
-	active   int    // workers currently expanding a node
-	stopped  bool   // a limit was hit or a worker failed
+	stack    []node // LIFO: depth-first order
+	nodes    int    // LP relaxations solved
+	pivots   uint64 // simplex pivots across node relaxations
 	limitHit bool
-	err      error
-	nodes    int // LP relaxations solved
 
 	incumbent    []float64
 	incumbentObj float64 // minimization form
-	incumbentKey []byte
-	haveInc      bool
 
 	// Observability handles, captured from the process default in Solve; nil
-	// (no-op) when none is installed. Updates are atomic, so the worker pool
-	// reports without extra locking.
+	// (no-op) when none is installed.
 	obsWarm *obs.Counter
 	obsCold *obs.Counter
 }
 
 // Solve runs branch-and-bound and returns the best integral solution. It
 // returns ErrInfeasible if no integral solution exists, or ErrLimit if
-// limits were exhausted before one was found.
-//
-// With Options.Workers > 1 the tree is explored by a worker pool sharing the
-// incumbent; the result is identical to the sequential search (see node.key).
+// limits were exhausted before one was found. Of equally good solutions the
+// one found first in depth-first order wins.
 func (m *Model) Solve(opts Options) (*Solution, error) {
-	maxNodes := opts.MaxNodes
-	if maxNodes == 0 {
-		maxNodes = 1_000_000
-	}
-	intTol := opts.IntTol
-	if intTol == 0 {
-		intTol = 1e-6
-	}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	if opts.MaxNodes == 0 {
+		opts.MaxNodes = 1_000_000
 	}
 	deadline := time.Time{}
 	if opts.TimeLimit > 0 {
@@ -398,39 +334,22 @@ func (m *Model) Solve(opts Options) (*Solution, error) {
 	if m.sense == Maximize {
 		sign = -1
 	}
-	s := &search{
-		m:             m,
-		compiled:      compiled,
-		sign:          sign,
-		firstFeasible: opts.FirstFeasible,
-		coldStart:     opts.coldStart,
-		intTol:        intTol,
-		maxNodes:      maxNodes,
-		deadline:      deadline,
-		interrupt:     opts.Interrupt,
-		stack:         []node{{}},
-		incumbentObj:  math.Inf(1),
-	}
-	s.cond = sync.NewCond(&s.mu)
+	s := &search{m: m, compiled: compiled, sign: sign, opts: opts, deadline: deadline,
+		stack: []node{{}}, incumbentObj: math.Inf(1)}
 	reg := obs.Default()
 	s.obsWarm = reg.Counter("milp.warm_solves")
 	s.obsCold = reg.Counter("milp.cold_solves")
 
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			s.run()
-		}()
+	if m.solver == nil {
+		m.solver = lp.NewSolver()
 	}
-	wg.Wait()
+	err = s.run()
 	for _, n := range s.stack {
-		m.release(n.parent)
+		m.release(n)
 	}
 
-	if s.err != nil {
-		return nil, s.err
+	if err != nil {
+		return nil, err
 	}
 	if s.incumbent == nil {
 		if s.limitHit {
@@ -445,17 +364,18 @@ func (m *Model) Solve(opts Options) (*Solution, error) {
 	reg.Counter("milp.solves").Inc()
 	reg.Counter("milp.nodes").Add(uint64(s.nodes))
 	return &Solution{X: s.incumbent, Objective: obj, Optimal: !s.limitHit,
-		Nodes: s.nodes, Pivots: int(s.pivots.Load())}, nil
+		Nodes: s.nodes, Pivots: int(s.pivots)}, nil
 }
 
-// interrupted reports whether Options.Interrupt has fired. Callers hold s.mu;
-// the select itself is non-blocking.
-func (s *search) interrupted() bool {
-	if s.interrupt == nil {
-		return false
+// limited reports whether the node budget, the deadline or
+// Options.Interrupt stops the search before its next node. The select is
+// non-blocking, and a nil interrupt never fires.
+func (s *search) limited() bool {
+	if s.nodes >= s.opts.MaxNodes || (!s.deadline.IsZero() && time.Now().After(s.deadline)) {
+		return true
 	}
 	select {
-	case <-s.interrupt:
+	case <-s.opts.Interrupt:
 		return true
 	default:
 		return false
@@ -489,82 +409,43 @@ func (m *Model) compileRelaxation() (*lp.Compiled, error) {
 	return lp.Compile(lp.NewProblemShared(m.sense, obj, lower, upper, rows))
 }
 
-// run is one pool worker: pop a node, expand it, push its children, until
-// the tree is exhausted or a limit fires. Each worker owns one lp.Solver
-// workspace, taken from the model's free list, for the whole search.
-func (s *search) run() {
-	s.m.mu.Lock()
-	solver := pop(&s.m.solvers)
-	s.m.mu.Unlock()
-	if solver == nil {
-		solver = lp.NewSolver()
-	}
-	defer func() {
-		s.m.mu.Lock()
-		s.m.solvers = append(s.m.solvers, solver)
-		s.m.mu.Unlock()
-	}()
+// run pops nodes off the stack and expands them, pushing their children,
+// until the tree is exhausted, a limit fires, or (with FirstFeasible) an
+// incumbent exists.
+func (s *search) run() error {
 	var changes []lp.BoundChange
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for {
-		for len(s.stack) == 0 && s.active > 0 && !s.stopped {
-			s.cond.Wait()
-		}
-		if s.stopped || len(s.stack) == 0 {
-			s.cond.Broadcast()
-			return
+	for len(s.stack) > 0 && !(s.opts.FirstFeasible && s.incumbent != nil) {
+		if s.limited() {
+			s.limitHit = true
+			return nil
 		}
 		cur := s.stack[len(s.stack)-1]
 		s.stack = s.stack[:len(s.stack)-1]
-
-		// A feasibility search only cares about solutions on branch paths
-		// before the incumbent's; drop later ones without an LP solve (this
-		// is also what keeps the sequential node count identical to the
-		// old early-exit behaviour: every node after the incumbent prunes
-		// here).
-		if s.firstFeasible && s.haveInc && bytes.Compare(cur.key, s.incumbentKey) >= 0 {
-			s.m.release(cur.parent)
-			continue
-		}
-		if s.nodes >= s.maxNodes || (!s.deadline.IsZero() && time.Now().After(s.deadline)) || s.interrupted() {
-			s.m.release(cur.parent)
-			s.limitHit = true
-			s.stopped = true
-			s.cond.Broadcast()
-			return
-		}
 		s.nodes++
-		s.active++
-		s.mu.Unlock()
-
 		changes = changes[:0]
 		for _, b := range cur.branches {
 			changes = append(changes, lp.BoundChange{Col: int32(b.v), Upper: b.rel == LE, Val: b.val})
 		}
-		children, err := s.expand(cur, solver, changes)
-		s.m.release(cur.parent)
-
-		s.mu.Lock()
-		s.active--
-		if err != nil && s.err == nil {
-			s.err = err
-			s.stopped = true
+		children, err := s.expand(cur, changes)
+		s.m.release(cur)
+		if err != nil {
+			return err
 		}
 		s.stack = append(s.stack, children...)
-		s.cond.Broadcast()
 	}
+	return nil
 }
 
 // expand solves a node's relaxation and returns its children (nil when the
 // node is pruned, infeasible, or integral). Children are ordered so the
-// sequentially-preferred child is popped first from the LIFO stack.
-func (s *search) expand(cur node, solver *lp.Solver, changes []lp.BoundChange) ([]node, error) {
+// preferred child is popped first from the LIFO stack.
+func (s *search) expand(cur node, changes []lp.BoundChange) ([]node, error) {
+	solver := s.m.solver
 	var warm *lp.State
 	if cur.parent != nil {
 		// The snapshot's bounds already reflect every ancestor branch;
 		// only the node's own branch is new.
-		warm = cur.parent.st
+		warm = cur.parent
 		changes = changes[len(changes)-1:]
 		s.obsWarm.Inc()
 	} else {
@@ -572,7 +453,7 @@ func (s *search) expand(cur node, solver *lp.Solver, changes []lp.BoundChange) (
 	}
 	before := solver.Pivots()
 	sol, err := solver.Solve(s.compiled, warm, changes)
-	s.pivots.Add(solver.Pivots() - before)
+	s.pivots += solver.Pivots() - before
 	if errors.Is(err, lp.ErrInfeasible) {
 		return nil, nil
 	}
@@ -584,85 +465,48 @@ func (s *search) expand(cur node, solver *lp.Solver, changes []lp.BoundChange) (
 	if err != nil {
 		return nil, fmt.Errorf("milp: relaxation: %w", err)
 	}
+	// Every node popped after the incumbent lies later in depth-first
+	// order, so a tie with the incumbent loses: the subtree cannot improve
+	// on it.
 	bound := s.sign * sol.Objective
-
-	s.mu.Lock()
-	prune := s.prunedLocked(bound, cur.key)
-	s.mu.Unlock()
-	if prune {
+	if s.incumbent != nil && bound >= s.incumbentObj-1e-9 {
 		return nil, nil
 	}
 
-	fracVar, fracVal := s.m.mostFractional(sol.X, s.intTol)
+	fracVar, fracVal := s.m.mostFractional(sol.X)
 	if fracVar == -1 {
-		// Integral: candidate incumbent.
-		x := roundIntegral(s.m, sol.X)
-		s.mu.Lock()
-		if s.acceptsLocked(bound, cur.key) {
-			s.incumbent, s.incumbentObj = x, bound
-			s.incumbentKey, s.haveInc = cur.key, true
+		s.incumbent, s.incumbentObj = slices.Clone(sol.X), bound
+		for j, v := range s.m.vars {
+			if v.typ != Continuous {
+				s.incumbent[j] = math.Round(s.incumbent[j])
+			}
 		}
-		s.mu.Unlock()
 		return nil, nil
 	}
 	// Branch. floor child: x <= floor(v); ceil child: x >= ceil(v). The
-	// child nearer the fractional value is preferred (key byte 0) and goes
-	// last so the LIFO pops it first. Both children share this node's
-	// post-solve snapshot as their warm-start seed; the solver still holds
-	// it, so whichever child this worker pops next skips the restore.
-	var parent *stateRef
-	if !s.coldStart {
-		parent = s.m.newStateRef(solver)
+	// child nearer the fractional value is preferred and goes last so the
+	// LIFO pops it first. Both children share this node's post-solve
+	// snapshot as their warm-start seed; the solver still holds it, so the
+	// preferred child skips the restore.
+	var parent *lp.State
+	if !s.opts.coldStart {
+		if n := len(s.m.states); n > 0 {
+			parent, s.m.states = s.m.states[n-1], s.m.states[:n-1]
+		}
+		parent = solver.Snapshot(parent)
 	}
 	floorB := append(append([]branch(nil), cur.branches...), branch{v: fracVar, rel: LE, val: math.Floor(fracVal)})
 	ceilB := append(append([]branch(nil), cur.branches...), branch{v: fracVar, rel: GE, val: math.Ceil(fracVal)})
-	preferred := append(append([]byte(nil), cur.key...), 0)
-	other := append(append([]byte(nil), cur.key...), 1)
 	if fracVal-math.Floor(fracVal) < 0.5 {
-		return []node{{branches: ceilB, key: other, parent: parent}, {branches: floorB, key: preferred, parent: parent}}, nil
+		return []node{{branches: ceilB, parent: parent, last: parent != nil}, {branches: floorB, parent: parent}}, nil
 	}
-	return []node{{branches: floorB, key: other, parent: parent}, {branches: ceilB, key: preferred, parent: parent}}, nil
-}
-
-// prunedLocked reports whether a solved node's subtree can no longer beat
-// the incumbent. Callers hold s.mu.
-func (s *search) prunedLocked(bound float64, key []byte) bool {
-	if !s.haveInc {
-		return false
-	}
-	if s.firstFeasible {
-		// No bound pruning: any integral solution on an earlier branch path
-		// wins regardless of objective.
-		return bytes.Compare(key, s.incumbentKey) >= 0
-	}
-	if bound < s.incumbentObj-1e-9 {
-		return false
-	}
-	// Objective tied (or worse): the subtree can only supply an incumbent
-	// via the key tie-break, possible only on an earlier branch path.
-	return !(bound <= s.incumbentObj+1e-9 && bytes.Compare(key, s.incumbentKey) < 0)
-}
-
-// acceptsLocked reports whether an integral solution (bound, key) replaces
-// the incumbent: better objective first, then earlier branch path. Callers
-// hold s.mu.
-func (s *search) acceptsLocked(bound float64, key []byte) bool {
-	if !s.haveInc {
-		return true
-	}
-	if s.firstFeasible {
-		return bytes.Compare(key, s.incumbentKey) < 0
-	}
-	if bound < s.incumbentObj-1e-9 {
-		return true
-	}
-	return bound <= s.incumbentObj+1e-9 && bytes.Compare(key, s.incumbentKey) < 0
+	return []node{{branches: floorB, parent: parent, last: parent != nil}, {branches: ceilB, parent: parent}}, nil
 }
 
 // mostFractional returns the integer variable with value farthest from an
-// integer, or -1 if all integer variables are integral within tol.
-func (m *Model) mostFractional(x []float64, tol float64) (VarID, float64) {
-	best, bestDist := VarID(-1), tol
+// integer, or -1 if all integer variables are integral within intTol.
+func (m *Model) mostFractional(x []float64) (VarID, float64) {
+	best, bestDist := VarID(-1), intTol
 	for j, v := range m.vars {
 		if v.typ == Continuous {
 			continue
@@ -677,15 +521,4 @@ func (m *Model) mostFractional(x []float64, tol float64) (VarID, float64) {
 		return -1, 0
 	}
 	return best, x[best]
-}
-
-func roundIntegral(m *Model, x []float64) []float64 {
-	out := make([]float64, len(x))
-	copy(out, x)
-	for j, v := range m.vars {
-		if v.typ != Continuous {
-			out[j] = math.Round(out[j])
-		}
-	}
-	return out
 }

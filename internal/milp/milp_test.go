@@ -316,7 +316,7 @@ func TestResolveRecyclesNodeState(t *testing.T) {
 	}
 	om := newOrderingModel(t, win, cost, pairs, false)
 	om.setDemand(t, demand)
-	opts := Options{Workers: 1, FirstFeasible: true}
+	opts := Options{FirstFeasible: true}
 	first, err := om.m.Solve(opts)
 	if err != nil {
 		t.Fatal(err)

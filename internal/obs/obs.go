@@ -13,7 +13,7 @@
 //
 // Metric updates are atomic and trace appends are mutex-guarded, so one
 // registry can safely aggregate across the parallel probe runs of a capacity
-// search or the worker pool of a branch-and-bound solve.
+// search or the concurrent zone solves of the partitioned planner.
 //
 // Components resolve their sink in two steps: an explicit handle wins (e.g.
 // tdmaemu.Config.Metrics), otherwise the process default installed by

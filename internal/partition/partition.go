@@ -23,8 +23,8 @@
 // the outer coordination pass.
 //
 // The result is bit-identical for any worker count: the per-zone solves are
-// pure functions of their subproblem (the MILP worker pool is itself
-// deterministic) and the stitch consumes them in zone order.
+// pure functions of their subproblem and the stitch consumes them in zone
+// order.
 package partition
 
 import (
@@ -313,9 +313,6 @@ func MinSlots(p *schedule.Problem, cfg tdma.FrameConfig, opts Options) (*Result,
 	if milpOpts.MaxNodes == 0 {
 		milpOpts.MaxNodes = 100_000
 	}
-	// Zone ILPs run on their own pool; each zone's branch-and-bound stays
-	// sequential so concurrency lives where the parallelism is widest.
-	milpOpts.Workers = 1
 
 	models := NewModels(len(dec.Zones), cfg)
 	sols := make([]ZoneSolution, len(dec.Zones))

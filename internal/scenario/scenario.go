@@ -30,7 +30,8 @@ type Spec struct {
 	Calls int `json:"calls"`
 	// Codec: g711, g729, g723.
 	Codec string `json:"codec"`
-	// DelayBound is the per-call budget, as a Go duration string.
+	// DelayBound is the per-call budget, as a Go duration string ("" or 0 =
+	// none; negative is an error).
 	DelayBound string `json:"delayBound,omitempty"`
 	// Method: ilp, minmax-delay, path-major, tree-order, greedy.
 	Method string `json:"method"`
@@ -101,7 +102,8 @@ func (s Spec) BuildMethod() (core.PlanMethod, error) {
 	}
 }
 
-// Bound parses the delay bound ("" = none).
+// Bound parses the delay bound ("" or 0 = none). A negative bound is an
+// error of the spec, not a capacity verdict.
 func (s Spec) Bound() (time.Duration, error) {
 	if s.DelayBound == "" {
 		return 0, nil
@@ -109,6 +111,9 @@ func (s Spec) Bound() (time.Duration, error) {
 	d, err := time.ParseDuration(s.DelayBound)
 	if err != nil {
 		return 0, fmt.Errorf("scenario: delay bound: %w", err)
+	}
+	if d < 0 {
+		return 0, fmt.Errorf("scenario: delay bound %v: must not be negative (0 = none)", d)
 	}
 	return d, nil
 }

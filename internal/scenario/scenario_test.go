@@ -75,6 +75,12 @@ func TestBuildCodecAndMethodAndBound(t *testing.T) {
 	if _, err := (Spec{DelayBound: "soon"}).Bound(); err == nil {
 		t.Error("bad bound accepted")
 	}
+	if _, err := (Spec{DelayBound: "-1s"}).Bound(); err == nil || !strings.Contains(err.Error(), "-1s") {
+		t.Errorf("negative bound: err = %v, want one naming -1s", err)
+	}
+	if d, err := (Spec{DelayBound: "0s"}).Bound(); err != nil || d != 0 {
+		t.Errorf("zero bound = %v, %v, want 0 (none)", d, err)
+	}
 	for _, calls := range []int{-1, -5} {
 		sp := specChain()
 		sp.Calls = calls

@@ -185,7 +185,7 @@ func TestProblemCacheInvalidatesOnDemandChange(t *testing.T) {
 // only the probe-count upper bound is checked.
 func TestDifferentialMinSlotsVsLinear(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
-	opts := milp.Options{MaxNodes: 50_000, Workers: 1}
+	opts := milp.Options{MaxNodes: 50_000}
 	feasible, infeasible := 0, 0
 	for trial := 0; trial < 40; trial++ {
 		n := 3 + rng.Intn(6)

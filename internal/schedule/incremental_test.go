@@ -43,7 +43,7 @@ func incrementalFixture(t *testing.T, nodes, frameSlots int) (*conflict.Graph, [
 // same minimum window, and a valid witness schedule covering the demands.
 func TestDifferentialIncrementalVsMonolithic(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	opts := milp.Options{MaxNodes: 50_000, Workers: 1}
+	opts := milp.Options{MaxNodes: 50_000}
 	g, support, cfg := incrementalFixture(t, 8, 12)
 	inc, err := NewIncremental(supportProblem(g, support, cfg, nil), cfg)
 	if err != nil {
@@ -119,7 +119,7 @@ func TestIncrementalHintAtBoundSingleProbe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := milp.Options{MaxNodes: 50_000, Workers: 1}
+	opts := milp.Options{MaxNodes: 50_000}
 	demand := map[topology.LinkID]int{support[0]: 2}
 	p := &Problem{Graph: g, Demand: demand, FrameSlots: cfg.DataSlots}
 	win, sched, solved, _, err := inc.MinSlots(p, 0, 0, 0, opts)
@@ -153,7 +153,7 @@ func TestIncrementalSupports(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := milp.Options{Workers: 1}
+	opts := milp.Options{}
 	outside := support[len(support)-1]
 	p := &Problem{Graph: g, Demand: map[topology.LinkID]int{half[0]: 1, outside: 1}, FrameSlots: cfg.DataSlots}
 	if _, _, _, _, err := inc.MinSlots(p, 0, 0, 0, opts); !errors.Is(err, ErrUnsupportedLink) {
@@ -193,7 +193,7 @@ func TestIncrementalSupports(t *testing.T) {
 // that has been through earlier applies answers like an untouched one.
 func TestCoverMatchesFreshUnion(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	opts := milp.Options{MaxNodes: 50_000, Workers: 1}
+	opts := milp.Options{MaxNodes: 50_000}
 	g, all, cfg := incrementalFixture(t, 8, 12)
 	union := []topology.LinkID{all[0]}
 	inc, err := NewIncremental(supportProblem(g, union, cfg, nil), cfg)
@@ -313,7 +313,7 @@ func TestApplyRetargetsFlowRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := milp.Options{Workers: 1}
+	opts := milp.Options{}
 	feasible, infeasible := 0, 0
 	for i, d := range [][]int{{1, 1, 1, 1}, {2, 1, 2, 1}, {1, 2, 1, 2}, {2, 2, 2, 1}, {3, 2, 1, 1}, {1, 1, 1, 3}, {2, 2, 2, 2}} {
 		q := &Problem{Graph: p.Graph, Demand: make(map[topology.LinkID]int), FrameSlots: p.FrameSlots, Flows: p.Flows}

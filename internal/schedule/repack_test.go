@@ -18,7 +18,7 @@ func TestRepack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := milp.Options{MaxNodes: 50_000, Workers: 1}
+	opts := milp.Options{MaxNodes: 50_000}
 	demand := map[topology.LinkID]int{support[0]: 3, support[1]: 2}
 	p := &Problem{Graph: g, Demand: demand, FrameSlots: cfg.DataSlots}
 
