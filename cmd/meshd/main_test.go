@@ -3,9 +3,13 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"flag"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
+	"regexp"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -290,5 +294,76 @@ func TestRunWorkersAnyEngine(t *testing.T) {
 		if out := sb.String(); !strings.Contains(out, "served: 60 offered") || !strings.Contains(out, "concurrency: 4 workers") {
 			t.Errorf("run %v: output missing the serving or concurrency line:\n%s", args, out)
 		}
+	}
+}
+
+var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/run.golden from this run")
+
+var (
+	servedTail  = regexp.MustCompile(`(?m)^(served: .*) in \S+ \(\S+ decisions/s\)$`)
+	latencyLine = regexp.MustCompile(`(?m)^decision latency: .*$`)
+)
+
+// TestRunGolden pins meshd's output byte for byte on two deterministic
+// serial runs (-workers 1, -time-limit 0, node budgets only): a monolithic
+// engine that satisfices and budget-rejects, and a zoned gateway-directed
+// class mix with deadlines and preemption. Each run records its stdout with
+// the wall-clock fields masked (the served line's "in ... (... decisions/s)"
+// tail and the decision latency line) plus the -metrics-out counters. A
+// behaviour-preserving change keeps it green without -update-golden.
+func TestRunGolden(t *testing.T) {
+	var sb strings.Builder
+	for _, args := range [][]string{
+		{"-nodes", "12", "-calls", "80", "-rate", "50", "-holding", "200ms",
+			"-budget", "100", "-time-limit", "0", "-max-window", "16"},
+		{"-nodes", "48", "-calls", "120", "-zoned", "-zone-size", "250",
+			"-budget", "100", "-time-limit", "0", "-max-window", "24", "-to-gateway",
+			"-class-mix", "ugs=0.4,rtps=0.3/2,be=0.3", "-preempt",
+			"-ugs-deadline", "12", "-rtps-window", "20"},
+	} {
+		metrics := filepath.Join(t.TempDir(), "metrics.json")
+		var out strings.Builder
+		if err := run(context.Background(), append(args, "-metrics-out", metrics), &out); err != nil {
+			t.Fatalf("run %v: %v", args, err)
+		}
+		masked := servedTail.ReplaceAllString(out.String(), "$1 in … (… decisions/s)")
+		masked = latencyLine.ReplaceAllString(masked, "decision latency: …")
+		fmt.Fprintf(&sb, "$ meshd %s\n%s", strings.Join(args, " "), masked)
+		buf, err := os.ReadFile(metrics)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var snap struct {
+			Counters map[string]uint64 `json:"counters"`
+		}
+		if err := json.Unmarshal(buf, &snap); err != nil {
+			t.Fatal(err)
+		}
+		names := make([]string, 0, len(snap.Counters))
+		for name := range snap.Counters {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		for _, name := range names {
+			fmt.Fprintf(&sb, "counter %s %d\n", name, snap.Counters[name])
+		}
+	}
+
+	path := filepath.Join("testdata", "run.golden")
+	if *updateGolden {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(sb.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sb.String(); got != string(want) {
+		t.Fatalf("output differs from %s:\n got\n%s\n want\n%s", path, got, want)
 	}
 }
