@@ -15,8 +15,7 @@ test:
 
 # What still runs concurrently must stay race-clean: the partitioned
 # planner's zone pool, the sharded admission engine and its serving workers,
-# the capacity search's parallel probes, the Problem caches and the parallel
-# experiment runner. The R-table goldens (TestRTableGolden in
+# the Problem caches and the parallel experiment runner. The R-table goldens (TestRTableGolden in
 # internal/experiments) ride this target in `make check`.
 race:
 	$(GO) test -race ./...
@@ -32,7 +31,7 @@ race:
 # (tdma.Packing) vs. a brute-force earliest-start scan and the two first-fit
 # searches it replaced — all under the race detector.
 differential:
-	$(GO) test -race -count=1 -run 'TestDifferential|TestPacking|TestWorkersByteIdentical|TestScreenedSearchMatchesLinear|TestGallopSearchWorkers|TestAnalyticSearchMatchesLinear|TestAnalyticVsSimulated' \
+	$(GO) test -race -count=1 -run 'TestDifferential|TestPacking|TestWorkersByteIdentical|TestScreenedSearchMatchesLinear|TestAnalyticSearchMatchesLinear|TestAnalyticVsSimulated' \
 		./internal/sim ./internal/mac ./cmd/meshbench ./internal/core \
 		./internal/lp ./internal/milp ./internal/tdma ./internal/schedule \
 		./internal/partition ./internal/admit
@@ -114,21 +113,23 @@ loc:
 # The ratchet on that number: the ceilings are what `make loc` printed when
 # they were last edited. A PR that shrinks the code lowers them; one that
 # must grow past them raises them in its own diff, where a reviewer sees it.
-LOC_MAX_TOTAL = 21647
+LOC_MAX_TOTAL = 21419
 LOC_MAX_MILP = 524
 LOC_MAX_ADMIT = 2165
 LOC_MAX_PARTITION = 682
 LOC_MAX_SCHEDULE = 1591
 LOC_MAX_LP = 1148
+LOC_MAX_CORE = 1968
 
 loc-check:
-	@$(MAKE) -s loc | awk -v total=$(LOC_MAX_TOTAL) -v milp=$(LOC_MAX_MILP) -v admit=$(LOC_MAX_ADMIT) -v partition=$(LOC_MAX_PARTITION) -v schedule=$(LOC_MAX_SCHEDULE) -v lp=$(LOC_MAX_LP) ' \
+	@$(MAKE) -s loc | awk -v total=$(LOC_MAX_TOTAL) -v milp=$(LOC_MAX_MILP) -v admit=$(LOC_MAX_ADMIT) -v partition=$(LOC_MAX_PARTITION) -v schedule=$(LOC_MAX_SCHEDULE) -v lp=$(LOC_MAX_LP) -v core=$(LOC_MAX_CORE) ' \
 		$$2 == "total" && $$1 > total { printf "loc-check: %d non-test lines outside benchmark/, ceiling %d\n", $$1, total; bad = 1 } \
 		$$2 == "./internal/milp" && $$1 > milp { printf "loc-check: %d non-test lines in internal/milp, ceiling %d\n", $$1, milp; bad = 1 } \
 		$$2 == "./internal/admit" && $$1 > admit { printf "loc-check: %d non-test lines in internal/admit, ceiling %d\n", $$1, admit; bad = 1 } \
 		$$2 == "./internal/partition" && $$1 > partition { printf "loc-check: %d non-test lines in internal/partition, ceiling %d\n", $$1, partition; bad = 1 } \
 		$$2 == "./internal/schedule" && $$1 > schedule { printf "loc-check: %d non-test lines in internal/schedule, ceiling %d\n", $$1, schedule; bad = 1 } \
 		$$2 == "./internal/lp" && $$1 > lp { printf "loc-check: %d non-test lines in internal/lp, ceiling %d\n", $$1, lp; bad = 1 } \
+		$$2 == "./internal/core" && $$1 > core { printf "loc-check: %d non-test lines in internal/core, ceiling %d\n", $$1, core; bad = 1 } \
 		END { exit bad }'
 
 check: vet build race differential lpdebug examples obs-allocs admit-smoke class-smoke benchmark-smoke loc loc-check

@@ -44,6 +44,7 @@ import (
 	"time"
 
 	"wimesh/internal/admit"
+	"wimesh/internal/conflict"
 	"wimesh/internal/core"
 	"wimesh/internal/milp"
 	"wimesh/internal/obs"
@@ -92,6 +93,24 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	if *nodes < 8 {
 		return fmt.Errorf("-nodes %d: need at least 8", *nodes)
 	}
+	if *calls < 1 {
+		return fmt.Errorf("-calls %d: need at least 1", *calls)
+	}
+	if *holding <= 0 {
+		return fmt.Errorf("-holding %v: must be positive", *holding)
+	}
+	if *frameSlots < 1 {
+		return fmt.Errorf("-frame-slots %d: need at least 1", *frameSlots)
+	}
+	if *slots < 1 || *slots > *frameSlots {
+		return fmt.Errorf("-slots-per-link %d: need 1 to %d (the frame's slots)", *slots, *frameSlots)
+	}
+	if *ugsDeadline < 0 {
+		return fmt.Errorf("-ugs-deadline %d: must not be negative (0 = none)", *ugsDeadline)
+	}
+	if *rtpsWindow < 0 {
+		return fmt.Errorf("-rtps-window %d: must not be negative (0 = none)", *rtpsWindow)
+	}
 	if *workers < 1 {
 		return fmt.Errorf("-workers %d: need at least 1", *workers)
 	}
@@ -113,7 +132,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	if !(*zoneSize >= 0) || math.IsInf(*zoneSize, 1) {
 		return fmt.Errorf("-zone-size %v: must be a non-negative finite number (0 = automatic)", *zoneSize)
 	}
-	mix, err := parseClassMix(*classMix)
+	mix, err := parseClassMix(*classMix, *frameSlots)
 	if err != nil {
 		return err
 	}
@@ -126,16 +145,24 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		FrameDuration: time.Duration(*frameSlots) * 1250 * time.Microsecond,
 		DataSlots:     *frameSlots,
 	}
-	sys, err := core.NewSystem(topo, core.WithFrame(frame), core.WithZoneSize(*zoneSize))
+	graph, err := conflict.Build(topo, conflict.Options{Model: conflict.ModelGeometric, InterferenceRange: 250})
 	if err != nil {
 		return err
 	}
+	opts := milp.Options{MaxNodes: *budget, TimeLimit: *timeLimit}
+	if opts == (milp.Options{}) {
+		// Neither limit set: the planner's defaults keep every solve bounded.
+		opts = core.DefaultMILPOptions()
+	}
 	reg := obs.NewRegistry()
-	sess, err := sys.NewSession(core.SessionConfig{
+	eng, err := admit.New(admit.Config{
+		Graph:         graph,
+		Frame:         frame,
 		MaxWindow:     *maxWindow,
-		MILP:          milp.Options{MaxNodes: *budget, TimeLimit: *timeLimit},
+		MILP:          opts,
 		BudgetRejects: true,
 		Zoned:         *zoned,
+		ZoneSize:      *zoneSize,
 		UGSDeadline:   *ugsDeadline,
 		RtPSWindow:    *rtpsWindow,
 		Preempt:       *preempt,
@@ -160,7 +187,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	fmt.Fprintf(out, "workload: %d calls, %.1f/s arrivals, %v mean holding (%.1f Erlang), seed %d\n",
 		*calls, *rate, *holding, w.Erlang, *seed)
 
-	st, serveErr := admit.ServeConcurrent(ctx, sess.Engine(), w, admit.ServeOptions{
+	st, serveErr := admit.ServeConcurrent(ctx, eng, w, admit.ServeOptions{
 		Workers:  *workers,
 		BatchMax: *batchMax,
 		Defrag:   *defrag,
@@ -179,9 +206,9 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	fmt.Fprintf(out, "served: %d offered, %d admitted, %d rejected in %v (%.0f decisions/s)\n",
 		st.Offered, st.Admitted, st.Rejected, st.Elapsed.Round(time.Millisecond), admPerSec)
 	fmt.Fprintf(out, "tiers: %d fastpath, %d warm, %d cold\n", st.Fast, st.Warm, st.Cold)
-	es := sess.Stats()
+	es := eng.Stats()
 	fmt.Fprintf(out, "engine: %d releases, %d compactions, %d satisficed, %d budget rejects; %d live calls, window %d\n",
-		es.Releases, es.Compactions, es.Satisficed, es.BudgetRejected, sess.NumCalls(), sess.Window())
+		es.Releases, es.Compactions, es.Satisficed, es.BudgetRejected, eng.NumFlows(), eng.Window())
 	if *classMix != "" || *preempt || *ugsDeadline > 0 || *rtpsWindow > 0 {
 		// Class line only when a class feature is on, so the default output
 		// stays byte-identical release to release.
@@ -222,9 +249,9 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 }
 
 // parseClassMix parses the -class-mix syntax: comma-separated
-// class=weight[/slots-per-link] shares, e.g. "ugs=0.5,rtps=0.2/2,be=0.3".
+// class=weight[/slots-per-link ≤ frameSlots] shares, e.g. "ugs=0.5,rtps=0.2/2,be=0.3".
 // An empty string is a valid empty mix (pure best-effort workload).
-func parseClassMix(s string) ([]admit.ClassShare, error) {
+func parseClassMix(s string, frameSlots int) ([]admit.ClassShare, error) {
 	if s == "" {
 		return nil, nil
 	}
@@ -247,8 +274,8 @@ func parseClassMix(s string) ([]admit.ClassShare, error) {
 		share := admit.ClassShare{Class: class, Weight: weight}
 		if hasSlots {
 			spl, err := strconv.Atoi(slotsStr)
-			if err != nil || spl < 1 {
-				return nil, fmt.Errorf("-class-mix %q: slots-per-link %q must be a positive integer", part, slotsStr)
+			if err != nil || spl < 1 || spl > frameSlots {
+				return nil, fmt.Errorf("-class-mix %q: slots-per-link %q must be an integer from 1 to %d (the frame's slots)", part, slotsStr, frameSlots)
 			}
 			share.SlotsPerLink = spl
 		}

@@ -151,7 +151,9 @@ func TestRunNonFiniteFlags(t *testing.T) {
 // honours a positive one), a -batch below 1 served with the default cap of
 // 16 while the summary printed the flag's value, a negative -max-window
 // silently meant the whole frame, and a zone size too small to key the grid
-// served a garbage zoning.
+// served a garbage zoning. The workload flags failed deep in the engine or
+// the generator without naming the flag, -slots-per-link beyond the frame
+// only after the banner. Every one must fail before printing anything.
 func TestRunOutOfRangeFlags(t *testing.T) {
 	for _, args := range [][]string{
 		{"-time-limit", "-1s"},
@@ -161,29 +163,40 @@ func TestRunOutOfRangeFlags(t *testing.T) {
 		// Served over 24 transmitters keyed into 2 zones by an overflowed
 		// cell index.
 		{"-zone-size", "1e-300", "-zoned"},
+		{"-calls", "0"},
+		{"-holding", "0s"},
+		{"-slots-per-link", "0"},
+		{"-slots-per-link", "100"},
+		{"-class-mix", "ugs=1/100"},
+		{"-frame-slots", "0"},
+		{"-ugs-deadline", "-1"},
+		{"-rtps-window", "-1"},
 	} {
 		var sb strings.Builder
-		err := run(context.Background(), append(args, "-calls", "4"), &sb)
+		err := run(context.Background(), append([]string{"-calls", "4"}, args...), &sb)
 		if err == nil || !strings.Contains(err.Error(), args[0]+" ") {
 			t.Errorf("%v: err = %v, want an error naming the flag", args, err)
+		}
+		if sb.Len() > 0 {
+			t.Errorf("%v: printed before failing:\n%s", args, sb.String())
 		}
 	}
 }
 
 // FuzzParseClassMix: whatever the string, an accepted mix has only positive
-// finite weights and non-negative slots-per-link — what admit.Generate's
+// finite weights and slots-per-link within the frame — what admit.Generate's
 // class draw assumes.
 func FuzzParseClassMix(f *testing.F) {
 	for _, seed := range []string{"", "ugs=0.5,rtps=0.2/2,be=0.3", "ugs=NaN,be=1", "ugs=Inf", "be=1e309", "ugs=1/0", "ugs", "=1"} {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, s string) {
-		mix, err := parseClassMix(s)
+		mix, err := parseClassMix(s, 64)
 		if err != nil {
 			return
 		}
 		for _, share := range mix {
-			if !(share.Weight > 0) || math.IsInf(share.Weight, 0) || share.SlotsPerLink < 0 {
+			if !(share.Weight > 0) || math.IsInf(share.Weight, 0) || share.SlotsPerLink < 0 || share.SlotsPerLink > 64 {
 				t.Fatalf("parseClassMix(%q) accepted share %+v", s, share)
 			}
 		}
@@ -191,7 +204,7 @@ func FuzzParseClassMix(f *testing.F) {
 }
 
 func TestParseClassMix(t *testing.T) {
-	mix, err := parseClassMix("ugs=0.5,rtps=0.2/2,nrtps=0.2/2,be=0.1")
+	mix, err := parseClassMix("ugs=0.5,rtps=0.2/2,nrtps=0.2/2,be=0.1", 64)
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
@@ -204,7 +217,7 @@ func TestParseClassMix(t *testing.T) {
 	if mix[0].SlotsPerLink != 0 {
 		t.Errorf("ugs share without /slots should inherit: %+v", mix[0])
 	}
-	if got, err := parseClassMix(""); err != nil || got != nil {
+	if got, err := parseClassMix("", 64); err != nil || got != nil {
 		t.Errorf("empty mix: %v, %v", got, err)
 	}
 }

@@ -64,8 +64,8 @@ func run(args []string, out io.Writer) error {
 			return fmt.Errorf("-mac dcf with -%s: -%s applies to the TDMA MAC only", name, name)
 		}
 	}
-	if *duration < 0 {
-		return fmt.Errorf("-duration %v: must not be negative", *duration)
+	if *duration <= 0 {
+		return fmt.Errorf("-duration %v: must be positive", *duration)
 	}
 	if *queueCap < 0 {
 		return fmt.Errorf("-queue-cap %d: must not be negative (0 keeps the MAC default)", *queueCap)

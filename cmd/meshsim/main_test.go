@@ -82,13 +82,14 @@ func TestRunRejectsNegativeCalls(t *testing.T) {
 }
 
 // TestRunRejectsNegativeRunFlags: -queue-cap -2 used to panic sizing the DCF
-// queues (and was silently ignored under tdma), and -duration -1s "succeeded"
-// having simulated nothing.
+// queues (and was silently ignored under tdma), -duration -1s "succeeded"
+// having simulated nothing, and -duration 0s simulated the 10 s default.
 func TestRunRejectsNegativeRunFlags(t *testing.T) {
 	for _, args := range [][]string{
 		{"-mac", "dcf", "-queue-cap", "-2"},
 		{"-mac", "tdma", "-queue-cap", "-2"},
 		{"-duration", "-1s"},
+		{"-duration", "0s"}, // RunConfig's default silently simulated 10 s
 	} {
 		var sb strings.Builder
 		flag := args[len(args)-2]

@@ -261,6 +261,30 @@ func TestAdmitValidation(t *testing.T) {
 	if err := e.Release("nope"); !errors.Is(err, ErrUnknownFlow) {
 		t.Errorf("Release(unknown) err = %v, want ErrUnknownFlow", err)
 	}
+	// Releasing the last flow empties the schedule.
+	if err := e.Release("ok"); err != nil {
+		t.Fatal(err)
+	}
+	if st := e.Stats(); e.NumFlows() != 0 || e.Window() != 0 || st.Admitted != 1 || st.Releases != 1 {
+		t.Errorf("after release: %d flows, window %d, stats %+v", e.NumFlows(), e.Window(), st)
+	}
+	// Two hops through one node conflict, so a one-slot window cap cannot
+	// hold them: rejected without error and without leaving state.
+	capped, err := New(Config{Graph: g, Frame: frame, MaxWindow: 1, MILP: milp.Options{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	long, err := topo.ShortestPath(0, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec, err = capped.Admit(ctx, Flow{ID: "long", Path: long, Slots: []int{1, 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dec.Admitted || capped.NumFlows() != 0 || capped.Window() != 0 {
+		t.Errorf("two-hop flow in a one-slot window: %+v, %d flows, window %d", dec, capped.NumFlows(), capped.Window())
+	}
 }
 
 // TestObsCounters checks the admit.* metric wiring.

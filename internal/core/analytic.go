@@ -89,9 +89,9 @@ func (s *System) AnalyticDCF(fs *topology.FlowSet, rc RunConfig) (analytic.Predi
 }
 
 // analyticProber builds the screening prober of the capacity search: probes
-// plan (TDMA) and evaluate the closed-form model instead of simulating. The
-// prober is strictly sequential — the predictor reuses scratch across calls,
-// and closed-form probes are far too cheap to speculate on.
+// plan (TDMA) and evaluate the closed-form model instead of simulating. Like
+// every prober it runs its probes one at a time, so the predictor can reuse
+// its scratch across calls.
 func (s *System) analyticProber(cfg CapacityConfig, tdma bool,
 	prepare func(int) (*topology.FlowSet, error)) (*prober, error) {
 	pd := analytic.NewPredictor()
@@ -122,7 +122,7 @@ func (s *System) analyticProber(cfg CapacityConfig, tdma bool,
 			return analyticOutcome(pred), nil
 		}
 	}
-	return newProber(probe, prepare, 1), nil
+	return newProber(probe, prepare), nil
 }
 
 // analyticOutcome converts a closed-form prediction into a probe verdict

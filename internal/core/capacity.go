@@ -26,9 +26,9 @@ type CapacityConfig struct {
 	// Downlink adds a gateway->node flow per call in addition to the
 	// node->gateway uplink (a full duplex call).
 	Downlink bool
-	// Workers caps concurrent speculative probes (default 1: sequential).
-	// Probe outcomes are pure functions of the call count, so any worker
-	// count yields identical results.
+	// Workers is ignored: probes run one at a time, and the analytic
+	// screen leaves two full simulations per search. It stays because the
+	// benchmark module still sets it.
 	Workers int
 }
 
@@ -41,9 +41,6 @@ func (c *CapacityConfig) applyDefaults() {
 	}
 	if c.DelayBound == 0 {
 		c.DelayBound = 150 * time.Millisecond
-	}
-	if c.Workers < 1 {
-		c.Workers = 1
 	}
 	c.Run.applyDefaults()
 }
@@ -75,8 +72,7 @@ type CapacityResult struct {
 // growing from n to n+1 calls appends flows to one canonical set instead of
 // rebuilding it, and per-caller shortest paths are resolved once and shared
 // by every call count. Views handed to probes are capacity-capped slices of
-// the canonical set, so later extensions never leak into a view and
-// concurrent probes can read their views race-free.
+// the canonical set, so later extensions never leak into a view.
 type callSequence struct {
 	topo      *topology.Network
 	gw        topology.NodeID
@@ -226,9 +222,8 @@ func (s *System) capacitySearch(cfg CapacityConfig, tdma bool) (*CapacityResult,
 	probeRun.AbortOnProvableFailure = true
 	reg := obs.Or(cfg.Run.Metrics)
 	tr := obs.OrTrace(cfg.Run.Trace)
-	p := newProber(s.simProbe(cfg.Method, probeRun, tdma), seq.prepare, cfg.Workers)
+	p := newProber(s.simProbe(cfg.Method, probeRun, tdma), seq.prepare)
 	p.instrument("full", reg, tr)
-	defer p.drain()
 	ap, err := s.analyticProber(cfg, tdma, seq.prepare)
 	if err != nil {
 		return nil, err

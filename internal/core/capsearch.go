@@ -14,29 +14,18 @@ type probeOutcome struct {
 	run  *RunResult // the measured run when pass
 }
 
-type probeTask struct {
-	done chan struct{}
-	out  probeOutcome
-	err  error
-}
-
-// prober memoizes probe outcomes by call count and optionally runs probes on
-// a bounded pool of goroutines. Each probe is an independent deterministic
-// simulation (its own kernel and seed-derived RNG streams), so an outcome is
-// a pure function of the call count: speculative probes and any worker count
-// produce identical results, and only the outcomes the search consumes
-// influence what it returns.
+// prober memoizes probe outcomes by call count and probes on first use.
+// Each probe is an independent deterministic simulation (its own kernel and
+// seed-derived RNG streams), so an outcome is a pure function of the call
+// count, and a fallback search reuses every outcome already probed.
 type prober struct {
 	probe   func(k int, fs *topology.FlowSet) (probeOutcome, error)
 	prepare func(k int) (*topology.FlowSet, error)
-	workers int
-	sem     chan struct{}
-	memo    map[int]*probeTask
+	memo    map[int]probeOutcome
 
 	// Observability (see instrument): per-verdict counters, the live search
 	// bracket, and probe trace events labeled with the probe phase. All
-	// handles are nil (no-op) on an uninstrumented prober; counter/trace
-	// updates are atomic/locked, so worker goroutines report safely.
+	// handles are nil (no-op) on an uninstrumented prober.
 	label       string
 	obsProbes   *obs.Counter
 	obsPass     *obs.Counter
@@ -96,13 +85,10 @@ func (p *prober) observeResidual(pred, meas *RunResult) {
 }
 
 // observe records one finished probe verdict.
-func (p *prober) observe(k int, t *probeTask) {
-	if t.err != nil {
-		return
-	}
+func (p *prober) observe(k int, out probeOutcome) {
 	p.obsProbes.Inc()
 	pass := int64(0)
-	if t.out.pass {
+	if out.pass {
 		pass = 1
 		p.obsPass.Inc()
 	} else {
@@ -113,78 +99,27 @@ func (p *prober) observe(k int, t *probeTask) {
 }
 
 func newProber(probe func(int, *topology.FlowSet) (probeOutcome, error),
-	prepare func(int) (*topology.FlowSet, error), workers int) *prober {
-	if workers < 1 {
-		workers = 1
-	}
-	p := &prober{probe: probe, prepare: prepare, workers: workers, memo: make(map[int]*probeTask)}
-	if workers > 1 {
-		p.sem = make(chan struct{}, workers)
-	}
-	return p
+	prepare func(int) (*topology.FlowSet, error)) *prober {
+	return &prober{probe: probe, prepare: prepare, memo: make(map[int]probeOutcome)}
 }
 
-// start memoizes and begins the probe at k. Only the search goroutine calls
-// it, so the memo map and the shared call sequence need no locking: prepare
-// (which grows the sequence and materializes the k-call view) always runs
-// here, before any worker goroutine touches the view — workers never read
-// the growing sequence itself.
-func (p *prober) start(k int) *probeTask {
-	if t := p.memo[k]; t != nil {
-		return t
+// get returns the outcome at k, probing it on first use. prepare grows the
+// shared call sequence and materializes the k-call view the probe runs on.
+func (p *prober) get(k int) (probeOutcome, error) {
+	if out, ok := p.memo[k]; ok {
+		return out, nil
 	}
-	t := &probeTask{done: make(chan struct{})}
-	p.memo[k] = t
 	fs, err := p.prepare(k)
 	if err != nil {
-		t.err = err
-		close(t.done)
-		return t
+		return probeOutcome{}, err
 	}
-	if p.workers <= 1 {
-		t.out, t.err = p.probe(k, fs)
-		p.observe(k, t)
-		close(t.done)
-		return t
+	out, err := p.probe(k, fs)
+	if err != nil {
+		return probeOutcome{}, err
 	}
-	go func() {
-		p.sem <- struct{}{}
-		defer func() { <-p.sem }()
-		t.out, t.err = p.probe(k, fs)
-		p.observe(k, t)
-		close(t.done)
-	}()
-	return t
-}
-
-// get blocks until the probe at k has an outcome, starting it if needed.
-func (p *prober) get(k int) (probeOutcome, error) {
-	t := p.start(k)
-	<-t.done
-	return t.out, t.err
-}
-
-// speculate begins probes the search is likely to need, without waiting.
-// Sequential probers ignore speculation: they only run probes whose outcome
-// is consumed.
-func (p *prober) speculate(ks ...int) {
-	if p.workers <= 1 {
-		return
-	}
-	for _, k := range ks {
-		if k >= 1 {
-			p.start(k)
-		}
-	}
-}
-
-// drain waits for every started probe, so no worker goroutine outlives the
-// search (errors of unconsumed speculative probes are deliberately dropped:
-// whether a speculation ran must not change the result).
-func (p *prober) drain() {
-	for _, t := range p.memo {
-		<-t.done
-	}
+	p.memo[k] = out
+	p.observe(k, out)
+	return out, nil
 }
 
 // gallopSearch brackets the admission capacity with an exponential gallop
@@ -192,19 +127,13 @@ func (p *prober) drain() {
 // bracket. The final bracket edge is verified from actually probed outcomes
 // — the returned capacity k passed and k+1 failed — and any bookkeeping
 // inconsistency falls back to the exact linear walk, which reuses every
-// memoized outcome. With workers available, the whole gallop ladder and the
-// likely next binary midpoints are probed speculatively.
+// memoized outcome.
 func gallopSearch(p *prober, maxCalls int) (*CapacityResult, error) {
-	// Every return path waits for speculative probes: no worker goroutine
-	// may outlive the search, even on error returns (drain is idempotent,
-	// so the caller's own deferred drain stays harmless).
-	defer p.drain()
 	var ladder []int
 	for k := 1; k < maxCalls; k *= 2 {
 		ladder = append(ladder, k)
 	}
 	ladder = append(ladder, maxCalls)
-	p.speculate(ladder...)
 
 	lo, hi := 0, 0
 	var loOut, hiOut probeOutcome
@@ -228,13 +157,6 @@ func gallopSearch(p *prober, maxCalls int) (*CapacityResult, error) {
 	}
 	for hi-lo > 1 {
 		mid := lo + (hi-lo)/2
-		// Speculate both possible next midpoints while mid runs.
-		if m := lo + (mid-lo)/2; m > lo {
-			p.speculate(m)
-		}
-		if m := mid + (hi-mid)/2; m > mid {
-			p.speculate(m)
-		}
 		out, err := p.get(mid)
 		if err != nil {
 			return nil, err
@@ -266,9 +188,7 @@ func gallopSearch(p *prober, maxCalls int) (*CapacityResult, error) {
 // screen prober (instrumentScreen), and a confirmed bracket also records the
 // predicted-vs-simulated delay residual.
 func screenedSearch(full, screen *prober, maxCalls int) (*CapacityResult, error) {
-	defer full.drain()
 	guess, err := gallopSearch(screen, maxCalls)
-	screen.drain()
 	if err != nil {
 		// Screen failures are never fatal: if the error is real, the full
 		// search will hit it itself.
@@ -296,7 +216,6 @@ func screenedSearch(full, screen *prober, maxCalls int) (*CapacityResult, error)
 			return &CapacityResult{StoppedBy: out.stop}, nil
 		}
 	default:
-		full.speculate(c + 1)
 		loOut, err := full.get(c)
 		if err != nil {
 			return nil, err

@@ -14,7 +14,7 @@ import (
 
 // syntheticProber builds a prober over a pure verdict function, counting how
 // many distinct call counts are actually probed.
-func syntheticProber(capacity int, stop StopReason, workers int, probed *int) *prober {
+func syntheticProber(capacity int, stop StopReason, probed *int) *prober {
 	return newProber(
 		func(k int, _ *topology.FlowSet) (probeOutcome, error) {
 			if k <= capacity {
@@ -25,8 +25,7 @@ func syntheticProber(capacity int, stop StopReason, workers int, probed *int) *p
 		func(k int) (*topology.FlowSet, error) {
 			*probed++
 			return nil, nil
-		},
-		workers)
+		})
 }
 
 func TestGallopSearchMatchesLinear(t *testing.T) {
@@ -34,11 +33,11 @@ func TestGallopSearchMatchesLinear(t *testing.T) {
 		for capacity := 0; capacity <= maxCalls+1; capacity++ {
 			for _, stop := range []StopReason{StopQuality, StopSchedule} {
 				var nLin, nGal int
-				lin, err := linearScan(syntheticProber(capacity, stop, 1, &nLin), maxCalls)
+				lin, err := linearScan(syntheticProber(capacity, stop, &nLin), maxCalls)
 				if err != nil {
 					t.Fatal(err)
 				}
-				gal, err := gallopSearch(syntheticProber(capacity, stop, 1, &nGal), maxCalls)
+				gal, err := gallopSearch(syntheticProber(capacity, stop, &nGal), maxCalls)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -73,10 +72,10 @@ func TestGallopProbeCount(t *testing.T) {
 		{3, 60, 11},
 	} {
 		var nLin, nGal int
-		if _, err := linearScan(syntheticProber(tc.capacity, StopQuality, 1, &nLin), tc.maxCalls); err != nil {
+		if _, err := linearScan(syntheticProber(tc.capacity, StopQuality, &nLin), tc.maxCalls); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := gallopSearch(syntheticProber(tc.capacity, StopQuality, 1, &nGal), tc.maxCalls); err != nil {
+		if _, err := gallopSearch(syntheticProber(tc.capacity, StopQuality, &nGal), tc.maxCalls); err != nil {
 			t.Fatal(err)
 		}
 		if nGal > tc.atMost {
@@ -91,37 +90,6 @@ func TestGallopProbeCount(t *testing.T) {
 	}
 }
 
-// TestGallopSearchWorkers checks that speculative parallel probing returns
-// the same result as the sequential prober even when probe latency is
-// adversarially skewed.
-func TestGallopSearchWorkers(t *testing.T) {
-	for capacity := 0; capacity <= 21; capacity++ {
-		slow := newProber(
-			func(k int, _ *topology.FlowSet) (probeOutcome, error) {
-				time.Sleep(time.Duration((k*7)%5) * time.Millisecond)
-				if k <= capacity {
-					return probeOutcome{pass: true, run: &RunResult{MinR: float64(100 - k)}}, nil
-				}
-				return probeOutcome{stop: StopQuality}, nil
-			},
-			func(int) (*topology.FlowSet, error) { return nil, nil },
-			4)
-		got, err := gallopSearch(slow, 20)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var n int
-		want, err := gallopSearch(syntheticProber(capacity, StopQuality, 1, &n), 20)
-		if err != nil {
-			t.Fatal(err)
-		}
-		slow.drain()
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("cap=%d: workers=4 %+v != workers=1 %+v", capacity, got, want)
-		}
-	}
-}
-
 // TestScreenedSearchMatchesLinear sweeps screen predictions from exact to
 // wildly wrong: the result must always equal the linear reference, because
 // the screen only picks which full probes run first.
@@ -129,13 +97,13 @@ func TestScreenedSearchMatchesLinear(t *testing.T) {
 	for _, screenCap := range []int{0, 3, 9, 20, 25} {
 		for capacity := 0; capacity <= 21; capacity++ {
 			var nFull, n int
-			full := syntheticProber(capacity, StopQuality, 1, &nFull)
-			screen := syntheticProber(screenCap, StopQuality, 1, new(int))
+			full := syntheticProber(capacity, StopQuality, &nFull)
+			screen := syntheticProber(screenCap, StopQuality, new(int))
 			got, err := screenedSearch(full, screen, 20)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := linearScan(syntheticProber(capacity, StopQuality, 1, &n), 20)
+			want, err := linearScan(syntheticProber(capacity, StopQuality, &n), 20)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -158,8 +126,7 @@ func TestSearchErrorPropagation(t *testing.T) {
 			}
 			return probeOutcome{pass: true, run: &RunResult{}}, nil
 		},
-		func(int) (*topology.FlowSet, error) { return nil, nil },
-		1)
+		func(int) (*topology.FlowSet, error) { return nil, nil })
 	if _, err := gallopSearch(p, 40); !errors.Is(err, boom) {
 		t.Errorf("gallop error = %v, want boom", err)
 	}
@@ -172,8 +139,7 @@ func TestSearchErrorPropagation(t *testing.T) {
 				return nil, boom
 			}
 			return nil, nil
-		},
-		1)
+		})
 	if _, err := linearScan(p2, 40); !errors.Is(err, boom) {
 		t.Errorf("linear prepare error = %v, want boom", err)
 	}

@@ -72,24 +72,23 @@ func (tc capCase) system(t *testing.T) *System {
 	return sys
 }
 
-func (tc capCase) config(workers int, duration time.Duration) CapacityConfig {
+func (tc capCase) config(duration time.Duration) CapacityConfig {
 	return CapacityConfig{
 		MaxCalls: 40,
 		Run:      RunConfig{Duration: duration, Seed: tc.seed},
-		Workers:  workers,
 	}
 }
 
 // search runs the production capacity search on a fresh system.
-func (tc capCase) search(t *testing.T, workers int, duration time.Duration) *CapacityResult {
+func (tc capCase) search(t *testing.T, duration time.Duration) *CapacityResult {
 	t.Helper()
 	sys := tc.system(t)
 	var res *CapacityResult
 	var err error
 	if tc.tdma {
-		res, err = sys.VoIPCapacityTDMA(tc.config(workers, duration))
+		res, err = sys.VoIPCapacityTDMA(tc.config(duration))
 	} else {
-		res, err = sys.VoIPCapacityDCF(tc.config(workers, duration))
+		res, err = sys.VoIPCapacityDCF(tc.config(duration))
 	}
 	if err != nil {
 		t.Fatal(err)
@@ -109,7 +108,7 @@ func linearReference(t *testing.T, sys *System, cfg CapacityConfig, tdma bool) *
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := linearScan(newProber(sys.simProbe(cfg.Method, cfg.Run, tdma), seq.prepare, 1), cfg.MaxCalls)
+	res, err := linearScan(newProber(sys.simProbe(cfg.Method, cfg.Run, tdma), seq.prepare), cfg.MaxCalls)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,12 +116,10 @@ func linearReference(t *testing.T, sys *System, cfg CapacityConfig, tdma bool) *
 }
 
 // TestDifferentialCapacitySearch pins the analytic-screened galloping search
-// (with early-abort probes, sequential and speculative-parallel) to the
-// linear reference scan: byte-identical CapacityResult on every R3 topology
-// x MAC combination and every R17 frame duration. Short mode runs the experiments'
-// full 3 s probe duration only for a spot-check pair and a faster probe
-// duration elsewhere; the -race differential target covers both worker
-// settings.
+// (with early-abort probes) to the linear reference scan: byte-identical
+// CapacityResult on every R3 topology x MAC combination and every R17 frame
+// duration. Short mode runs a faster probe duration than the experiments'
+// 3 s; the differential target runs the full one.
 func TestDifferentialCapacitySearch(t *testing.T) {
 	for _, tc := range differentialCases() {
 		tc := tc
@@ -131,16 +128,11 @@ func TestDifferentialCapacitySearch(t *testing.T) {
 			if testing.Short() {
 				duration = 1 * time.Second
 			}
-			ref := linearReference(t, tc.system(t), tc.config(1, duration), tc.tdma)
-			seq := tc.search(t, 1, duration)
-			if !reflect.DeepEqual(ref, seq) {
-				t.Errorf("galloping (workers=1) diverged from linear scan:\nlinear: calls=%d stop=%s\ngallop: calls=%d stop=%s",
-					ref.Calls, ref.StoppedBy, seq.Calls, seq.StoppedBy)
-			}
-			par := tc.search(t, 4, duration)
-			if !reflect.DeepEqual(ref, par) {
-				t.Errorf("galloping (workers=4) diverged from linear scan:\nlinear: calls=%d stop=%s\ngallop: calls=%d stop=%s",
-					ref.Calls, ref.StoppedBy, par.Calls, par.StoppedBy)
+			ref := linearReference(t, tc.system(t), tc.config(duration), tc.tdma)
+			got := tc.search(t, duration)
+			if !reflect.DeepEqual(ref, got) {
+				t.Errorf("galloping diverged from linear scan:\nlinear: calls=%d stop=%s\ngallop: calls=%d stop=%s",
+					ref.Calls, ref.StoppedBy, got.Calls, got.StoppedBy)
 			}
 		})
 	}

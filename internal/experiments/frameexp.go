@@ -47,7 +47,6 @@ func R17FrameDuration() (*Table, error) {
 		points[i].capRes, err = sys.VoIPCapacityTDMA(core.CapacityConfig{
 			MaxCalls: 40,
 			Run:      core.RunConfig{Duration: 3 * time.Second, Seed: 61},
-			Workers:  Workers(),
 		})
 		return err
 	}); err != nil {

@@ -44,7 +44,6 @@ func R3VoIPCapacity() (*Table, error) {
 		capCfg := core.CapacityConfig{
 			MaxCalls: 40,
 			Run:      core.RunConfig{Duration: 3 * time.Second, Seed: 11},
-			Workers:  Workers(),
 		}
 		if i%2 == 0 {
 			results[i], err = sys.VoIPCapacityTDMA(capCfg)

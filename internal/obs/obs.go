@@ -12,8 +12,8 @@
 // state, so enabling metrics cannot change any experiment table.
 //
 // Metric updates are atomic and trace appends are mutex-guarded, so one
-// registry can safely aggregate across the parallel probe runs of a capacity
-// search or the concurrent zone solves of the partitioned planner.
+// registry can safely aggregate across meshbench's concurrent scenario runs
+// or the concurrent zone solves of the partitioned planner.
 //
 // Components resolve their sink in two steps: an explicit handle wins (e.g.
 // tdmaemu.Config.Metrics), otherwise the process default installed by

@@ -99,7 +99,7 @@ type Event struct {
 // Trace is a bounded ring buffer of Events. When full, new events overwrite
 // the oldest — a crash-box tail of the run, not an unbounded log. The nil
 // Trace discards everything, so instrumented paths emit unconditionally.
-// Emit is mutex-guarded (MAC networks under parallel probes share one sink)
+// Emit is mutex-guarded (concurrent scenario runs share one sink)
 // and allocation-free.
 type Trace struct {
 	mu    sync.Mutex
