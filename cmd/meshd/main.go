@@ -77,7 +77,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		zoned       = fs.Bool("zoned", false, "use per-zone incremental models (city-scale mode)")
 		zoneSize    = fs.Float64("zone-size", 0, "zone edge in meters for -zoned (0 = automatic)")
 		budget      = fs.Int("budget", 200_000, "branch-and-bound node budget per admission solve")
-		timeLimit   = fs.Duration("time-limit", 250*time.Millisecond, "wall-clock cap per admission solve (0 = none); a blown budget falls back to a feasibility probe at the window cap, then rejects conservatively")
+		timeLimit   = fs.Duration("time-limit", 250*time.Millisecond, "wall-clock cap per admission solve (0 = none); a blown budget falls back to first-fitting the demand in greedy order under the window cap, which admits or rejects conservatively")
 		metricsOut  = fs.String("metrics-out", "", "write the admit.* counter snapshot (JSON) to this file")
 		workers     = fs.Int("workers", 1, "admission workers; >1 decides arrivals concurrently, in parallel where they touch disjoint zones (-zoned; a monolithic engine has one zone, so its workers only batch). 1 replays byte-identically run to run")
 		batchMax    = fs.Int("batch", 16, "max arrivals decided by one joint solve when workers queue up (workers > 1 only)")
@@ -110,6 +110,9 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	}
 	if *rtpsWindow < 0 {
 		return fmt.Errorf("-rtps-window %d: must not be negative (0 = none)", *rtpsWindow)
+	}
+	if *ugsDeadline > 0 && *rtpsWindow > 0 && *rtpsWindow < *ugsDeadline {
+		return fmt.Errorf("-rtps-window %d: must not be below -ugs-deadline %d", *rtpsWindow, *ugsDeadline)
 	}
 	if *workers < 1 {
 		return fmt.Errorf("-workers %d: need at least 1", *workers)
@@ -156,17 +159,16 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	}
 	reg := obs.NewRegistry()
 	eng, err := admit.New(admit.Config{
-		Graph:         graph,
-		Frame:         frame,
-		MaxWindow:     *maxWindow,
-		MILP:          opts,
-		BudgetRejects: true,
-		Zoned:         *zoned,
-		ZoneSize:      *zoneSize,
-		UGSDeadline:   *ugsDeadline,
-		RtPSWindow:    *rtpsWindow,
-		Preempt:       *preempt,
-		Registry:      reg,
+		Graph:       graph,
+		Frame:       frame,
+		MaxWindow:   *maxWindow,
+		MILP:        opts,
+		Zoned:       *zoned,
+		ZoneSize:    *zoneSize,
+		UGSDeadline: *ugsDeadline,
+		RtPSWindow:  *rtpsWindow,
+		Preempt:     *preempt,
+		Registry:    reg,
 	})
 	if errors.Is(err, partition.ErrBadZone) {
 		return fmt.Errorf("-zone-size %v: %w", *zoneSize, err)
@@ -207,8 +209,8 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		st.Offered, st.Admitted, st.Rejected, st.Elapsed.Round(time.Millisecond), admPerSec)
 	fmt.Fprintf(out, "tiers: %d fastpath, %d warm, %d cold\n", st.Fast, st.Warm, st.Cold)
 	es := eng.Stats()
-	fmt.Fprintf(out, "engine: %d releases, %d compactions, %d satisficed, %d budget rejects; %d live calls, window %d\n",
-		es.Releases, es.Compactions, es.Satisficed, es.BudgetRejected, eng.NumFlows(), eng.Window())
+	fmt.Fprintf(out, "engine: %d releases, %d compactions, %d satisficed; %d live calls, window %d\n",
+		es.Releases, es.Compactions, es.Satisficed, eng.NumFlows(), eng.Window())
 	if *classMix != "" || *preempt || *ugsDeadline > 0 || *rtpsWindow > 0 {
 		// Class line only when a class feature is on, so the default output
 		// stays byte-identical release to release.

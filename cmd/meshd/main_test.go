@@ -171,6 +171,8 @@ func TestRunOutOfRangeFlags(t *testing.T) {
 		{"-frame-slots", "0"},
 		{"-ugs-deadline", "-1"},
 		{"-rtps-window", "-1"},
+		// Failed inside admit.New as a "bad flow", naming no flag.
+		{"-ugs-deadline", "10", "-rtps-window", "5"},
 	} {
 		var sb strings.Builder
 		err := run(context.Background(), append([]string{"-calls", "4"}, args...), &sb)
@@ -319,11 +321,12 @@ var (
 
 // TestRunGolden pins meshd's output byte for byte on two deterministic
 // serial runs (-workers 1, -time-limit 0, node budgets only): a monolithic
-// engine that satisfices and budget-rejects, and a zoned gateway-directed
-// class mix with deadlines and preemption. Each run records its stdout with
-// the wall-clock fields masked (the served line's "in ... (... decisions/s)"
-// tail and the decision latency line) plus the -metrics-out counters. A
-// behaviour-preserving change keeps it green without -update-golden.
+// engine whose blown node budgets end in witness verdicts, and a zoned
+// gateway-directed class mix with deadlines and preemption. Each run records
+// its stdout with the wall-clock fields masked (the served line's "in ...
+// (... decisions/s)" tail and the decision latency line) plus the
+// -metrics-out counters. A behaviour-preserving change keeps it green
+// without -update-golden.
 func TestRunGolden(t *testing.T) {
 	var sb strings.Builder
 	for _, args := range [][]string{

@@ -17,12 +17,20 @@
 //     (schedule.Incremental.Cover). A model only ever grows, so cold admits
 //     become rarer as the engine warms up.
 //
-// Rejections are always solver verdicts (the fast tier only admits), so the
-// engine's accept/reject answers match a cold schedule.MinSlots re-plan —
-// the differential tests pin this. In zoned mode (city scale) the engine
+// Rejections are always solver verdicts (the fast tier only admits), so
+// while every search stays within its node budget the engine's
+// accept/reject answers match a cold schedule.MinSlots re-plan — the
+// differential tests pin this. In zoned mode (city scale) the engine
 // re-solves only the zones an admission touches and first-fits their blocks
 // back against the rest of the schedule; zoned verdicts are conservative, as
 // for the partitioned planner.
+//
+// A blown node budget always ends in a verdict. Admission asks whether *a*
+// conflict-free schedule fits the window cap, so when a zone's exact search
+// runs out of nodes under a live context the zone's demand, laid out in
+// schedule.Greedy's order, is first-fitted around the live schedule by the
+// same stitch as any zone's layout: it admits when every block fits the cap
+// and the class deadlines, and is a conservative rejection otherwise.
 //
 // # One decision path
 //
@@ -33,7 +41,7 @@
 // with no pair gate. One rule, keyed on the decomposition having one zone,
 // keeps that zone exact: its exact solver layout replaces the live schedule
 // verbatim (a first-fit re-stitch would move decisions), and while no
-// release, eviction, satisficed or greedy solve or defrag swap has
+// release, eviction, witness or greedy solve or defrag swap has
 // intervened, the incumbent window is the lower bound of its next search. A
 // greedy layout past the pair gate, which only a zoned engine with one zone
 // can reach, ignores the window cap and is stitched like any zone's.
@@ -181,13 +189,13 @@ type Stats struct {
 	// vectors. It stays because the repository benchmark (benchmark/serving.go)
 	// still reads it.
 	MemoHits uint64
-	// Satisficed counts admissions decided by the satisficing fallback: the
-	// exact min-window search blew its budget and a single probe at the
-	// window cap found a feasible (not necessarily minimal) schedule.
+	// Satisficed counts admissions decided by a witness: a zone's exact
+	// min-window search blew its node budget and the zone's demand in greedy
+	// order fitted around the live schedule (see the package comment).
 	Satisficed uint64
-	// BudgetRejected counts rejections issued because a solve exhausted its
-	// branch-and-bound budget — with Config.BudgetRejects, after the
-	// satisficing fallback also failed to decide in time.
+	// BudgetRejected is always zero: a blown budget always ends in a
+	// verdict. It stays because the repository benchmark
+	// (benchmark/serving.go) still reads it.
 	BudgetRejected uint64
 	// PreemptAttempts counts guaranteed-class rejections that entered the
 	// preemption search; PreemptAdmits the ones it converted to admissions;
@@ -226,16 +234,9 @@ type Config struct {
 	// MILP configures the branch-and-bound solves. Admit overrides
 	// Interrupt with the call context's Done channel.
 	MILP milp.Options
-	// BudgetRejects trades exactness for bounded decision latency when a
-	// solve exhausts its branch-and-bound budget (milp.ErrLimit with a live
-	// context). The blown exact search — almost always stuck in an
-	// infeasibility proof at the incumbent window — first falls back to a
-	// single feasibility probe at the window cap: admission needs *a*
-	// window within the cap, not the minimum, and the loose probe is cheap
-	// exactly where the tight proof is hard. A feasible witness admits the
-	// call with its window marked unproven; only if the fallback also blows
-	// its budget is the call rejected conservatively. Differential tests
-	// leave this off so a blown budget fails loudly.
+	// BudgetRejects is ignored: a blown node budget always ends in a
+	// verdict (see the package comment). It stays because the repository
+	// benchmark (benchmark/serving.go) still sets it.
 	BudgetRejects bool
 	// Zoned switches to per-zone incremental models over a spatial
 	// decomposition of ZoneSize meters (0 = automatic): city-scale mode.
@@ -281,7 +282,7 @@ type Engine struct {
 	// schedule moved underneath the solve.
 	gen uint64
 	// solverDirty is set whenever the incumbent window stops being a proven
-	// minimum (release, eviction, satisficed or greedy solve, defrag swap),
+	// minimum (release, eviction, witness or greedy solve, defrag swap),
 	// so a one-zone solve may not use it as a lower bound.
 	solverDirty bool
 	releases    int
@@ -315,7 +316,7 @@ type Engine struct {
 	cFast, cWarm, cCold, cReject *obs.Counter
 	cRelease, cCompact           *obs.Counter
 	cZoneGreedy, cWarmPivots     *obs.Counter
-	cSatisfice, cBudget          *obs.Counter
+	cSatisfice                   *obs.Counter
 	cDefrag, cDefragSlots        *obs.Counter
 	cPreemptAttempt              *obs.Counter
 	cPreemptAdmit, cPreemptEvict *obs.Counter
@@ -393,7 +394,6 @@ func New(cfg Config) (*Engine, error) {
 		e.cZoneGreedy = r.Counter("admit.zone_greedy")
 		e.cWarmPivots = r.Counter("admit.warm_pivots")
 		e.cSatisfice = r.Counter("admit.satisfice")
-		e.cBudget = r.Counter("admit.budget_reject")
 		e.cDefrag = r.Counter("admit.defrag")
 		e.cDefragSlots = r.Counter("admit.defrag_win_slots")
 		e.cPreemptAttempt = r.Counter("admit.preempt_attempt")

@@ -42,6 +42,8 @@ func testFrame(t *testing.T, slots int) tdma.FrameConfig {
 // engine's witness schedule valid and exactly carrying the aggregate
 // demand, and its window never below the cold minimum (fastpath fill-ins
 // and post-release fragmentation may leave it above, never beyond the cap).
+// No search may blow its node budget: a witness admission would be a
+// verdict the cold re-planner did not prove, so it fails the test loudly.
 func TestDifferentialAdmitVsColdWorkers1(t *testing.T) {
 	topo, g := testMesh(t, 3, 3)
 	frame := testFrame(t, 24)
@@ -149,6 +151,9 @@ func TestDifferentialAdmitVsColdWorkers1(t *testing.T) {
 	}
 	if st.Rejected == 0 {
 		t.Fatalf("workload never saturated: %d admits, 0 rejects", st.Admitted)
+	}
+	if st.Satisficed != 0 {
+		t.Fatalf("%d admissions decided by a witness after a blown node budget", st.Satisficed)
 	}
 	t.Logf("%d admits (%d fast / %d warm / %d cold), %d rejects, %d compactions",
 		st.Admitted, st.Fast, st.Warm, st.Cold, st.Rejected, st.Compactions)
@@ -381,7 +386,7 @@ func TestZonedOneZoneGreedyRespectsCap(t *testing.T) {
 	topo, g := testMesh(t, 4, 4)
 	e, err := New(Config{
 		Graph: g, Frame: testFrame(t, 64), MaxWindow: maxWin,
-		Zoned: true, ZoneSize: 1e6, BudgetRejects: true,
+		Zoned: true, ZoneSize: 1e6,
 		MILP: milp.Options{MaxNodes: 500},
 	})
 	if err != nil {
@@ -419,6 +424,80 @@ func TestZonedOneZoneGreedyRespectsCap(t *testing.T) {
 	}
 	if e.Stats().ZoneGreedy == 0 {
 		t.Fatal("the one zone never went past the pair gate: the greedy layout was not exercised")
+	}
+}
+
+// TestBlownBudgetDecides: with a one-node budget nearly every exact search
+// blows, and under a live context each one must still end in a verdict —
+// the witness admits or rejects — never in milp.ErrLimit, through Admit and
+// through AdmitBatch, on a monolithic and on a zoned engine, with the engine
+// consistent and within its cap after every call.
+func TestBlownBudgetDecides(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"mono", Config{MaxWindow: 16}},
+		{"zoned", Config{MaxWindow: 12, Zoned: true, ZoneSize: 250}},
+	} {
+		topo, g := testMesh(t, 4, 3)
+		tc.cfg.Graph, tc.cfg.Frame, tc.cfg.MILP = g, testFrame(t, 32), milp.Options{MaxNodes: 1}
+		e, err := New(tc.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := Generate(WorkloadConfig{Topo: topo, Calls: 120, ArrivalRate: 40,
+			MeanHolding: time.Second, SlotsPerLink: 1, Seed: 9})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx := context.Background()
+		var st ServeStats
+		var batch []Flow
+		decide := func() {
+			if len(batch) == 0 {
+				return
+			}
+			var ds []Decision
+			var err error
+			if len(batch) == 1 {
+				var d Decision
+				d, err = e.Admit(ctx, batch[0])
+				ds = []Decision{d}
+			} else {
+				ds, err = e.AdmitBatch(ctx, batch)
+			}
+			if err != nil {
+				t.Fatalf("%s: %d arrivals: %v", tc.name, len(batch), err)
+			}
+			for i, d := range ds {
+				st.Record(batch[i], d)
+			}
+			if err := e.Check(); err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			batch = batch[:0]
+		}
+		for i, ev := range w.Events {
+			if ev.Arrive {
+				// Alternate single arrivals and batches of three.
+				if batch = append(batch, ev.Flow); i%2 == 0 || len(batch) == 3 {
+					decide()
+				}
+				continue
+			}
+			decide()
+			if st.Depart(ev.Flow.ID) {
+				if err := e.Release(ev.Flow.ID); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		decide()
+		if es := e.Stats(); es.Satisficed == 0 || es.Rejected == 0 {
+			t.Fatalf("%s: %d witness admissions, %d rejections: the witness was not exercised both ways",
+				tc.name, es.Satisficed, es.Rejected)
+		}
 	}
 }
 

@@ -65,9 +65,10 @@ func (e *Engine) HomeZone(f Flow) int {
 }
 
 // Admit decides one admission request. Rejections return Admitted=false
-// with a nil error; errors are reserved for malformed requests, solver
-// resource exhaustion, and context cancellation (ctx.Err() once the
-// in-flight solve has been interrupted and rolled back).
+// with a nil error; a blown node budget ends in a verdict too (see
+// solveZoned). Errors are reserved for malformed requests, solver faults,
+// and context cancellation (ctx.Err() once the in-flight solve has been
+// interrupted and rolled back).
 func (e *Engine) Admit(ctx context.Context, f Flow) (Decision, error) {
 	start := time.Now()
 	if err := f.validate(e.cfg.Graph.NumVertices(), e.cfg.Frame.DataSlots); err != nil {
@@ -86,7 +87,7 @@ func (e *Engine) Admit(ctx context.Context, f Flow) (Decision, error) {
 // union of their demand deltas is checked, fastpathed or solved once, and
 // every member inherits the joint verdict. Demands are monotone, so a joint
 // admit proves each member individually admissible; any joint failure —
-// duplicate ID, structural cap, infeasibility, budget miss, stitch conflict —
+// duplicate ID, structural cap, infeasibility, stitch conflict —
 // falls back to deciding the flows individually in slice order, so batching
 // never changes a verdict relative to sequential Admit calls. On an error the
 // decisions made so far are returned with it; the remaining flows are
@@ -160,8 +161,8 @@ func (e *Engine) admitOne(ctx context.Context, f Flow, start time.Time) (Decisio
 }
 
 // admitJoint attempts the joint decision of a batch. A nil result with a nil
-// error means the joint attempt proved nothing (duplicate, cap, reject, or
-// budget miss) and the caller must decide the flows individually: a joint
+// error means the joint attempt proved nothing (duplicate, cap, or reject)
+// and the caller must decide the flows individually: a joint
 // failure must not reject a call a sequential run would admit. Called like
 // admitOne.
 func (e *Engine) admitJoint(ctx context.Context, flows []Flow, start time.Time) ([]Decision, error) {
@@ -173,11 +174,9 @@ func (e *Engine) admitJoint(ctx context.Context, flows []Flow, start time.Time) 
 		if ctx != nil && ctx.Err() != nil {
 			return nil, err
 		}
-		// The joint model is bigger than any member's, so a blown budget
-		// here says nothing about the individual solves; and a member whose
-		// ID a concurrent decision took meanwhile fails on its own, after
-		// the members before it were decided.
-		if errors.Is(err, milp.ErrLimit) || errors.Is(err, ErrBadFlow) {
+		// A member whose ID a concurrent decision took meanwhile fails on
+		// its own, after the members before it were decided.
+		if errors.Is(err, ErrBadFlow) {
 			return nil, nil
 		}
 		return nil, err
@@ -321,74 +320,30 @@ func (e *Engine) commit(flows []Flow, delta map[topology.LinkID]int, dec Decisio
 }
 
 // solverErr folds a solver failure into the engine's error contract:
-// infeasibility is a rejection (nil error), an interrupt surfaces the
-// context's error, budget exhaustion rejects conservatively when configured
-// (and is counted), anything else passes through. Called with e.mu held.
+// infeasibility is a rejection (nil error), a search interrupted by the
+// context surfaces the context's error, anything else passes through.
+// Called with e.mu held.
 func (e *Engine) solverErr(ctx context.Context, tier Tier, err error) (Decision, error) {
 	switch {
 	case errors.Is(err, schedule.ErrInfeasible):
+		return Decision{Tier: tier, Window: e.pack.Makespan()}, nil
 	case ctx != nil && ctx.Err() != nil && errors.Is(err, milp.ErrLimit):
 		return Decision{}, ctx.Err()
-	case e.cfg.BudgetRejects && errors.Is(err, milp.ErrLimit):
-		e.stats.BudgetRejected++
-		e.cBudget.Inc()
-	default:
-		return Decision{}, err
 	}
-	return Decision{Tier: tier, Window: e.pack.Makespan()}, nil
+	return Decision{}, err
 }
 
-// solution is what one zone solve hands back across the e.mu boundary: the
-// solver's layout of the zone with its counts, and whether the satisficing
-// step (sat) decided.
-type solution struct {
-	partition.ZoneSolution
-	sat bool
-}
-
-// book records a solve phase's side tallies and returns the tier it ran on.
+// book records a zone solve's greedy tally and returns the tier it ran on.
 // Called with e.mu held.
-func (e *Engine) book(r solution) Tier {
+func (e *Engine) book(r partition.ZoneSolution) Tier {
 	if r.Greedy {
 		e.stats.ZoneGreedy++
 		e.cZoneGreedy.Inc()
-	}
-	if r.sat {
-		e.stats.Satisficed++
-		e.cSatisfice.Inc()
 	}
 	if r.Cold {
 		return TierCold
 	}
 	return TierWarm
-}
-
-// satisfice takes zone zi's exact solve (zs, err) to the decision's solve
-// phase outcome. It is the satisficing step of Config.BudgetRejects: when the
-// exact search blew its budget under a live context, it probes the window cap
-// once — lo = hint = hi makes that a single feasibility check — and decides
-// by that schedule, whose window is then its makespan (feasible, not proven
-// minimal). ErrInfeasible is still exact — nothing fits within the cap — and
-// a second ErrLimit becomes the conservative budget rejection. It touches
-// only the model, so it runs under the zone lock alone; the caller books the
-// solution under e.mu.
-func (e *Engine) satisfice(ctx context.Context, zi int, p *schedule.Problem, zs partition.ZoneSolution, err error, opts milp.Options) (solution, error) {
-	r := solution{ZoneSolution: zs}
-	if !e.cfg.BudgetRejects || !errors.Is(err, milp.ErrLimit) || ctx != nil && ctx.Err() != nil {
-		return r, err
-	}
-	m, _, err := e.models.Model(zi, p)
-	if err != nil {
-		return r, err
-	}
-	probe, err := partition.Search(m, p, e.maxWin, e.maxWin, e.maxWin, opts)
-	r.Solved += probe.Solved
-	r.Pivots += probe.Pivots
-	if err == nil {
-		r.Blocks, r.sat = probe.Blocks, true
-		r.Window = schedule.GreedyLength(&tdma.Schedule{Assignments: probe.Blocks})
-	}
-	return r, err
 }
 
 // beginSolve releases e.mu for a solve; the caller retakes it afterwards.
@@ -414,15 +369,22 @@ func (e *Engine) oneZone() bool {
 // on trial, so a cross-zone packing failure rejects before the remaining
 // zones are solved at all; only the last zone's stitch is kept (see the
 // package invariant). The one zone of a monolithic engine is not stitched
-// but replaces the schedule (see oneZone). Called with e.mu held; releases it
-// for each solve.
+// but replaces the schedule (see oneZone).
+//
+// A zone whose exact search blows its node budget under a live context is
+// not solved again: admission asks for a window within the cap, not the
+// minimum, so the zone's demand in schedule.Greedy's order is the witness
+// the stitch first-fits around the live schedule — on a one-zone engine,
+// exactly the greedy packing under the cap and the class deadlines. A
+// witness that does not fit is a conservative rejection, like any stitch
+// failure. Called with e.mu held; releases it for each solve.
 func (e *Engine) solveZoned(ctx context.Context, flows []Flow, delta map[topology.LinkID]int, full *schedule.Problem, newCls map[topology.LinkID][2]int, opts milp.Options) (Decision, error) {
 	links := make([]topology.LinkID, 0, len(delta))
 	for l := range delta {
 		links = append(links, l)
 	}
 	zones, one := e.dec.ZoneSet(links), e.oneZone()
-	tier, nsolved, pivots := TierWarm, 0, 0
+	tier, nsolved, pivots, witnessed := TierWarm, 0, 0, false
 	blocks := make([][]tdma.Assignment, len(zones))
 	for k, zi := range zones {
 		hint, lo := e.pack.End(e.dec.Zones[zi].Links), 0
@@ -434,8 +396,11 @@ func (e *Engine) solveZoned(ctx context.Context, flows []Flow, delta map[topolog
 		}
 		e.beginSolve()
 		zp := partition.ZoneProblem(full, e.dec, zi)
-		zs, err := e.models.SolveZone(zi, zp, hint, lo, e.maxWin, e.maxPairs, opts)
-		r, err := e.satisfice(ctx, zi, zp, zs, err, opts)
+		r, err := e.models.SolveZone(zi, zp, hint, lo, e.maxWin, e.maxPairs, opts)
+		witness := errors.Is(err, milp.ErrLimit) && (ctx == nil || ctx.Err() == nil)
+		if witness {
+			r.Blocks, err = schedule.GreedyOrder(zp), nil
+		}
 		e.mu.Lock()
 		tier = max(tier, e.book(r))
 		if err == nil {
@@ -447,16 +412,17 @@ func (e *Engine) solveZoned(ctx context.Context, flows []Flow, delta map[topolog
 		blocks[k] = r.Blocks
 		nsolved += r.Solved
 		pivots += r.Pivots
-		if one && !r.Greedy {
+		witnessed = witnessed || witness
+		if one && !r.Greedy && !witness {
 			// The exact solve covers the whole frozen demand, so its layout
 			// replaces the live schedule outright, whatever defrag did to it
 			// meanwhile. A first-fit re-stitch would move later decisions.
 			e.pack.Reset(r.Blocks)
-			e.solverDirty = r.sat
+			e.solverDirty = false
 			continue
 		}
-		// A greedy window is not a proven minimum.
-		e.solverDirty = e.solverDirty || r.Greedy
+		// A greedy or witness window is not a proven minimum.
+		e.solverDirty = e.solverDirty || r.Greedy || witness
 		if !e.stitch(zones[:k+1], blocks, newCls, k == len(zones)-1) {
 			// Cross-zone packing failure (or a class deadline the stitch
 			// cannot keep): conservative rejection, like the partitioned
@@ -464,15 +430,19 @@ func (e *Engine) solveZoned(ctx context.Context, flows []Flow, delta map[topolog
 			return Decision{Tier: tier, Window: e.pack.Makespan()}, nil
 		}
 	}
+	if witnessed {
+		e.stats.Satisficed += uint64(len(flows))
+		e.cSatisfice.Add(uint64(len(flows)))
+	}
 	return Decision{Admitted: true, Tier: tier, Window: e.pack.Makespan(), Solved: nsolved, Pivots: pivots}, nil
 }
 
 // stitch swaps the zones' allocations into the live schedule: per zone, cut
-// its old blocks, then first-fit the new ones, which come in ByStart order
-// (the solver's layout is the placement hint; conflicts against other zones
-// are re-checked against the live packing, so halo links stay safe, and cls
-// bounds each block by its link's class deadlines through stitchLimit). It
-// reports whether every block fit. The zones' old blocks are put back unless
+// its old blocks, then first-fit the new ones in slice order — a solver's
+// layout in ByStart order, its placement hint, or a witness in greedy order
+// (conflicts against other zones are re-checked against the live packing,
+// so halo links stay safe, and cls bounds each block by its link's class
+// deadlines through stitchLimit). It reports whether every block fit. The zones' old blocks are put back unless
 // every block fit and keep is set; no other link is touched. Called with
 // e.mu held.
 func (e *Engine) stitch(zones []int, blocks [][]tdma.Assignment, cls map[topology.LinkID][2]int, keep bool) bool {

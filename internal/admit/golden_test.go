@@ -24,7 +24,7 @@ type traceReplay struct {
 }
 
 // traceReplays are sized so each exercises what the name says: the
-// monolithic ones take satisficing fallbacks and budget rejections, and
+// monolithic ones blow their node budgets and decide by witnesses, and
 // mono-village, shaped like the village_churn serving workload, pins the
 // one-zone placement rule (a first-fit re-stitch of its single zone diverges
 // at call-38); the zoned one routes across several 250 m zones under a cap
@@ -38,27 +38,27 @@ func traceReplays() []traceReplay {
 	return []traceReplay{
 		{
 			name: "mono-3x4", w: 3, h: 4,
-			cfg: Config{MaxWindow: 24, MILP: milp.Options{MaxNodes: 8}, BudgetRejects: true},
+			cfg: Config{MaxWindow: 24, MILP: milp.Options{MaxNodes: 8}},
 			load: WorkloadConfig{Calls: 150, ArrivalRate: 16, MeanHolding: 500 * time.Millisecond,
 				SlotsPerLink: 2, Seed: 42, ToGateway: true},
 		},
 		{
 			name: "mono-village", w: 3, h: 4,
-			cfg: Config{MaxWindow: 32, MILP: milp.Options{MaxNodes: 8}, BudgetRejects: true},
+			cfg: Config{MaxWindow: 32, MILP: milp.Options{MaxNodes: 8}},
 			load: WorkloadConfig{Calls: 400, ArrivalRate: 16, MeanHolding: 500 * time.Millisecond,
 				SlotsPerLink: 1, Seed: 42},
 		},
 		{
 			name: "zoned-8x2", w: 8, h: 2,
 			cfg: Config{MaxWindow: 12, Zoned: true, ZoneSize: 250,
-				MILP: milp.Options{MaxNodes: 60}, BudgetRejects: true},
+				MILP: milp.Options{MaxNodes: 60}},
 			load: WorkloadConfig{Calls: 120, ArrivalRate: 30, MeanHolding: 400 * time.Millisecond,
 				SlotsPerLink: 1, Seed: 7},
 		},
 		{
 			name: "zoned-classed-preempt-8x2", w: 8, h: 2,
 			cfg: Config{MaxWindow: 14, Zoned: true, ZoneSize: 250, UGSDeadline: 6, RtPSWindow: 10, Preempt: true,
-				MILP: milp.Options{MaxNodes: 60}, BudgetRejects: true},
+				MILP: milp.Options{MaxNodes: 60}},
 			load: WorkloadConfig{Calls: 140, ArrivalRate: 30, MeanHolding: 600 * time.Millisecond,
 				SlotsPerLink: 1, Seed: 11,
 				ClassMix: []ClassShare{
@@ -72,7 +72,9 @@ func traceReplays() []traceReplay {
 }
 
 // replayTrace serves r's workload one event at a time and writes one line
-// per decision, then the final canonical schedule and the tallies. With
+// per decision, then the final canonical schedule and the tallies. After
+// every event the engine must pass Check and keep its window within the cap,
+// so every witness admission of a replay is checked where it happens. With
 // defragEvery > 0 it also runs TryDefrag after every defragEvery-th event and
 // writes the slots won and the window after the pass.
 func replayTrace(t *testing.T, sb *strings.Builder, r traceReplay, defragEvery int) {
@@ -114,14 +116,17 @@ func replayTrace(t *testing.T, sb *strings.Builder, r traceReplay, defragEvery i
 			}
 			fmt.Fprintf(sb, "defrag@%d won=%d win=%d\n", i, won, e.Window())
 		}
-	}
-	if err := e.Check(); err != nil {
-		t.Fatalf("%s: %v", r.name, err)
+		if err := e.Check(); err != nil {
+			t.Fatalf("%s: after event %d: %v", r.name, i, err)
+		}
+		if win := e.Window(); win > r.cfg.MaxWindow {
+			t.Fatalf("%s: after event %d: window %d beyond cap %d", r.name, i, win, r.cfg.MaxWindow)
+		}
 	}
 	fmt.Fprintf(sb, "schedule: %v\n", canonical(e.Snapshot().Assignments))
 	st := e.Stats()
-	fmt.Fprintf(sb, "stats: fast=%d warm=%d cold=%d rejected=%d satisficed=%d budget=%d greedy=%d preempt=%d/%d/%d\n",
-		st.Fast, st.Warm, st.Cold, st.Rejected, st.Satisficed, st.BudgetRejected, st.ZoneGreedy,
+	fmt.Fprintf(sb, "stats: fast=%d warm=%d cold=%d rejected=%d satisficed=%d greedy=%d preempt=%d/%d/%d\n",
+		st.Fast, st.Warm, st.Cold, st.Rejected, st.Satisficed, st.ZoneGreedy,
 		st.PreemptAttempts, st.PreemptAdmits, st.PreemptEvicted)
 	if defragEvery > 0 {
 		fmt.Fprintf(sb, "defrags: %d (%d slots)\n", st.Defrags, st.DefragSlots)

@@ -24,7 +24,7 @@ func preemptTestEngine(t *testing.T) (*topology.Network, *Engine) {
 	topo, g := testMesh(t, 8, 2)
 	e, err := New(Config{Graph: g, Frame: testFrame(t, 32), MaxWindow: 14, Zoned: true, ZoneSize: 250,
 		UGSDeadline: 6, RtPSWindow: 10, Preempt: true,
-		MILP: milp.Options{MaxNodes: 12}, BudgetRejects: true})
+		MILP: milp.Options{MaxNodes: 12}})
 	if err != nil {
 		t.Fatal(err)
 	}

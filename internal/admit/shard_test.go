@@ -52,7 +52,7 @@ func clusterMesh(t *testing.T, n int) (*topology.Network, *conflict.Graph) {
 func TestConcurrentAdmitMonolithic(t *testing.T) {
 	topo, g := testMesh(t, 3, 3)
 	e, err := New(Config{Graph: g, Frame: testFrame(t, 24), MaxWindow: 12,
-		MILP: milp.Options{MaxNodes: 20_000}, BudgetRejects: true})
+		MILP: milp.Options{MaxNodes: 20_000}})
 	if err != nil {
 		t.Fatal(err)
 	}

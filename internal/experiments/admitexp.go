@@ -69,8 +69,8 @@ func r19Table(id string, points []r19Point) (*Table, error) {
 			" R18's density (range 130 m, zoned engine); frame 256 slots, 32-slot serving window;" +
 			" Poisson arrivals, exponential holding, shortest-path routes, 1 slot/link (seed " +
 			fmt.Sprint(r19Seed) + "); solves budgeted at " + fmt.Sprint(r19SolveBudget) + " nodes / " +
-			fmt.Sprint(r19SolveTime) + " — a blown budget falls back to a feasibility probe at the window" +
-			" cap and only then rejects conservatively, so borderline verdicts can flip run to run;" +
+			fmt.Sprint(r19SolveTime) + " — a blown budget falls back to first-fitting the demand in greedy order under the window" +
+			" cap, which admits or rejects conservatively, so borderline verdicts can flip run to run;" +
 			" the verdict/tier split, 'adm/s' and the latency quantiles are host time (volatile)",
 	}
 	cfg := emuFrame(256)
@@ -90,12 +90,11 @@ func r19Table(id string, points []r19Point) (*Table, error) {
 			return nil, err
 		}
 		eng, err := admit.New(admit.Config{
-			Graph:         g,
-			Frame:         cfg,
-			MaxWindow:     pt.maxWin,
-			MILP:          milp.Options{MaxNodes: r19SolveBudget, TimeLimit: r19SolveTime},
-			BudgetRejects: true,
-			Zoned:         pt.zoned,
+			Graph:     g,
+			Frame:     cfg,
+			MaxWindow: pt.maxWin,
+			MILP:      milp.Options{MaxNodes: r19SolveBudget, TimeLimit: r19SolveTime},
+			Zoned:     pt.zoned,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("%s n=%d: %w", id, pt.nodes, err)

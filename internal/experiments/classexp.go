@@ -103,15 +103,14 @@ func r21Table(id string, points []r21Point) (*Table, error) {
 		}
 		for _, preempt := range []bool{false, true} {
 			eng, err := admit.New(admit.Config{
-				Graph:         g,
-				Frame:         cfg,
-				MILP:          milp.Options{MaxNodes: r21SolveBudget},
-				BudgetRejects: true,
-				Zoned:         true,
-				ZoneSize:      r21ZoneSize,
-				UGSDeadline:   r21UGSDeadline,
-				RtPSWindow:    r21RtPSWindow,
-				Preempt:       preempt,
+				Graph:       g,
+				Frame:       cfg,
+				MILP:        milp.Options{MaxNodes: r21SolveBudget},
+				Zoned:       true,
+				ZoneSize:    r21ZoneSize,
+				UGSDeadline: r21UGSDeadline,
+				RtPSWindow:  r21RtPSWindow,
+				Preempt:     preempt,
 			})
 			if err != nil {
 				return nil, fmt.Errorf("%s n=%d preempt=%v: %w", id, pt.nodes, preempt, err)

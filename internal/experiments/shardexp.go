@@ -25,8 +25,8 @@ import (
 // neighbourhood lands in one zone and batched solves see it whole. Solves
 // carry a node budget only (no wall-clock limit): on a loaded host a time
 // limit would fire at different points serially and concurrently and skew
-// the comparison; with BudgetRejects the budget-exhausted verdict is the
-// bounded-latency serving posture, not an error.
+// the comparison; a blown budget ends in the engine's greedy witness
+// verdict, the bounded-latency serving posture, not an error.
 const (
 	r20Seed        = 42
 	r20SolveBudget = 2000
@@ -96,12 +96,11 @@ func r20Table(id string, points []r20Point, workerSet []int) (*Table, error) {
 		serialAdmPerSec := 0.0
 		for _, workers := range workerSet {
 			eng, err := admit.New(admit.Config{
-				Graph:         g,
-				Frame:         cfg,
-				MILP:          milp.Options{MaxNodes: r20SolveBudget},
-				BudgetRejects: true,
-				Zoned:         true,
-				ZoneSize:      r20ZoneSize,
+				Graph:    g,
+				Frame:    cfg,
+				MILP:     milp.Options{MaxNodes: r20SolveBudget},
+				Zoned:    true,
+				ZoneSize: r20ZoneSize,
 			})
 			if err != nil {
 				return nil, fmt.Errorf("%s n=%d w=%d: %w", id, pt.nodes, workers, err)

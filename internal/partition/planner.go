@@ -84,18 +84,6 @@ func NewModels(zones int, frame tdma.FrameConfig) *Models {
 	return &Models{frame: frame, zones: make([]*schedule.Incremental, zones)}
 }
 
-// Model returns zone zi's model covering p's demand, building it over p on
-// first use; cold reports that the model was built or grown.
-func (ms *Models) Model(zi int, p *schedule.Problem) (m *schedule.Incremental, cold bool, err error) {
-	if m = ms.zones[zi]; m == nil {
-		m, err = schedule.NewIncremental(p, ms.frame)
-		ms.zones[zi] = m
-		return m, err == nil, err
-	}
-	cold, err = m.Cover(p.Demand)
-	return m, cold, err
-}
-
 // SolveZone is the one zone-solve policy. A zone problem with more than
 // maxPairs conflicting demanded pairs (every zone, when maxPairs < 0) is
 // packed greedily, without a model: beyond a couple hundred ordering
@@ -113,20 +101,19 @@ func (ms *Models) SolveZone(zi int, zp *schedule.Problem, hint, lo, hi, maxPairs
 		slices.SortFunc(gs.Assignments, tdma.ByStart)
 		return ZoneSolution{Blocks: gs.Assignments, Window: schedule.GreedyLength(gs), Greedy: true}, nil
 	}
-	m, cold, err := ms.Model(zi, zp)
+	m, cold := ms.zones[zi], true
+	var err error
+	if m == nil {
+		m, err = schedule.NewIncremental(zp, ms.frame)
+		ms.zones[zi] = m
+	} else {
+		cold, err = m.Cover(zp.Demand)
+	}
 	if err != nil {
 		return ZoneSolution{}, err
 	}
-	r, err := Search(m, zp, hint, lo, hi, opts)
-	r.Cold = cold
-	return r, err
-}
-
-// Search runs model m's minimum-window search over [lo, hi] from hint (see
-// schedule.Incremental.MinSlots) and returns it as a ZoneSolution.
-func Search(m *schedule.Incremental, p *schedule.Problem, hint, lo, hi int, opts milp.Options) (ZoneSolution, error) {
-	win, s, solved, pivots, err := m.MinSlots(p, hint, lo, hi, opts)
-	r := ZoneSolution{Window: win, Solved: solved, Pivots: pivots}
+	win, s, solved, pivots, err := m.MinSlots(zp, hint, lo, hi, opts)
+	r := ZoneSolution{Window: win, Solved: solved, Pivots: pivots, Cold: cold}
 	if err == nil {
 		r.Blocks = s.Assignments
 		slices.SortFunc(r.Blocks, tdma.ByStart)

@@ -2,7 +2,7 @@ package schedule
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"wimesh/internal/tdma"
 )
@@ -21,31 +21,21 @@ func Greedy(p *Problem, cfg tdma.FrameConfig) (*tdma.Schedule, error) {
 		return nil, fmt.Errorf("%w: frame config has %d slots, problem says %d",
 			ErrBadDemand, cfg.DataSlots, p.FrameSlots)
 	}
-	links := p.ActiveLinks()
-	sort.Slice(links, func(i, j int) bool {
-		di, dj := p.Demand[links[i]], p.Demand[links[j]]
-		if di != dj {
-			return di > dj
-		}
-		return links[i] < links[j]
-	})
-
 	placed := tdma.NewPacking(p.Graph)
 	s, err := tdma.NewSchedule(cfg)
 	if err != nil {
 		return nil, err
 	}
-	for _, l := range links {
-		a := tdma.Assignment{Link: l, Length: p.Demand[l]}
-		if a.Start = placed.FirstFit(l, a.Length, p.FrameSlots, nil); a.Start < 0 {
+	for _, a := range GreedyOrder(p) {
+		if a.Start = placed.FirstFit(a.Link, a.Length, p.FrameSlots, nil); a.Start < 0 {
 			return nil, fmt.Errorf("%w: greedy could not place link %d (demand %d) in %d slots",
-				ErrInfeasible, l, a.Length, p.FrameSlots)
+				ErrInfeasible, a.Link, a.Length, p.FrameSlots)
 		}
-		if cap, capped := p.StartCap[l]; capped && a.Start > cap {
+		if cap, capped := p.StartCap[a.Link]; capped && a.Start > cap {
 			// First-fit already found the earliest conflict-free start, so a
 			// start past the link's deadline cap cannot be repaired greedily.
 			return nil, fmt.Errorf("%w: greedy start %d for link %d past its cap %d",
-				ErrInfeasible, a.Start, l, cap)
+				ErrInfeasible, a.Start, a.Link, cap)
 		}
 		placed.Add(a)
 		if err := s.Add(a); err != nil {
@@ -56,6 +46,24 @@ func Greedy(p *Problem, cfg tdma.FrameConfig) (*tdma.Schedule, error) {
 		return nil, err
 	}
 	return s, nil
+}
+
+// GreedyOrder lays p's demand out as one block per active link, every block
+// at slot 0, in the order Greedy first-fits them: demand descending, then
+// link ID.
+func GreedyOrder(p *Problem) []tdma.Assignment {
+	links := p.activeLinks()
+	blocks := make([]tdma.Assignment, len(links))
+	for i, l := range links {
+		blocks[i] = tdma.Assignment{Link: l, Length: p.Demand[l]}
+	}
+	slices.SortFunc(blocks, func(a, b tdma.Assignment) int {
+		if a.Length != b.Length {
+			return b.Length - a.Length
+		}
+		return int(a.Link - b.Link)
+	})
+	return blocks
 }
 
 // GreedyLength returns the makespan (last used slot + 1) of a schedule.
