@@ -263,19 +263,6 @@ func TestConstraintSystemVariableRange(t *testing.T) {
 	}
 }
 
-func TestShiftNonNegative(t *testing.T) {
-	got := ShiftNonNegative([]float64{-3, -1, -2})
-	want := []float64{0, 2, 1}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("ShiftNonNegative[%d] = %g, want %g", i, got[i], want[i])
-		}
-	}
-	if ShiftNonNegative(nil) != nil {
-		t.Error("ShiftNonNegative(nil) != nil")
-	}
-}
-
 // Property: solutions returned by Solve satisfy every added constraint.
 func TestPropertySolveSatisfiesConstraints(t *testing.T) {
 	type edge struct {

@@ -100,21 +100,3 @@ func (cs *ConstraintSystem) Solve() ([]float64, error) {
 	}
 	return nil, fmt.Errorf("%w: negative cycle through %d variables (witness var %d)", ErrInfeasible, len(cycle), v)
 }
-
-// ShiftNonNegative shifts a solution so its minimum value is exactly 0.
-func ShiftNonNegative(x []float64) []float64 {
-	if len(x) == 0 {
-		return nil
-	}
-	minV := x[0]
-	for _, v := range x[1:] {
-		if v < minV {
-			minV = v
-		}
-	}
-	out := make([]float64, len(x))
-	for i, v := range x {
-		out[i] = v - minV
-	}
-	return out
-}

@@ -52,13 +52,6 @@ func WithConflictModel(m conflict.Model) Option {
 	return optionFunc(func(s *System) { s.conflictModel = m })
 }
 
-// WithZoneSize overrides the spatial zone edge used by
-// MethodPartitioned, in meters (default 0 = automatic, three times the
-// longest active link; see internal/partition).
-func WithZoneSize(meters float64) Option {
-	return optionFunc(func(s *System) { s.ZoneSize = meters })
-}
-
 // System bundles one mesh deployment: topology, interference, frame layout
 // and MAC parameters.
 type System struct {

@@ -55,22 +55,3 @@ func Winner(op uint32, nodes []NodeID16) NodeID16 {
 	}
 	return best
 }
-
-// NextOpportunity returns the next control transmit opportunity >= from
-// that node id wins against competitors, searching at most horizon
-// opportunities; ok is false if none is found.
-func NextOpportunity(from uint32, id NodeID16, competitors []NodeID16, horizon uint32) (uint32, bool) {
-	for op := from; op < from+horizon; op++ {
-		if Wins(op, id, competitors) {
-			return op, true
-		}
-	}
-	return 0, false
-}
-
-// HoldoffOpportunities converts a holdoff exponent to the number of
-// opportunities a node must stay silent after transmitting
-// (2^(exp+4) in the standard).
-func HoldoffOpportunities(exp uint8) uint32 {
-	return 1 << (uint32(exp) + 4)
-}

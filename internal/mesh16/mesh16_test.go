@@ -146,30 +146,6 @@ func TestElectionFairness(t *testing.T) {
 	}
 }
 
-func TestNextOpportunity(t *testing.T) {
-	nodes := []NodeID16{1, 2, 3}
-	op, ok := NextOpportunity(0, 2, nodes, 100)
-	if !ok {
-		t.Fatal("no opportunity within 100")
-	}
-	if !Wins(op, 2, nodes) {
-		t.Errorf("node 2 does not win returned opportunity %d", op)
-	}
-	// Horizon zero finds nothing.
-	if _, ok := NextOpportunity(0, 2, nodes, 0); ok {
-		t.Error("zero horizon found an opportunity")
-	}
-}
-
-func TestHoldoffOpportunities(t *testing.T) {
-	if got := HoldoffOpportunities(0); got != 16 {
-		t.Errorf("holdoff(0) = %d, want 16", got)
-	}
-	if got := HoldoffOpportunities(3); got != 128 {
-		t.Errorf("holdoff(3) = %d, want 128", got)
-	}
-}
-
 func TestSlotMapBasics(t *testing.T) {
 	m, err := NewSlotMap(16)
 	if err != nil {

@@ -78,7 +78,7 @@ func (g *Gauge) Value() int64 {
 }
 
 // Histogram is a fixed-width histogram over [min, max); out-of-range
-// observations land in the edge bins (the underlying stats.Histogram rule).
+// observations land in the first or last bin.
 // The nil Histogram discards all observations. Observations are
 // mutex-guarded and allocation-free.
 type Histogram struct {

@@ -12,7 +12,7 @@ import (
 // 99th-percentile delay per flow); anything reported in an experiment table
 // still comes from the exact Sample collector.
 //
-// The zero value is not usable; create with NewP2Quantile or call Reset.
+// The zero value is not usable; call Reset before the first Add.
 type P2Quantile struct {
 	q float64
 	// h are the marker heights, pos the actual marker positions (1-based),
@@ -22,15 +22,6 @@ type P2Quantile struct {
 	want [5]float64
 	dn   [5]float64
 	n    int
-}
-
-// NewP2Quantile returns an estimator for the q-quantile (0 < q < 1).
-func NewP2Quantile(q float64) (*P2Quantile, error) {
-	p := &P2Quantile{}
-	if err := p.Reset(q); err != nil {
-		return nil, err
-	}
-	return p, nil
 }
 
 // Reset re-arms the estimator for the q-quantile, discarding all state.

@@ -9,12 +9,12 @@ import (
 
 func TestP2QuantileValidation(t *testing.T) {
 	for _, q := range []float64{0, 1, -0.5, 1.5} {
-		if _, err := NewP2Quantile(q); err == nil {
+		if err := new(P2Quantile).Reset(q); err == nil {
 			t.Errorf("q=%g accepted", q)
 		}
 	}
-	p, err := NewP2Quantile(0.5)
-	if err != nil {
+	p := new(P2Quantile)
+	if err := p.Reset(0.5); err != nil {
 		t.Fatal(err)
 	}
 	if p.Ready() || p.Estimate() != 0 {
@@ -23,8 +23,8 @@ func TestP2QuantileValidation(t *testing.T) {
 }
 
 func TestP2QuantileSmallSamples(t *testing.T) {
-	p, err := NewP2Quantile(0.99)
-	if err != nil {
+	p := new(P2Quantile)
+	if err := p.Reset(0.99); err != nil {
 		t.Fatal(err)
 	}
 	p.Add(3)
@@ -56,8 +56,8 @@ func TestP2QuantileTracksExact(t *testing.T) {
 		{"exp-p99", 0.99, rng.ExpFloat64, 0.25},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			p, err := NewP2Quantile(tc.q)
-			if err != nil {
+			p := new(P2Quantile)
+			if err := p.Reset(tc.q); err != nil {
 				t.Fatal(err)
 			}
 			xs := make([]float64, 0, 20000)
@@ -77,8 +77,8 @@ func TestP2QuantileTracksExact(t *testing.T) {
 }
 
 func TestP2QuantileReset(t *testing.T) {
-	p, err := NewP2Quantile(0.9)
-	if err != nil {
+	p := new(P2Quantile)
+	if err := p.Reset(0.9); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 100; i++ {
@@ -213,8 +213,8 @@ func BenchmarkSampleQuantileBatch(b *testing.B) {
 }
 
 func BenchmarkP2QuantileAdd(b *testing.B) {
-	p, err := NewP2Quantile(0.99)
-	if err != nil {
+	p := new(P2Quantile)
+	if err := p.Reset(0.99); err != nil {
 		b.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(3))

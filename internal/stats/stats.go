@@ -251,62 +251,3 @@ func tCrit95(df int) float64 {
 	}
 	return 1.96
 }
-
-// Histogram is a fixed-width histogram over [Min, Max); observations outside
-// the range land in the first/last bin.
-type Histogram struct {
-	min, max float64
-	counts   []uint64
-	total    uint64
-}
-
-// NewHistogram creates a histogram with the given bounds and bin count.
-func NewHistogram(minV, maxV float64, bins int) (*Histogram, error) {
-	if bins <= 0 || maxV <= minV {
-		return nil, fmt.Errorf("stats: bad histogram [%g,%g) x %d", minV, maxV, bins)
-	}
-	return &Histogram{min: minV, max: maxV, counts: make([]uint64, bins)}, nil
-}
-
-// Add records one observation.
-func (h *Histogram) Add(x float64) {
-	i := int(float64(len(h.counts)) * (x - h.min) / (h.max - h.min))
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(h.counts) {
-		i = len(h.counts) - 1
-	}
-	h.counts[i]++
-	h.total++
-}
-
-// Total returns the number of observations.
-func (h *Histogram) Total() uint64 { return h.total }
-
-// Counts returns a copy of the per-bin counts.
-func (h *Histogram) Counts() []uint64 {
-	out := make([]uint64, len(h.counts))
-	copy(out, h.counts)
-	return out
-}
-
-// BinCenter returns the center value of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	w := (h.max - h.min) / float64(len(h.counts))
-	return h.min + (float64(i)+0.5)*w
-}
-
-// CDF returns, per bin upper edge, the cumulative fraction of observations.
-func (h *Histogram) CDF() []float64 {
-	out := make([]float64, len(h.counts))
-	if h.total == 0 {
-		return out
-	}
-	cum := uint64(0)
-	for i, c := range h.counts {
-		cum += c
-		out[i] = float64(cum) / float64(h.total)
-	}
-	return out
-}

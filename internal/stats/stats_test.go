@@ -133,62 +133,6 @@ func TestTCritTable(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h, err := NewHistogram(0, 10, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, x := range []float64{0.5, 1, 3, 5, 7, 9, 9.99} {
-		h.Add(x)
-	}
-	// Out-of-range observations clamp to edge bins.
-	h.Add(-5)
-	h.Add(50)
-	counts := h.Counts()
-	if h.Total() != 9 {
-		t.Errorf("Total = %d, want 9", h.Total())
-	}
-	if counts[0] != 3 { // 0.5, 1, -5
-		t.Errorf("bin0 = %d, want 3", counts[0])
-	}
-	if counts[4] != 3 { // 9, 9.99, 50
-		t.Errorf("bin4 = %d, want 3", counts[4])
-	}
-	cdf := h.CDF()
-	if cdf[4] != 1 {
-		t.Errorf("CDF end = %g, want 1", cdf[4])
-	}
-	for i := 1; i < len(cdf); i++ {
-		if cdf[i] < cdf[i-1] {
-			t.Error("CDF not monotone")
-		}
-	}
-	if c := h.BinCenter(0); c != 1 {
-		t.Errorf("BinCenter(0) = %g, want 1", c)
-	}
-}
-
-func TestHistogramValidation(t *testing.T) {
-	if _, err := NewHistogram(0, 0, 5); err == nil {
-		t.Error("empty range accepted")
-	}
-	if _, err := NewHistogram(0, 1, 0); err == nil {
-		t.Error("zero bins accepted")
-	}
-}
-
-func TestHistogramEmptyCDF(t *testing.T) {
-	h, err := NewHistogram(0, 1, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range h.CDF() {
-		if v != 0 {
-			t.Error("empty histogram CDF not zero")
-		}
-	}
-}
-
 // Property: Welford mean/variance agree with the two-pass computation.
 func TestPropertyWelfordAgreesWithTwoPass(t *testing.T) {
 	prop := func(raw []int16) bool {

@@ -34,7 +34,6 @@ var (
 	ErrBadFrameConfig = errors.New("tdma: bad frame config")
 	ErrBadAssignment  = errors.New("tdma: bad assignment")
 	ErrConflict       = errors.New("tdma: schedule has conflicting overlaps")
-	ErrOverflow       = errors.New("tdma: demand exceeds frame capacity")
 )
 
 // DefaultWiMAXFrame returns the native 802.16 mesh layout: 10 ms frames,

@@ -246,50 +246,6 @@ func (n *Network) SetLinkRate(id LinkID, rateBps float64) error {
 	return nil
 }
 
-// RateStep maps a maximum link distance to the PHY rate sustainable at it.
-type RateStep struct {
-	MaxDistance float64
-	RateBps     float64
-}
-
-// DefaultRateSteps returns the classic 802.11b rate-vs-range ladder for the
-// generators' 100 m spacing: 11 Mb/s to 110 m, 5.5 Mb/s to 160 m, 2 Mb/s to
-// 220 m, 1 Mb/s beyond.
-func DefaultRateSteps() []RateStep {
-	return []RateStep{
-		{MaxDistance: 110, RateBps: 11e6},
-		{MaxDistance: 160, RateBps: 5.5e6},
-		{MaxDistance: 220, RateBps: 2e6},
-	}
-}
-
-// AssignRatesByDistance sets every link's rate from its length using the
-// rate ladder (adaptive modulation): the first step whose MaxDistance
-// covers the link wins; links beyond the last step get fallbackBps.
-func (n *Network) AssignRatesByDistance(steps []RateStep, fallbackBps float64) error {
-	if fallbackBps <= 0 {
-		return fmt.Errorf("topology: non-positive fallback rate %g", fallbackBps)
-	}
-	for i := range n.links {
-		d, err := n.Distance(n.links[i].From, n.links[i].To)
-		if err != nil {
-			return err
-		}
-		rate := fallbackBps
-		for _, s := range steps {
-			if d <= s.MaxDistance {
-				rate = s.RateBps
-				break
-			}
-		}
-		if rate <= 0 {
-			return fmt.Errorf("topology: rate step yields non-positive rate %g", rate)
-		}
-		n.links[i].RateBps = rate
-	}
-	return nil
-}
-
 // Reverse returns the link in the opposite direction of l, if present.
 func (n *Network) Reverse(l LinkID) (LinkID, bool) {
 	lk, err := n.Link(l)

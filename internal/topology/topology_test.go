@@ -470,42 +470,6 @@ func TestSetLinkRate(t *testing.T) {
 	}
 }
 
-func TestAssignRatesByDistance(t *testing.T) {
-	net := NewNetwork()
-	a := net.AddNode(0, 0)
-	b := net.AddNode(100, 0) // 11 Mb/s step
-	c := net.AddNode(250, 0) // 150 m from b: 5.5 Mb/s step
-	d := net.AddNode(550, 0) // 300 m from c: beyond ladder -> fallback
-	lab, err := net.AddLink(a, b, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lbc, err := net.AddLink(b, c, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lcd, err := net.AddLink(c, d, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := net.AssignRatesByDistance(DefaultRateSteps(), 1e6); err != nil {
-		t.Fatal(err)
-	}
-	want := map[LinkID]float64{lab: 11e6, lbc: 5.5e6, lcd: 1e6}
-	for l, w := range want {
-		lk, err := net.Link(l)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if lk.RateBps != w {
-			t.Errorf("link %d rate = %g, want %g", l, lk.RateBps, w)
-		}
-	}
-	if err := net.AssignRatesByDistance(DefaultRateSteps(), 0); err == nil {
-		t.Error("zero fallback accepted")
-	}
-}
-
 func TestShortestPathWeightedPrefersCleanDetour(t *testing.T) {
 	// Diamond: 0 -> 3 directly (weight 5) or via 1,2 (1+1+1 = 3).
 	net := NewNetwork()

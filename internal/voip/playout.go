@@ -61,38 +61,6 @@ func PlanPlayoutSorted(sorted []time.Duration, target float64) (Playout, error) 
 	}, nil
 }
 
-// AdaptivePlayout runs the RFC 3550-style adaptive estimator over the delay
-// sequence: an exponentially weighted mean and deviation, with the buffer
-// set to mean + 4*deviation (re-evaluated per packet, as at talk-spurt
-// boundaries). It returns the final buffer estimate and the late-loss
-// fraction the trajectory would have produced.
-func AdaptivePlayout(delays []time.Duration) (Playout, error) {
-	if len(delays) == 0 {
-		return Playout{}, errors.New("voip: no delay samples")
-	}
-	const alpha = 0.875 // RFC 3550 smoothing constant
-	mean := float64(delays[0])
-	dev := 0.0
-	late := 0
-	for _, d := range delays[1:] {
-		buffer := mean + 4*dev
-		if float64(d) > buffer {
-			late++
-		}
-		diff := math.Abs(float64(d) - mean)
-		mean = alpha*mean + (1-alpha)*float64(d)
-		dev = alpha*dev + (1-alpha)*diff
-	}
-	lateLoss := 0.0
-	if decisions := len(delays) - 1; decisions > 0 {
-		lateLoss = float64(late) / float64(decisions)
-	}
-	return Playout{
-		Buffer:   time.Duration(mean + 4*dev),
-		LateLoss: lateLoss,
-	}, nil
-}
-
 // EvaluateWithPlayout scores a call end to end: the network delays feed the
 // playout plan, the mouth-to-ear delay is the playout buffer plus
 // packetization and lookahead, and the loss is network loss plus late loss.

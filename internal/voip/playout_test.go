@@ -56,57 +56,6 @@ func TestPlanPlayoutValidation(t *testing.T) {
 	}
 }
 
-func TestAdaptivePlayoutConstantDelays(t *testing.T) {
-	// Constant delay: deviation converges to 0, buffer to the delay, no
-	// late packets.
-	delays := make([]time.Duration, 100)
-	for i := range delays {
-		delays[i] = 25 * time.Millisecond
-	}
-	po, err := AdaptivePlayout(delays)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if po.LateLoss != 0 {
-		t.Errorf("late loss = %g on constant delays", po.LateLoss)
-	}
-	if po.Buffer < 24*time.Millisecond || po.Buffer > 26*time.Millisecond {
-		t.Errorf("buffer = %v, want ~25ms", po.Buffer)
-	}
-}
-
-func TestAdaptivePlayoutTracksJitter(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	delays := make([]time.Duration, 500)
-	for i := range delays {
-		delays[i] = 20*time.Millisecond + time.Duration(rng.Intn(10))*time.Millisecond
-	}
-	po, err := AdaptivePlayout(delays)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Buffer should exceed the mean (24.5ms) but stay sane; late loss low.
-	if po.Buffer < 24*time.Millisecond || po.Buffer > 60*time.Millisecond {
-		t.Errorf("buffer = %v", po.Buffer)
-	}
-	if po.LateLoss > 0.1 {
-		t.Errorf("late loss = %g, want <= 0.1", po.LateLoss)
-	}
-}
-
-func TestAdaptivePlayoutSingleSample(t *testing.T) {
-	po, err := AdaptivePlayout(msSlice(30))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if po.LateLoss != 0 {
-		t.Errorf("late loss = %g with one sample", po.LateLoss)
-	}
-	if _, err := AdaptivePlayout(nil); err == nil {
-		t.Error("empty delays accepted")
-	}
-}
-
 func TestEvaluateWithPlayout(t *testing.T) {
 	delays := msSlice(20, 21, 22, 23, 24, 25, 26, 27, 28, 120)
 	q, po, err := EvaluateWithPlayout(G711(), delays, 0.01, 0.10)
