@@ -7,12 +7,10 @@ import (
 	"wimesh/internal/tdma"
 )
 
-// Greedy assigns slots by first-fit decreasing-demand interval coloring on
-// the conflict graph: links are taken in order of decreasing demand (ties by
-// ID) and placed at the earliest start where they overlap no conflicting,
-// already-placed link. It is the delay-oblivious baseline of the
-// evaluations: fast, near-minimal in schedule length, but with no control
-// over end-to-end scheduling delay.
+// Greedy first-fits the blocks of GreedyOrder(p) on the conflict graph, each
+// at the earliest start where it overlaps no conflicting, already-placed
+// block. It is the delay-oblivious baseline of the evaluations: fast,
+// near-minimal in schedule length, but with no control over end-to-end delay.
 func Greedy(p *Problem, cfg tdma.FrameConfig) (*tdma.Schedule, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -48,21 +46,15 @@ func Greedy(p *Problem, cfg tdma.FrameConfig) (*tdma.Schedule, error) {
 	return s, nil
 }
 
-// GreedyOrder lays p's demand out as one block per active link, every block
-// at slot 0, in the order Greedy first-fits them: demand descending, then
-// link ID.
+// GreedyOrder is p's demand as one block per active link at slot 0, in
+// Greedy's order: demand descending, then link ID (tdma.ByStart).
 func GreedyOrder(p *Problem) []tdma.Assignment {
 	links := p.activeLinks()
 	blocks := make([]tdma.Assignment, len(links))
 	for i, l := range links {
 		blocks[i] = tdma.Assignment{Link: l, Length: p.Demand[l]}
 	}
-	slices.SortFunc(blocks, func(a, b tdma.Assignment) int {
-		if a.Length != b.Length {
-			return b.Length - a.Length
-		}
-		return int(a.Link - b.Link)
-	})
+	slices.SortFunc(blocks, tdma.ByStart)
 	return blocks
 }
 
