@@ -113,9 +113,9 @@ loc:
 # The ratchet on that number: the ceilings are what `make loc` printed when
 # they were last edited. A PR that shrinks the code lowers them; one that
 # must grow past them raises them in its own diff, where a reviewer sees it.
-LOC_MAX_TOTAL = 20975
+LOC_MAX_TOTAL = 20974
 LOC_MAX_MILP = 524
-LOC_MAX_ADMIT = 2135
+LOC_MAX_ADMIT = 2134
 LOC_MAX_PARTITION = 666
 LOC_MAX_SCHEDULE = 1591
 LOC_MAX_LP = 1148

@@ -458,12 +458,9 @@ func TestBlownBudgetDecides(t *testing.T) {
 			if len(batch) == 0 {
 				return
 			}
-			var ds []Decision
-			var err error
+			ds, err := make([]Decision, 1), error(nil)
 			if len(batch) == 1 {
-				var d Decision
-				d, err = e.Admit(ctx, batch[0])
-				ds = []Decision{d}
+				ds[0], err = e.Admit(ctx, batch[0])
 			} else {
 				ds, err = e.AdmitBatch(ctx, batch)
 			}

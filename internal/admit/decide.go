@@ -162,9 +162,8 @@ func (e *Engine) admitOne(ctx context.Context, f Flow, start time.Time) (Decisio
 
 // admitJoint attempts the joint decision of a batch. A nil result with a nil
 // error means the joint attempt proved nothing (duplicate, cap, or reject)
-// and the caller must decide the flows individually: a joint
-// failure must not reject a call a sequential run would admit. Called like
-// admitOne.
+// and the caller must decide the flows individually: a joint failure must
+// not reject a call a sequential run would admit. Called like admitOne.
 func (e *Engine) admitJoint(ctx context.Context, flows []Flow, start time.Time) ([]Decision, error) {
 	if e.duplicate(flows) != nil {
 		return nil, nil
@@ -442,9 +441,9 @@ func (e *Engine) solveZoned(ctx context.Context, flows []Flow, delta map[topolog
 // layout in ByStart order, its placement hint, or a witness in greedy order
 // (conflicts against other zones are re-checked against the live packing,
 // so halo links stay safe, and cls bounds each block by its link's class
-// deadlines through stitchLimit). It reports whether every block fit. The zones' old blocks are put back unless
-// every block fit and keep is set; no other link is touched. Called with
-// e.mu held.
+// deadlines through stitchLimit). It reports whether every block fit. The
+// zones' old blocks are put back unless every block fit and keep is set; no
+// other link is touched. Called with e.mu held.
 func (e *Engine) stitch(zones []int, blocks [][]tdma.Assignment, cls map[topology.LinkID][2]int, keep bool) bool {
 	limit := func(l topology.LinkID, n int) int { return e.stitchLimit(l, n, cls) }
 	var old []tdma.Assignment
