@@ -113,13 +113,13 @@ loc:
 # The ratchet on that number: the ceilings are what `make loc` printed when
 # they were last edited. A PR that shrinks the code lowers them; one that
 # must grow past them raises them in its own diff, where a reviewer sees it.
-LOC_MAX_TOTAL = 20974
+LOC_MAX_TOTAL = 20349
 LOC_MAX_MILP = 524
-LOC_MAX_ADMIT = 2134
-LOC_MAX_PARTITION = 666
+LOC_MAX_ADMIT = 2129
+LOC_MAX_PARTITION = 658
 LOC_MAX_SCHEDULE = 1591
 LOC_MAX_LP = 1148
-LOC_MAX_CORE = 1968
+LOC_MAX_CORE = 1940
 
 loc-check:
 	@$(MAKE) -s loc | awk -v total=$(LOC_MAX_TOTAL) -v milp=$(LOC_MAX_MILP) -v admit=$(LOC_MAX_ADMIT) -v partition=$(LOC_MAX_PARTITION) -v schedule=$(LOC_MAX_SCHEDULE) -v lp=$(LOC_MAX_LP) -v core=$(LOC_MAX_CORE) ' \

@@ -9,7 +9,7 @@
 //	meshd                                   # 24-node village, 200 calls
 //	meshd -nodes 96 -calls 1000 -rate 40    # bigger mesh, heavier load
 //	meshd -zoned -zone-size 400             # per-zone models (city mode)
-//	meshd -zoned -workers 8 -batch 16       # concurrent admission, sharded by zone
+//	meshd -zoned -workers 8                 # concurrent admission, sharded by zone
 //	meshd -zoned -workers 8 -defrag         # + background solver re-packs
 //	meshd -to-gateway                       # all calls route to the gateway
 //	meshd -max-window 24                    # tighter admission (more rejects)
@@ -80,7 +80,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		timeLimit   = fs.Duration("time-limit", 250*time.Millisecond, "wall-clock cap per admission solve (0 = none); a blown budget falls back to first-fitting the demand in greedy order under the window cap, which admits or rejects conservatively")
 		metricsOut  = fs.String("metrics-out", "", "write the admit.* counter snapshot (JSON) to this file")
 		workers     = fs.Int("workers", 1, "admission workers; >1 decides arrivals concurrently, in parallel where they touch disjoint zones (-zoned; a monolithic engine has one zone, so its workers only batch). 1 replays byte-identically run to run")
-		batchMax    = fs.Int("batch", 16, "max arrivals decided by one joint solve when workers queue up (workers > 1 only)")
 		defrag      = fs.Bool("defrag", false, "run background solver-driven defragmentation during the replay")
 		classMix    = fs.String("class-mix", "", "weighted service-class mix, e.g. ugs=0.5,rtps=0.2/2,nrtps=0.2/2,be=0.1 (class=weight[/slots-per-link]); empty serves pure best-effort calls as before")
 		preempt     = fs.Bool("preempt", false, "let guaranteed-class (UGS/rtPS) arrivals evict best-effort and nrtPS calls when every repair tier fails; such an arrival locks every zone while it decides")
@@ -122,9 +121,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	}
 	if *timeLimit < 0 {
 		return fmt.Errorf("-time-limit %v: must not be negative (0 = none)", *timeLimit)
-	}
-	if *batchMax < 1 {
-		return fmt.Errorf("-batch %d: need at least 1", *batchMax)
 	}
 	if *maxWindow < 0 {
 		return fmt.Errorf("-max-window %d: must not be negative (0 = whole frame)", *maxWindow)
@@ -189,11 +185,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	fmt.Fprintf(out, "workload: %d calls, %.1f/s arrivals, %v mean holding (%.1f Erlang), seed %d\n",
 		*calls, *rate, *holding, w.Erlang, *seed)
 
-	st, serveErr := admit.ServeConcurrent(ctx, eng, w, admit.ServeOptions{
-		Workers:  *workers,
-		BatchMax: *batchMax,
-		Defrag:   *defrag,
-	})
+	st, serveErr := admit.ServeConcurrent(ctx, eng, w, admit.ServeOptions{Workers: *workers, Defrag: *defrag})
 	interrupted := errors.Is(serveErr, context.Canceled) || errors.Is(serveErr, context.DeadlineExceeded)
 	if serveErr != nil && !interrupted {
 		return serveErr
@@ -225,7 +217,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 			throughput = float64(st.Offered) / st.Wall.Seconds()
 		}
 		fmt.Fprintf(out, "concurrency: %d workers, batch cap %d, %d batched, %d defrag wins (%d slots); wall %v (%.0f adm/s)\n",
-			*workers, *batchMax, es.Batched, es.Defrags, es.DefragSlots, st.Wall.Round(time.Millisecond), throughput)
+			*workers, admit.BatchMax, es.Batched, es.Defrags, es.DefragSlots, st.Wall.Round(time.Millisecond), throughput)
 	}
 	if st.Latency.Len() > 0 {
 		p50, err := st.Latency.Quantile(0.50)

@@ -148,17 +148,14 @@ func TestRunNonFiniteFlags(t *testing.T) {
 }
 
 // TestRunOutOfRangeFlags: a negative -time-limit meant "no limit" (milp only
-// honours a positive one), a -batch below 1 served with the default cap of
-// 16 while the summary printed the flag's value, a negative -max-window
-// silently meant the whole frame, and a zone size too small to key the grid
-// served a garbage zoning. The workload flags failed deep in the engine or
-// the generator without naming the flag, -slots-per-link beyond the frame
-// only after the banner. Every one must fail before printing anything.
+// honours a positive one), a negative -max-window silently meant the whole
+// frame, and a zone size too small to key the grid served a garbage zoning.
+// The workload flags failed deep in the engine or the generator without
+// naming the flag, -slots-per-link beyond the frame only after the banner.
+// Every one must fail before printing anything.
 func TestRunOutOfRangeFlags(t *testing.T) {
 	for _, args := range [][]string{
 		{"-time-limit", "-1s"},
-		{"-batch", "0", "-workers", "2"},
-		{"-batch", "-3", "-workers", "2"},
 		{"-max-window", "-5"},
 		// Served over 24 transmitters keyed into 2 zones by an overflowed
 		// cell index.
@@ -275,7 +272,7 @@ func TestRunSharded(t *testing.T) {
 	var sb strings.Builder
 	err := run(context.Background(), []string{
 		"-nodes", "24", "-calls", "60", "-rate", "100", "-holding", "80ms",
-		"-zoned", "-workers", "8", "-batch", "8", "-defrag", "-max-window", "24",
+		"-zoned", "-workers", "8", "-defrag", "-max-window", "24",
 	}, &sb)
 	if err != nil {
 		t.Fatalf("run: %v", err)
@@ -283,7 +280,7 @@ func TestRunSharded(t *testing.T) {
 	out := sb.String()
 	for _, want := range []string{
 		"served: 60 offered",
-		"concurrency: 8 workers, batch cap 8,",
+		"concurrency: 8 workers, batch cap 16,",
 		"defrag wins",
 		"adm/s",
 	} {

@@ -149,7 +149,7 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 	runCfg := core.RunConfig{Duration: *duration, Codec: cdc, Seed: *seed,
-		QueueCap: *queueCap, Metrics: reg, Trace: tr}
+		QueueCap: *queueCap}
 	if *spurts {
 		runCfg.Mode = voip.ModeTalkSpurt
 	}

@@ -1,12 +1,16 @@
 package main
 
 import (
+	"bufio"
+	"encoding/json"
 	"errors"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"wimesh/internal/core"
+	"wimesh/internal/obs"
 	"wimesh/internal/scenario"
 	"wimesh/internal/topology"
 	"wimesh/internal/voip"
@@ -45,6 +49,72 @@ func TestRunDCF(t *testing.T) {
 	}
 	if !strings.Contains(sb.String(), "collisions") {
 		t.Errorf("DCF output missing collisions line:\n%s", sb.String())
+	}
+}
+
+// TestRunMetricsAndTrace pins the one observability route: -metrics-out and
+// -trace install the process defaults, and the MAC, the kernel and the clock
+// model built deep inside the run report their counters and events to them.
+func TestRunMetricsAndTrace(t *testing.T) {
+	for _, tc := range []struct {
+		args     []string
+		counters []string
+		kinds    []string
+	}{
+		{[]string{"-mac", "tdma", "-sync"},
+			[]string{"tdmaemu.slots_served", "tdmaemu.transmissions", "sim.events_executed", "timesync.resync_rounds"},
+			[]string{"slot_start", "tx", "resync"}},
+		{[]string{"-mac", "dcf"},
+			[]string{"dcf.tx_attempts", "mac.tx_started", "sim.events_executed"},
+			[]string{"tx_attempt", "tx"}},
+	} {
+		t.Run(tc.args[1], func(t *testing.T) {
+			dir := t.TempDir()
+			metrics, trace := filepath.Join(dir, "metrics.json"), filepath.Join(dir, "trace.jsonl")
+			var sb strings.Builder
+			args := append(tc.args, "-nodes", "4", "-calls", "2", "-duration", "2s",
+				"-metrics-out", metrics, "-trace", trace)
+			if err := run(args, &sb); err != nil {
+				t.Fatalf("run: %v", err)
+			}
+			buf, err := os.ReadFile(metrics)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var snap obs.Snapshot
+			if err := json.Unmarshal(buf, &snap); err != nil {
+				t.Fatal(err)
+			}
+			for _, name := range tc.counters {
+				if snap.Counters[name] == 0 {
+					t.Errorf("counter %s = 0 or missing in %s", name, buf)
+				}
+			}
+			f, err := os.Open(trace)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			seen := map[string]int{}
+			sc := bufio.NewScanner(f)
+			for sc.Scan() {
+				var ev struct {
+					Kind string `json:"kind"`
+				}
+				if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
+					t.Fatalf("trace line %q: %v", sc.Text(), err)
+				}
+				seen[ev.Kind]++
+			}
+			if err := sc.Err(); err != nil {
+				t.Fatal(err)
+			}
+			for _, kind := range tc.kinds {
+				if seen[kind] == 0 {
+					t.Errorf("no %s event in the trace (kinds %v)", kind, seen)
+				}
+			}
+		})
 	}
 }
 

@@ -338,9 +338,7 @@ func TestShardedSnapshotRace(t *testing.T) {
 	var serr error
 	go func() {
 		defer close(done)
-		st, serr = ServeConcurrent(context.Background(), e, w, ServeOptions{
-			Workers: 4, Defrag: true, DefragEvery: time.Millisecond,
-		})
+		st, serr = ServeConcurrent(context.Background(), e, w, ServeOptions{Workers: 4, Defrag: true})
 	}()
 	reads := 0
 	for {

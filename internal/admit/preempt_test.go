@@ -353,7 +353,7 @@ func TestServeConcurrentPreempt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := ServeConcurrent(context.Background(), e, w, ServeOptions{Workers: 4, BatchMax: 4})
+	st, err := ServeConcurrent(context.Background(), e, w, ServeOptions{Workers: 4})
 	if err != nil {
 		t.Fatalf("serve: %v", err)
 	}

@@ -7,19 +7,22 @@ import (
 	"time"
 )
 
+// BatchMax caps the arrivals one ServeConcurrent worker decides with one
+// joint AdmitBatch call. A worker batches whatever is queued when its solver
+// frees up, so batches form exactly when arrivals outpace decisions.
+const BatchMax = 16
+
+// defragPeriod is the period of ServeConcurrent's background re-packs.
+const defragPeriod = 5 * time.Millisecond
+
 // ServeOptions parameterizes ServeConcurrent.
 type ServeOptions struct {
 	// Workers is the number of admission workers. 0 or 1 replays through
 	// Serve: one caller, byte-identical run to run.
 	Workers int
-	// BatchMax caps the arrivals decided by one joint AdmitBatch call
-	// (0 = 16). A worker batches whatever is queued when its solver frees
-	// up, so batches form exactly when arrivals outpace decisions.
-	BatchMax int
 	// Defrag runs background solver-driven re-packs (Engine.TryDefrag)
-	// every DefragEvery (0 = 5ms) while the replay is in flight.
-	Defrag      bool
-	DefragEvery time.Duration
+	// every defragPeriod while the replay is in flight.
+	Defrag bool
 }
 
 // ServeConcurrent replays the workload against the engine across several
@@ -40,10 +43,6 @@ func ServeConcurrent(ctx context.Context, e *Engine, w *Workload, opts ServeOpti
 		return Serve(ctx, e, w)
 	}
 	workers := max(opts.Workers, 1)
-	batchMax := opts.BatchMax
-	if batchMax <= 0 {
-		batchMax = 16
-	}
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
@@ -63,20 +62,16 @@ func ServeConcurrent(ctx context.Context, e *Engine, w *Workload, opts ServeOpti
 		workerWg.Add(1)
 		go func(wi int) {
 			defer workerWg.Done()
-			errs[wi] = serveWorker(runCtx, cancel, e, queues[wi], batchMax, &results[wi])
+			errs[wi] = serveWorker(runCtx, cancel, e, queues[wi], &results[wi])
 		}(wi)
 	}
 
 	var defragWg sync.WaitGroup
 	if opts.Defrag {
-		every := opts.DefragEvery
-		if every <= 0 {
-			every = 5 * time.Millisecond
-		}
 		defragWg.Add(1)
 		go func() {
 			defer defragWg.Done()
-			t := time.NewTicker(every)
+			t := time.NewTicker(defragPeriod)
 			defer t.Stop()
 			for {
 				select {
@@ -154,10 +149,10 @@ func ServeConcurrent(ctx context.Context, e *Engine, w *Workload, opts ServeOpti
 // serveWorker consumes one shard's event queue. Arrivals accumulate into a
 // batch that is flushed — decided by one joint AdmitBatch call — when the
 // queue momentarily empties (nothing else to amortize over), the batch hits
-// batchMax, or a departure needs the flows decided first. After an error the
+// BatchMax, or a departure needs the flows decided first. After an error the
 // worker keeps draining its queue so the dispatcher never blocks on a full
 // channel; the cancelled context stops the dispatch loop itself.
-func serveWorker(ctx context.Context, cancel context.CancelFunc, e *Engine, q chan Event, batchMax int, st *ServeStats) error {
+func serveWorker(ctx context.Context, cancel context.CancelFunc, e *Engine, q chan Event, st *ServeStats) error {
 	var batch []Flow
 	var werr error
 	fail := func(err error) {
@@ -207,7 +202,7 @@ func serveWorker(ctx context.Context, cancel context.CancelFunc, e *Engine, q ch
 			continue
 		}
 		batch = append(batch, ev.Flow)
-		if len(batch) >= batchMax || len(q) == 0 {
+		if len(batch) >= BatchMax || len(q) == 0 {
 			flush()
 		}
 	}

@@ -482,7 +482,7 @@ func TestServeConcurrentReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := ServeConcurrent(context.Background(), e, w, ServeOptions{Workers: 8, BatchMax: 8, Defrag: true, DefragEvery: time.Millisecond})
+	st, err := ServeConcurrent(context.Background(), e, w, ServeOptions{Workers: 8, Defrag: true})
 	if err != nil {
 		t.Fatal(err)
 	}

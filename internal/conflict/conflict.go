@@ -67,8 +67,7 @@ type Options struct {
 
 // Graph is a conflict graph over the directed links of a mesh network.
 type Graph struct {
-	net   *topology.Network
-	model Model
+	net *topology.Network
 	// n is the number of links (vertices); IDs are dense in [0, n).
 	n int
 	// words is the number of 64-bit words per adjacency row.
@@ -119,7 +118,6 @@ func Build(net *topology.Network, opts Options) (*Graph, error) {
 	n := len(links)
 	g := &Graph{
 		net:   net,
-		model: opts.Model,
 		n:     n,
 		words: (n + 63) / 64,
 		adj:   make([][]topology.LinkID, n),
@@ -188,9 +186,6 @@ func (g *Graph) row(a int) []uint64 {
 	return g.bits[a*g.words : (a+1)*g.words]
 }
 
-// Model returns the interference model the graph was built with.
-func (g *Graph) Model() Model { return g.model }
-
 // Network returns the underlying mesh network.
 func (g *Graph) Network() *topology.Network { return g.net }
 
@@ -203,17 +198,6 @@ func (g *Graph) Conflicts(a, b topology.LinkID) bool {
 		return false
 	}
 	return g.bits[int(a)*g.words+int(b)>>6]&(1<<(uint(b)&63)) != 0
-}
-
-// Neighbors returns the links conflicting with l, sorted ascending.
-// The slice is a copy; prefer VisitNeighbors on hot paths.
-func (g *Graph) Neighbors(l topology.LinkID) []topology.LinkID {
-	if l < 0 || int(l) >= g.n {
-		return nil
-	}
-	out := make([]topology.LinkID, len(g.adj[l]))
-	copy(out, g.adj[l])
-	return out
 }
 
 // VisitNeighbors calls fn for every link conflicting with l, in ascending

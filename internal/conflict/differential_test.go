@@ -107,23 +107,14 @@ func TestConflictsMatchesNaive(t *testing.T) {
 				if g.NumEdges() != edges {
 					t.Errorf("NumEdges = %d, want %d", g.NumEdges(), edges)
 				}
-				// Neighbors and VisitNeighbors must agree with the matrix.
+				// VisitNeighbors must agree with the matrix.
 				for _, l := range links {
-					var visited []topology.LinkID
+					var nbs []topology.LinkID
 					g.VisitNeighbors(l.ID, func(nb topology.LinkID) bool {
-						visited = append(visited, nb)
+						nbs = append(nbs, nb)
 						return true
 					})
-					nbs := g.Neighbors(l.ID)
-					if len(nbs) != len(visited) {
-						t.Fatalf("link %d: Neighbors len %d != VisitNeighbors len %d",
-							l.ID, len(nbs), len(visited))
-					}
 					for k := range nbs {
-						if nbs[k] != visited[k] {
-							t.Fatalf("link %d: Neighbors[%d]=%d != visited %d",
-								l.ID, k, nbs[k], visited[k])
-						}
 						if k > 0 && nbs[k-1] >= nbs[k] {
 							t.Fatalf("link %d: neighbors not sorted: %v", l.ID, nbs)
 						}

@@ -153,15 +153,17 @@ func TestAnalyticVsSimulated(t *testing.T) {
 					}
 
 					reg := obs.NewRegistry()
+					obs.SetDefault(reg)
 					capRes, err := sys.VoIPCapacityTDMA(CapacityConfig{
 						MaxCalls: 10,
-						Run:      RunConfig{Duration: time.Second, Seed: 7, Codec: cd.codec, QueueCap: qcap, Metrics: reg},
+						Run:      RunConfig{Duration: time.Second, Seed: 7, Codec: cd.codec, QueueCap: qcap},
 					})
+					obs.SetDefault(nil)
 					if err != nil {
 						t.Fatal(err)
 					}
-					h := reg.Counter("core.screen_bracket_hit").Value()
-					m := reg.Counter("core.screen_bracket_miss").Value()
+					counts := reg.Snapshot().Counters
+					h, m := counts["core.screen_bracket_hit"], counts["core.screen_bracket_miss"]
 					if h+m != 1 {
 						t.Fatalf("bracket accounting: hit=%d miss=%d, want exactly one verdict per search", h, m)
 					}

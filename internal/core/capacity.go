@@ -220,8 +220,8 @@ func (s *System) capacitySearch(cfg CapacityConfig, tdma bool) (*CapacityResult,
 	}
 	probeRun := cfg.Run
 	probeRun.AbortOnProvableFailure = true
-	reg := obs.Or(cfg.Run.Metrics)
-	tr := obs.OrTrace(cfg.Run.Trace)
+	reg := obs.Default()
+	tr := obs.DefaultTrace()
 	p := newProber(s.simProbe(cfg.Method, probeRun, tdma), seq.prepare)
 	p.instrument("full", reg, tr)
 	ap, err := s.analyticProber(cfg, tdma, seq.prepare)

@@ -43,11 +43,11 @@ func TestNewSystemOptions(t *testing.T) {
 		t.Fatal(err)
 	}
 	frame := tdma.FrameConfig{FrameDuration: 40 * time.Millisecond, DataSlots: 32}
-	sys, err := NewSystem(topo, WithFrame(frame), WithInterferenceRange(300))
+	sys, err := NewSystem(topo, WithFrame(frame))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sys.Frame.DataSlots != 32 || sys.InterferenceRange != 300 {
+	if sys.Frame.DataSlots != 32 {
 		t.Errorf("options not applied: %+v", sys)
 	}
 	if _, err := NewSystem(topo, WithFrame(tdma.FrameConfig{})); err == nil {

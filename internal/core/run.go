@@ -42,13 +42,6 @@ type RunConfig struct {
 	// false and no per-flow results; the pass/fail verdict is identical to
 	// the full-length run's, which is what capacity searches consume.
 	AbortOnProvableFailure bool
-	// Metrics, when set, receives the run's counters (MAC metrics, abort
-	// verdicts). Nil falls back to the process default (obs.Default); with
-	// neither, observability is off at zero cost.
-	Metrics *obs.Registry
-	// Trace, when set, receives the run's structured slot/abort events. Nil
-	// falls back to obs.DefaultTrace.
-	Trace *obs.Trace
 }
 
 // prepare is the prologue RunTDMA and RunDCF share: it rejects an empty flow
@@ -200,12 +193,6 @@ func (s *System) RunTDMA(plan *Plan, fs *topology.FlowSet, cfg RunConfig) (*RunR
 	if cfg.QueueCap > 0 {
 		macCfg.QueueCap = cfg.QueueCap
 	}
-	if cfg.Metrics != nil {
-		macCfg.Metrics = cfg.Metrics
-	}
-	if cfg.Trace != nil {
-		macCfg.Trace = cfg.Trace
-	}
 	// Delivered packets are recycled into a pool (the MAC hands over
 	// ownership at the callback); only packets the MAC drops are garbage.
 	var pktPool []*tdmaemu.Packet
@@ -250,7 +237,7 @@ func (s *System) RunTDMA(plan *Plan, fs *topology.FlowSet, cfg RunConfig) (*RunR
 	}
 	st := nw.Stats()
 	if aborted {
-		observeAbort(cfg, at)
+		observeAbort(at)
 		return &RunResult{Aborted: true, AbortedAt: at, TDMA: &st}, nil
 	}
 	res, err := assemble(fs, cs, cfg)
@@ -291,8 +278,6 @@ func (s *System) RunDCF(fs *topology.FlowSet, cfg RunConfig) (*RunResult, error)
 		DataRateBps: s.MAC.DataRateBps,
 		QueueCap:    cfg.QueueCap,
 		Seed:        cfg.Seed,
-		Metrics:     cfg.Metrics,
-		Trace:       cfg.Trace,
 	}
 	var pktPool []*dcf.Packet
 	nw, err := dcf.New(dcfCfg, s.Topo, kernel, s.InterferenceRange,
@@ -331,7 +316,7 @@ func (s *System) RunDCF(fs *topology.FlowSet, cfg RunConfig) (*RunResult, error)
 	}
 	st := nw.Stats()
 	if aborted {
-		observeAbort(cfg, at)
+		observeAbort(at)
 		return &RunResult{Aborted: true, AbortedAt: at, DCF: &st}, nil
 	}
 	res, err := assemble(fs, cs, cfg)
@@ -343,9 +328,9 @@ func (s *System) RunDCF(fs *topology.FlowSet, cfg RunConfig) (*RunResult, error)
 }
 
 // observeAbort records a quality-monitor abort.
-func observeAbort(cfg RunConfig, at time.Duration) {
-	obs.Or(cfg.Metrics).Counter("core.monitor_aborts").Inc()
-	obs.OrTrace(cfg.Trace).Emit(obs.Event{T: at, Kind: obs.KindAbort,
+func observeAbort(at time.Duration) {
+	obs.Default().Counter("core.monitor_aborts").Inc()
+	obs.DefaultTrace().Emit(obs.Event{T: at, Kind: obs.KindAbort,
 		Node: -1, Link: -1, Slot: -1, Frame: -1})
 }
 
@@ -413,8 +398,8 @@ func assemble(fs *topology.FlowSet, cs *collectorSet, cfg RunConfig) (*RunResult
 			// seconds-to-duration conversion is monotone, so converting the
 			// sorted floats yields the same ascending durations the old
 			// copy-and-sort path produced.
-			// SortedView (not Sorted): the floats are consumed into durs
-			// before the next observation, so the zero-copy view is safe.
+			// SortedView is a zero-copy view; it is safe because the floats
+			// are consumed into durs before the next observation.
 			durs := cs.durs[:0]
 			for _, x := range pr.delays.SortedView() {
 				durs = append(durs, time.Duration(x*float64(time.Second)))

@@ -37,12 +37,6 @@ func WithFrame(f tdma.FrameConfig) Option {
 	return optionFunc(func(s *System) { s.Frame = f })
 }
 
-// WithInterferenceRange overrides the interference/carrier-sense radius in
-// meters (default 250, i.e. 2.5x the generators' 100 m link spacing).
-func WithInterferenceRange(r float64) Option {
-	return optionFunc(func(s *System) { s.InterferenceRange = r })
-}
-
 // WithConflictModel overrides the interference model used for the conflict
 // graph. The default is conflict.ModelGeometric with the system's
 // InterferenceRange, which matches exactly the collision rule the simulated

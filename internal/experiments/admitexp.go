@@ -17,9 +17,10 @@ import (
 // through the incremental admission engine. Solves carry both a node budget
 // and a wall-clock limit — serving is about bounded decision latency, and an
 // infeasibility proof of the ordering ILP can take arbitrarily long. A blown
-// budget falls back to a single feasibility probe at the window cap
-// (admission needs *a* window within the cap, not the minimum) and only
-// rejects conservatively when that fails too, so borderline verdicts can
+// budget or time limit falls back to a first-fit witness in greedy order
+// under the window cap (admission needs *a* window within the cap, not the
+// minimum) and rejects conservatively when the witness does not fit, so
+// which solves run out of time, and with them borderline verdicts, can
 // flip run to run on the same host; the verdict/tier split, latency and
 // throughput columns are all wall-clock-dependent, which is why R19 has no
 // golden (see notPinned in golden_test.go).

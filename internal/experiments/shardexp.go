@@ -30,7 +30,6 @@ import (
 const (
 	r20Seed        = 42
 	r20SolveBudget = 2000
-	r20Batch       = 16
 	r20ZoneSize    = 2 * r18CommRange
 )
 
@@ -71,7 +70,7 @@ func r20Table(id string, points []r20Point, workerSet []int) (*Table, error) {
 			" m zones, seed " + fmt.Sprint(r20Seed) + "); frame 256 slots, window uncapped; Poisson" +
 			" arrivals all routed to the gateway (WiMAX-mesh pattern), 1 slot/link, holding long" +
 			" against the arrival span; workers 1 = serial admit.Serve, workers 8 = per-zone locking" +
-			" with joint batches of up to " + fmt.Sprint(r20Batch) + "; solves budgeted at " +
+			" with joint batches of up to " + fmt.Sprint(admit.BatchMax) + "; solves budgeted at " +
 			fmt.Sprint(r20SolveBudget) + " nodes, no wall-clock limit; 'wall ms', 'adm/s' and 'speedup'" +
 			" are host time (volatile), and the verdict and 'batched' columns drift between modes",
 	}
@@ -107,9 +106,7 @@ func r20Table(id string, points []r20Point, workerSet []int) (*Table, error) {
 			}
 			var st admit.ServeStats
 			if workers > 1 {
-				st, err = admit.ServeConcurrent(context.Background(), eng, w, admit.ServeOptions{
-					Workers: workers, BatchMax: r20Batch,
-				})
+				st, err = admit.ServeConcurrent(context.Background(), eng, w, admit.ServeOptions{Workers: workers})
 			} else {
 				st, err = admit.Serve(context.Background(), eng, w)
 			}

@@ -56,12 +56,6 @@ type Config struct {
 	// carrier sense reserves the medium around the receiver, mitigating
 	// hidden terminals at the cost of the handshake overhead.
 	RTSCTS bool
-	// Metrics, when set, receives the MAC's counters (attempts, defers,
-	// collisions, retry drops); nil falls back to the process default.
-	Metrics *obs.Registry
-	// Trace, when set, receives tx_attempt/defer structured events; nil
-	// falls back to obs.DefaultTrace.
-	Trace *obs.Trace
 }
 
 func (c *Config) applyDefaults() {
@@ -207,8 +201,8 @@ func New(cfg Config, topo *topology.Network, kernel *sim.Kernel, interferenceRan
 			return nil, err
 		}
 	}
-	reg := obs.Or(cfg.Metrics)
-	nw.trace = obs.OrTrace(cfg.Trace)
+	reg := obs.Default()
+	nw.trace = obs.DefaultTrace()
 	nw.obsAttempts = reg.Counter("dcf.tx_attempts")
 	nw.obsDefers = reg.Counter("dcf.defers")
 	nw.obsCollided = reg.Counter("dcf.collisions")
@@ -226,9 +220,6 @@ func New(cfg Config, topo *topology.Network, kernel *sim.Kernel, interferenceRan
 	}
 	return nw, nil
 }
-
-// Medium exposes the underlying medium (stats, tests).
-func (nw *Network) Medium() *mac.Medium { return nw.medium }
 
 // Stats returns a copy of the counters.
 func (nw *Network) Stats() Stats { return nw.stats }

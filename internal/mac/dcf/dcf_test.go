@@ -311,7 +311,7 @@ func TestChannelLossRetransmitted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := nw.Medium().SetLossModel(func(_, _ topology.NodeID) float64 { return 0.3 }, 14); err != nil {
+	if err := nw.medium.SetLossModel(func(_, _ topology.NodeID) float64 { return 0.3 }, 14); err != nil {
 		t.Fatal(err)
 	}
 	for j := 0; j < 100; j++ {

@@ -239,17 +239,6 @@ func (m *Medium) SetReceiver(n topology.NodeID, fn DeliverFunc) error {
 	return nil
 }
 
-// Audible reports whether a transmission by from is audible at at.
-func (m *Medium) Audible(from, at topology.NodeID) (bool, error) {
-	if from == at {
-		return true, nil
-	}
-	if !m.hasNode(from) || !m.hasNode(at) {
-		return false, fmt.Errorf("mac: audibility %d-%d: %w", from, at, topology.ErrNodeNotFound)
-	}
-	return m.audibleFast(from, at), nil
-}
-
 // Busy reports whether the channel is busy at node n (any audible active
 // transmission, including n's own).
 func (m *Medium) Busy(n topology.NodeID) bool {
@@ -475,13 +464,4 @@ func (m *Medium) BusyTime(n topology.NodeID) time.Duration {
 		return 0
 	}
 	return m.busyTime[n]
-}
-
-// Utilization returns BusyTime over the elapsed virtual time, in [0, 1].
-func (m *Medium) Utilization(n topology.NodeID) float64 {
-	now := m.kernel.Now()
-	if now == 0 {
-		return 0
-	}
-	return float64(m.BusyTime(n)) / float64(now)
 }

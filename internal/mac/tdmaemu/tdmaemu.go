@@ -81,14 +81,6 @@ type Config struct {
 	// immediate (the 802.16 ARQ feedback IE arrives well before the next
 	// frame's window).
 	ARQRetries int
-	// Metrics, when set, receives the MAC's counters (per-node guard
-	// overruns, sync-error gauges, slot/transmission totals). Nil falls back
-	// to the process default (obs.Default); with neither, metrics are off at
-	// zero cost.
-	Metrics *obs.Registry
-	// Trace, when set, receives per-slot structured events (slot_start,
-	// guard_overrun, violation). Nil falls back to obs.DefaultTrace.
-	Trace *obs.Trace
 }
 
 // Defaulted returns the configuration with all defaults filled in, so
@@ -270,8 +262,8 @@ func New(cfg Config, topo *topology.Network, kernel *sim.Kernel, sched *tdma.Sch
 			return nil, err
 		}
 	}
-	reg := obs.Or(cfg.Metrics)
-	tr := obs.OrTrace(cfg.Trace)
+	reg := obs.Default()
+	tr := obs.DefaultTrace()
 	if reg != nil || tr != nil {
 		nw.obsOn = true
 		nw.trace = tr

@@ -60,12 +60,6 @@ type Config struct {
 	Modulation phy.Modulation
 	// QueueCap bounds each link queue (default 64).
 	QueueCap int
-	// Metrics, when set, receives the MAC's counters; nil falls back to the
-	// process default (obs.Default).
-	Metrics *obs.Registry
-	// Trace, when set, receives per-slot structured events; nil falls back
-	// to obs.DefaultTrace.
-	Trace *obs.Trace
 }
 
 func (c *Config) applyDefaults() {
@@ -152,8 +146,8 @@ func New(cfg Config, topo *topology.Network, kernel *sim.Kernel, sched *tdma.Sch
 			return nil, err
 		}
 	}
-	reg := obs.Or(cfg.Metrics)
-	nw.trace = obs.OrTrace(cfg.Trace)
+	reg := obs.Default()
+	nw.trace = obs.DefaultTrace()
 	nw.obsSlots = reg.Counter("wimax.slots_served")
 	nw.obsTx = reg.Counter("wimax.transmissions")
 	nw.obsViolations = reg.Counter("wimax.violations")
@@ -315,26 +309,4 @@ func SlotCapacityBytes(cfg Config, frame tdma.FrameConfig, packetBytes int) (int
 	}
 	pdu := packetBytes + GenericMACHeaderBytes + CRCBytes
 	return (capacity / pdu) * packetBytes, nil
-}
-
-// SlotEfficiency returns the fraction of a slot's airtime carrying IP
-// payload under the native PHY — the counterpart of
-// tdmaemu.SlotEfficiency.
-func SlotEfficiency(cfg Config, frame tdma.FrameConfig, packetBytes int) (float64, error) {
-	cfg.applyDefaults()
-	bytes, err := SlotCapacityBytes(cfg, frame, packetBytes)
-	if err != nil {
-		return 0, err
-	}
-	symbol, err := cfg.PHY.SymbolTime()
-	if err != nil {
-		return 0, err
-	}
-	bytesPerSym, err := cfg.PHY.BytesPerSymbol(cfg.Modulation)
-	if err != nil {
-		return 0, err
-	}
-	// Payload airtime at the profile's rate vs the slot duration.
-	payloadTime := float64(bytes) / float64(bytesPerSym) * symbol.Seconds()
-	return payloadTime / frame.SlotDuration().Seconds(), nil
 }

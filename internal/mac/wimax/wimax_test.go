@@ -134,18 +134,6 @@ func TestSlotCapacityArithmetic(t *testing.T) {
 	}
 }
 
-func TestNativeEfficiencyBeatsEmulation(t *testing.T) {
-	frame := testFrame()
-	eff, err := SlotEfficiency(Config{}, frame, 200)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Native voice efficiency: ~80%+ of the slot carries payload bits.
-	if eff < 0.7 || eff > 1 {
-		t.Errorf("native voice efficiency = %g", eff)
-	}
-}
-
 func TestNativeValidation(t *testing.T) {
 	cfg := testFrame()
 	net, sched, path := chainSetup(t, 3, cfg)

@@ -50,38 +50,6 @@ func FuzzUnmarshalDSCH(f *testing.F) {
 	})
 }
 
-func FuzzUnmarshalNCFG(f *testing.F) {
-	seed := &NCFG{Sender: 1, FrameNumber: 42, HoldoffExp: 2,
-		Neighbors: []NeighborEntry{{ID: 2, Hops: 1, HoldoffExp: 3}}}
-	wire, err := seed.Marshal()
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(wire)
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := UnmarshalNCFG(data)
-		if err != nil {
-			return
-		}
-		re, err := m.Marshal()
-		if err != nil {
-			t.Fatalf("decoded NCFG failed to re-encode: %v", err)
-		}
-		m2, err := UnmarshalNCFG(re)
-		if err != nil {
-			t.Fatalf("re-encoded NCFG failed to decode: %v", err)
-		}
-		re2, err := m2.Marshal()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(re, re2) {
-			t.Fatalf("encoding not canonical:\n %x\n %x", re, re2)
-		}
-	})
-}
-
 func FuzzUnmarshalCSCH(f *testing.F) {
 	seed := &CSCH{Sender: 3, Type: CSCHRequest,
 		Entries: []CSCHFlowEntry{{Link: 5, Demand: 2}}}

@@ -7,42 +7,6 @@ import (
 	"testing/quick"
 )
 
-func TestNCFGRoundTrip(t *testing.T) {
-	in := &NCFG{
-		Sender:      42,
-		FrameNumber: 123456,
-		HoldoffExp:  3,
-		Neighbors: []NeighborEntry{
-			{ID: 7, Hops: 1, HoldoffExp: 2},
-			{ID: 9, Hops: 2, HoldoffExp: 0},
-		},
-	}
-	wire, err := in.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := UnmarshalNCFG(wire)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(in, out) {
-		t.Errorf("round trip mismatch:\n in: %+v\nout: %+v", in, out)
-	}
-}
-
-func TestNCFGTruncated(t *testing.T) {
-	in := &NCFG{Sender: 1, Neighbors: []NeighborEntry{{ID: 2}}}
-	wire, err := in.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for cut := 0; cut < len(wire); cut++ {
-		if _, err := UnmarshalNCFG(wire[:cut]); !errors.Is(err, ErrTruncated) {
-			t.Errorf("cut %d: got %v, want ErrTruncated", cut, err)
-		}
-	}
-}
-
 func TestDSCHRoundTrip(t *testing.T) {
 	in := &DSCH{
 		Sender: 5,
@@ -151,13 +115,13 @@ func TestSlotMapBasics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Limit() != 16 || m.FreeCount() != 16 {
-		t.Fatalf("fresh map: limit %d free %d", m.Limit(), m.FreeCount())
+	if m.Limit() != 16 || !m.RangeFree(0, 16) {
+		t.Fatalf("fresh map: limit %d, free %t", m.Limit(), m.RangeFree(0, 16))
 	}
 	if err := m.Mark(4, 4); err != nil {
 		t.Fatal(err)
 	}
-	if m.FreeCount() != 12 || !m.Busy(5) || m.Busy(8) {
+	if !m.Busy(4) || !m.Busy(7) || m.Busy(3) || m.Busy(8) {
 		t.Error("mark wrong")
 	}
 	if m.RangeFree(2, 4) {
@@ -166,14 +130,10 @@ func TestSlotMapBasics(t *testing.T) {
 	if !m.RangeFree(8, 8) {
 		t.Error("free range reported busy")
 	}
-	start, ok := m.FindFree(4)
-	if !ok || start != 0 {
-		t.Errorf("FindFree = %d, %t; want 0, true", start, ok)
-	}
 	if err := m.Clear(4, 4); err != nil {
 		t.Fatal(err)
 	}
-	if m.FreeCount() != 16 {
+	if !m.RangeFree(0, 16) {
 		t.Error("clear wrong")
 	}
 	if err := m.Mark(15, 2); err == nil {
@@ -181,29 +141,5 @@ func TestSlotMapBasics(t *testing.T) {
 	}
 	if _, err := NewSlotMap(1000); err == nil {
 		t.Error("oversized map accepted")
-	}
-}
-
-func TestSlotMapFindFreeAcrossMaps(t *testing.T) {
-	a, err := NewSlotMap(8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := NewSlotMap(8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Mark(0, 4); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Mark(6, 2); err != nil {
-		t.Fatal(err)
-	}
-	start, ok := a.FindFree(2, b)
-	if !ok || start != 4 {
-		t.Errorf("FindFree across = %d, %t; want 4, true", start, ok)
-	}
-	if _, ok := a.FindFree(3, b); ok {
-		t.Error("found 3 free joint slots, only [4,6) exists")
 	}
 }

@@ -1,7 +1,7 @@
 // Package mesh16 implements the IEEE 802.16 mesh control plane that the
-// emulation carries in the frame's control subframe: the MSH-NCFG (network
-// configuration) and MSH-DSCH (distributed schedule) messages with their
-// wire encoding, the mesh election algorithm that arbitrates control-slot
+// emulation carries in the frame's control subframe: the MSH-DSCH
+// (distributed schedule) and MSH-CSCH (centralized schedule) messages with
+// their wire encoding, the mesh election algorithm that arbitrates control-slot
 // access, and the three-way request/grant/confirm handshake of distributed
 // (uncoordinated) minislot scheduling.
 //
@@ -43,27 +43,6 @@ var (
 	ErrTruncated = errors.New("mesh16: truncated message")
 	ErrBadField  = errors.New("mesh16: bad field")
 )
-
-// NeighborEntry describes one neighbor in an MSH-NCFG.
-type NeighborEntry struct {
-	ID NodeID16
-	// Hops is the neighbor's distance from the gateway (for sync trees).
-	Hops uint8
-	// HoldoffExp is the neighbor's advertised election holdoff exponent.
-	HoldoffExp uint8
-}
-
-// NCFG is the MSH-NCFG network-configuration message: the periodic control
-// broadcast carrying synchronization and neighborhood state.
-type NCFG struct {
-	Sender NodeID16
-	// FrameNumber timestamps the transmission for beacon synchronization.
-	FrameNumber uint32
-	// HoldoffExp is the sender's election holdoff exponent.
-	HoldoffExp uint8
-	// Neighbors lists the sender's one-hop neighborhood.
-	Neighbors []NeighborEntry
-}
 
 // Request asks a peer for minislots.
 type Request struct {
@@ -114,47 +93,6 @@ type DSCH struct {
 }
 
 // --- wire encoding (big-endian, length-prefixed sections) ---
-
-// Marshal encodes the NCFG.
-func (m *NCFG) Marshal() ([]byte, error) {
-	if len(m.Neighbors) > maxEntries {
-		return nil, fmt.Errorf("%w: %d neighbors", ErrBadField, len(m.Neighbors))
-	}
-	buf := make([]byte, 0, 8+3*len(m.Neighbors))
-	buf = binary.BigEndian.AppendUint16(buf, uint16(m.Sender))
-	buf = binary.BigEndian.AppendUint32(buf, m.FrameNumber)
-	buf = append(buf, m.HoldoffExp, uint8(len(m.Neighbors)))
-	for _, n := range m.Neighbors {
-		buf = binary.BigEndian.AppendUint16(buf, uint16(n.ID))
-		buf = append(buf, n.Hops, n.HoldoffExp)
-	}
-	return buf, nil
-}
-
-// UnmarshalNCFG decodes an NCFG.
-func UnmarshalNCFG(b []byte) (*NCFG, error) {
-	if len(b) < 8 {
-		return nil, fmt.Errorf("%w: NCFG header (%d bytes)", ErrTruncated, len(b))
-	}
-	m := &NCFG{
-		Sender:      NodeID16(binary.BigEndian.Uint16(b[0:2])),
-		FrameNumber: binary.BigEndian.Uint32(b[2:6]),
-		HoldoffExp:  b[6],
-	}
-	n := int(b[7])
-	b = b[8:]
-	if len(b) < 4*n {
-		return nil, fmt.Errorf("%w: NCFG neighbors (%d of %d)", ErrTruncated, len(b)/4, n)
-	}
-	for i := 0; i < n; i++ {
-		m.Neighbors = append(m.Neighbors, NeighborEntry{
-			ID:         NodeID16(binary.BigEndian.Uint16(b[4*i : 4*i+2])),
-			Hops:       b[4*i+2],
-			HoldoffExp: b[4*i+3],
-		})
-	}
-	return m, nil
-}
 
 // Marshal encodes the DSCH.
 func (m *DSCH) Marshal() ([]byte, error) {

@@ -62,42 +62,3 @@ func (s *SlotMap) RangeFree(start, length int) bool {
 	}
 	return true
 }
-
-// FindFree returns the first start of a free run of the given length
-// considering this map and every other map in also (a slot must be free in
-// all of them).
-func (s *SlotMap) FindFree(length int, also ...*SlotMap) (int, bool) {
-	if length <= 0 || length > s.limit {
-		return 0, false
-	}
-	run := 0
-	for i := 0; i < s.limit; i++ {
-		free := !s.busy[i]
-		for _, o := range also {
-			if o.Busy(i) {
-				free = false
-				break
-			}
-		}
-		if free {
-			run++
-			if run == length {
-				return i - length + 1, true
-			}
-		} else {
-			run = 0
-		}
-	}
-	return 0, false
-}
-
-// FreeCount returns the number of free slots.
-func (s *SlotMap) FreeCount() int {
-	n := 0
-	for i := 0; i < s.limit; i++ {
-		if !s.busy[i] {
-			n++
-		}
-	}
-	return n
-}

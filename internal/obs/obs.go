@@ -15,16 +15,17 @@
 // registry can safely aggregate across meshbench's concurrent scenario runs
 // or the concurrent zone solves of the partitioned planner.
 //
-// Components resolve their sink in two steps: an explicit handle wins (e.g.
-// tdmaemu.Config.Metrics), otherwise the process default installed by
-// SetDefault/SetDefaultTrace (what cmd/meshbench and cmd/meshsim use for
-// -metrics-out/-trace). With neither, observability is off.
+// Components resolve their sink once, when they are built: the process
+// default installed by SetDefault/SetDefaultTrace (what cmd/meshbench and
+// cmd/meshsim install for -metrics-out/-trace). With none installed,
+// observability is off. The admission engine is the one exception: it takes
+// its registry explicitly (admit.Config.Registry), so a server can run
+// engines that report to different registries.
 package obs
 
 import (
 	"encoding/json"
 	"io"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -49,14 +50,6 @@ func (c *Counter) Add(n uint64) {
 	}
 }
 
-// Value returns the current count (0 for nil).
-func (c *Counter) Value() uint64 {
-	if c == nil {
-		return 0
-	}
-	return c.v.Load()
-}
-
 // Gauge is a last-value-wins metric. The nil Gauge discards all updates.
 type Gauge struct {
 	v atomic.Int64
@@ -67,14 +60,6 @@ func (g *Gauge) Set(v int64) {
 	if g != nil {
 		g.v.Store(v)
 	}
-}
-
-// Value returns the last set value (0 for nil).
-func (g *Gauge) Value() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.v.Load()
 }
 
 // Histogram is a fixed-width histogram over [min, max); out-of-range
@@ -105,16 +90,6 @@ func (h *Histogram) Observe(x float64) {
 	h.counts[i]++
 	h.total++
 	h.mu.Unlock()
-}
-
-// Total returns the number of observations (0 for nil).
-func (h *Histogram) Total() uint64 {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.total
 }
 
 // Registry holds named metrics. Handles are get-or-create and stable for the
@@ -262,21 +237,6 @@ func (r *Registry) Snapshot() Snapshot {
 	return s
 }
 
-// CounterNames returns the registered counter names in ascending order.
-func (r *Registry) CounterNames() []string {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]string, 0, len(r.counts))
-	for name := range r.counts {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // WriteJSON writes the snapshot as indented JSON.
 func (s Snapshot) WriteJSON(w io.Writer) error {
 	buf, err := json.MarshalIndent(s, "", "  ")
@@ -288,9 +248,8 @@ func (s Snapshot) WriteJSON(w io.Writer) error {
 }
 
 // Process-default sink. Installed by the CLI front ends when -metrics-out or
-// -trace is set; nil (observability off) otherwise. Components deep in the
-// stack that cannot be threaded a handle (the MILP solver, the experiment
-// harness's networks) fall back to these.
+// -trace is set; nil (observability off) otherwise. Every instrumented
+// component except the admission engine reads these when it is built.
 var (
 	defaultReg   atomic.Pointer[Registry]
 	defaultTrace atomic.Pointer[Trace]
@@ -309,20 +268,3 @@ func DefaultTrace() *Trace { return defaultTrace.Load() }
 
 // SetDefaultTrace installs (or removes) the process-default trace sink.
 func SetDefaultTrace(t *Trace) { defaultTrace.Store(t) }
-
-// Or returns r when non-nil, the process default otherwise. The standard
-// resolution rule for components with an explicit-config handle.
-func Or(r *Registry) *Registry {
-	if r != nil {
-		return r
-	}
-	return Default()
-}
-
-// OrTrace returns t when non-nil, the process default otherwise.
-func OrTrace(t *Trace) *Trace {
-	if t != nil {
-		return t
-	}
-	return DefaultTrace()
-}

@@ -104,8 +104,8 @@ func TestSnapshotAndReset(t *testing.T) {
 	}
 
 	r.Reset()
-	if c.Value() != 0 || g.Value() != 0 || h.Total() != 0 {
-		t.Error("reset did not zero metrics")
+	if s := r.Snapshot(); s.Counters["pkts"] != 0 || s.Gauges["depth"] != 0 || s.Histograms["err_ns"].Total != 0 {
+		t.Errorf("reset did not zero metrics: %+v", s)
 	}
 	c.Inc() // handles must survive a reset
 	if r.Snapshot().Counters["pkts"] != 1 {
@@ -120,27 +120,13 @@ func TestSnapshotAndReset(t *testing.T) {
 	}
 }
 
-func TestCounterNames(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("b")
-	r.Counter("a")
-	names := r.CounterNames()
-	if len(names) != 2 || names[0] != "a" || names[1] != "b" {
-		t.Errorf("CounterNames = %v, want [a b]", names)
-	}
-	var nilReg *Registry
-	if nilReg.CounterNames() != nil {
-		t.Error("nil registry CounterNames non-nil")
-	}
-}
-
 func TestTraceRingWrap(t *testing.T) {
 	tr := NewTrace(3)
 	for i := 0; i < 5; i++ {
 		tr.Emit(Event{A: int64(i)})
 	}
-	if tr.Total() != 5 {
-		t.Errorf("total = %d, want 5", tr.Total())
+	if tr.total != 5 {
+		t.Errorf("total = %d, want 5", tr.total)
 	}
 	if tr.Dropped() != 2 {
 		t.Errorf("dropped = %d, want 2", tr.Dropped())
@@ -208,12 +194,8 @@ func TestDefaultInstallation(t *testing.T) {
 		SetDefault(nil)
 		SetDefaultTrace(nil)
 	}()
-	if Or(nil) != r || OrTrace(nil) != tr {
-		t.Error("Or/OrTrace did not fall back to installed defaults")
-	}
-	explicit := NewRegistry()
-	if Or(explicit) != explicit {
-		t.Error("Or did not prefer the explicit registry")
+	if Default() != r || DefaultTrace() != tr {
+		t.Error("Default/DefaultTrace did not return the installed sinks")
 	}
 }
 

@@ -138,17 +138,6 @@ func (t *Trace) Emit(e Event) {
 	t.mu.Unlock()
 }
 
-// Total returns how many events were emitted over the trace's lifetime,
-// including any the ring has since overwritten.
-func (t *Trace) Total() uint64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.total
-}
-
 // Dropped returns how many emitted events the ring has overwritten.
 func (t *Trace) Dropped() uint64 {
 	if t == nil {

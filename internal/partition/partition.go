@@ -417,14 +417,6 @@ func forEachZone(n, workers int, fn func(int)) {
 	}
 }
 
-// byDemand is the first-fit-decreasing order: heaviest block first, then link.
-func byDemand(a, b tdma.Assignment) int {
-	if a.Length != b.Length {
-		return b.Length - a.Length
-	}
-	return int(a.Link - b.Link)
-}
-
 // stitch merges the zones' blocks — one per demanded link, at its zone-local
 // start (the hint) — into one global conflict-free schedule. No single merge
 // heuristic dominates — preserving zone slots wins when zones are loosely
@@ -479,7 +471,7 @@ func stitch(p *schedule.Problem, dec *Decomposition, entries []tdma.Assignment, 
 	consider(placeList(p, cfg, entries, tdma.ByStart))
 	consider(placeHintPreserve(p, cfg, entries, halo))
 	consider(placeList(p, cfg, entries, byID))
-	consider(placeList(p, cfg, entries, byDemand))
+	consider(placeList(p, cfg, entries, tdma.ByDemand))
 	if best == nil {
 		return nil, 0, firstErr
 	}
@@ -529,7 +521,7 @@ func placeHintPreserve(p *schedule.Problem, cfg tdma.FrameConfig, entries []tdma
 		pk.Add(e)
 		placed = append(placed, e)
 	}
-	slices.SortFunc(halos, byDemand)
+	slices.SortFunc(halos, tdma.ByDemand)
 	for _, h := range halos {
 		if !pk.Free(h) {
 			if h.Start = pk.FirstFit(h.Link, h.Length, p.FrameSlots, nil); h.Start < 0 {

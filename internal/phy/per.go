@@ -1,53 +1,6 @@
 package phy
 
-import (
-	"errors"
-	"math"
-)
-
-// PERModel maps link distance to frame error rate with a logistic curve:
-// clean at short range, degrading around D50 (the distance of 50% frame
-// loss) with the given transition width. It stands in for the SNR-vs-BER
-// math of a real receiver: what matters to the MAC and routing layers is
-// only the shape — reliable short links, lossy marginal ones.
-type PERModel struct {
-	// D50 is the distance (meters) at which half the frames are lost.
-	D50 float64
-	// Width controls how fast the transition happens (meters; smaller =
-	// sharper cliff).
-	Width float64
-}
-
-// DefaultPERModel returns a curve matched to the generators' geometry:
-// links up to ~150 m are clean, 250 m loses half its frames.
-func DefaultPERModel() PERModel {
-	return PERModel{D50: 250, Width: 25}
-}
-
-// Validate checks the model parameters.
-func (m PERModel) Validate() error {
-	if m.D50 <= 0 || m.Width <= 0 {
-		return errors.New("phy: PER model needs positive D50 and Width")
-	}
-	return nil
-}
-
-// PER returns the frame error rate at the given distance, in [0, 1].
-func (m PERModel) PER(distance float64) float64 {
-	if distance <= 0 {
-		return 0
-	}
-	p := 1 / (1 + math.Exp(-(distance-m.D50)/m.Width))
-	// Clamp the tails: links well inside the clean region are exactly
-	// clean (no residual loss floor), links far beyond D50 are dead.
-	if p < 0.005 {
-		return 0
-	}
-	if p > 0.995 {
-		return 1
-	}
-	return p
-}
+import "math"
 
 // ETX returns the expected transmissions to cross a link with the given
 // frame error rate (unacknowledged direction: 1/(1-per)). A per of 1 yields

@@ -68,14 +68,6 @@ func IEEE80211b() WiFiPHY {
 	}
 }
 
-// IEEE80211bShort returns 802.11b with the short (96 us) preamble.
-func IEEE80211bShort() WiFiPHY {
-	p := IEEE80211b()
-	p.Name = "802.11b-short"
-	p.PreambleHeader = 96 * time.Microsecond
-	return p
-}
-
 // IEEE80211a returns the 802.11a OFDM PHY (5 GHz): 20 us preamble, 4 us
 // symbols, 6-54 Mb/s.
 func IEEE80211a() WiFiPHY {
@@ -91,15 +83,6 @@ func IEEE80211a() WiFiPHY {
 		RatesBps:        []float64{6e6, 9e6, 12e6, 18e6, 24e6, 36e6, 48e6, 54e6},
 		BasicRateBps:    6e6,
 	}
-}
-
-// IEEE80211g returns the 802.11g ERP-OFDM PHY (2.4 GHz, no protection).
-func IEEE80211g() WiFiPHY {
-	p := IEEE80211a()
-	p.Name = "802.11g"
-	p.SlotTime = 9 * time.Microsecond
-	p.SIFS = 10 * time.Microsecond
-	return p
 }
 
 // DIFS returns the DCF interframe space: SIFS + 2 slots.

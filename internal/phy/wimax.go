@@ -89,45 +89,3 @@ func (w WiMAXPHY) BytesPerSymbol(m Modulation) (int, error) {
 	}
 	return b, nil
 }
-
-// RateBps returns the nominal PHY rate of the burst profile.
-func (w WiMAXPHY) RateBps(m Modulation) (float64, error) {
-	b, err := w.BytesPerSymbol(m)
-	if err != nil {
-		return 0, err
-	}
-	ts, err := w.SymbolTime()
-	if err != nil {
-		return 0, err
-	}
-	return float64(8*b) / ts.Seconds(), nil
-}
-
-// SymbolsForBytes returns the number of OFDM symbols needed to carry n bytes
-// under the burst profile, including the mesh long preamble overhead
-// (preambleSymbols, typically 1 for data bursts).
-func (w WiMAXPHY) SymbolsForBytes(n int, m Modulation, preambleSymbols int) (int, error) {
-	if n < 0 {
-		return 0, fmt.Errorf("phy: negative byte count %d", n)
-	}
-	b, err := w.BytesPerSymbol(m)
-	if err != nil {
-		return 0, err
-	}
-	syms := (n + b - 1) / b
-	return syms + preambleSymbols, nil
-}
-
-// BurstTime returns the airtime of an n-byte burst (preambleSymbols of
-// preamble plus payload symbols).
-func (w WiMAXPHY) BurstTime(n int, m Modulation, preambleSymbols int) (time.Duration, error) {
-	syms, err := w.SymbolsForBytes(n, m, preambleSymbols)
-	if err != nil {
-		return 0, err
-	}
-	ts, err := w.SymbolTime()
-	if err != nil {
-		return 0, err
-	}
-	return time.Duration(syms) * ts, nil
-}

@@ -47,14 +47,14 @@ func Greedy(p *Problem, cfg tdma.FrameConfig) (*tdma.Schedule, error) {
 }
 
 // GreedyOrder is p's demand as one block per active link at slot 0, in
-// Greedy's order: demand descending, then link ID (tdma.ByStart).
+// Greedy's order: demand descending, then link ID (tdma.ByDemand).
 func GreedyOrder(p *Problem) []tdma.Assignment {
 	links := p.activeLinks()
 	blocks := make([]tdma.Assignment, len(links))
 	for i, l := range links {
 		blocks[i] = tdma.Assignment{Link: l, Length: p.Demand[l]}
 	}
-	slices.SortFunc(blocks, tdma.ByStart)
+	slices.SortFunc(blocks, tdma.ByDemand)
 	return blocks
 }
 

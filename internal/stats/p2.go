@@ -37,9 +37,6 @@ func (p *P2Quantile) Reset(q float64) error {
 	return nil
 }
 
-// Count returns the number of observations seen.
-func (p *P2Quantile) Count() int { return p.n }
-
 // Ready reports whether the estimator has seen enough observations (five)
 // to produce an estimate.
 func (p *P2Quantile) Ready() bool { return p.n >= 5 }

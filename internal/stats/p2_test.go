@@ -36,8 +36,8 @@ func TestP2QuantileSmallSamples(t *testing.T) {
 	if got := p.Estimate(); got != 3 {
 		t.Errorf("small-sample 0.99 estimate = %g, want 3 (max)", got)
 	}
-	if p.Count() != 3 {
-		t.Errorf("count = %d", p.Count())
+	if p.n != 3 {
+		t.Errorf("count = %d", p.n)
 	}
 }
 
@@ -87,8 +87,8 @@ func TestP2QuantileReset(t *testing.T) {
 	if err := p.Reset(0.5); err != nil {
 		t.Fatal(err)
 	}
-	if p.Count() != 0 || p.Ready() {
-		t.Errorf("reset left state: count=%d ready=%v", p.Count(), p.Ready())
+	if p.n != 0 || p.Ready() {
+		t.Errorf("reset left state: count=%d ready=%v", p.n, p.Ready())
 	}
 	if err := p.Reset(2); err == nil {
 		t.Error("Reset(2) accepted")
@@ -133,7 +133,7 @@ func TestSampleIncrementalSortMatchesFull(t *testing.T) {
 		}
 	}
 	// The sorted view must be ascending and the full multiset.
-	sv := s.Sorted()
+	sv := s.SortedView()
 	if len(sv) != len(ref) {
 		t.Fatalf("sorted view length %d, want %d", len(sv), len(ref))
 	}
@@ -159,8 +159,8 @@ func TestSampleReset(t *testing.T) {
 		t.Errorf("Max after reset: %v", err)
 	}
 	s.Add(42)
-	if v, err := s.Min(); err != nil || v != 42 {
-		t.Errorf("Min after reuse = %g, %v", v, err)
+	if v, err := s.Max(); err != nil || v != 42 {
+		t.Errorf("Max after reuse = %g, %v", v, err)
 	}
 }
 

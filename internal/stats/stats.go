@@ -1,6 +1,6 @@
 // Package stats provides the small statistics toolkit used by the
-// simulations and benchmarks: streaming moments, sample collectors with
-// quantiles and confidence intervals, and fixed-width histograms.
+// simulations and experiments: a sample collector with exact quantiles and
+// the P² streaming quantile estimator.
 package stats
 
 import (
@@ -13,39 +13,6 @@ import (
 
 // ErrEmpty reports a statistic requested of an empty collector.
 var ErrEmpty = errors.New("stats: empty")
-
-// Welford accumulates streaming mean and variance (Welford's algorithm).
-// The zero value is ready to use.
-type Welford struct {
-	n    uint64
-	mean float64
-	m2   float64
-}
-
-// Add incorporates one observation.
-func (w *Welford) Add(x float64) {
-	w.n++
-	d := x - w.mean
-	w.mean += d / float64(w.n)
-	w.m2 += d * (x - w.mean)
-}
-
-// Count returns the number of observations.
-func (w *Welford) Count() uint64 { return w.n }
-
-// Mean returns the running mean (0 for an empty accumulator).
-func (w *Welford) Mean() float64 { return w.mean }
-
-// Variance returns the unbiased sample variance.
-func (w *Welford) Variance() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return w.m2 / float64(w.n-1)
-}
-
-// Stddev returns the sample standard deviation.
-func (w *Welford) Stddev() float64 { return math.Sqrt(w.Variance()) }
 
 // Sample collects observations for quantile and CI queries.
 // The zero value is ready to use.
@@ -95,23 +62,6 @@ func (s *Sample) Mean() (float64, error) {
 	return sum / float64(len(s.xs)), nil
 }
 
-// Stddev returns the unbiased sample standard deviation.
-func (s *Sample) Stddev() (float64, error) {
-	if len(s.xs) < 2 {
-		return 0, ErrEmpty
-	}
-	m, err := s.Mean()
-	if err != nil {
-		return 0, err
-	}
-	ss := 0.0
-	for _, x := range s.xs {
-		d := x - m
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(len(s.xs)-1)), nil
-}
-
 // Quantile returns the q-quantile (0 <= q <= 1) by linear interpolation of
 // the order statistics.
 func (s *Sample) Quantile(q float64) (float64, error) {
@@ -135,15 +85,6 @@ func (s *Sample) Quantile(q float64) (float64, error) {
 	return s.xs[lo]*(1-frac) + s.xs[hi]*frac, nil
 }
 
-// Min returns the smallest observation.
-func (s *Sample) Min() (float64, error) {
-	if len(s.xs) == 0 {
-		return 0, ErrEmpty
-	}
-	s.sort()
-	return s.xs[0], nil
-}
-
 // Max returns the largest observation.
 func (s *Sample) Max() (float64, error) {
 	if len(s.xs) == 0 {
@@ -151,19 +92,6 @@ func (s *Sample) Max() (float64, error) {
 	}
 	s.sort()
 	return s.xs[len(s.xs)-1], nil
-}
-
-// CI95 returns the half-width of the 95% confidence interval of the mean,
-// using Student-t critical values (normal approximation beyond n=30).
-func (s *Sample) CI95() (float64, error) {
-	if len(s.xs) < 2 {
-		return 0, ErrEmpty
-	}
-	sd, err := s.Stddev()
-	if err != nil {
-		return 0, err
-	}
-	return tCrit95(len(s.xs)-1) * sd / math.Sqrt(float64(len(s.xs))), nil
 }
 
 func (s *Sample) sort() {
@@ -201,18 +129,10 @@ func (s *Sample) sort() {
 	s.sortedLen = len(out)
 }
 
-// Sorted returns the observations in ascending order as a freshly allocated
-// copy, safe to retain across later Adds or Resets. Hot paths that consume
-// the order immediately should use SortedView, which does not allocate.
-func (s *Sample) Sorted() []float64 {
-	s.sort()
-	return append([]float64(nil), s.xs...)
-}
-
 // SortedView returns the observations in ascending order as a view of the
 // collector's backing array. The view is only valid until the next Add or
 // Reset: a later observation may reorder or reallocate the backing array
-// under the caller. Callers that keep the slice must use Sorted instead.
+// under the caller, so a caller that keeps the slice must copy it.
 func (s *Sample) SortedView() []float64 {
 	s.sort()
 	return s.xs
@@ -232,22 +152,4 @@ func (s *Sample) Durations() []time.Duration {
 		out[i] = time.Duration(x * float64(time.Second))
 	}
 	return out
-}
-
-// tCrit95 returns the two-sided 95% Student-t critical value for df degrees
-// of freedom.
-func tCrit95(df int) float64 {
-	table := []float64{
-		0, 12.706, 4.303, 3.182, 2.776, 2.571, 2.447, 2.365, 2.306, 2.262,
-		2.228, 2.201, 2.179, 2.160, 2.145, 2.131, 2.120, 2.110, 2.101, 2.093,
-		2.086, 2.080, 2.074, 2.069, 2.064, 2.060, 2.056, 2.052, 2.048, 2.045,
-		2.042,
-	}
-	if df <= 0 {
-		return math.NaN()
-	}
-	if df < len(table) {
-		return table[df]
-	}
-	return 1.96
 }

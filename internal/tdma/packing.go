@@ -207,16 +207,22 @@ func (p *Packing) Free(a Assignment) bool {
 	return true
 }
 
-// ByStart orders blocks for first-fit re-insertion: ascending start, longer
-// first, then link.
-func ByStart(a, b Assignment) int {
-	if a.Start != b.Start {
-		return a.Start - b.Start
-	}
+// ByDemand is the first-fit-decreasing order: longer block first, then link.
+// It is the greedy colorer's order and breaks ByStart's ties.
+func ByDemand(a, b Assignment) int {
 	if a.Length != b.Length {
 		return b.Length - a.Length
 	}
 	return int(a.Link - b.Link)
+}
+
+// ByStart orders blocks for first-fit re-insertion: ascending start, then
+// ByDemand.
+func ByStart(a, b Assignment) int {
+	if a.Start != b.Start {
+		return a.Start - b.Start
+	}
+	return ByDemand(a, b)
 }
 
 // Repack first-fits the blocks in slice order, each ending at or before

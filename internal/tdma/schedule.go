@@ -145,25 +145,6 @@ func (s *Schedule) Validate(g *conflict.Graph) error {
 	return nil
 }
 
-// Utilization returns the fraction of (slot, link-opportunity) pairs in use:
-// assigned slot-counts divided by total data slots. Values above 1 indicate
-// spatial reuse.
-func (s *Schedule) Utilization() float64 {
-	total := 0
-	for _, a := range s.Assignments {
-		total += a.Length
-	}
-	return float64(total) / float64(s.Config.DataSlots)
-}
-
-// CapacityBps returns the sustained MAC-layer capacity of link l given the
-// payload bytes one slot carries.
-func (s *Schedule) CapacityBps(l topology.LinkID, bytesPerSlot int) float64 {
-	slots := s.LinkSlots(l)
-	bitsPerFrame := float64(8 * bytesPerSlot * slots)
-	return bitsPerFrame / s.Config.FrameDuration.Seconds()
-}
-
 // TxWindows returns the absolute transmit windows of link l within frame 0:
 // [offset, offset+len) pairs from the frame start. The slice is shared with
 // the schedule's internal cache; callers must not modify it.

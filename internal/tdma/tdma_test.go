@@ -207,26 +207,9 @@ func TestLinkSlotsAndUtilization(t *testing.T) {
 	if got := s.LinkSlots(99); got != 0 {
 		t.Errorf("LinkSlots(unassigned) = %d, want 0", got)
 	}
-	if got := s.Utilization(); got != 6.0/16.0 {
-		t.Errorf("Utilization = %g, want %g", got, 6.0/16.0)
-	}
 	la := s.LinkAssignments(3)
 	if len(la) != 2 || la[0].Start != 0 || la[1].Start != 8 {
 		t.Errorf("LinkAssignments = %+v", la)
-	}
-}
-
-func TestCapacityBps(t *testing.T) {
-	s, err := NewSchedule(DefaultEmulationFrame()) // 20 ms frame
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Add(Assignment{Link: 0, Start: 0, Length: 2}); err != nil {
-		t.Fatal(err)
-	}
-	// 2 slots x 1500 bytes per 20 ms = 2*1500*8/0.02 = 1.2 Mb/s.
-	if got := s.CapacityBps(0, 1500); got != 1.2e6 {
-		t.Errorf("CapacityBps = %g, want 1.2e6", got)
 	}
 }
 

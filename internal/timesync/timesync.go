@@ -14,7 +14,6 @@ package timesync
 import (
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 	"time"
 
@@ -232,26 +231,4 @@ func (s *Sync) ErrorAt(n topology.NodeID, t time.Duration) (time.Duration, error
 		return 0, fmt.Errorf("timesync: unknown node %d", n)
 	}
 	return s.clocks[n].Error(t), nil
-}
-
-// Clock returns the clock of node n (for tests and inspection).
-func (s *Sync) Clock(n topology.NodeID) (*Clock, error) {
-	if n < 0 || int(n) >= len(s.clocks) || !s.present[n] {
-		return nil, fmt.Errorf("timesync: unknown node %d", n)
-	}
-	return &s.clocks[n], nil
-}
-
-// PredictedErrorStd returns the analytic standard deviation of a node's
-// clock error at depth d, evaluated mid-way through a resync interval:
-// sqrt(d) * perHopError (beacon accumulation) plus drift * interval/2
-// growth, combined in quadrature with the drift term treated as uniform.
-func (s *Sync) PredictedErrorStd(depth int) time.Duration {
-	beacon := float64(s.cfg.PerHopError) * math.Sqrt(float64(depth))
-	// Drift contributes up to maxPPM*1e-6*interval linearly over the
-	// interval; its variance for uniform drift and uniform time-in-interval
-	// is (max*interval*1e-6)^2/9.
-	driftMax := s.cfg.MaxDriftPPM * 1e-6 * float64(s.cfg.ResyncInterval)
-	drift := driftMax / 3
-	return time.Duration(math.Sqrt(beacon*beacon + drift*drift))
 }

@@ -202,18 +202,6 @@ func (n *Network) OutLinks(id NodeID) []LinkID {
 	return out
 }
 
-// Neighbors returns the IDs of nodes reachable by one outgoing link from id,
-// sorted ascending. The slice is a copy; prefer VisitNeighbors on hot paths.
-func (n *Network) Neighbors(id NodeID) []NodeID {
-	nbrs := n.nbr[id]
-	if len(nbrs) == 0 {
-		return nil
-	}
-	out := make([]NodeID, len(nbrs))
-	copy(out, nbrs)
-	return out
-}
-
 // VisitNeighbors calls fn for every out-neighbor of id in ascending node-ID
 // order, without allocating. Iteration stops early when fn returns false.
 func (n *Network) VisitNeighbors(id NodeID, fn func(NodeID) bool) {
@@ -244,16 +232,6 @@ func (n *Network) SetLinkRate(id LinkID, rateBps float64) error {
 	}
 	n.links[id].RateBps = rateBps
 	return nil
-}
-
-// Reverse returns the link in the opposite direction of l, if present.
-func (n *Network) Reverse(l LinkID) (LinkID, bool) {
-	lk, err := n.Link(l)
-	if err != nil {
-		return 0, false
-	}
-	r, ok := n.linkIndex[[2]NodeID{lk.To, lk.From}]
-	return r, ok
 }
 
 // Connected reports whether every node can reach every other node following

@@ -50,9 +50,6 @@ type Source struct {
 	emit     EmitFunc
 	rng      *rand.Rand
 
-	talkMean    time.Duration
-	silenceMean time.Duration
-
 	seq     int
 	talking bool
 	stopped bool
@@ -77,23 +74,12 @@ func NewSource(codec Codec, mode SourceMode, emit EmitFunc, rng *rand.Rand) (*So
 		return nil, fmt.Errorf("voip: unknown source mode %d", int(mode))
 	}
 	return &Source{
-		codec:       codec,
-		pktBytes:    codec.PacketBytes(),
-		mode:        mode,
-		emit:        emit,
-		rng:         rng,
-		talkMean:    DefaultTalkMean,
-		silenceMean: DefaultSilenceMean,
+		codec:    codec,
+		pktBytes: codec.PacketBytes(),
+		mode:     mode,
+		emit:     emit,
+		rng:      rng,
 	}, nil
-}
-
-// SetSpurtMeans overrides the Brady-model means (talk, silence).
-func (s *Source) SetSpurtMeans(talk, silence time.Duration) error {
-	if talk <= 0 || silence <= 0 {
-		return errors.New("voip: non-positive spurt mean")
-	}
-	s.talkMean, s.silenceMean = talk, silence
-	return nil
 }
 
 // Start schedules the source on the kernel beginning at the given offset
@@ -119,7 +105,7 @@ func (s *Source) Start(k *sim.Kernel, offset time.Duration) error {
 		}
 		var toggleFn func()
 		toggleFn = func() { s.toggle(k, toggleFn) }
-		_, err := k.After(offset+s.expDur(s.talkMean), toggleFn)
+		_, err := k.After(offset+s.expDur(DefaultTalkMean), toggleFn)
 		return err
 	default:
 		return fmt.Errorf("voip: unknown source mode %d", int(s.mode))
@@ -128,9 +114,6 @@ func (s *Source) Start(k *sim.Kernel, offset time.Duration) error {
 
 // Stop halts packet generation after the current event.
 func (s *Source) Stop() { s.stopped = true }
-
-// Emitted returns the number of packets generated so far.
-func (s *Source) Emitted() int { return s.seq }
 
 func (s *Source) tick(k *sim.Kernel, self func()) {
 	if s.stopped {
@@ -150,9 +133,9 @@ func (s *Source) toggle(k *sim.Kernel, self func()) {
 		return
 	}
 	s.talking = !s.talking
-	mean := s.talkMean
+	mean := DefaultTalkMean
 	if !s.talking {
-		mean = s.silenceMean
+		mean = DefaultSilenceMean
 	}
 	if _, err := k.After(s.expDur(mean), self); err != nil {
 		s.stopped = true

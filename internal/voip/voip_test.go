@@ -164,9 +164,6 @@ func TestCBRSourceEmitsAtInterval(t *testing.T) {
 			t.Fatalf("packet bytes = %d, want 200", p.Bytes)
 		}
 	}
-	if src.Emitted() != 51 {
-		t.Errorf("Emitted = %d", src.Emitted())
-	}
 }
 
 func TestCBRSourceOffset(t *testing.T) {
@@ -229,9 +226,6 @@ func TestNewSourceValidation(t *testing.T) {
 	}
 	if err := src.Start(sim.NewKernel(), -time.Second); err == nil {
 		t.Error("negative offset accepted")
-	}
-	if err := src.SetSpurtMeans(0, time.Second); err == nil {
-		t.Error("zero spurt mean accepted")
 	}
 }
 
