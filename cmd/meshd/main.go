@@ -199,7 +199,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	}
 	fmt.Fprintf(out, "served: %d offered, %d admitted, %d rejected in %v (%.0f decisions/s)\n",
 		st.Offered, st.Admitted, st.Rejected, st.Elapsed.Round(time.Millisecond), admPerSec)
-	fmt.Fprintf(out, "tiers: %d fastpath, %d warm, %d cold\n", st.Fast, st.Warm, st.Cold)
+	fmt.Fprintf(out, "tiers: %d fastpath, %d witness, %d warm, %d cold\n", st.Fast, st.Witness, st.Warm, st.Cold)
 	es := eng.Stats()
 	fmt.Fprintf(out, "engine: %d releases, %d compactions, %d satisficed; %d live calls, window %d\n",
 		es.Releases, es.Compactions, es.Satisficed, eng.NumFlows(), eng.Window())

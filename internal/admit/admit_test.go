@@ -321,7 +321,8 @@ func TestObsCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap := reg.Snapshot()
-	hits := snap.Counters["admit.fastpath_hit"] + snap.Counters["admit.warm_hit"] + snap.Counters["admit.cold_hit"]
+	hits := snap.Counters["admit.fastpath_hit"] + snap.Counters["admit.warm_hit"] +
+		snap.Counters["admit.cold_hit"] + snap.Counters["admit.witness_hit"]
 	if hits != 2 {
 		t.Errorf("tier hit counters sum to %d, want 2: %v", hits, snap.Counters)
 	}
@@ -338,12 +339,15 @@ func TestObsCounters(t *testing.T) {
 }
 
 // TestZonedAdmit drives the zoned engine on a mesh large enough for several
-// zones and checks the live schedule stays valid while flows churn.
+// zones and checks the live schedule stays valid while flows churn. Every
+// call is UGS under a 16-slot deadline in a 32-slot frame, so a start cap
+// binds on every demanded link: the path-major witness never runs and every
+// zone goes through the zone planner and its pair gate.
 func TestZonedAdmit(t *testing.T) {
 	topo, g := testMesh(t, 4, 4)
 	frame := testFrame(t, 32)
 	e, err := New(Config{
-		Graph: g, Frame: frame, Zoned: true, ZoneSize: 250,
+		Graph: g, Frame: frame, Zoned: true, ZoneSize: 250, UGSDeadline: 16,
 		MILP: milp.Options{MaxNodes: 100_000},
 	})
 	if err != nil {
@@ -354,7 +358,7 @@ func TestZonedAdmit(t *testing.T) {
 	e.maxPairs = 40
 	w, err := Generate(WorkloadConfig{
 		Topo: topo, Calls: 25, ArrivalRate: 10, MeanHolding: 500 * time.Millisecond,
-		SlotsPerLink: 1, Seed: 11,
+		SlotsPerLink: 1, Seed: 11, ClassMix: []ClassShare{{Class: ClassUGS, Weight: 1}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -369,8 +373,9 @@ func TestZonedAdmit(t *testing.T) {
 	if err := e.Check(); err != nil {
 		t.Fatal(err)
 	}
-	if e.Stats().ZoneGreedy == 0 {
-		t.Fatal("no zone went past the pair gate: the greedy fallback was not exercised")
+	if es := e.Stats(); es.ZoneGreedy == 0 || es.Witness != 0 {
+		t.Fatalf("%d zones past the pair gate, %d witness admissions: the greedy fallback was not exercised alone",
+			es.ZoneGreedy, es.Witness)
 	}
 	t.Logf("zoned: %+v", st)
 }

@@ -126,6 +126,7 @@ func ServeConcurrent(ctx context.Context, e *Engine, w *Workload, opts ServeOpti
 		st.Fast += results[i].Fast
 		st.Warm += results[i].Warm
 		st.Cold += results[i].Cold
+		st.Witness += results[i].Witness
 		st.Preempted += results[i].Preempted
 		st.Elapsed += results[i].Elapsed
 		for _, v := range results[i].Latency.Values() {

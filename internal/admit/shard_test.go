@@ -110,7 +110,7 @@ func TestConcurrentAdmitMonolithic(t *testing.T) {
 		t.Fatalf("%d flows leaked", n)
 	}
 	st := e.Stats()
-	if st.Admitted == 0 || st.Warm+st.Cold == 0 {
+	if st.Admitted == 0 || st.Warm+st.Cold+st.Witness == 0 {
 		t.Fatalf("run exercised no solver admissions: %+v", st)
 	}
 }
@@ -470,11 +470,20 @@ func TestConcurrentSoak(t *testing.T) {
 	t.Logf("soak: %+v", st)
 }
 
-// TestServeConcurrentReplay exercises the worker/dispatcher loop end to end
-// on the zoned engine and checks the bookkeeping reconciles.
+// TestServeConcurrentReplay exercises the worker/dispatcher loop and the
+// defrag ticker end to end on the zoned engine and checks the bookkeeping
+// reconciles. The mesh is a grid, not clusterMesh: a cluster is a conflict
+// clique, where every layout is minimal and no re-pack can win. Every solve
+// is stretched by a millisecond, so the replay outlasts many defrag periods
+// and the background re-pack swaps schedules in while calls are decided.
 func TestServeConcurrentReplay(t *testing.T) {
-	topo, g := clusterMesh(t, 4)
-	e := shardTestEngine(t, g)
+	topo, g := testMesh(t, 4, 4)
+	e, err := New(Config{Graph: g, Frame: testFrame(t, 32), MaxWindow: 12, Zoned: true, ZoneSize: 250,
+		MILP: milp.Options{MaxNodes: 200_000}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.solveHook = func() { time.Sleep(time.Millisecond) }
 	w, err := Generate(WorkloadConfig{
 		Topo: topo, Calls: 120, ArrivalRate: 40, MeanHolding: 250 * time.Millisecond,
 		SlotsPerLink: 2, Seed: 9,
@@ -492,7 +501,7 @@ func TestServeConcurrentReplay(t *testing.T) {
 	if st.Admitted+st.Rejected != st.Offered {
 		t.Fatalf("verdicts do not reconcile: %+v", st)
 	}
-	if st.Fast+st.Warm+st.Cold+st.Rejected < st.Offered-st.Rejected {
+	if st.Fast+st.Warm+st.Cold+st.Witness+st.Rejected < st.Offered-st.Rejected {
 		t.Fatalf("tier counts short: %+v", st)
 	}
 	if st.Wall <= 0 {
@@ -502,6 +511,9 @@ func TestServeConcurrentReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	es := e.Stats()
+	if es.Defrags == 0 {
+		t.Fatalf("no defrag pass won over a %v replay: %+v", st.Wall, es)
+	}
 	t.Logf("replay: %+v; engine %+v", st, es)
 }
 

@@ -183,7 +183,7 @@ func Generate(cfg WorkloadConfig) (*Workload, error) {
 // ServeStats summarizes one Serve run.
 type ServeStats struct {
 	Offered, Admitted, Rejected int
-	Fast, Warm, Cold            int
+	Fast, Warm, Cold, Witness   int
 	// Preempted counts flows evicted by preemptive admissions during the
 	// replay (Config.Preempt). Evicted flows stay counted as Admitted —
 	// they were served until eviction — but their departures become no-ops.
@@ -233,6 +233,8 @@ func (st *ServeStats) Record(f Flow, d Decision) {
 		st.Warm++
 	case TierCold:
 		st.Cold++
+	case TierWitness:
+		st.Witness++
 	}
 }
 
