@@ -11,11 +11,10 @@ import (
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/R<n>.golden from this run")
 
 // notPinned names the experiments whose tables are not a function of their
-// inputs yet, with the reason. Both stay covered by TestAdmitSmoke,
-// TestShardSmoke, admit's TestDecisionTraceGolden and the benchmark's exact
-// rows until ROADMAP item 3 makes their verdicts reproducible.
+// inputs yet, with the reason. R20 stays covered by TestShardSmoke, admit's
+// TestDecisionTraceGolden and the benchmark's exact rows until ROADMAP item 5
+// makes its verdicts reproducible.
 var notPinned = map[string]string{
-	"R19": "admission solves run under a 250 ms TimeLimit, so borderline verdicts and the tier split move with host speed",
 	"R20": "concurrent serving decides in goroutine-interleaving order, so the verdict set differs run to run",
 }
 
