@@ -24,12 +24,6 @@ type WiFiPHY struct {
 	// PreambleHeader is the PLCP preamble + header duration prepended to
 	// every transmission.
 	PreambleHeader time.Duration
-	// SymbolTime is the OFDM symbol duration (0 for DSSS PHYs, where
-	// airtime is bit-exact rather than symbol-quantized).
-	SymbolTime time.Duration
-	// ServiceTailBits are the OFDM SERVICE (16) + tail (6) bits included
-	// in the first/last symbols (0 for DSSS).
-	ServiceTailBits int
 	// CWMin and CWMax bound the DCF contention window.
 	CWMin, CWMax int
 	// RatesBps lists the supported data rates.
@@ -68,23 +62,6 @@ func IEEE80211b() WiFiPHY {
 	}
 }
 
-// IEEE80211a returns the 802.11a OFDM PHY (5 GHz): 20 us preamble, 4 us
-// symbols, 6-54 Mb/s.
-func IEEE80211a() WiFiPHY {
-	return WiFiPHY{
-		Name:            "802.11a",
-		SlotTime:        9 * time.Microsecond,
-		SIFS:            16 * time.Microsecond,
-		PreambleHeader:  20 * time.Microsecond,
-		SymbolTime:      4 * time.Microsecond,
-		ServiceTailBits: 22,
-		CWMin:           15,
-		CWMax:           1023,
-		RatesBps:        []float64{6e6, 9e6, 12e6, 18e6, 24e6, 36e6, 48e6, 54e6},
-		BasicRateBps:    6e6,
-	}
-}
-
 // DIFS returns the DCF interframe space: SIFS + 2 slots.
 func (p WiFiPHY) DIFS() time.Duration {
 	return p.SIFS + 2*p.SlotTime
@@ -101,8 +78,8 @@ func (p WiFiPHY) SupportsRate(rateBps float64) bool {
 }
 
 // TxTime returns the airtime of a frame with the given MAC-layer size (MAC
-// header + payload + FCS) at rateBps. OFDM PHYs are symbol-quantized; DSSS
-// PHYs are bit-exact.
+// header + payload + FCS) at rateBps: the preamble plus the bit-exact DSSS
+// payload time.
 func (p WiFiPHY) TxTime(frameBytes int, rateBps float64) (time.Duration, error) {
 	if frameBytes < 0 {
 		return 0, fmt.Errorf("phy: negative frame size %d", frameBytes)
@@ -111,11 +88,6 @@ func (p WiFiPHY) TxTime(frameBytes int, rateBps float64) (time.Duration, error) 
 		return 0, fmt.Errorf("phy: non-positive rate %g", rateBps)
 	}
 	bits := float64(8 * frameBytes)
-	if p.SymbolTime > 0 {
-		bitsPerSymbol := rateBps * p.SymbolTime.Seconds()
-		symbols := math.Ceil((bits + float64(p.ServiceTailBits)) / bitsPerSymbol)
-		return p.PreambleHeader + time.Duration(symbols)*p.SymbolTime, nil
-	}
 	payload := time.Duration(math.Ceil(bits/rateBps*1e9)) * time.Nanosecond
 	return p.PreambleHeader + payload, nil
 }
