@@ -104,12 +104,8 @@ func r20Table(id string, points []r20Point, workerSet []int) (*Table, error) {
 			if err != nil {
 				return nil, fmt.Errorf("%s n=%d w=%d: %w", id, pt.nodes, workers, err)
 			}
-			var st admit.ServeStats
-			if workers > 1 {
-				st, err = admit.ServeConcurrent(context.Background(), eng, w, admit.ServeOptions{Workers: workers})
-			} else {
-				st, err = admit.Serve(context.Background(), eng, w)
-			}
+			// One worker replays through admit.Serve.
+			st, err := admit.ServeConcurrent(context.Background(), eng, w, admit.ServeOptions{Workers: workers})
 			if err != nil {
 				return nil, fmt.Errorf("%s n=%d w=%d: %w", id, pt.nodes, workers, err)
 			}
