@@ -113,9 +113,9 @@ loc:
 # The ratchet on that number: the ceilings are what `make loc` printed when
 # they were last edited. A PR that shrinks the code lowers them; one that
 # must grow past them raises them in its own diff, where a reviewer sees it.
-LOC_MAX_TOTAL = 20349
+LOC_MAX_TOTAL = 20348
 LOC_MAX_MILP = 524
-LOC_MAX_ADMIT = 2129
+LOC_MAX_ADMIT = 2209
 LOC_MAX_PARTITION = 658
 LOC_MAX_SCHEDULE = 1591
 LOC_MAX_LP = 1148
