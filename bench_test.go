@@ -5,6 +5,8 @@
 package main
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -141,6 +143,69 @@ func BenchmarkConflictsQuery(b *testing.B) {
 	}
 	if hits == 0 {
 		b.Fatal("no conflicts in random mesh")
+	}
+}
+
+// cityPacking first-fits every link of a 200-node slice of the benchmark
+// city (its node density and 130 m range, so a link conflicts with about
+// 145 others; the city averages 144) into a 256-slot frame at 1–3 slots.
+func cityPacking(b *testing.B) (*conflict.Graph, *tdma.Packing) {
+	b.Helper()
+	topo, err := topology.RandomDisk(200, 1073, 130, 42)
+	if err != nil {
+		b.Fatal(err)
+	}
+	g, err := conflict.Build(topo, conflict.Options{Model: conflict.ModelTwoHop})
+	if err != nil {
+		b.Fatal(err)
+	}
+	pk := tdma.NewPacking(g)
+	for l := range topology.LinkID(g.NumVertices()) {
+		d := 1 + int(l)%3
+		if s := pk.FirstFit(l, d, 256, nil); s >= 0 {
+			pk.Add(tdma.Assignment{Link: l, Start: s, Length: d})
+		}
+	}
+	return g, pk
+}
+
+// BenchmarkPackingFirstFit measures one first-fit query against
+// cityPacking's layout, cycling over the links, at the serving window cap
+// (32 slots) and at the full frame (256). Steady state must not allocate.
+func BenchmarkPackingFirstFit(b *testing.B) {
+	g, pk := cityPacking(b)
+	n := topology.LinkID(g.NumVertices())
+	for _, limit := range []int{32, 256} {
+		b.Run(fmt.Sprintf("limit=%d", limit), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				pk.FirstFit(topology.LinkID(i)%n, 2, limit, nil)
+			}
+		})
+	}
+}
+
+// BenchmarkScheduleValidate measures the conflict check of a schedule in a
+// 256-slot frame, one sweep over its blocks in start order: a zone solve's
+// worth of blocks (the first 60 links' blocks of cityPacking), and all of
+// cityPacking's layout.
+func BenchmarkScheduleValidate(b *testing.B) {
+	g, pk := cityPacking(b)
+	all := pk.Assignments()
+	zone := slices.IndexFunc(all, func(a tdma.Assignment) bool { return a.Link >= 60 })
+	for _, tc := range []struct {
+		name   string
+		blocks []tdma.Assignment
+	}{{"zone", all[:zone]}, {"city", all}} {
+		s := &tdma.Schedule{Config: tdma.DefaultWiMAXFrame(), Assignments: tc.blocks}
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := s.Validate(g); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

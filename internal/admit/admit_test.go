@@ -3,13 +3,16 @@ package admit
 import (
 	"context"
 	"errors"
+	"maps"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
 	"wimesh/internal/conflict"
 	"wimesh/internal/milp"
 	"wimesh/internal/obs"
+	"wimesh/internal/partition"
 	"wimesh/internal/schedule"
 	"wimesh/internal/tdma"
 	"wimesh/internal/topology"
@@ -430,6 +433,104 @@ func TestZonedOneZoneGreedyRespectsCap(t *testing.T) {
 	if e.Stats().ZoneGreedy == 0 {
 		t.Fatal("the one zone never went past the pair gate: the greedy layout was not exercised")
 	}
+}
+
+// TestOneZoneExactPlacedVerbatim pins the one-zone placement rule: on a
+// monolithic engine an exact solve covers the whole demand, so its layout
+// replaces the live schedule verbatim, not first-fit stitched, and the
+// window it proved minimal bounds the next search (solverDirty is clear). A
+// binding UGS deadline caps every start, so the witness never runs and the
+// exact search decides every call that leaves the fastpath; releases mark
+// the incumbent dirty in between. A mirror of the engine's zone models, fed
+// every solve the engine makes (through solveHook, with the same problem,
+// hint and bounds), gives the layout each exact admission must leave.
+func TestOneZoneExactPlacedVerbatim(t *testing.T) {
+	topo, g := testMesh(t, 3, 3)
+	e, err := New(Config{
+		Graph: g, Frame: testFrame(t, 64), MaxWindow: 32, UGSDeadline: 12,
+		MILP: milp.Options{MaxNodes: 2000},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !e.oneZone() {
+		t.Fatalf("monolithic engine has %d zones", len(e.dec.Zones))
+	}
+	w, err := Generate(WorkloadConfig{
+		Topo: topo, Calls: 25, ArrivalRate: 20, MeanHolding: time.Second,
+		SlotsPerLink: 1, Seed: 5, ClassMix: []ClassShare{{Class: ClassUGS, Weight: 1}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mirror := partition.NewModels(1, e.cfg.Frame)
+	var (
+		arriving Flow
+		want     partition.ZoneSolution
+		wantErr  error
+		solves   int
+	)
+	e.solveHook = func() {
+		// e.mu is released, and nothing else drives the engine meanwhile.
+		solves++
+		demand := maps.Clone(e.demand)
+		for l, d := range demandOf(arriving) {
+			demand[l] += d
+		}
+		full := &schedule.Problem{Graph: g, Demand: demand, FrameSlots: e.cfg.Frame.DataSlots,
+			StartCap: e.capsFor(e.clsAfter([]Flow{arriving}))}
+		hint, lo := e.pack.End(e.dec.Zones[0].Links), 0
+		if !e.solverDirty {
+			lo = hint
+		}
+		want, wantErr = mirror.SolveZone(0, partition.ZoneProblem(full, e.dec, 0), hint, lo, e.maxWin, e.maxPairs, e.cfg.MILP)
+	}
+	ctx := context.Background()
+	var st ServeStats
+	exact, dirtyBefore := 0, 0
+	for _, ev := range w.Events {
+		if !ev.Arrive {
+			if st.Depart(ev.Flow.ID) {
+				if err := e.Release(ev.Flow.ID); err != nil {
+					t.Fatal(err)
+				}
+			}
+			continue
+		}
+		arriving, solves = ev.Flow, 0
+		dirty := e.solverDirty
+		d, err := e.Admit(ctx, ev.Flow)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st.Record(ev.Flow, d)
+		if solves > 1 {
+			t.Fatalf("%s: %d solves in one decision; the witness ran", ev.Flow.ID, solves)
+		}
+		if !d.Admitted || (d.Tier != TierWarm && d.Tier != TierCold) {
+			continue
+		}
+		if wantErr != nil || want.Greedy {
+			t.Fatalf("%s admitted on tier %v, but the mirrored solve gave greedy=%v err=%v", ev.Flow.ID, d.Tier, want.Greedy, wantErr)
+		}
+		if got := canonical(e.pack.Assignments()); !slices.Equal(got, canonical(want.Blocks)) {
+			t.Fatalf("%s: live schedule %v, want the solver's layout %v verbatim", ev.Flow.ID, got, canonical(want.Blocks))
+		}
+		if e.solverDirty {
+			t.Fatalf("%s: exact admission left the incumbent window marked dirty", ev.Flow.ID)
+		}
+		exact++
+		if dirty {
+			dirtyBefore++
+		}
+		if err := e.Check(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if es := e.Stats(); exact < 5 || dirtyBefore == 0 || es.Witness != 0 || es.Satisficed != 0 {
+		t.Fatalf("%d exact admissions (%d after a release), stats %+v: the exact one-zone path was not exercised", exact, dirtyBefore, es)
+	}
+	t.Logf("%d exact admissions, %d after a release; %d of %d calls admitted", exact, dirtyBefore, st.Admitted, st.Offered)
 }
 
 // TestBlownBudgetDecides: with a one-node budget nearly every exact search

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
 	"time"
 
@@ -266,10 +267,7 @@ func (e *Engine) decide(ctx context.Context, flows []Flow) (Decision, error) {
 		return dec, nil
 	}
 
-	newDemand := make(map[topology.LinkID]int, len(e.demand)+len(delta))
-	for l, d := range e.demand {
-		newDemand[l] = d
-	}
+	newDemand := maps.Clone(e.demand)
 	for l, d := range delta {
 		newDemand[l] += d
 	}
@@ -479,9 +477,9 @@ func (e *Engine) witnessFlows(full *schedule.Problem, flows []Flow) []Flow {
 
 // pathMajor is zone zi's witness, the paper's polynomial half: the flows'
 // paths, clipped to the zone, rank its links by their latest hop
-// (schedule.PathMajorOrder), and Bellman-Ford turns that order into its
-// smallest window (schedule.MinWindowForOrder). It returns the layout in
-// ByStart order, or nil past the window cap. Runs without e.mu.
+// (schedule.PathMajorOrder), and Bellman-Ford finds its smallest window up
+// to the cap (schedule.MinWindowForOrder; no wider window can admit). It
+// returns the layout in ByStart order, or nil. Runs without e.mu.
 func (e *Engine) pathMajor(zp *schedule.Problem, zi int, flows []Flow) []tdma.Assignment {
 	wp := &schedule.Problem{Graph: zp.Graph, Demand: zp.Demand, FrameSlots: zp.FrameSlots}
 	for _, f := range flows {
@@ -495,8 +493,10 @@ func (e *Engine) pathMajor(zp *schedule.Problem, zi int, flows []Flow) []tdma.As
 			wp.Flows = append(wp.Flows, schedule.FlowRequirement{Path: clip})
 		}
 	}
-	win, s, err := schedule.MinWindowForOrder(wp, schedule.PathMajorOrder(wp), e.cfg.Frame)
-	if err != nil || win > e.maxWin {
+	capped := e.cfg.Frame
+	capped.DataSlots = e.maxWin
+	_, s, err := schedule.MinWindowForOrder(wp, schedule.PathMajorOrder(wp), capped)
+	if err != nil {
 		return nil
 	}
 	slices.SortFunc(s.Assignments, tdma.ByStart)

@@ -366,11 +366,9 @@ func MinSlots(p *schedule.Problem, cfg tdma.FrameConfig, opts Options) (*Result,
 	if err := sched.Validate(p.Graph); err != nil {
 		return nil, fmt.Errorf("partition: stitched schedule invalid: %w", err)
 	}
-	for l, d := range p.Demand {
-		if got := sched.LinkSlots(l); got < d {
-			return nil, fmt.Errorf("%w: stitched link %d got %d slots, demand %d",
-				ErrInfeasible, l, got, d)
-		}
+	if l, got, short := sched.Shortfall(p.Demand); short {
+		return nil, fmt.Errorf("%w: stitched link %d got %d slots, demand %d",
+			ErrInfeasible, l, got, p.Demand[l])
 	}
 
 	obsSolves.Inc()

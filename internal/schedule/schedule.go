@@ -239,10 +239,8 @@ func (p *Problem) checkSchedule(s *tdma.Schedule) error {
 	if err := s.Validate(p.Graph); err != nil {
 		return err
 	}
-	for l, d := range p.Demand {
-		if got := s.LinkSlots(l); got < d {
-			return fmt.Errorf("%w: link %d got %d slots, demand %d", ErrInfeasible, l, got, d)
-		}
+	if l, got, short := s.Shortfall(p.Demand); short {
+		return fmt.Errorf("%w: link %d got %d slots, demand %d", ErrInfeasible, l, got, p.Demand[l])
 	}
 	return nil
 }

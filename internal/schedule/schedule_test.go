@@ -2,7 +2,9 @@ package schedule
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -400,6 +402,27 @@ func TestMinMaxDelayOrderNeedsFlows(t *testing.T) {
 	p.Flows = nil
 	if _, err := MinMaxDelayOrder(p, cfg.DataSlots, cfg, milp.Options{}); !errors.Is(err, ErrBadDemand) {
 		t.Errorf("got %v, want ErrBadDemand", err)
+	}
+}
+
+// TestCheckScheduleReportsUnderServedLink: the solvers' defensive check
+// accepts a greedy layout and rejects it, as ErrInfeasible naming the link,
+// once one link's demand exceeds what the layout gives it.
+func TestCheckScheduleReportsUnderServedLink(t *testing.T) {
+	cfg := testFrame()
+	_, p := chainProblem(t, 5, cfg)
+	s, err := Greedy(p, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.checkSchedule(s); err != nil {
+		t.Fatalf("greedy layout: %v", err)
+	}
+	l := p.ActiveLinks()[2]
+	p.Demand[l]++
+	err = p.checkSchedule(s)
+	if !errors.Is(err, ErrInfeasible) || !strings.Contains(err.Error(), fmt.Sprintf("link %d got 1 slots, demand 2", l)) {
+		t.Errorf("link %d under-served: checkSchedule = %v, want ErrInfeasible naming it", l, err)
 	}
 }
 

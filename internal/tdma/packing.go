@@ -3,6 +3,7 @@ package tdma
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 
 	"wimesh/internal/conflict"
@@ -10,16 +11,16 @@ import (
 )
 
 // Packing is a slot layout indexed for placement: iv[l] holds link l's
-// [start,end) blocks sorted by start, over the conflict graph that says
-// which links may not overlap. It is the one interval index of the repo:
-// the greedy colorer, the partitioned planner's stitch and the admission
-// engine's live schedule all ask it where a block fits. Besides itself it
-// reads only the immutable graph; it is not safe for concurrent use.
+// [start,end) blocks sorted by start, over the conflict graph; queries OR
+// the blocks that bind a link into one reused slot mask. It is the one
+// interval index of the repo: the greedy colorer, the partitioned planner's
+// stitch and the admission engine's live schedule all ask it where a block
+// fits. It only reads the graph besides itself; not safe for concurrent use.
 type Packing struct {
-	g       *conflict.Graph
-	iv      [][][2]int
-	span    int // cached Makespan; -1 after a removal that may have lowered it
-	scratch [][2]int
+	g    *conflict.Graph
+	iv   [][][2]int
+	span int      // cached Makespan; -1 after a removal that may have lowered it
+	mask []uint64 // blocked's slot mask, reused by every placement query
 }
 
 // NewPacking returns an empty packing over g's links.
@@ -140,71 +141,84 @@ func (p *Packing) Covered(l topology.LinkID, deadline int) int {
 	return n
 }
 
-// blockers collects the intervals that constrain link l — its own and its
-// conflict neighbors', plus pending placements — sorted by start.
-func (p *Packing) blockers(l topology.LinkID, pending []Assignment) [][2]int {
-	bs := p.scratch[:0]
-	bs = append(bs, p.iv[l]...)
-	p.g.VisitNeighbors(l, func(nb topology.LinkID) bool {
-		bs = append(bs, p.iv[nb]...)
+// blocked returns the mask of the slots below limit that link l may not use
+// — bit s%64 of word s/64 is set when l, a conflict neighbor or a conflicting
+// pending placement holds slot s — in storage reused from query to query.
+func (p *Packing) blocked(l topology.LinkID, limit int, pending []Assignment) []uint64 {
+	n := (max(limit, 0) + 63) >> 6
+	m := slices.Grow(p.mask[:0], n)[:n]
+	clear(m)
+	p.mask = m
+	mark := func(s, e int) {
+		for s, e = max(s, 0), min(e, limit); s < e; {
+			w, lo := s>>6, s&63
+			hi := min(e-w<<6, 64)
+			m[w] |= ^uint64(0) >> (64 - hi + lo) << lo
+			s = w<<6 + hi
+		}
+	}
+	fill := func(k topology.LinkID) bool {
+		for _, iv := range p.iv[k] {
+			if iv[0] >= limit {
+				break
+			}
+			mark(iv[0], iv[1])
+		}
 		return true
-	})
+	}
+	fill(l)
+	p.g.VisitNeighbors(l, fill)
 	for _, a := range pending {
 		if a.Link == l || p.g.Conflicts(a.Link, l) {
-			bs = append(bs, [2]int{a.Start, a.End()})
+			mark(a.Start, a.End())
 		}
 	}
-	slices.SortFunc(bs, func(a, b [2]int) int { return a[0] - b[0] })
-	p.scratch = bs
-	return bs
+	return m
 }
 
-// FirstFit returns the earliest start for a length-d block of link l ending
-// at or before limit, or -1. O(conflict degree × blocks).
+// What seek looks for in a mask: the first busy or the first free slot.
+const busy, free = uint64(0), ^uint64(0)
+
+// seek returns the first busy or free slot from s on, else len(m)*64.
+func seek(m []uint64, s int, want uint64) int {
+	for w := s >> 6; w < len(m); w++ {
+		if x := (m[w] ^ want) &^ (1<<(s&63) - 1); x != 0 {
+			return w<<6 + bits.TrailingZeros64(x)
+		}
+		s = 0
+	}
+	return len(m) << 6
+}
+
+// FirstFit returns the earliest start for a length-d (d ≥ 1) block of link l
+// ending at or before limit, or -1: a word-at-a-time scan of the blocked
+// mask, O(conflict degree × blocks + limit/64), with no sort or allocation.
 func (p *Packing) FirstFit(l topology.LinkID, d, limit int, pending []Assignment) int {
-	cur := 0
-	for _, b := range p.blockers(l, pending) {
-		if b[0]-cur >= d {
-			break
+	m := p.blocked(l, limit, pending)
+	s := seek(m, 0, free)
+	for e := seek(m, s, busy); s+d <= limit; e = seek(m, s, busy) {
+		if e-s >= d {
+			return s
 		}
-		cur = max(cur, b[1])
-		if cur+d > limit {
-			return -1
-		}
+		s = seek(m, e, free)
 	}
-	if cur+d > limit {
-		return -1
-	}
-	return cur
+	return -1
 }
 
 // FirstGap returns the earliest free gap for link l within limit as (start,
 // length), or (-1, 0).
 func (p *Packing) FirstGap(l topology.LinkID, limit int, pending []Assignment) (int, int) {
-	cur := 0
-	for _, b := range p.blockers(l, pending) {
-		if b[0] > cur {
-			return cur, min(b[0], limit) - cur
-		}
-		cur = max(cur, b[1])
-		if cur >= limit {
-			return -1, 0
-		}
-	}
-	if cur >= limit {
+	m := p.blocked(l, limit, pending)
+	s := seek(m, 0, free)
+	if s >= limit {
 		return -1, 0
 	}
-	return cur, limit - cur
+	return s, min(seek(m, s, busy), limit) - s
 }
 
 // Free reports whether the block overlaps nothing that constrains its link.
 func (p *Packing) Free(a Assignment) bool {
-	for _, b := range p.blockers(a.Link, nil) {
-		if b[0] < a.End() && a.Start < b[1] {
-			return false
-		}
-	}
-	return true
+	return seek(p.blocked(a.Link, a.End(), nil), max(a.Start, 0), busy) >= a.End()
 }
 
 // ByDemand is the first-fit-decreasing order: longer block first, then link.

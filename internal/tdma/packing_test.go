@@ -119,86 +119,106 @@ func byLinkStart(a, b Assignment) int {
 // through the same seeded sequence of placements, releases and cuts over
 // random conflict graphs: every FirstFit, FirstGap and Free answer, and the
 // derived Makespan, End, Covered and Assignments, must agree throughout.
+// Narrow runs keep every limit inside one 64-slot mask word; wide runs use
+// limits of 64–300 slots, blocks long enough to straddle a word boundary and
+// pending blocks that reach past the limit.
 func TestPackingMatchesBruteForce(t *testing.T) {
-	for seed := int64(1); seed <= 12; seed++ {
-		g := randomConflictGraph(t, seed)
-		rng := rand.New(rand.NewSource(seed))
-		pk, sh := NewPacking(g), &shadow{g: g}
-		nl := g.NumVertices()
-		for step := 0; step < 400; step++ {
-			l := topology.LinkID(rng.Intn(nl))
-			d, limit := 1+rng.Intn(4), 6+rng.Intn(30)
-			var pending []Assignment
-			for range rng.Intn(3) {
-				pending = append(pending, Assignment{Link: topology.LinkID(rng.Intn(nl)), Start: rng.Intn(24), Length: 1 + rng.Intn(3)})
-			}
-			got, want := pk.FirstFit(l, d, limit, pending), sh.firstFit(l, d, limit, pending)
-			if got != want {
-				t.Fatalf("seed %d step %d: FirstFit(link %d, %d slots, limit %d) = %d, brute force %d", seed, step, l, d, limit, got, want)
-			}
-			gs, gn := pk.FirstGap(l, limit, pending)
-			if ws, wn := sh.firstGap(l, limit, pending); gs != ws || gn != wn {
-				t.Fatalf("seed %d step %d: FirstGap(link %d, limit %d) = (%d,%d), brute force (%d,%d)", seed, step, l, limit, gs, gn, ws, wn)
-			}
-			probe := Assignment{Link: l, Start: rng.Intn(24), Length: d}
-			if got, want := pk.Free(probe), sh.free(l, probe.Start, d, nil); got != want {
-				t.Fatalf("seed %d step %d: Free(%v) = %v, brute force %v", seed, step, probe, got, want)
-			}
-			switch op := rng.Intn(10); {
-			case op < 6:
-				if s := sh.firstFit(l, d, limit, nil); s >= 0 {
-					a := Assignment{Link: l, Start: s, Length: d}
-					pk.Add(a)
-					sh.blocks = append(sh.blocks, a)
+	for _, wide := range []bool{false, true} {
+		straddles, pastLimit := 0, 0
+		for seed := int64(1); seed <= 12; seed++ {
+			g := randomConflictGraph(t, seed)
+			rng := rand.New(rand.NewSource(seed))
+			pk, sh := NewPacking(g), &shadow{g: g}
+			nl := g.NumVertices()
+			for step := 0; step < 400; step++ {
+				l := topology.LinkID(rng.Intn(nl))
+				d, limit, reach, plen := 1+rng.Intn(4), 6+rng.Intn(30), 24, 3
+				if wide {
+					d, limit = 1+rng.Intn(70), 64+rng.Intn(237)
+					reach, plen = limit+40, 70
 				}
-			case op < 9:
-				total, _ := sh.slots(l, 1<<30)
-				n := 1 + rng.Intn(4)
-				err := pk.Trim(l, n)
-				if (err == nil) != (n <= total) {
-					t.Fatalf("seed %d step %d: Trim(link %d, %d) of %d slots: err = %v", seed, step, l, n, total, err)
-				}
-				if err == nil {
-					sh.trim(l, n)
-				}
-			default:
-				links := []topology.LinkID{l, topology.LinkID(rng.Intn(nl))}
-				cut := pk.Cut(links)
-				var want []Assignment
-				sh.blocks = slices.DeleteFunc(sh.blocks, func(b Assignment) bool {
-					if slices.Contains(links, b.Link) {
-						want = append(want, b)
-						return true
+				var pending []Assignment
+				for range rng.Intn(3) {
+					a := Assignment{Link: topology.LinkID(rng.Intn(nl)), Start: rng.Intn(reach), Length: 1 + rng.Intn(plen)}
+					if a.End() > limit {
+						pastLimit++
 					}
-					return false
-				})
-				slices.SortFunc(cut, byLinkStart)
-				slices.SortFunc(want, byLinkStart)
-				if !slices.Equal(cut, want) {
-					t.Fatalf("seed %d step %d: Cut(%v) = %v, want %v", seed, step, links, cut, want)
+					pending = append(pending, a)
+				}
+				got, want := pk.FirstFit(l, d, limit, pending), sh.firstFit(l, d, limit, pending)
+				if got != want {
+					t.Fatalf("wide %v seed %d step %d: FirstFit(link %d, %d slots, limit %d) = %d, brute force %d", wide, seed, step, l, d, limit, got, want)
+				}
+				gs, gn := pk.FirstGap(l, limit, pending)
+				if ws, wn := sh.firstGap(l, limit, pending); gs != ws || gn != wn {
+					t.Fatalf("wide %v seed %d step %d: FirstGap(link %d, limit %d) = (%d,%d), brute force (%d,%d)", wide, seed, step, l, limit, gs, gn, ws, wn)
+				}
+				probe := Assignment{Link: l, Start: rng.Intn(reach), Length: d}
+				if got, want := pk.Free(probe), sh.free(l, probe.Start, d, nil); got != want {
+					t.Fatalf("wide %v seed %d step %d: Free(%v) = %v, brute force %v", wide, seed, step, probe, got, want)
+				}
+				switch op := rng.Intn(10); {
+				case op < 6:
+					if s := sh.firstFit(l, d, limit, nil); s >= 0 {
+						a := Assignment{Link: l, Start: s, Length: d}
+						if s>>6 != (a.End()-1)>>6 {
+							straddles++
+						}
+						pk.Add(a)
+						sh.blocks = append(sh.blocks, a)
+					}
+				case op < 9:
+					total, _ := sh.slots(l, 1<<30)
+					n := 1 + rng.Intn(4)
+					err := pk.Trim(l, n)
+					if (err == nil) != (n <= total) {
+						t.Fatalf("wide %v seed %d step %d: Trim(link %d, %d) of %d slots: err = %v", wide, seed, step, l, n, total, err)
+					}
+					if err == nil {
+						sh.trim(l, n)
+					}
+				default:
+					links := []topology.LinkID{l, topology.LinkID(rng.Intn(nl))}
+					cut := pk.Cut(links)
+					var want []Assignment
+					sh.blocks = slices.DeleteFunc(sh.blocks, func(b Assignment) bool {
+						if slices.Contains(links, b.Link) {
+							want = append(want, b)
+							return true
+						}
+						return false
+					})
+					slices.SortFunc(cut, byLinkStart)
+					slices.SortFunc(want, byLinkStart)
+					if !slices.Equal(cut, want) {
+						t.Fatalf("wide %v seed %d step %d: Cut(%v) = %v, want %v", wide, seed, step, links, cut, want)
+					}
+				}
+				if got, want := pk.Makespan(), sh.makespan(nil); got != want {
+					t.Fatalf("wide %v seed %d step %d: Makespan = %d, brute force %d", wide, seed, step, got, want)
+				}
+				zone := []topology.LinkID{l, topology.LinkID(rng.Intn(nl))}
+				if got, want := pk.End(zone), sh.makespan(zone); got != want {
+					t.Fatalf("wide %v seed %d step %d: End(%v) = %d, brute force %d", wide, seed, step, zone, got, want)
+				}
+				deadline := rng.Intn(reach + 6)
+				if _, want := sh.slots(l, deadline); pk.Covered(l, deadline) != want {
+					t.Fatalf("wide %v seed %d step %d: Covered(link %d, %d) = %d, brute force %d", wide, seed, step, l, deadline, pk.Covered(l, deadline), want)
 				}
 			}
-			if got, want := pk.Makespan(), sh.makespan(nil); got != want {
-				t.Fatalf("seed %d step %d: Makespan = %d, brute force %d", seed, step, got, want)
+			want := slices.Clone(sh.blocks)
+			slices.SortFunc(want, byLinkStart)
+			if got := pk.Assignments(); !slices.Equal(got, want) {
+				t.Fatalf("wide %v seed %d: Assignments = %v, want %v", wide, seed, got, want)
 			}
-			zone := []topology.LinkID{l, topology.LinkID(rng.Intn(nl))}
-			if got, want := pk.End(zone), sh.makespan(zone); got != want {
-				t.Fatalf("seed %d step %d: End(%v) = %d, brute force %d", seed, step, zone, got, want)
-			}
-			deadline := rng.Intn(30)
-			if _, want := sh.slots(l, deadline); pk.Covered(l, deadline) != want {
-				t.Fatalf("seed %d step %d: Covered(link %d, %d) = %d, brute force %d", seed, step, l, deadline, pk.Covered(l, deadline), want)
+			re := NewPacking(g)
+			re.Reset(want)
+			if !slices.Equal(re.Assignments(), want) || re.Makespan() != pk.Makespan() {
+				t.Fatalf("wide %v seed %d: Reset does not reproduce the layout", wide, seed)
 			}
 		}
-		want := slices.Clone(sh.blocks)
-		slices.SortFunc(want, byLinkStart)
-		if got := pk.Assignments(); !slices.Equal(got, want) {
-			t.Fatalf("seed %d: Assignments = %v, want %v", seed, got, want)
-		}
-		re := NewPacking(g)
-		re.Reset(want)
-		if !slices.Equal(re.Assignments(), want) || re.Makespan() != pk.Makespan() {
-			t.Fatalf("seed %d: Reset does not reproduce the layout", seed)
+		if wide && (straddles == 0 || pastLimit == 0) {
+			t.Fatalf("wide runs placed %d word-straddling blocks and %d pending blocks past the limit; want both > 0", straddles, pastLimit)
 		}
 	}
 }
@@ -362,5 +382,31 @@ func TestPackingTrim(t *testing.T) {
 	}
 	if got := pk.Assignments(); !slices.Equal(got, want) {
 		t.Errorf("failed trims modified the packing: %v", got)
+	}
+}
+
+// TestPackingQueriesZeroAllocs pins the placement queries at 0 allocs/op in
+// steady state: once the packing's mask has grown to the widest limit asked
+// for, FirstFit, FirstGap and Free reuse it.
+func TestPackingQueriesZeroAllocs(t *testing.T) {
+	g := randomConflictGraph(t, 3)
+	pk := NewPacking(g)
+	nl := g.NumVertices()
+	for l := range topology.LinkID(nl) {
+		if s := pk.FirstFit(l, 2, 256, nil); s >= 0 {
+			pk.Add(Assignment{Link: l, Start: s, Length: 2})
+		}
+	}
+	pending := []Assignment{{Link: 0, Start: 60, Length: 10}, {Link: 1, Start: 120, Length: 3}}
+	query := func() {
+		for l := range topology.LinkID(nl) {
+			pk.FirstFit(l, 3, 256, pending)
+			pk.FirstGap(l, 200, pending)
+			pk.Free(Assignment{Link: l, Start: 5, Length: 70})
+		}
+	}
+	query()
+	if n := testing.AllocsPerRun(20, query); n != 0 {
+		t.Fatalf("placement queries: %v allocs per run of %d links, want 0", n, nl)
 	}
 }

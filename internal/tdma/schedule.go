@@ -130,19 +130,48 @@ func (s *Schedule) SlotOwners() [][]topology.LinkID {
 }
 
 // Validate checks that no two conflicting links (including a link with
-// itself via duplicate assignments) share a data slot.
+// itself via duplicate assignments) share a data slot, naming the lowest such
+// slot: one sweep over the blocks in start order keeps those still running,
+// and the first block to meet a conflicting one starts there. O(n log n).
 func (s *Schedule) Validate(g *conflict.Graph) error {
-	for slot, links := range s.SlotOwners() {
-		for i := 0; i < len(links); i++ {
-			for j := i + 1; j < len(links); j++ {
-				if links[i] == links[j] || g.Conflicts(links[i], links[j]) {
-					return fmt.Errorf("%w: links %d and %d overlap in slot %d",
-						ErrConflict, links[i], links[j], slot)
-				}
-			}
+	keys := make([]uint64, 0, len(s.Assignments)) // start, then index
+	for i, a := range s.Assignments {
+		if a.Length > 0 {
+			keys = append(keys, uint64(a.Start)<<32|uint64(i))
 		}
 	}
+	slices.Sort(keys)
+	var running []Assignment
+	for _, k := range keys {
+		b := s.Assignments[uint32(k)]
+		live := running[:0]
+		for _, a := range running {
+			if a.End() > b.Start && g.Conflicts(a.Link, b.Link) {
+				return fmt.Errorf("%w: links %d and %d overlap in slot %d",
+					ErrConflict, min(a.Link, b.Link), max(a.Link, b.Link), b.Start)
+			}
+			if a.End() > b.Start {
+				live = append(live, a)
+			}
+		}
+		running = append(live, b)
+	}
 	return nil
+}
+
+// Shortfall returns a link the schedule gives fewer slots than its demand,
+// with the slots it got, from one tally; short is false when all are met.
+func (s *Schedule) Shortfall(demand map[topology.LinkID]int) (l topology.LinkID, got int, short bool) {
+	tally := make(map[topology.LinkID]int, len(demand))
+	for _, a := range s.Assignments {
+		tally[a.Link] += a.Length
+	}
+	for l, d := range demand {
+		if tally[l] < d {
+			return l, tally[l], true
+		}
+	}
+	return 0, 0, false
 }
 
 // TxWindows returns the absolute transmit windows of link l within frame 0:

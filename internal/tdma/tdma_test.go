@@ -2,6 +2,9 @@ package tdma
 
 import (
 	"errors"
+	"math/rand"
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -284,5 +287,126 @@ func TestPropertySlotOwnersConsistent(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
+	}
+}
+
+// bruteConflictSlot is Validate's reference: a scan of every slot below
+// slots for two assignments of conflicting links (or of one link) that both
+// hold it. It returns the lowest such slot, or -1.
+func bruteConflictSlot(g *conflict.Graph, as []Assignment, slots int) int {
+	for slot := 0; slot < slots; slot++ {
+		var links []topology.LinkID
+		for _, a := range as {
+			if a.Start <= slot && slot < a.End() {
+				links = append(links, a.Link)
+			}
+		}
+		for i := range links {
+			for _, l := range links[i+1:] {
+				if links[i] == l || g.Conflicts(links[i], l) {
+					return slot
+				}
+			}
+		}
+	}
+	return -1
+}
+
+// conflictSlot reads the slot a Validate error names, -1 for nil.
+func conflictSlot(t *testing.T, err error) int {
+	t.Helper()
+	if err == nil {
+		return -1
+	}
+	if !errors.Is(err, ErrConflict) {
+		t.Fatalf("Validate = %v, want ErrConflict", err)
+	}
+	msg := err.Error()
+	slot, perr := strconv.Atoi(msg[strings.LastIndex(msg, " ")+1:])
+	if perr != nil {
+		t.Fatalf("Validate error %q names no slot", msg)
+	}
+	return slot
+}
+
+// TestDifferentialValidateSweep checks the one-sweep Validate against the
+// per-slot scan on random schedules: first-fit layouts (conflict-free) and
+// the same layouts disturbed by duplicated blocks, extra blocks of links
+// already placed (self-overlap among them) and random blocks. Both must
+// agree on nil versus ErrConflict and on the slot reported.
+func TestDifferentialValidateSweep(t *testing.T) {
+	const frame = 48
+	valid, invalid, late := 0, 0, 0
+	for seed := int64(1); seed <= 30; seed++ {
+		g := randomConflictGraph(t, seed)
+		rng := rand.New(rand.NewSource(seed))
+		nl := g.NumVertices()
+		for trial := 0; trial < 20; trial++ {
+			pk := NewPacking(g)
+			for range rng.Intn(2 * nl) {
+				l, d := topology.LinkID(rng.Intn(nl)), 1+rng.Intn(4)
+				if s := pk.FirstFit(l, d, frame, nil); s >= 0 {
+					pk.Add(Assignment{Link: l, Start: s, Length: d})
+				}
+			}
+			as := pk.Assignments()
+			rng.Shuffle(len(as), func(i, j int) { as[i], as[j] = as[j], as[i] })
+			for range rng.Intn(3) {
+				switch k := rng.Intn(3); {
+				case k == 0 && len(as) > 0:
+					as = append(as, as[rng.Intn(len(as))])
+				case k == 1 && len(as) > 0:
+					a := as[rng.Intn(len(as))]
+					a.Start = rng.Intn(frame - a.Length + 1)
+					as = append(as, a)
+				default:
+					d := 1 + rng.Intn(6)
+					as = append(as, Assignment{Link: topology.LinkID(rng.Intn(nl)), Start: rng.Intn(frame - d + 1), Length: d})
+				}
+			}
+			s := &Schedule{Config: FrameConfig{DataSlots: frame}, Assignments: as}
+			got, want := conflictSlot(t, s.Validate(g)), bruteConflictSlot(g, as, frame)
+			if got != want {
+				t.Fatalf("seed %d trial %d: Validate reports slot %d, per-slot scan %d (-1: none)\n%v", seed, trial, got, want, as)
+			}
+			switch {
+			case want < 0:
+				valid++
+			case want > 0:
+				late++
+				fallthrough
+			default:
+				invalid++
+			}
+		}
+	}
+	if valid == 0 || invalid == 0 || late == 0 {
+		t.Fatalf("%d valid and %d conflicting schedules (%d past slot 0); want all > 0", valid, invalid, late)
+	}
+}
+
+// TestShortfallReportsUnderServedLink checks the one-tally demand check the
+// solvers and the partitioned planner run: blocks of one link add up, and a
+// link given fewer slots than it demands — or none — is reported with what
+// it got.
+func TestShortfallReportsUnderServedLink(t *testing.T) {
+	s := &Schedule{Config: DefaultEmulationFrame(), Assignments: []Assignment{
+		{Link: 1, Start: 0, Length: 2}, {Link: 2, Start: 2, Length: 1}, {Link: 1, Start: 5, Length: 1},
+	}}
+	if l, got, short := s.Shortfall(map[topology.LinkID]int{1: 3, 2: 1}); short {
+		t.Errorf("met demand: Shortfall = link %d got %d, want none", l, got)
+	}
+	for _, tc := range []struct {
+		demand  map[topology.LinkID]int
+		link    topology.LinkID
+		gotWant int
+	}{
+		{map[topology.LinkID]int{1: 3, 2: 2}, 2, 1},
+		{map[topology.LinkID]int{1: 4}, 1, 3},
+		{map[topology.LinkID]int{1: 1, 7: 1}, 7, 0},
+	} {
+		if l, got, short := s.Shortfall(tc.demand); !short || l != tc.link || got != tc.gotWant {
+			t.Errorf("Shortfall(%v) = (link %d, %d slots, %v), want (link %d, %d slots, true)", tc.demand, l, got, short, tc.link, tc.gotWant)
+		}
 	}
 }
