@@ -16,6 +16,7 @@ import (
 	"wimesh/internal/mac"
 	"wimesh/internal/mac/dcf"
 	"wimesh/internal/milp"
+	"wimesh/internal/partition"
 	"wimesh/internal/schedule"
 	"wimesh/internal/sim"
 	"wimesh/internal/tdma"
@@ -202,6 +203,67 @@ func BenchmarkScheduleValidate(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if err := s.Validate(g); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkZoneSolveCity measures one zone solve of the benchmark city (1 000
+// nodes on a 2 400 m disk, 130 m range, 260 m zones, every third link
+// demanding one or two slots of a 256-slot frame) on the zone's induced
+// graph: a zone past the pair gate packed greedily, and the gated zone with
+// the most conflicting pairs that a 2 000-node budget solves exactly, over a
+// fresh model. The zone's graph is built once, as a decomposition does;
+// -benchmem gives the per-zone allocation.
+func BenchmarkZoneSolveCity(b *testing.B) {
+	topo, err := topology.RandomDisk(1000, 2400, 130, 42)
+	if err != nil {
+		b.Fatal(err)
+	}
+	g, err := conflict.Build(topo, conflict.Options{Model: conflict.ModelTwoHop})
+	if err != nil {
+		b.Fatal(err)
+	}
+	frame := tdma.FrameConfig{FrameDuration: 256 * 1250 * time.Microsecond, DataSlots: 256}
+	p := &schedule.Problem{Graph: g, Demand: make(map[topology.LinkID]int), FrameSlots: frame.DataSlots}
+	for l := range topology.LinkID(g.NumVertices()) {
+		if l%3 == 0 {
+			p.Demand[l] = 1 + int(l)%2
+		}
+	}
+	dec, err := partition.Decompose(p, 260)
+	if err != nil {
+		b.Fatal(err)
+	}
+	opts := milp.Options{MaxNodes: 2000}
+	greedy, exact, most := -1, -1, -1
+	for zi := range dec.Zones {
+		zp := partition.ZoneProblem(p, dec, zi)
+		pairs := zp.Graph.NumEdges()
+		if pairs > partition.DefaultMaxZonePairs && greedy < 0 {
+			greedy = zi
+		}
+		if pairs <= partition.DefaultMaxZonePairs && pairs > most {
+			if _, err := partition.NewModels(dec, frame).SolveZone(zi, zp, 0, 0, 0, partition.DefaultMaxZonePairs, opts); err == nil {
+				exact, most = zi, pairs
+			}
+		}
+	}
+	if greedy < 0 || exact < 0 {
+		b.Fatal("no zone on each side of the pair gate")
+	}
+	for _, tc := range []struct {
+		name string
+		zi   int
+	}{{"greedy", greedy}, {"exact", exact}} {
+		zp := partition.ZoneProblem(p, dec, tc.zi)
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				ms := partition.NewModels(dec, frame)
+				if _, err := ms.SolveZone(tc.zi, zp, 0, 0, 0, partition.DefaultMaxZonePairs, opts); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -387,8 +387,8 @@ func New(cfg Config) (*Engine, error) {
 	e.dec = dec
 	zones := len(dec.Zones)
 	e.zoneMu = make([]sync.Mutex, zones)
-	e.models = partition.NewModels(zones, cfg.Frame)
-	e.dfModels = partition.NewModels(zones, cfg.Frame)
+	e.models = partition.NewModels(dec, cfg.Frame)
+	e.dfModels = partition.NewModels(dec, cfg.Frame)
 	e.allZones = make([]int, zones)
 	for i := range e.allZones {
 		e.allZones[i] = i

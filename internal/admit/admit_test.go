@@ -463,7 +463,7 @@ func TestOneZoneExactPlacedVerbatim(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mirror := partition.NewModels(1, e.cfg.Frame)
+	mirror := partition.NewModels(e.dec, e.cfg.Frame)
 	var (
 		arriving Flow
 		want     partition.ZoneSolution

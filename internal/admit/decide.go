@@ -89,10 +89,13 @@ func (e *Engine) Admit(ctx context.Context, f Flow) (Decision, error) {
 // every member inherits the joint verdict. Demands are monotone, so a joint
 // admit proves each member individually admissible; any joint failure —
 // duplicate ID, structural cap, infeasibility, stitch conflict —
-// falls back to deciding the flows individually in slice order, so batching
-// never changes a verdict relative to sequential Admit calls. On an error the
-// decisions made so far are returned with it; the remaining flows are
-// undecided. The union zone-lock set is held for the whole batch.
+// falls back to deciding the flows individually in slice order, so a joint
+// failure never rejects a call on its own. A joint admission is not the
+// verdict sequential Admit calls would give, though: one joint solve can lay
+// out together calls whose one-by-one stitches would fail, so a batch may
+// admit calls that serial decisions reject. On an error the decisions made
+// so far are returned with it; the remaining flows are undecided. The union
+// zone-lock set is held for the whole batch.
 func (e *Engine) AdmitBatch(ctx context.Context, flows []Flow) ([]Decision, error) {
 	start := time.Now()
 	if len(flows) == 0 {
@@ -417,7 +420,7 @@ func (e *Engine) solveZoned(ctx context.Context, flows []Flow, delta map[topolog
 		r, err := e.models.SolveZone(zi, zp, hint, lo, e.maxWin, e.maxPairs, opts)
 		witness := errors.Is(err, milp.ErrLimit) && (ctx == nil || ctx.Err() == nil)
 		if witness {
-			r.Blocks, err = schedule.GreedyOrder(zp), nil
+			r.Blocks, err = e.dec.CityBlocks(zi, schedule.GreedyOrder(zp)), nil
 		}
 		e.mu.Lock()
 		tier, exact = max(tier, e.book(r)), true
@@ -479,14 +482,15 @@ func (e *Engine) witnessFlows(full *schedule.Problem, flows []Flow) []Flow {
 // paths, clipped to the zone, rank its links by their latest hop
 // (schedule.PathMajorOrder), and Bellman-Ford finds its smallest window up
 // to the cap (schedule.MinWindowForOrder; no wider window can admit). It
-// returns the layout in ByStart order, or nil. Runs without e.mu.
+// returns the layout in ByStart order and city IDs, or nil. Runs without
+// e.mu.
 func (e *Engine) pathMajor(zp *schedule.Problem, zi int, flows []Flow) []tdma.Assignment {
 	wp := &schedule.Problem{Graph: zp.Graph, Demand: zp.Demand, FrameSlots: zp.FrameSlots}
 	for _, f := range flows {
 		var clip topology.Path
 		for _, l := range f.Path {
 			if e.dec.ZoneOf(l) == zi {
-				clip = append(clip, l)
+				clip = append(clip, e.dec.Local(l))
 			}
 		}
 		if clip != nil {
@@ -500,7 +504,7 @@ func (e *Engine) pathMajor(zp *schedule.Problem, zi int, flows []Flow) []tdma.As
 		return nil
 	}
 	slices.SortFunc(s.Assignments, tdma.ByStart)
-	return s.Assignments
+	return e.dec.CityBlocks(zi, s.Assignments)
 }
 
 // stitch swaps the zones' allocations into the live schedule: per zone, cut

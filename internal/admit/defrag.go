@@ -135,10 +135,10 @@ func (e *Engine) defragZoned(full *schedule.Problem, win0 int, opts milp.Options
 	var blocks []tdma.Assignment
 	exact := one
 	for zi := range e.dec.Zones {
-		zp := partition.ZoneProblem(full, e.dec, zi)
-		if !slices.ContainsFunc(e.dec.Zones[zi].Links, func(l topology.LinkID) bool { return zp.Demand[l] > 0 }) {
+		if !slices.ContainsFunc(e.dec.Zones[zi].Links, func(l topology.LinkID) bool { return full.Demand[l] > 0 }) {
 			continue
 		}
+		zp := partition.ZoneProblem(full, e.dec, zi)
 		r, err := e.dfModels.SolveZone(zi, zp, hint, 0, win0-1, e.maxPairs, opts)
 		if err != nil {
 			return nil, noWin(err)

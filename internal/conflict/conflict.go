@@ -20,10 +20,18 @@
 // lists (cache-friendly iteration via VisitNeighbors). Link IDs are dense
 // indices in [0, L) by construction (see topology.LinkID), so no separate
 // index mapping is needed.
+//
+// Graph.Induced cuts out the subgraph over a subset of links, renumbered
+// densely in the subset's order; Origin maps its IDs back. An induced graph
+// keeps only the bitset rows and walks a row's set bits where a built graph
+// walks its lists: at the few hundred links of an interference zone a row is
+// a handful of words, while lists for every zone of a city would cost tens
+// of times the bitsets.
 package conflict
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"wimesh/internal/topology"
@@ -77,36 +85,23 @@ type Graph struct {
 	// clear; Conflicts special-cases a == b.
 	bits []uint64
 	// adj[l] holds the links conflicting with l, sorted ascending,
-	// excluding l itself.
+	// excluding l itself. Nil on an induced graph, which walks bits instead.
 	adj [][]topology.LinkID
 	// edges is the number of conflicting pairs.
 	edges int
-}
-
-// nodeBitset is a bitset over node IDs, one row of words per node.
-type nodeBitset struct {
-	words int
-	bits  []uint64
-}
-
-func newNodeBitset(n int) *nodeBitset {
-	words := (n + 63) / 64
-	return &nodeBitset{words: words, bits: make([]uint64, n*words)}
-}
-
-func (s *nodeBitset) set(a, b topology.NodeID) {
-	s.bits[int(a)*s.words+int(b)>>6] |= 1 << (uint(b) & 63)
-}
-
-func (s *nodeBitset) has(a, b topology.NodeID) bool {
-	return s.bits[int(a)*s.words+int(b)>>6]&(1<<(uint(b)&63)) != 0
+	// origin[l] is link l's ID in the graph this one was induced from, nil
+	// on a built graph.
+	origin []topology.LinkID
 }
 
 // Build constructs the conflict graph of net under the given options.
 //
-// The pairwise loop is O(L^2) with an O(1) inner test: the one-hop and
-// within-range node relations are precomputed as node bitsets instead of
-// probing the topology's link index per pair.
+// Interference is local, so each link's row is marked from the links at its
+// endpoints and their neighbourhoods instead of testing every pair: b
+// conflicts with a iff b touches a node of a (primary), b's receiver is
+// related to a's transmitter, or b's transmitter to a's receiver (one hop
+// apart, or within range). Each row is complete from its own link's side,
+// and the sorted neighbour lists are read off the rows.
 func Build(net *topology.Network, opts Options) (*Graph, error) {
 	if opts.Model < ModelPrimary || opts.Model > ModelGeometric {
 		return nil, fmt.Errorf("conflict: unknown model %d", int(opts.Model))
@@ -124,19 +119,28 @@ func Build(net *topology.Network, opts Options) (*Graph, error) {
 	}
 	g.bits = make([]uint64, n*g.words)
 
-	// Precompute the node relation the secondary-interference test needs.
-	var rel *nodeBitset
+	out := make([][]topology.LinkID, net.NumNodes())
+	in := make([][]topology.LinkID, net.NumNodes())
+	for _, l := range links {
+		out[l.From] = append(out[l.From], l.ID)
+		in[l.To] = append(in[l.To], l.ID)
+	}
+	// rel[x] lists the nodes the secondary-interference test relates to x,
+	// a symmetric relation.
+	rel := make([][]topology.NodeID, net.NumNodes())
 	switch opts.Model {
 	case ModelTwoHop:
 		// One-hop radio neighbourhood, symmetric over link direction.
-		rel = newNodeBitset(net.NumNodes())
 		for _, l := range links {
-			rel.set(l.From, l.To)
-			rel.set(l.To, l.From)
+			rel[l.From] = append(rel[l.From], l.To)
+			rel[l.To] = append(rel[l.To], l.From)
+		}
+		for x := range rel {
+			slices.Sort(rel[x])
+			rel[x] = slices.Compact(rel[x])
 		}
 	case ModelGeometric:
 		// Nodes within the interference range of each other.
-		rel = newNodeBitset(net.NumNodes())
 		nodes := net.Nodes()
 		for i := range nodes {
 			for j := i + 1; j < len(nodes); j++ {
@@ -145,35 +149,47 @@ func Build(net *topology.Network, opts Options) (*Graph, error) {
 					return nil, err
 				}
 				if d <= opts.InterferenceRange {
-					rel.set(nodes[i].ID, nodes[j].ID)
-					rel.set(nodes[j].ID, nodes[i].ID)
+					rel[nodes[i].ID] = append(rel[nodes[i].ID], nodes[j].ID)
+					rel[nodes[j].ID] = append(rel[nodes[j].ID], nodes[i].ID)
 				}
 			}
 		}
 	}
 
-	for i := 0; i < n; i++ {
-		a := links[i]
-		for j := i + 1; j < n; j++ {
-			b := links[j]
-			// Primary: shared node.
-			c := a.From == b.From || a.From == b.To || a.To == b.From || a.To == b.To
-			if !c && opts.Model != ModelPrimary {
-				// Secondary: a's transmitter interferes at b's receiver
-				// (one-hop neighbour or within range), or vice versa.
-				c = rel.has(a.From, b.To) || rel.has(b.From, a.To)
-			}
-			if c {
-				g.setBit(i, j)
-				g.setBit(j, i)
-				g.adj[i] = append(g.adj[i], b.ID)
-				g.adj[j] = append(g.adj[j], a.ID)
-				g.edges++
+	for i, a := range links {
+		row := g.row(i)
+		mark := func(ls []topology.LinkID) {
+			for _, b := range ls {
+				row[b>>6] |= 1 << (uint(b) & 63)
 			}
 		}
+		// Primary: shared node.
+		mark(out[a.From])
+		mark(in[a.From])
+		mark(out[a.To])
+		mark(in[a.To])
+		// Secondary: a's transmitter interferes at b's receiver, or b's
+		// transmitter at a's receiver.
+		for _, x := range rel[a.From] {
+			mark(in[x])
+		}
+		for _, x := range rel[a.To] {
+			mark(out[x])
+		}
+		row[i>>6] &^= 1 << (uint(i) & 63)
+		deg := 0
+		for _, x := range row {
+			deg += bits.OnesCount64(x)
+		}
+		g.adj[i] = make([]topology.LinkID, 0, deg)
+		for w, x := range row {
+			for ; x != 0; x &= x - 1 {
+				g.adj[i] = append(g.adj[i], topology.LinkID(w<<6+bits.TrailingZeros64(x)))
+			}
+		}
+		g.edges += deg
 	}
-	// The double loop appends neighbours in ascending ID order on both
-	// sides, so the adjacency lists are already sorted.
+	g.edges /= 2
 	return g, nil
 }
 
@@ -186,7 +202,50 @@ func (g *Graph) row(a int) []uint64 {
 	return g.bits[a*g.words : (a+1)*g.words]
 }
 
-// Network returns the underlying mesh network.
+// Induced returns the subgraph induced by the given distinct links of g,
+// with link i of the result standing for links[i]: a and b conflict in it
+// iff links[a] and links[b] conflict in g. Listing the links ascending keeps
+// every tie-break by link ID in order. The result keeps only bitset rows —
+// VisitNeighbors and Degree scan a row's set bits — and has no network,
+// since its IDs are not the network's. It retains links (through Origin);
+// callers must not modify the slice afterwards.
+func (g *Graph) Induced(links []topology.LinkID) *Graph {
+	k := len(links)
+	h := &Graph{n: k, words: (k + 63) / 64, origin: links}
+	h.bits = make([]uint64, k*h.words)
+	for i, a := range links {
+		if a < 0 || int(a) >= g.n {
+			continue
+		}
+		row := g.row(int(a))
+		for j := i + 1; j < k; j++ {
+			if b := links[j]; b >= 0 && int(b) < g.n && row[int(b)>>6]&(1<<(uint(b)&63)) != 0 {
+				h.setBit(i, j)
+				h.setBit(j, i)
+				h.edges++
+			}
+		}
+	}
+	if g.origin != nil {
+		h.origin = make([]topology.LinkID, k)
+		for i, l := range links {
+			h.origin[i] = g.Origin(l)
+		}
+	}
+	return h
+}
+
+// Origin returns link l's ID in the graph g was induced from — l itself on
+// a graph Build made. Error messages name links through it, so a failure on
+// an induced graph names the link its caller knows.
+func (g *Graph) Origin(l topology.LinkID) topology.LinkID {
+	if g.origin == nil || l < 0 || int(l) >= g.n {
+		return l
+	}
+	return g.origin[l]
+}
+
+// Network returns the underlying mesh network, nil on an induced graph.
 func (g *Graph) Network() *topology.Network { return g.net }
 
 // Conflicts reports whether links a and b may not share a slot.
@@ -201,22 +260,57 @@ func (g *Graph) Conflicts(a, b topology.LinkID) bool {
 }
 
 // VisitNeighbors calls fn for every link conflicting with l, in ascending
-// ID order, without allocating. Iteration stops early when fn returns false.
+// ID order, without allocating: along l's list, or on an induced graph
+// along the set bits of its row. Iteration stops early when fn returns
+// false. Hot walks over a built graph range over Neighbors instead: a walk
+// that handles both kinds of graph is too large to inline, and a callback
+// that is not inlined costs up to 2.6 times the walk.
 func (g *Graph) VisitNeighbors(l topology.LinkID, fn func(topology.LinkID) bool) {
-	if l < 0 || int(l) >= g.n {
+	if uint(l) >= uint(g.n) {
 		return
 	}
-	for _, nb := range g.adj[l] {
-		if !fn(nb) {
-			return
+	if g.adj != nil {
+		for _, nb := range g.adj[l] {
+			if !fn(nb) {
+				return
+			}
+		}
+		return
+	}
+	for w, x := range g.row(int(l)) {
+		for ; x != 0; x &= x - 1 {
+			if !fn(topology.LinkID(w<<6 + bits.TrailingZeros64(x))) {
+				return
+			}
 		}
 	}
+}
+
+// Neighbors returns the links conflicting with l, ascending, when g keeps
+// neighbour lists (a graph Build made); ok is false on an induced graph,
+// whose neighbours VisitNeighbors walks. The slice is the graph's own;
+// callers must not modify it.
+func (g *Graph) Neighbors(l topology.LinkID) (nbs []topology.LinkID, ok bool) {
+	if g.adj == nil {
+		return nil, false
+	}
+	if uint(l) >= uint(g.n) {
+		return nil, true
+	}
+	return g.adj[l], true
 }
 
 // Degree returns the number of links conflicting with l.
 func (g *Graph) Degree(l topology.LinkID) int {
 	if l < 0 || int(l) >= g.n {
 		return 0
+	}
+	if g.adj == nil {
+		d := 0
+		for _, x := range g.row(int(l)) {
+			d += bits.OnesCount64(x)
+		}
+		return d
 	}
 	return len(g.adj[l])
 }

@@ -34,8 +34,10 @@ import (
 	"runtime"
 	"slices"
 	"sort"
+	"sync"
 	"time"
 
+	"wimesh/internal/conflict"
 	"wimesh/internal/milp"
 	"wimesh/internal/obs"
 	"wimesh/internal/schedule"
@@ -96,23 +98,71 @@ type Zone struct {
 }
 
 // Decomposition is a spatial cut of a scheduling problem into zones.
+//
+// Each zone is solved on its own induced conflict graph (ZoneProblem), with
+// zone-local link IDs: local link i is the zone's Links[i], so local IDs
+// keep the city order and every tie-break by link ID. The zone-side solvers
+// see only local IDs; ZoneSolution blocks, and the witnesses the admission
+// engine builds over a zone problem (CityBlocks), come back in city IDs.
 type Decomposition struct {
 	ZoneSize   float64
 	Cols, Rows int
 	// Zones holds the non-empty zones in row-major cell order.
 	Zones []Zone
-	// zoneOf maps each dense link ID to its index in Zones, -1 for links
-	// with no demand.
-	zoneOf []int
+	// at maps each dense link ID to its zone's index in Zones and its
+	// zone-local ID; zone -1 for links with no demand.
+	at []zoneSlot
+	// graph is the conflict graph decomposed; graphs[zi] is zone zi's
+	// induced graph, built on first use (zones are solved concurrently).
+	graph  *conflict.Graph
+	graphs []zoneGraph
+}
+
+type zoneSlot struct{ zone, local int32 }
+
+type zoneGraph struct {
+	once sync.Once
+	g    *conflict.Graph
 }
 
 // ZoneOf returns the index in Zones of the zone owning link l, or -1 when
 // the link carries no demand.
 func (d *Decomposition) ZoneOf(l topology.LinkID) int {
-	if l < 0 || int(l) >= len(d.zoneOf) {
+	if l < 0 || int(l) >= len(d.at) {
 		return -1
 	}
-	return d.zoneOf[l]
+	return int(d.at[l].zone)
+}
+
+// Local returns link l's zone-local ID: its index in its zone's Links.
+// The link must belong to a zone (ZoneOf(l) >= 0).
+func (d *Decomposition) Local(l topology.LinkID) topology.LinkID {
+	return topology.LinkID(d.at[l].local)
+}
+
+// CityBlocks rewrites blocks laid out on zone zi's problem from zone-local
+// to city link IDs, in place, and returns them.
+func (d *Decomposition) CityBlocks(zi int, blocks []tdma.Assignment) []tdma.Assignment {
+	links := d.Zones[zi].Links
+	for i := range blocks {
+		blocks[i].Link = links[blocks[i].Link]
+	}
+	return blocks
+}
+
+// zoneGraph returns zone zi's conflict graph: the graph induced by its
+// links, or the decomposed graph itself when the zone holds every link (a
+// monolithic engine's one zone), where local and city IDs coincide.
+func (d *Decomposition) zoneGraph(zi int) *conflict.Graph {
+	zg := &d.graphs[zi]
+	zg.once.Do(func() {
+		if links := d.Zones[zi].Links; len(links) == d.graph.NumVertices() {
+			zg.g = d.graph
+		} else {
+			zg.g = d.graph.Induced(links)
+		}
+	})
+	return zg.g
 }
 
 // ZoneSet returns the sorted, deduplicated zone indices owning the given
@@ -136,7 +186,8 @@ func (d *Decomposition) ZoneSet(links []topology.LinkID) []int {
 // position, and classifies each link as interior or halo by probing the
 // conflict graph: a link is halo iff it conflicts with an active link owned
 // by another zone. The classification is exact — it uses the same conflict
-// graph the schedule must satisfy, not a distance heuristic.
+// graph the schedule must satisfy, not a distance heuristic. The graph must
+// be one conflict.Build made: the cut reads its network and neighbour lists.
 func Decompose(p *schedule.Problem, zoneSize float64) (*Decomposition, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -168,9 +219,9 @@ func Decompose(p *schedule.Problem, zoneSize float64) (*Decomposition, error) {
 		maxX = math.Max(maxX, nd.X)
 		maxY = math.Max(maxY, nd.Y)
 	}
-	d := &Decomposition{ZoneSize: zoneSize, zoneOf: make([]int, p.Graph.NumVertices())}
-	for i := range d.zoneOf {
-		d.zoneOf[i] = -1
+	d := &Decomposition{ZoneSize: zoneSize, at: make([]zoneSlot, p.Graph.NumVertices()), graph: p.Graph}
+	for i := range d.at {
+		d.at[i].zone = -1
 	}
 	if len(active) == 0 {
 		return d, nil
@@ -203,22 +254,20 @@ func Decompose(p *schedule.Problem, zoneSize float64) (*Decomposition, error) {
 	}
 	for i, l := range active {
 		zi := seen[cellOf[i]]
-		d.zoneOf[l] = zi
+		d.at[l] = zoneSlot{zone: int32(zi), local: int32(len(d.Zones[zi].Links))}
 		d.Zones[zi].Links = append(d.Zones[zi].Links, l)
 	}
+	d.graphs = make([]zoneGraph, len(d.Zones))
 	// Halo classification: probe the conflict graph against active links of
 	// other zones only (conflicts with undemanded links cannot affect the
 	// schedule).
 	for zi := range d.Zones {
 		z := &d.Zones[zi]
 		for _, l := range z.Links {
-			halo := false
-			p.Graph.VisitNeighbors(l, func(nb topology.LinkID) bool {
-				if zo := d.zoneOf[nb]; zo >= 0 && zo != zi {
-					halo = true
-					return false
-				}
-				return true
+			nbs, _ := p.Graph.Neighbors(l)
+			halo := slices.ContainsFunc(nbs, func(nb topology.LinkID) bool {
+				zo := int(d.at[nb].zone)
+				return zo >= 0 && zo != zi
 			})
 			if halo {
 				z.Halo = append(z.Halo, l)
@@ -314,7 +363,7 @@ func MinSlots(p *schedule.Problem, cfg tdma.FrameConfig, opts Options) (*Result,
 		milpOpts.MaxNodes = 100_000
 	}
 
-	models := NewModels(len(dec.Zones), cfg)
+	models := NewModels(dec, cfg)
 	sols := make([]ZoneSolution, len(dec.Zones))
 	errs := make([]error, len(dec.Zones))
 	forEachZone(len(dec.Zones), opts.Workers, func(zi int) {
@@ -455,6 +504,9 @@ func stitch(p *schedule.Problem, dec *Decomposition, entries []tdma.Assignment, 
 	byID := func(a, b tdma.Assignment) int { return int(a.Link - b.Link) }
 	var best *tdma.Schedule
 	var firstErr error
+	// Two packings are live at once (hint-preserve's and its final re-pack);
+	// every candidate resets them instead of allocating its own.
+	list, hint := tdma.NewPacking(p.Graph), tdma.NewPacking(p.Graph)
 	consider := func(s *tdma.Schedule, err error) {
 		if err != nil {
 			if firstErr == nil {
@@ -466,10 +518,10 @@ func stitch(p *schedule.Problem, dec *Decomposition, entries []tdma.Assignment, 
 			best = s
 		}
 	}
-	consider(placeList(p, cfg, entries, tdma.ByStart))
-	consider(placeHintPreserve(p, cfg, entries, halo))
-	consider(placeList(p, cfg, entries, byID))
-	consider(placeList(p, cfg, entries, tdma.ByDemand))
+	consider(placeList(list, p, cfg, entries, tdma.ByStart))
+	consider(placeHintPreserve(hint, list, p, cfg, entries, halo))
+	consider(placeList(list, p, cfg, entries, byID))
+	consider(placeList(list, p, cfg, entries, tdma.ByDemand))
 	if best == nil {
 		return nil, 0, firstErr
 	}
@@ -482,13 +534,14 @@ func stitch(p *schedule.Problem, dec *Decomposition, entries []tdma.Assignment, 
 	return best, repairs, nil
 }
 
-// placeList first-fit places a copy of the entries in the given order: each
-// link's block goes to the earliest interval that avoids every conflicting
-// block placed before it.
-func placeList(p *schedule.Problem, cfg tdma.FrameConfig, entries []tdma.Assignment, order func(a, b tdma.Assignment) int) (*tdma.Schedule, error) {
+// placeList first-fit places a copy of the entries in the given order, in pk
+// emptied first: each link's block goes to the earliest interval that avoids
+// every conflicting block placed before it.
+func placeList(pk *tdma.Packing, p *schedule.Problem, cfg tdma.FrameConfig, entries []tdma.Assignment, order func(a, b tdma.Assignment) int) (*tdma.Schedule, error) {
 	blocks := slices.Clone(entries)
 	slices.SortFunc(blocks, order)
-	fits := tdma.NewPacking(p.Graph).Repack(blocks, func(topology.LinkID, int) int { return p.FrameSlots })
+	pk.Reset(nil)
+	fits := pk.Repack(blocks, func(topology.LinkID, int) int { return p.FrameSlots })
 	if fits < len(blocks) {
 		return nil, fmt.Errorf("%w: link %d (demand %d) does not fit in %d slots after stitching",
 			ErrInfeasible, blocks[fits].Link, blocks[fits].Length, p.FrameSlots)
@@ -505,10 +558,11 @@ func placeList(p *schedule.Problem, cfg tdma.FrameConfig, entries []tdma.Assignm
 
 // placeHintPreserve keeps interior links on their zone-local slots,
 // coordinates halo links heaviest-first (hint slot when free, earliest fit
-// otherwise), then compacts the union with a start-order re-pack: every link
-// can fall back to its current slot, so the sweep never grows the makespan.
-func placeHintPreserve(p *schedule.Problem, cfg tdma.FrameConfig, entries []tdma.Assignment, halo map[topology.LinkID]bool) (*tdma.Schedule, error) {
-	pk := tdma.NewPacking(p.Graph)
+// otherwise) in pk, then compacts the union with a start-order re-pack in
+// list: every link can fall back to its current slot, so the sweep never
+// grows the makespan. Both packings are emptied first.
+func placeHintPreserve(pk, list *tdma.Packing, p *schedule.Problem, cfg tdma.FrameConfig, entries []tdma.Assignment, halo map[topology.LinkID]bool) (*tdma.Schedule, error) {
+	pk.Reset(nil)
 	placed := make([]tdma.Assignment, 0, len(entries))
 	var halos []tdma.Assignment
 	for _, e := range entries {
@@ -530,5 +584,5 @@ func placeHintPreserve(p *schedule.Problem, cfg tdma.FrameConfig, entries []tdma
 		pk.Add(h)
 		placed = append(placed, h)
 	}
-	return placeList(p, cfg, placed, tdma.ByStart)
+	return placeList(list, p, cfg, placed, tdma.ByStart)
 }

@@ -9,27 +9,40 @@ import (
 	"wimesh/internal/topology"
 )
 
-// ZoneProblem restricts p to the zi'th zone of the decomposition: the zone's
-// demands, the start caps, and the delay requirements of flows whose full
-// path stays inside it.
+// ZoneProblem restricts p to the zi'th zone of the decomposition, on the
+// zone's induced conflict graph in zone-local IDs (see Decomposition): the
+// zone's demands, their start caps, and the delay requirements of flows
+// whose full path stays inside it.
 func ZoneProblem(p *schedule.Problem, dec *Decomposition, zi int) *schedule.Problem {
 	z := &dec.Zones[zi]
 	demand := make(map[topology.LinkID]int, len(z.Links))
-	for _, l := range z.Links {
-		demand[l] = p.Demand[l]
+	var caps map[topology.LinkID]int
+	for i, l := range z.Links {
+		demand[topology.LinkID(i)] = p.Demand[l]
+		if c, ok := p.StartCap[l]; ok {
+			if caps == nil {
+				caps = make(map[topology.LinkID]int)
+			}
+			caps[topology.LinkID(i)] = c
+		}
 	}
 	var flows []schedule.FlowRequirement
 	for _, f := range p.Flows {
-		if len(f.Path) > 0 && !slices.ContainsFunc(f.Path, func(l topology.LinkID) bool { return dec.zoneOf[l] != zi }) {
-			flows = append(flows, f)
+		if len(f.Path) == 0 || slices.ContainsFunc(f.Path, func(l topology.LinkID) bool { return dec.ZoneOf(l) != zi }) {
+			continue
 		}
+		path := make(topology.Path, len(f.Path))
+		for k, l := range f.Path {
+			path[k] = dec.Local(l)
+		}
+		flows = append(flows, schedule.FlowRequirement{Path: path, BoundSlots: f.BoundSlots})
 	}
 	return &schedule.Problem{
-		Graph:      p.Graph,
+		Graph:      dec.zoneGraph(zi),
 		Demand:     demand,
 		FrameSlots: p.FrameSlots,
 		Flows:      flows,
-		StartCap:   p.StartCap,
+		StartCap:   caps,
 	}
 }
 
@@ -54,8 +67,8 @@ func activePairs(p *schedule.Problem) int {
 
 // ZoneSolution is one zone's schedule as the zone planner hands it back.
 type ZoneSolution struct {
-	// Blocks is the zone's layout, one block per demanded link, in
-	// tdma.ByStart order: the placement hint of a stitch.
+	// Blocks is the zone's layout in city link IDs, one block per demanded
+	// link, in tdma.ByStart order: the placement hint of a stitch.
 	Blocks []tdma.Assignment
 	// Window is the window the search proved minimal over its range, or the
 	// makespan of a greedy packing.
@@ -68,23 +81,25 @@ type ZoneSolution struct {
 	Cold, Greedy bool
 }
 
-// Models is the zone planner's state: one persistent ILP model
-// (schedule.Incremental) per zone. A zone's model is built on its first
-// exact solve, over that zone problem — its demanded links and in-zone
-// flows — and grown by Cover after that; a zone the pair gate sends to the
-// greedy packing never gets one. Calls for one zone must not overlap; calls
-// for different zones may.
+// Models is the zone planner's state over one decomposition: one persistent
+// ILP model (schedule.Incremental) per zone, in zone-local IDs. A zone's
+// model is built on its first exact solve, over that zone problem — its
+// demanded links and in-zone flows — and grown by Cover after that; a zone
+// the pair gate sends to the greedy packing never gets one. Calls for one
+// zone must not overlap; calls for different zones may.
 type Models struct {
+	dec   *Decomposition
 	frame tdma.FrameConfig
 	zones []*schedule.Incremental
 }
 
-// NewModels returns a planner for the given number of zones, no model built.
-func NewModels(zones int, frame tdma.FrameConfig) *Models {
-	return &Models{frame: frame, zones: make([]*schedule.Incremental, zones)}
+// NewModels returns a planner for the decomposition's zones, no model built.
+func NewModels(dec *Decomposition, frame tdma.FrameConfig) *Models {
+	return &Models{dec: dec, frame: frame, zones: make([]*schedule.Incremental, len(dec.Zones))}
 }
 
-// SolveZone is the one zone-solve policy. A zone problem with more than
+// SolveZone is the one zone-solve policy, on ZoneProblem(·, ·, zi); the
+// blocks come back in city IDs. A zone problem with more than
 // maxPairs conflicting demanded pairs (every zone, when maxPairs < 0) is
 // packed greedily, without a model: beyond a couple hundred ordering
 // variables the branch-and-bound stops paying for itself (see
@@ -99,7 +114,7 @@ func (ms *Models) SolveZone(zi int, zp *schedule.Problem, hint, lo, hi, maxPairs
 			return ZoneSolution{}, err
 		}
 		slices.SortFunc(gs.Assignments, tdma.ByStart)
-		return ZoneSolution{Blocks: gs.Assignments, Window: schedule.GreedyLength(gs), Greedy: true}, nil
+		return ZoneSolution{Blocks: ms.dec.CityBlocks(zi, gs.Assignments), Window: schedule.GreedyLength(gs), Greedy: true}, nil
 	}
 	m, cold := ms.zones[zi], true
 	var err error
@@ -115,8 +130,8 @@ func (ms *Models) SolveZone(zi int, zp *schedule.Problem, hint, lo, hi, maxPairs
 	win, s, solved, pivots, err := m.MinSlots(zp, hint, lo, hi, opts)
 	r := ZoneSolution{Window: win, Solved: solved, Pivots: pivots, Cold: cold}
 	if err == nil {
-		r.Blocks = s.Assignments
-		slices.SortFunc(r.Blocks, tdma.ByStart)
+		slices.SortFunc(s.Assignments, tdma.ByStart)
+		r.Blocks = ms.dec.CityBlocks(zi, s.Assignments)
 	}
 	return r, err
 }

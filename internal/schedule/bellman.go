@@ -144,7 +144,7 @@ func NewScheduleFromStarts(p *Problem, links []topology.LinkID, starts []float64
 		}
 		start := int(math.Round(starts[i] - zeroRef))
 		if err := s.Add(tdma.Assignment{Link: l, Start: start, Length: d}); err != nil {
-			return nil, fmt.Errorf("link %d start %g: %w", l, starts[i]-zeroRef, err)
+			return nil, fmt.Errorf("link %d start %g: %w", p.Graph.Origin(l), starts[i]-zeroRef, err)
 		}
 	}
 	return s, nil

@@ -27,13 +27,13 @@ func Greedy(p *Problem, cfg tdma.FrameConfig) (*tdma.Schedule, error) {
 	for _, a := range GreedyOrder(p) {
 		if a.Start = placed.FirstFit(a.Link, a.Length, p.FrameSlots, nil); a.Start < 0 {
 			return nil, fmt.Errorf("%w: greedy could not place link %d (demand %d) in %d slots",
-				ErrInfeasible, a.Link, a.Length, p.FrameSlots)
+				ErrInfeasible, p.Graph.Origin(a.Link), a.Length, p.FrameSlots)
 		}
 		if cap, capped := p.StartCap[a.Link]; capped && a.Start > cap {
 			// First-fit already found the earliest conflict-free start, so a
 			// start past the link's deadline cap cannot be repaired greedily.
 			return nil, fmt.Errorf("%w: greedy start %d for link %d past its cap %d",
-				ErrInfeasible, a.Start, a.Link, cap)
+				ErrInfeasible, a.Start, p.Graph.Origin(a.Link), cap)
 		}
 		placed.Add(a)
 		if err := s.Add(a); err != nil {

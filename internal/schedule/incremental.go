@@ -263,7 +263,7 @@ func (inc *Incremental) apply(p *Problem, win int) error {
 		}
 		if up < 0 {
 			return fmt.Errorf("%w: link %d (demand %d) has no start slot in window %d under its start cap",
-				ErrInfeasible, l, d, win)
+				ErrInfeasible, inc.graph.Origin(l), d, win)
 		}
 		if err := m.SetUpper(inc.start[l], float64(up)); err != nil {
 			return err

@@ -51,9 +51,17 @@ func NewOrderDense(numLinks int) *Order {
 	return o
 }
 
-// newOrderFor returns an order sized for the problem's conflict graph.
+// newOrderFor returns an order sized for the problem's conflict graph: the
+// triangular array up to 4 KiB, or while it costs at most a map entry's
+// worth of bytes per conflicting pair of the problem, the map beyond that.
+// A zone-local graph with a few demanded links among hundreds would
+// otherwise pay for every pair of the zone on every order.
 func newOrderFor(p *Problem) *Order {
-	return NewOrderDense(p.Graph.NumVertices())
+	n := p.Graph.NumVertices()
+	if tri := n * (n - 1) / 2; tri > 4096 && tri > 32*len(p.conflictingPairs()) {
+		return NewOrder()
+	}
+	return NewOrderDense(n)
 }
 
 // triIndex maps a pair a < b (both within [0, n)) to its triangular slot.

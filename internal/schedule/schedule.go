@@ -165,17 +165,17 @@ func (p *Problem) Validate() error {
 	}
 	for l, d := range p.Demand {
 		if d < 0 {
-			return fmt.Errorf("%w: negative demand %d on link %d", ErrBadDemand, d, l)
+			return fmt.Errorf("%w: negative demand %d on link %d", ErrBadDemand, d, p.Graph.Origin(l))
 		}
 		if d > p.FrameSlots {
 			return fmt.Errorf("%w: demand %d on link %d exceeds frame of %d slots",
-				ErrBadDemand, d, l, p.FrameSlots)
+				ErrBadDemand, d, p.Graph.Origin(l), p.FrameSlots)
 		}
 	}
 	for i, f := range p.Flows {
 		for _, l := range f.Path {
 			if p.Demand[l] <= 0 {
-				return fmt.Errorf("%w: flow %d uses link %d with no demand", ErrBadDemand, i, l)
+				return fmt.Errorf("%w: flow %d uses link %d with no demand", ErrBadDemand, i, p.Graph.Origin(l))
 			}
 		}
 		if f.BoundSlots < 0 {
@@ -240,7 +240,7 @@ func (p *Problem) checkSchedule(s *tdma.Schedule) error {
 		return err
 	}
 	if l, got, short := s.Shortfall(p.Demand); short {
-		return fmt.Errorf("%w: link %d got %d slots, demand %d", ErrInfeasible, l, got, p.Demand[l])
+		return fmt.Errorf("%w: link %d got %d slots, demand %d", ErrInfeasible, p.Graph.Origin(l), got, p.Demand[l])
 	}
 	return nil
 }

@@ -167,7 +167,13 @@ func (p *Packing) blocked(l topology.LinkID, limit int, pending []Assignment) []
 		return true
 	}
 	fill(l)
-	p.g.VisitNeighbors(l, fill)
+	if nbs, ok := p.g.Neighbors(l); ok {
+		for _, k := range nbs {
+			fill(k)
+		}
+	} else {
+		p.g.VisitNeighbors(l, fill)
+	}
 	for _, a := range pending {
 		if a.Link == l || p.g.Conflicts(a.Link, l) {
 			mark(a.Start, a.End())

@@ -148,7 +148,7 @@ func (s *Schedule) Validate(g *conflict.Graph) error {
 		for _, a := range running {
 			if a.End() > b.Start && g.Conflicts(a.Link, b.Link) {
 				return fmt.Errorf("%w: links %d and %d overlap in slot %d",
-					ErrConflict, min(a.Link, b.Link), max(a.Link, b.Link), b.Start)
+					ErrConflict, g.Origin(min(a.Link, b.Link)), g.Origin(max(a.Link, b.Link)), b.Start)
 			}
 			if a.End() > b.Start {
 				live = append(live, a)
@@ -161,14 +161,26 @@ func (s *Schedule) Validate(g *conflict.Graph) error {
 
 // Shortfall returns a link the schedule gives fewer slots than its demand,
 // with the slots it got, from one tally; short is false when all are met.
+// The tally is a slice up to the largest link ID the blocks name, so on a
+// zone-local problem it is zone-sized.
 func (s *Schedule) Shortfall(demand map[topology.LinkID]int) (l topology.LinkID, got int, short bool) {
-	tally := make(map[topology.LinkID]int, len(demand))
+	n := 0
 	for _, a := range s.Assignments {
-		tally[a.Link] += a.Length
+		n = max(n, int(a.Link)+1)
+	}
+	tally := make([]int, n)
+	for _, a := range s.Assignments {
+		if a.Link >= 0 {
+			tally[a.Link] += a.Length
+		}
 	}
 	for l, d := range demand {
-		if tally[l] < d {
-			return l, tally[l], true
+		got := 0
+		if l >= 0 && int(l) < n {
+			got = tally[l]
+		}
+		if got < d {
+			return l, got, true
 		}
 	}
 	return 0, 0, false
