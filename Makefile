@@ -116,11 +116,11 @@ loc:
 # The ratchet on that number: the ceilings are what `make loc` printed when
 # they were last edited. A PR that shrinks the code lowers them; one that
 # must grow past them raises them in its own diff, where a reviewer sees it.
-LOC_MAX_TOTAL = 20580
+LOC_MAX_TOTAL = 20451
 LOC_MAX_MILP = 524
 LOC_MAX_ADMIT = 2213
 LOC_MAX_PARTITION = 725
-LOC_MAX_SCHEDULE = 1597
+LOC_MAX_SCHEDULE = 1593
 LOC_MAX_LP = 1148
 LOC_MAX_CORE = 1940
 
@@ -149,14 +149,15 @@ profile:
 		-cpuprofile cpu.prof -memprofile mem.prof
 	$(GO) tool pprof -top -nodecount 15 cpu.prof
 
-# Hot-path micro-benchmarks (kernel schedule/cancel, medium transmit, DCF
-# saturation, first-fit placement at city conflict degree, schedule
+# Hot-path micro-benchmarks (an order's window and schedule on a
+# witness-shaped grid and a 16-hop chain, kernel schedule/cancel, medium
+# transmit, DCF saturation, first-fit placement at city conflict degree, schedule
 # validation, one greedy and one exact zone solve of the city on its induced
 # graph); the kernel, medium and first-fit ones must report 0 allocs/op, and
 # the zone solves' B/op is the per-zone allocation.
 bench:
 	$(GO) test -run xxx -benchmem . \
-		-bench 'BenchmarkKernelAfterStep|BenchmarkKernelCancel|BenchmarkMediumTransmit|BenchmarkDCFSaturation|BenchmarkPackingFirstFit|BenchmarkScheduleValidate|BenchmarkZoneSolveCity'
+		-bench 'BenchmarkMinWindowForOrder|BenchmarkOrderToSchedule16Hops|BenchmarkKernelAfterStep|BenchmarkKernelCancel|BenchmarkMediumTransmit|BenchmarkDCFSaturation|BenchmarkPackingFirstFit|BenchmarkScheduleValidate|BenchmarkZoneSolveCity'
 
 clean:
 	$(GO) clean ./...

@@ -49,9 +49,53 @@ func BenchmarkOrderToSchedule16Hops(b *testing.B) {
 	frame := tdma.FrameConfig{FrameDuration: 40 * time.Millisecond, DataSlots: 32}
 	p := chainProblem(b, 17, frame)
 	o := schedule.PathMajorOrder(p)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := schedule.OrderToSchedule(p, o, frame.DataSlots, frame); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkMinWindowForOrder measures the admission witness's order pass: a
+// 3x4 grid (two-hop conflicts, the one-zone induced graph of a monolithic
+// engine) carrying a dozen shortest-path flows of one slot per hop, laid out
+// path-major in its smallest window under a 32-slot cap. Each iteration
+// starts from a fresh Problem, as every witness does.
+func BenchmarkMinWindowForOrder(b *testing.B) {
+	topo, err := topology.Grid(3, 4, 100)
+	if err != nil {
+		b.Fatal(err)
+	}
+	full, err := conflict.Build(topo, conflict.Options{Model: conflict.ModelTwoHop})
+	if err != nil {
+		b.Fatal(err)
+	}
+	links := make([]topology.LinkID, full.NumVertices())
+	for i := range links {
+		links[i] = topology.LinkID(i)
+	}
+	g := full.Induced(links)
+	var flows []schedule.FlowRequirement
+	demand := make(map[topology.LinkID]int)
+	for k := 0; k < 12; k++ {
+		src, dst := topology.NodeID(k*5%12), topology.NodeID((k*7+3)%12)
+		path, err := topo.ShortestPath(src, dst)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, l := range path {
+			demand[l]++
+		}
+		flows = append(flows, schedule.FlowRequirement{Path: path})
+	}
+	frame := tdma.FrameConfig{FrameDuration: 40 * time.Millisecond, DataSlots: 32}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p := &schedule.Problem{Graph: g, Demand: demand, FrameSlots: 256, Flows: flows}
+		if _, _, err := schedule.MinWindowForOrder(p, schedule.PathMajorOrder(p), frame); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -9,8 +9,8 @@
 //     window never grows on this tier, so every fastpath admit keeps the
 //     incumbent window exact.
 //   - Witness: per touched zone, the flows' paths order its links
-//     path-major and Bellman-Ford turns the order into a window, stitched
-//     when it fits the cap. It runs where no class start cap binds, and a
+//     path-major and one longest-path pass turns the order into a window,
+//     stitched when it fits the cap. It runs where no class start cap binds, and a
 //     zone it does not decide goes on to the exact search.
 //   - Warm: re-solve of a persistent, mutation-driven ILP model
 //     (schedule.Incremental) hinted at the incumbent window; on the seed-42

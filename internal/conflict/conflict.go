@@ -1,6 +1,4 @@
-// Package conflict builds wireless conflict graphs and solves the
-// difference-constraint systems used to turn transmission orders into TDMA
-// schedules.
+// Package conflict builds wireless conflict graphs.
 //
 // A conflict graph has one vertex per directed link of the mesh; two
 // vertices are adjacent when the links cannot transmit in the same TDMA slot.

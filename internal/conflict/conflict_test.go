@@ -1,7 +1,6 @@
 package conflict
 
 import (
-	"errors"
 	"testing"
 	"testing/quick"
 
@@ -195,107 +194,6 @@ func TestGreedyCliqueEmptyWeights(t *testing.T) {
 	clique, weight := g.GreedyClique(nil)
 	if len(clique) != 0 || weight != 0 {
 		t.Errorf("empty weights: clique=%v weight=%g, want empty", clique, weight)
-	}
-}
-
-func TestConstraintSystemFeasible(t *testing.T) {
-	// x1 - x0 <= -1 (x0 >= x1+1), x2 - x1 <= -1, x0 - x2 <= 3: feasible.
-	cs := NewConstraintSystem(3)
-	if err := cs.AddLE(1, 0, -1); err != nil {
-		t.Fatal(err)
-	}
-	if err := cs.AddLE(2, 1, -1); err != nil {
-		t.Fatal(err)
-	}
-	if err := cs.AddLE(0, 2, 3); err != nil {
-		t.Fatal(err)
-	}
-	x, err := cs.Solve()
-	if err != nil {
-		t.Fatalf("Solve: %v", err)
-	}
-	check := func(j, i int, c float64) {
-		if x[j]-x[i] > c+1e-9 {
-			t.Errorf("constraint x%d - x%d <= %g violated: %g - %g", j, i, c, x[j], x[i])
-		}
-	}
-	check(1, 0, -1)
-	check(2, 1, -1)
-	check(0, 2, 3)
-}
-
-func TestConstraintSystemInfeasible(t *testing.T) {
-	// x1 - x0 <= -2 and x0 - x1 <= 1 gives a cycle of weight -1.
-	cs := NewConstraintSystem(2)
-	if err := cs.AddLE(1, 0, -2); err != nil {
-		t.Fatal(err)
-	}
-	if err := cs.AddLE(0, 1, 1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cs.Solve(); !errors.Is(err, ErrInfeasible) {
-		t.Errorf("got %v, want ErrInfeasible", err)
-	}
-}
-
-func TestConstraintSystemGE(t *testing.T) {
-	// x1 - x0 >= 2.
-	cs := NewConstraintSystem(2)
-	if err := cs.AddGE(1, 0, 2); err != nil {
-		t.Fatal(err)
-	}
-	x, err := cs.Solve()
-	if err != nil {
-		t.Fatalf("Solve: %v", err)
-	}
-	if x[1]-x[0] < 2-1e-9 {
-		t.Errorf("x1-x0 = %g, want >= 2", x[1]-x[0])
-	}
-}
-
-func TestConstraintSystemVariableRange(t *testing.T) {
-	cs := NewConstraintSystem(2)
-	if err := cs.AddLE(2, 0, 1); err == nil {
-		t.Error("AddLE accepted out-of-range variable")
-	}
-	if err := cs.AddLE(-1, 0, 1); err == nil {
-		t.Error("AddLE accepted negative variable")
-	}
-}
-
-// Property: solutions returned by Solve satisfy every added constraint.
-func TestPropertySolveSatisfiesConstraints(t *testing.T) {
-	type edge struct {
-		J, I uint8
-		Gap  int8
-	}
-	prop := func(edges []edge) bool {
-		const n = 6
-		cs := NewConstraintSystem(n)
-		for _, e := range edges {
-			// Only non-negative gaps guarantee feasibility here; we check
-			// the "feasible => satisfied" direction.
-			c := float64(e.Gap)
-			if c < 0 {
-				c = -c
-			}
-			if err := cs.AddLE(int(e.J)%n, int(e.I)%n, c); err != nil {
-				return false
-			}
-		}
-		x, err := cs.Solve()
-		if err != nil {
-			return false // all weights >= 0: must be feasible
-		}
-		for _, e := range cs.edges {
-			if x[e.to]-x[e.from] > e.weight+1e-9 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
 	}
 }
 

@@ -26,10 +26,10 @@ const (
 	// over the full frame.
 	MethodMinMaxDelay
 	// MethodPathMajor uses the greedy delay-aware order (hops in path
-	// order) with Bellman-Ford and a binary search on the window.
+	// order) in its smallest window, the order's longest path.
 	MethodPathMajor
 	// MethodTreeOrder uses the polynomial overlay-tree order (gateway
-	// traffic) with Bellman-Ford.
+	// traffic) in its smallest window, the order's longest path.
 	MethodTreeOrder
 	// MethodGreedy is the delay-oblivious first-fit coloring baseline.
 	MethodGreedy
@@ -151,7 +151,7 @@ func (s *System) Plan(fs *topology.FlowSet, method PlanMethod, packetBytes int) 
 		}
 		plan.Schedule, plan.WindowSlots = res.Schedule, s.Frame.DataSlots
 	case MethodPathMajor:
-		win, sched, err := schedule.MinWindowForOrder(p, schedule.PathMajorOrder(p), s.Frame)
+		win, sched, err := schedule.PathMajorWindow(p, s.Frame)
 		if err != nil {
 			return nil, fmt.Errorf("core: plan %v: %w", method, err)
 		}

@@ -222,8 +222,9 @@ func orderDelay(p *schedule.Problem, o *schedule.Order, cfg tdma.FrameConfig) (t
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
 // R7SchedulerScalability reproduces the scheduler-runtime comparison: wall
-// time of the exact ILP linear search, the order+Bellman-Ford pipeline and
-// the greedy coloring as the chain grows.
+// time of the exact ILP linear search, the order pipeline (path-major order,
+// then the longest-path pass that stands for Bellman-Ford) and the greedy
+// coloring as the chain grows.
 func R7SchedulerScalability() (*Table, error) {
 	t := &Table{
 		ID:     "R7",

@@ -2,6 +2,7 @@ package schedule
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"wimesh/internal/tdma"
@@ -28,16 +29,9 @@ func FillResidual(p *Problem, s *tdma.Schedule, beLinks []topology.LinkID) (*tdm
 	if len(beLinks) == 0 {
 		return nil, nil, fmt.Errorf("%w: no best-effort links", ErrBadDemand)
 	}
-	seen := make(map[topology.LinkID]bool, len(beLinks))
-	links := make([]topology.LinkID, 0, len(beLinks))
-	for _, l := range beLinks {
-		if seen[l] {
-			continue
-		}
-		seen[l] = true
-		links = append(links, l)
-	}
-	sort.Slice(links, func(i, j int) bool { return links[i] < links[j] })
+	links := slices.Clone(beLinks)
+	slices.Sort(links)
+	links = slices.Compact(links)
 
 	out, err := tdma.NewSchedule(s.Config)
 	if err != nil {

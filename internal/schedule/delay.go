@@ -73,9 +73,7 @@ func MaxPathDelay(p *Problem, s *tdma.Schedule) (time.Duration, error) {
 		if err != nil {
 			return 0, fmt.Errorf("flow %d: %w", i, err)
 		}
-		if d > maxD {
-			maxD = d
-		}
+		maxD = max(maxD, d)
 	}
 	return maxD, nil
 }

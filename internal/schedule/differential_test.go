@@ -2,6 +2,8 @@ package schedule
 
 import (
 	"errors"
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -250,5 +252,236 @@ func TestDifferentialMinSlotsVsLinear(t *testing.T) {
 	}
 	if feasible == 0 || infeasible == 0 {
 		t.Fatalf("weak coverage: %d feasible, %d infeasible", feasible, infeasible)
+	}
+}
+
+// complete reports whether o orders every conflicting pair of p's demanded
+// links.
+func complete(o *Order, p *Problem) bool {
+	for _, pair := range p.conflictingPairs() {
+		if _, ok := o.Before(pair[0], pair[1]); !ok {
+			return false
+		}
+	}
+	return true
+}
+
+// bellmanFord is the paper's step that the order pass replaces: the order's
+// difference constraints (see orderPass) in float64, solved by Bellman-Ford
+// from a virtual source, with the starts shifted by the zero reference. It
+// returns nil on a negative cycle. The order must be complete.
+func bellmanFord(p *Problem, o *Order, win int) []int {
+	active := p.ActiveLinks()
+	n := len(active) // variable n is the zero reference
+	type edge struct {
+		from, to int // x[to] - x[from] <= w
+		w        float64
+	}
+	var edges []edge
+	idx := make(map[topology.LinkID]int, n)
+	for i, l := range active {
+		idx[l] = i
+		edges = append(edges, edge{i, n, 0}, edge{n, i, float64(win - p.Demand[l])})
+	}
+	for _, pair := range p.conflictingPairs() {
+		a, b := pair[0], pair[1]
+		if first, _ := o.Before(a, b); !first {
+			a, b = b, a
+		}
+		edges = append(edges, edge{idx[b], idx[a], -float64(p.Demand[a])})
+	}
+	dist := make([]float64, n+1)
+	for iter := 0; iter <= n; iter++ {
+		relaxed := false
+		for _, e := range edges {
+			if d := dist[e.from] + e.w; d < dist[e.to]-1e-12 {
+				dist[e.to], relaxed = d, true
+			}
+		}
+		if !relaxed {
+			starts := make([]int, n)
+			for i := range starts {
+				starts[i] = int(math.Round(dist[i] - dist[n]))
+			}
+			return starts
+		}
+	}
+	return nil
+}
+
+// bellmanFordMinWindow is the window search the order pass replaces: the
+// smallest window between the clique bound (at least 1) and the frame at
+// which Bellman-Ford finds a solution, or 0 when the frame cannot host the
+// order.
+func bellmanFordMinWindow(p *Problem, o *Order, frame int) int {
+	lo, hi := max(p.CliqueLowerBound(), 1), frame
+	if bellmanFord(p, o, hi) == nil {
+		return 0
+	}
+	for lo < hi {
+		if mid := (lo + hi) / 2; bellmanFord(p, o, mid) != nil {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo
+}
+
+// diskProblem builds a random-disk mesh of n nodes with a few shortest-path
+// flows of 1-3 slots per hop (summed on shared links).
+func diskProblem(t *testing.T, rng *rand.Rand, n, frame int) (*Problem, *topology.Network) {
+	t.Helper()
+	net, err := topology.RandomDisk(n, 90*math.Sqrt(float64(n)), 200, rng.Int63())
+	if err != nil {
+		t.Fatalf("disk: %v", err)
+	}
+	g, err := conflict.Build(net, conflict.Options{Model: conflict.ModelTwoHop})
+	if err != nil {
+		t.Fatalf("build: %v", err)
+	}
+	p := &Problem{Graph: g, Demand: make(map[topology.LinkID]int), FrameSlots: frame}
+	for k := 2 + rng.Intn(6); k > 0; k-- {
+		src, dst := topology.NodeID(rng.Intn(n)), topology.NodeID(rng.Intn(n))
+		path, err := net.ShortestPath(src, dst)
+		if err != nil {
+			t.Fatalf("path: %v", err)
+		}
+		d := 1 + rng.Intn(3)
+		for _, l := range path {
+			p.Demand[l] += d
+		}
+		if len(path) > 0 {
+			p.Flows = append(p.Flows, FlowRequirement{Path: path})
+		}
+	}
+	return p, net
+}
+
+// cyclicOrder returns o with one triangle of pairwise conflicting demanded
+// links reordered into a cycle, or nil when the problem has none.
+func cyclicOrder(p *Problem, o *Order) *Order {
+	active := p.ActiveLinks()
+	for _, a := range active {
+		for _, b := range active {
+			for _, c := range active {
+				if a < b && b < c && p.Graph.Conflicts(a, b) && p.Graph.Conflicts(b, c) && p.Graph.Conflicts(a, c) {
+					o.Set(a, b)
+					o.Set(b, c)
+					o.Set(c, a)
+					return o
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// TestOrderPassMatchesBellmanFord pins the order pass against the
+// Bellman-Ford reference on random disks of 40-120 nodes: for path-major,
+// naive, random and tree orders, the minimum window, every start at the
+// minimum and at +1, +7 and +40 slots, and the error one slot short; for
+// hand-built cyclic and incomplete orders, the error class; and the
+// empty-demand problem.
+func TestOrderPassMatchesBellmanFord(t *testing.T) {
+	const frame = 512
+	cfg := tdma.FrameConfig{FrameDuration: 20_000_000, DataSlots: frame}
+	rng := rand.New(rand.NewSource(51))
+	check := func(name string, p *Problem, o *Order) {
+		t.Helper()
+		ref := bellmanFordMinWindow(p, o, frame)
+		win, s, err := MinWindowForOrder(p, o, cfg)
+		switch {
+		case ref == 0:
+			if !errors.Is(err, ErrInfeasible) {
+				t.Fatalf("%s: reference infeasible, pass gave window %d err %v", name, win, err)
+			}
+			return
+		case err != nil || win != ref:
+			t.Fatalf("%s: window %d err %v, reference %d", name, win, err, ref)
+		}
+		for _, w := range []int{win, win + 1, win + 7, win + 40} {
+			if w > frame {
+				continue
+			}
+			if w != win {
+				if s, err = OrderToSchedule(p, o, w, cfg); err != nil {
+					t.Fatalf("%s: window %d: %v", name, w, err)
+				}
+			}
+			want := bellmanFord(p, o, w)
+			if len(s.Assignments) != len(want) {
+				t.Fatalf("%s: window %d: %d blocks, reference %d", name, w, len(s.Assignments), len(want))
+			}
+			for i, a := range s.Assignments {
+				if a.Start != want[i] {
+					t.Fatalf("%s: window %d: link %d starts at %d, reference %d", name, w, a.Link, a.Start, want[i])
+				}
+			}
+		}
+		if win > 1 {
+			if _, err := OrderToSchedule(p, o, win-1, cfg); !errors.Is(err, ErrInfeasible) || bellmanFord(p, o, win-1) != nil {
+				t.Fatalf("%s: window %d: got %v, want ErrInfeasible like the reference", name, win-1, err)
+			}
+		}
+	}
+	cyclic, incomplete := 0, 0
+	for trial := 0; trial < 16; trial++ {
+		n := 40 + rng.Intn(81)
+		p, net := diskProblem(t, rng, n, frame)
+		rt, err := net.BuildRoutingTree()
+		if err != nil {
+			t.Fatalf("routing tree: %v", err)
+		}
+		tree, err := TreeOrder(p, rt, net)
+		if err != nil {
+			t.Fatalf("tree order: %v", err)
+		}
+		pm := PathMajorOrder(p)
+		for _, c := range []struct {
+			name string
+			o    *Order
+		}{{"path-major", pm}, {"naive", NaiveOrder(p)}, {"random", RandomOrder(p, rng)}, {"tree", tree}} {
+			check(fmt.Sprintf("trial %d (n=%d) %s", trial, n, c.name), p, c.o)
+		}
+		win, s, err := MinWindowForOrder(p, pm, cfg)
+		pwin, ps, perr := PathMajorWindow(p, cfg)
+		if perr != nil || err != nil || pwin != win || ps.String() != s.String() {
+			t.Fatalf("trial %d: PathMajorWindow (%d, %v) differs from MinWindowForOrder (%d, %v)", trial, pwin, perr, win, err)
+		}
+		if o := cyclicOrder(p, NaiveOrder(p)); o != nil {
+			cyclic++
+			if bellmanFord(p, o, frame) != nil {
+				t.Fatalf("trial %d: reference solved a cyclic order", trial)
+			}
+			if _, _, err := MinWindowForOrder(p, o, cfg); !errors.Is(err, ErrInfeasible) {
+				t.Fatalf("trial %d: cyclic order: got %v, want ErrInfeasible", trial, err)
+			}
+			if _, err := OrderToSchedule(p, o, frame, cfg); !errors.Is(err, ErrInfeasible) {
+				t.Fatalf("trial %d: cyclic order: got %v, want ErrInfeasible", trial, err)
+			}
+		}
+		if pairs := p.conflictingPairs(); len(pairs) > 0 {
+			incomplete++
+			o := NewOrder()
+			for _, pair := range pairs[:rng.Intn(len(pairs))] {
+				o.Set(pair[0], pair[1])
+			}
+			if _, _, err := MinWindowForOrder(p, o, cfg); !errors.Is(err, ErrBadDemand) {
+				t.Fatalf("trial %d: incomplete order: got %v, want ErrBadDemand", trial, err)
+			}
+			if _, err := OrderToSchedule(p, o, frame, cfg); !errors.Is(err, ErrBadDemand) {
+				t.Fatalf("trial %d: incomplete order: got %v, want ErrBadDemand", trial, err)
+			}
+		}
+	}
+	if cyclic == 0 || incomplete == 0 {
+		t.Fatalf("weak coverage: %d cyclic, %d incomplete orders", cyclic, incomplete)
+	}
+	empty, _ := chainProblemN(t, 4, frame)
+	empty.Demand, empty.Flows = map[topology.LinkID]int{}, nil
+	check("empty demand", empty, NewOrder())
+	if win, s, _ := MinWindowForOrder(empty, NewOrder(), cfg); win != 1 || len(s.Assignments) != 0 {
+		t.Fatalf("empty demand: window %d with %d blocks, want 1 and none", win, len(s.Assignments))
 	}
 }

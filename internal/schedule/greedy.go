@@ -62,9 +62,7 @@ func GreedyOrder(p *Problem) []tdma.Assignment {
 func GreedyLength(s *tdma.Schedule) int {
 	end := 0
 	for _, a := range s.Assignments {
-		if a.End() > end {
-			end = a.End()
-		}
+		end = max(end, a.End())
 	}
 	return end
 }

@@ -336,11 +336,17 @@ func (inc *Incremental) solve(p *Problem, opts milp.Options) (*milp.Solution, *t
 	if err != nil {
 		return nil, nil, fmt.Errorf("solve window %d: %w", inc.win, err)
 	}
-	starts := make([]float64, len(inc.links))
-	for i, l := range inc.links {
-		starts[i] = sol.X[inc.start[l]]
+	// The program's data are integral, so its starts are integral up to
+	// floating-point noise.
+	s, err := tdma.NewSchedule(inc.frame)
+	for i := 0; err == nil && i < len(inc.links); i++ {
+		l := inc.links[i]
+		if start := sol.X[inc.start[l]]; p.Demand[l] > 0 {
+			if err = s.Add(tdma.Assignment{Link: l, Start: int(math.Round(start)), Length: p.Demand[l]}); err != nil {
+				err = fmt.Errorf("link %d start %g: %w", p.Graph.Origin(l), start, err)
+			}
+		}
 	}
-	s, err := NewScheduleFromStarts(p, inc.links, starts, 0, inc.frame)
 	if err == nil {
 		err = p.checkSchedule(s)
 	}

@@ -254,12 +254,12 @@ func TestCoverMatchesFreshUnion(t *testing.T) {
 func bruteMinWindow(t *testing.T, p *Problem, cfg tdma.FrameConfig) int {
 	t.Helper()
 	links := p.ActiveLinks()
-	starts := make([]float64, len(links))
+	blocks := make([]tdma.Assignment, len(links))
 	var place func(i, win int) bool
 	place = func(i, win int) bool {
 		if i == len(links) {
-			s, err := NewScheduleFromStarts(p, links, starts, 0, cfg)
-			if err != nil || p.checkSchedule(s) != nil {
+			s := &tdma.Schedule{Config: cfg, Assignments: slices.Clone(blocks)}
+			if p.checkSchedule(s) != nil {
 				return false
 			}
 			for _, f := range p.Flows {
@@ -274,12 +274,11 @@ func bruteMinWindow(t *testing.T, p *Problem, cfg tdma.FrameConfig) int {
 			return true
 		}
 		for st := 0; st+p.Demand[links[i]] <= win; st++ {
-			starts[i] = float64(st)
+			blocks[i] = tdma.Assignment{Link: links[i], Start: st, Length: p.Demand[links[i]]}
 			clash := false
 			for j := 0; j < i && !clash; j++ {
-				sj := int(starts[j])
 				clash = p.Graph.Conflicts(links[i], links[j]) &&
-					st < sj+p.Demand[links[j]] && sj < st+p.Demand[links[i]]
+					st < blocks[j].End() && blocks[j].Start < blocks[i].End()
 			}
 			if !clash && place(i+1, win) {
 				return true

@@ -2,6 +2,7 @@ package schedule
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 
@@ -15,8 +16,9 @@ const denseOrderLimit = 1 << 20
 
 // Order is a relative transmission order over conflicting link pairs: for
 // each conflicting pair exactly one of the two transmits first within the
-// frame. The order is what the integer program optimizes; Bellman-Ford
-// (OrderToSchedule) turns it into concrete slots.
+// frame. The order is what the integer program optimizes; the paper's
+// Bellman-Ford step, one longest-path pass on an acyclic order
+// (OrderToSchedule), turns it into concrete slots.
 //
 // Pairs over a dense link-ID universe [0, n) are stored in a triangular
 // byte array (one probe per Before query, no hashing); the map is the
@@ -119,41 +121,25 @@ func (o *Order) Before(a, b topology.LinkID) (before, ok bool) {
 // Len returns the number of ordered pairs.
 func (o *Order) Len() int { return o.triCount + len(o.before) }
 
-// Complete reports whether every conflicting active pair of the problem is
-// ordered.
-func (o *Order) Complete(p *Problem) bool {
-	for _, pair := range p.conflictingPairs() {
-		if _, ok := o.Before(pair[0], pair[1]); !ok {
-			return false
-		}
-	}
-	return true
-}
-
 // PriorityOrder builds an order from a priority ranking of the links:
 // for each conflicting pair, the link with the smaller rank transmits first.
 // Ties break by link ID. Links missing from rank get the lowest priority.
 func PriorityOrder(p *Problem, rank map[topology.LinkID]int) *Order {
 	o := newOrderFor(p)
 	for _, pair := range p.conflictingPairs() {
-		a, b := pair[0], pair[1]
+		a, b := pair[0], pair[1] // a < b
 		ra, oka := rank[a]
 		rb, okb := rank[b]
 		if !oka {
-			ra = int(^uint(0) >> 1) // max int
+			ra = math.MaxInt
 		}
 		if !okb {
-			rb = int(^uint(0) >> 1)
+			rb = math.MaxInt
 		}
-		switch {
-		case ra < rb:
-			o.Set(a, b)
-		case rb < ra:
+		if rb < ra {
 			o.Set(b, a)
-		case a < b:
+		} else {
 			o.Set(a, b)
-		default:
-			o.Set(b, a)
 		}
 	}
 	return o

@@ -4,9 +4,10 @@
 //
 //   - converting per-flow bandwidth demands into per-link slot demands;
 //   - turning a relative transmission order of the links into a concrete
-//     conflict-free schedule with Bellman-Ford over a difference-constraint
-//     system (scheduling delay appears as cost over cycles in the conflict
-//     graph);
+//     conflict-free schedule by solving its difference-constraint system —
+//     the papers' Bellman-Ford step, one longest-path pass on the acyclic
+//     orders built here (scheduling delay appears as cost over cycles in
+//     the conflict graph);
 //   - finding minimum-frame-length schedules by linear search with an
 //     integer-program feasibility test at each step;
 //   - optimizing the transmission order for min-max end-to-end scheduling

@@ -189,7 +189,7 @@ func TestOrderSetBefore(t *testing.T) {
 func TestNaiveOrderComplete(t *testing.T) {
 	_, p := chainProblem(t, 5, testFrame())
 	o := NaiveOrder(p)
-	if !o.Complete(p) {
+	if !complete(o, p) {
 		t.Error("naive order incomplete")
 	}
 	// Lower link IDs come first.
@@ -379,8 +379,8 @@ func TestMinMaxDelayOrderChain(t *testing.T) {
 		t.Errorf("PathDelay = %v, want %v", d, want)
 	}
 	// The extracted order must be complete and regenerate a valid schedule
-	// via Bellman-Ford; the regenerated schedule cannot beat the optimum.
-	if !res.Order.Complete(p) {
+	// through the order pass; the regenerated schedule cannot beat the optimum.
+	if !complete(res.Order, p) {
 		t.Error("extracted order incomplete")
 	}
 	s2, err := OrderToSchedule(p, res.Order, cfg.DataSlots, cfg)

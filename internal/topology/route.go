@@ -15,34 +15,7 @@ func (p Path) Hops() int { return len(p) }
 // ShortestPath returns a minimum-hop directed path from src to dst using BFS.
 // It returns ErrNoPath if dst is unreachable.
 func (n *Network) ShortestPath(src, dst NodeID) (Path, error) {
-	if !n.hasNode(src) || !n.hasNode(dst) {
-		return nil, fmt.Errorf("shortest path %d->%d: %w", src, dst, ErrNodeNotFound)
-	}
-	if src == dst {
-		return Path{}, nil
-	}
-	// prev[v] is the link used to reach v.
-	prev := make(map[NodeID]LinkID, len(n.nodes))
-	seen := make([]bool, len(n.nodes))
-	seen[src] = true
-	queue := []NodeID{src}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		for _, l := range n.out[cur] {
-			to := n.links[l].To
-			if seen[to] {
-				continue
-			}
-			seen[to] = true
-			prev[to] = l
-			if to == dst {
-				return n.tracePath(src, dst, prev), nil
-			}
-			queue = append(queue, to)
-		}
-	}
-	return nil, fmt.Errorf("shortest path %d->%d: %w", src, dst, ErrNoPath)
+	return n.ShortestPathAvoiding(src, dst, nil)
 }
 
 // ErrNoPath reports that no directed path exists between the endpoints.
@@ -52,6 +25,8 @@ var errNoPath = fmt.Errorf("topology: no path")
 
 // ShortestPathAvoiding returns a minimum-hop directed path from src to dst
 // that uses no link in avoid (failed links, administratively down links).
+// Among minimum-hop paths it returns the one BFS meets first, expanding
+// nodes in queue order and each node's links in OutLinks order.
 func (n *Network) ShortestPathAvoiding(src, dst NodeID, avoid map[LinkID]bool) (Path, error) {
 	if !n.hasNode(src) || !n.hasNode(dst) {
 		return nil, fmt.Errorf("shortest path %d->%d: %w", src, dst, ErrNodeNotFound)
@@ -59,22 +34,21 @@ func (n *Network) ShortestPathAvoiding(src, dst NodeID, avoid map[LinkID]bool) (
 	if src == dst {
 		return Path{}, nil
 	}
-	prev := make(map[NodeID]LinkID, len(n.nodes))
-	seen := make([]bool, len(n.nodes))
-	seen[src] = true
-	queue := []NodeID{src}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		for _, l := range n.out[cur] {
-			if avoid[l] {
-				continue
-			}
+	// prev[v] is the link used to reach v, -1 while v is unseen; the source
+	// is marked seen with its own sentinel, never read back.
+	prev := make([]LinkID, len(n.nodes))
+	for i := range prev {
+		prev[i] = -1
+	}
+	prev[src] = -2
+	queue := make([]NodeID, 1, len(n.nodes))
+	queue[0] = src
+	for k := 0; k < len(queue); k++ {
+		for _, l := range n.out[queue[k]] {
 			to := n.links[l].To
-			if seen[to] {
+			if prev[to] != -1 || avoid[l] {
 				continue
 			}
-			seen[to] = true
 			prev[to] = l
 			if to == dst {
 				return n.tracePath(src, dst, prev), nil
@@ -82,10 +56,14 @@ func (n *Network) ShortestPathAvoiding(src, dst NodeID, avoid map[LinkID]bool) (
 			queue = append(queue, to)
 		}
 	}
+	if len(avoid) == 0 {
+		return nil, fmt.Errorf("shortest path %d->%d: %w", src, dst, ErrNoPath)
+	}
 	return nil, fmt.Errorf("shortest path %d->%d avoiding %d links: %w", src, dst, len(avoid), ErrNoPath)
 }
 
-func (n *Network) tracePath(src, dst NodeID, prev map[NodeID]LinkID) Path {
+// tracePath walks prev back from dst to src.
+func (n *Network) tracePath(src, dst NodeID, prev []LinkID) Path {
 	var rev Path
 	for cur := dst; cur != src; {
 		l := prev[cur]
@@ -118,7 +96,7 @@ func (n *Network) ShortestPathWeighted(src, dst NodeID, weight func(LinkID) floa
 		dist[i] = inf
 	}
 	dist[src] = 0
-	prev := make(map[NodeID]LinkID, len(n.nodes))
+	prev := make([]LinkID, len(n.nodes))
 	done := make([]bool, len(n.nodes))
 	for {
 		// Linear extract-min: topologies here are small.

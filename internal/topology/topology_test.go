@@ -3,6 +3,7 @@ package topology
 import (
 	"errors"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -298,6 +299,83 @@ func TestShortestPathNoPath(t *testing.T) {
 	}
 	if _, err := net.ShortestPath(a, c); !errors.Is(err, ErrNoPath) {
 		t.Errorf("got %v, want ErrNoPath", err)
+	}
+}
+
+// TestShortestPathMinimumHopOnDisks checks ShortestPath and
+// ShortestPathAvoiding on random disks against hop distances relaxed over
+// every link until stable: each path is a valid walk from src to dst that
+// uses no avoided link and has exactly the minimum hop count, and
+// ShortestPath equals ShortestPathAvoiding with a nil or empty avoid set.
+func TestShortestPathMinimumHopOnDisks(t *testing.T) {
+	for seed := int64(1); seed <= 8; seed++ {
+		net, err := RandomDisk(20+int(seed)*5, 700, 250, seed)
+		if err != nil {
+			t.Fatalf("RandomDisk: %v", err)
+		}
+		links := net.Links()
+		hops := func(src NodeID, avoid map[LinkID]bool) []int {
+			dist := make([]int, net.NumNodes())
+			for i := range dist {
+				dist[i] = math.MaxInt
+			}
+			dist[src] = 0
+			for changed := true; changed; {
+				changed = false
+				for _, lk := range links {
+					if !avoid[lk.ID] && dist[lk.From] != math.MaxInt && dist[lk.From]+1 < dist[lk.To] {
+						dist[lk.To], changed = dist[lk.From]+1, true
+					}
+				}
+			}
+			return dist
+		}
+		avoid := make(map[LinkID]bool)
+		for i := int(seed); i < len(links); i += 7 {
+			avoid[links[i].ID] = true
+		}
+		for src := NodeID(0); int(src) < net.NumNodes(); src += 3 {
+			plain, avoiding := hops(src, nil), hops(src, avoid)
+			for dst := NodeID(0); int(dst) < net.NumNodes(); dst++ {
+				p, err := net.ShortestPath(src, dst)
+				if err != nil {
+					t.Fatalf("seed %d %d->%d: %v", seed, src, dst, err)
+				}
+				for _, other := range []map[LinkID]bool{nil, {}} {
+					q, err := net.ShortestPathAvoiding(src, dst, other)
+					if err != nil || !slices.Equal(p, q) {
+						t.Fatalf("seed %d %d->%d: ShortestPath %v, ShortestPathAvoiding(%v) %v (%v)", seed, src, dst, p, other, q, err)
+					}
+				}
+				check := func(p Path, want int, avoid map[LinkID]bool) {
+					t.Helper()
+					nodes, err := net.PathNodes(p)
+					if err != nil {
+						t.Fatalf("seed %d %d->%d: %v", seed, src, dst, err)
+					}
+					if len(p) != want || len(p) > 0 && (nodes[0] != src || nodes[len(nodes)-1] != dst) {
+						t.Fatalf("seed %d %d->%d: path %v over %v, want %d hops", seed, src, dst, p, nodes, want)
+					}
+					for _, l := range p {
+						if avoid[l] {
+							t.Fatalf("seed %d %d->%d: path %v uses avoided link %d", seed, src, dst, p, l)
+						}
+					}
+				}
+				check(p, plain[dst], nil)
+				q, err := net.ShortestPathAvoiding(src, dst, avoid)
+				switch {
+				case avoiding[dst] == math.MaxInt:
+					if !errors.Is(err, ErrNoPath) {
+						t.Fatalf("seed %d %d->%d: got %v, want ErrNoPath", seed, src, dst, err)
+					}
+				case err != nil:
+					t.Fatalf("seed %d %d->%d avoiding: %v", seed, src, dst, err)
+				default:
+					check(q, avoiding[dst], avoid)
+				}
+			}
+		}
 	}
 }
 
