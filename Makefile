@@ -29,12 +29,14 @@ race:
 # ILP (window within 10%, bit-identical at any worker count), admission
 # engine verdicts vs. cold schedule.MinSlots re-plans, the one slot packer
 # (tdma.Packing) vs. a brute-force earliest-start scan and the two first-fit
-# searches it replaced — all under the race detector.
+# searches it replaced, and the order pass (the paper's Bellman-Ford step)
+# vs. a float64 Bellman-Ford and the difference-constraint system it
+# solves — all under the race detector.
 differential:
-	$(GO) test -race -count=1 -run 'TestDifferential|TestPacking|TestWorkersByteIdentical|TestScreenedSearchMatchesLinear|TestAnalyticSearchMatchesLinear|TestAnalyticVsSimulated' \
+	$(GO) test -race -count=1 -run 'TestDifferential|TestPacking|TestWorkersByteIdentical|TestScreenedSearchMatchesLinear|TestAnalyticSearchMatchesLinear|TestAnalyticVsSimulated|TestOrderPassMatchesBellmanFord|TestConstraintSystem|TestPropertySolveSatisfiesConstraints' \
 		./internal/sim ./internal/mac ./cmd/meshbench ./internal/core \
 		./internal/lp ./internal/milp ./internal/tdma ./internal/schedule \
-		./internal/partition ./internal/admit
+		./internal/partition ./internal/admit ./internal/conflict
 
 # Re-run the solver packages with the lpdebug build tag: every simplex
 # terminates through an invariant check (basis consistency, B^-1 B = I,
@@ -116,11 +118,11 @@ loc:
 # The ratchet on that number: the ceilings are what `make loc` printed when
 # they were last edited. A PR that shrinks the code lowers them; one that
 # must grow past them raises them in its own diff, where a reviewer sees it.
-LOC_MAX_TOTAL = 20451
+LOC_MAX_TOTAL = 20226
 LOC_MAX_MILP = 524
 LOC_MAX_ADMIT = 2213
 LOC_MAX_PARTITION = 725
-LOC_MAX_SCHEDULE = 1593
+LOC_MAX_SCHEDULE = 1368
 LOC_MAX_LP = 1148
 LOC_MAX_CORE = 1940
 

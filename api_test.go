@@ -22,8 +22,6 @@ import (
 var deadAPIAllowlist = map[string]string{
 	"conflict.Graph.Degree":        "TestNumEdgesMatchesDegreeSum",
 	"mesh16.Wins":                  "TestElectionDeterministicAndAgreed",
-	"schedule.Order.Len":           "TestOrderDenseMatchesMap",
-	"schedule.Order.Pairs":         "TestOrderDenseMatchesMap",
 	"schedule.SolveWindow":         "TestDifferentialMinSlotsVsLinear",
 	"sim.Kernel.Pending":           "TestCancelCompaction",
 	"sim.Kernel.Processed":         "TestDifferentialRandomScheduleCancel",

@@ -481,7 +481,7 @@ func (e *Engine) witnessFlows(full *schedule.Problem, flows []Flow) []Flow {
 // pathMajor is zone zi's witness, the paper's polynomial half: the flows'
 // paths, clipped to the zone, rank its links by their latest hop, and one
 // longest-path pass over that order gives its smallest window, kept if it
-// fits the cap (schedule.PathMajorWindow; no wider window can admit). It
+// fits the cap (schedule.MinWindowForOrder; no wider window can admit). It
 // returns the layout in ByStart order and city IDs, or nil. Runs without
 // e.mu.
 func (e *Engine) pathMajor(zp *schedule.Problem, zi int, flows []Flow) []tdma.Assignment {
@@ -499,7 +499,7 @@ func (e *Engine) pathMajor(zp *schedule.Problem, zi int, flows []Flow) []tdma.As
 	}
 	capped := e.cfg.Frame
 	capped.DataSlots = e.maxWin
-	_, s, err := schedule.PathMajorWindow(wp, capped)
+	_, s, err := schedule.MinWindowForOrder(wp, schedule.PathMajorOrder(wp), capped)
 	if err != nil {
 		return nil
 	}

@@ -15,8 +15,9 @@ import (
 // An order over a conflict graph induces a difference-constraint system on
 // the demanded links' starts: x_b - x_a >= d_a for every conflicting pair with
 // a first, and 0 <= x_l <= win - d_l. The tests below pin that system as the
-// schedule package's order pass solves it (one longest-path pass on an
-// acyclic order; a cyclic order is the negative-cycle case).
+// schedule package's order pass solves it: an order ranks the links, a before
+// b when (rank, ID) of a is smaller, so the system is acyclic and the pass is
+// one longest-path sweep in rank order.
 
 const constraintFrame = 64
 
@@ -46,13 +47,14 @@ func chainLink(t *testing.T, net *topology.Network, a, b topology.NodeID) topolo
 
 // violated returns a description of the first constraint of the order's
 // system that s breaks at window win, or "" when s satisfies them all.
-func violated(g *conflict.Graph, o *schedule.Order, s *tdma.Schedule, win int) string {
+func violated(g *conflict.Graph, o schedule.Order, s *tdma.Schedule, win int) string {
 	for _, a := range s.Assignments {
 		if a.Start < 0 || a.End() > win {
 			return "window bound"
 		}
 		for _, b := range s.Assignments {
-			if first, ok := o.Before(a.Link, b.Link); ok && first && g.Conflicts(a.Link, b.Link) && b.Start-a.Start < a.Length {
+			first := o[a.Link] < o[b.Link] || o[a.Link] == o[b.Link] && a.Link < b.Link
+			if a.Link != b.Link && first && g.Conflicts(a.Link, b.Link) && b.Start-a.Start < a.Length {
 				return "pair order"
 			}
 		}
@@ -66,9 +68,8 @@ func TestConstraintSystemFeasible(t *testing.T) {
 	net, g := chainGraph(t, 4, conflict.ModelPrimary)
 	a, b, c := chainLink(t, net, 0, 1), chainLink(t, net, 1, 2), chainLink(t, net, 2, 3)
 	p := &schedule.Problem{Graph: g, Demand: map[topology.LinkID]int{a: 2, b: 1, c: 3}, FrameSlots: constraintFrame}
-	o := schedule.NewOrder()
-	o.Set(a, b)
-	o.Set(b, c)
+	o := make(schedule.Order, g.NumVertices())
+	o[a], o[b], o[c] = 0, 1, 2
 	win, s, err := schedule.MinWindowForOrder(p, o, constraintCfg)
 	if err != nil {
 		t.Fatalf("MinWindowForOrder: %v", err)
@@ -94,25 +95,13 @@ func TestConstraintSystemFeasible(t *testing.T) {
 }
 
 func TestConstraintSystemInfeasible(t *testing.T) {
-	// 0->1, 1->2 and 1->0 pairwise share node 1. Ordering them in a cycle is
-	// a negative cycle; so is a window one slot shorter than the path.
+	// 0->1, 1->2 and 1->0 pairwise share node 1, so any order chains them:
+	// a window one slot shorter than that path is infeasible.
 	net, g := chainGraph(t, 3, conflict.ModelPrimary)
 	a, b, c := chainLink(t, net, 0, 1), chainLink(t, net, 1, 2), chainLink(t, net, 1, 0)
 	p := &schedule.Problem{Graph: g, Demand: map[topology.LinkID]int{a: 1, b: 1, c: 1}, FrameSlots: constraintFrame}
-	cyclic := schedule.NewOrder()
-	cyclic.Set(a, b)
-	cyclic.Set(b, c)
-	cyclic.Set(c, a)
-	if _, _, err := schedule.MinWindowForOrder(p, cyclic, constraintCfg); !errors.Is(err, schedule.ErrInfeasible) {
-		t.Errorf("cyclic order: got %v, want ErrInfeasible", err)
-	}
-	if _, err := schedule.OrderToSchedule(p, cyclic, constraintFrame, constraintCfg); !errors.Is(err, schedule.ErrInfeasible) {
-		t.Errorf("cyclic order: got %v, want ErrInfeasible", err)
-	}
-	chain := schedule.NewOrder()
-	chain.Set(a, b)
-	chain.Set(b, c)
-	chain.Set(a, c)
+	chain := make(schedule.Order, g.NumVertices())
+	chain[a], chain[b], chain[c] = 0, 1, 2
 	if _, err := schedule.OrderToSchedule(p, chain, 2, constraintCfg); !errors.Is(err, schedule.ErrInfeasible) {
 		t.Errorf("window 2 under a 3-slot path: got %v, want ErrInfeasible", err)
 	}
@@ -129,8 +118,8 @@ func TestConstraintSystemGE(t *testing.T) {
 	p := &schedule.Problem{Graph: g, Demand: map[topology.LinkID]int{a: 2, b: 1}, FrameSlots: constraintFrame}
 	for _, first := range []topology.LinkID{a, b} {
 		second := a + b - first
-		o := schedule.NewOrder()
-		o.Set(first, second)
+		o := make(schedule.Order, g.NumVertices())
+		o[second] = 1
 		for w := 3; w <= 10; w++ {
 			s, err := schedule.OrderToSchedule(p, o, w, constraintCfg)
 			if err != nil {
@@ -147,7 +136,7 @@ func TestConstraintSystemGE(t *testing.T) {
 	}
 }
 
-// Property: every schedule the order pass returns for a random acyclic order
+// Property: every schedule the order pass returns for a random order
 // satisfies each constraint of the order's system, at the minimum window and
 // wider ones.
 func TestPropertySolveSatisfiesConstraints(t *testing.T) {
@@ -163,7 +152,7 @@ func TestPropertySolveSatisfiesConstraints(t *testing.T) {
 		o := schedule.RandomOrder(p, rand.New(rand.NewSource(seed)))
 		win, s, err := schedule.MinWindowForOrder(p, o, constraintCfg)
 		if err != nil {
-			return false // an acyclic order over at most 24 slots fits the frame
+			return false // an order over at most 24 slots fits the frame
 		}
 		if violated(g, o, s, win) != "" {
 			return false

@@ -151,7 +151,7 @@ func (s *System) Plan(fs *topology.FlowSet, method PlanMethod, packetBytes int) 
 		}
 		plan.Schedule, plan.WindowSlots = res.Schedule, s.Frame.DataSlots
 	case MethodPathMajor:
-		win, sched, err := schedule.PathMajorWindow(p, s.Frame)
+		win, sched, err := schedule.MinWindowForOrder(p, schedule.PathMajorOrder(p), s.Frame)
 		if err != nil {
 			return nil, fmt.Errorf("core: plan %v: %w", method, err)
 		}

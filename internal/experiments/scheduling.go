@@ -211,7 +211,7 @@ func R2DelayAwareOrdering() (*Table, error) {
 	return t, nil
 }
 
-func orderDelay(p *schedule.Problem, o *schedule.Order, cfg tdma.FrameConfig) (time.Duration, error) {
+func orderDelay(p *schedule.Problem, o schedule.Order, cfg tdma.FrameConfig) (time.Duration, error) {
 	s, err := schedule.OrderToSchedule(p, o, cfg.DataSlots, cfg)
 	if err != nil {
 		return 0, err

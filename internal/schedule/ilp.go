@@ -99,14 +99,10 @@ func searchWindow(probe func(win int) (*tdma.Schedule, error), hint, lb, hi int)
 // MinMaxDelayResult is the outcome of the exact order optimization.
 //
 // Schedule carries the delay guarantee: it is the optimal conflict-free
-// schedule and MaxDelay is its maximum end-to-end scheduling delay. Order is
-// the in-frame relative transmission order of that schedule, suitable for
-// dissemination (MSH-DSCH-style) and for regenerating feasible schedules
-// with OrderToSchedule; because the optimum may chain hops across the frame
-// boundary at zero cost, a schedule regenerated from Order alone is valid
-// but may have larger delay than Schedule.
+// schedule and MaxDelay is its maximum end-to-end scheduling delay. The
+// schedule's start order is its transmission order: ranking each link by
+// its start gives an Order for dissemination (MSH-DSCH-style).
 type MinMaxDelayResult struct {
-	Order    *Order
 	Schedule *tdma.Schedule
 	// MaxDelaySlots is the optimized maximum scheduling delay over all
 	// flows, in slots (gaps plus transmission slots).
@@ -132,7 +128,6 @@ func MinMaxDelayOrder(p *Problem, winSlots int, cfg tdma.FrameConfig, opts milp.
 	}
 	slots := int(math.Round(sol.X[inc.delayVar]))
 	return &MinMaxDelayResult{
-		Order:         inc.decodeOrder(sol.X),
 		Schedule:      s,
 		MaxDelaySlots: slots,
 		MaxDelay:      time.Duration(slots) * cfg.SlotDuration(),

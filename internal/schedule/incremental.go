@@ -116,10 +116,6 @@ func newModel(p *Problem, cfg tdma.FrameConfig, minimizeDelay bool) (*Incrementa
 		delayVar: -1,
 	}
 	for _, l := range inc.links {
-		if l < 0 || int(l) >= p.Graph.NumVertices() {
-			return nil, fmt.Errorf("%w: support link %d outside graph of %d links",
-				ErrBadDemand, l, p.Graph.NumVertices())
-		}
 		v, err := inc.model.AddVar(fmt.Sprintf("s_%d", l), milp.Integer, float64(p.FrameSlots), 0)
 		if err != nil {
 			return nil, err
@@ -354,19 +350,6 @@ func (inc *Incremental) solve(p *Problem, opts milp.Options) (*milp.Solution, *t
 		return sol, nil, err
 	}
 	return sol, s, nil
-}
-
-// decodeOrder extracts the transmission order from a solution.
-func (inc *Incremental) decodeOrder(x []float64) *Order {
-	o := NewOrderDense(inc.graph.NumVertices())
-	for _, pr := range inc.pairs {
-		if x[pr.o] > 0.5 {
-			o.Set(pr.a, pr.b)
-		} else {
-			o.Set(pr.b, pr.a)
-		}
-	}
-	return o
 }
 
 // MinSlots finds the smallest window in [lo, maxWin] feasible for the

@@ -4,172 +4,53 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 
 	"wimesh/internal/topology"
 )
 
-// denseOrderLimit caps the triangular array's entry count (one byte each):
-// problems whose link-ID universe would need more fall back to the map
-// representation.
-const denseOrderLimit = 1 << 20
+// Order is a transmission order given as a link ranking: o[l] is link l's
+// rank, and of two conflicting demanded links the one with the smaller
+// (rank, link ID) transmits first within the frame. The integer program
+// optimizes over such orders; the paper's Bellman-Ford step (OrderToSchedule)
+// turns one into concrete slots. A ranking is acyclic by construction, so
+// that step is one sweep in rank order. A nil Order is link-ID order; one
+// shorter than the conflict graph is ErrBadDemand.
+type Order []int32
 
-// Order is a relative transmission order over conflicting link pairs: for
-// each conflicting pair exactly one of the two transmits first within the
-// frame. The order is what the integer program optimizes; the paper's
-// Bellman-Ford step, one longest-path pass on an acyclic order
-// (OrderToSchedule), turns it into concrete slots.
-//
-// Pairs over a dense link-ID universe [0, n) are stored in a triangular
-// byte array (one probe per Before query, no hashing); the map is the
-// fallback for orders built without a known universe (NewOrder) and for
-// link IDs outside the dense range.
-type Order struct {
-	// n is the dense universe size; IDs in [0, n) use tri.
-	n int
-	// tri[triIndex(a,b)] for a < b: 0 unset, +1 a before b, -1 b before a.
-	tri []int8
-	// triCount is the number of set entries in tri.
-	triCount int
-	// before[{a,b}] with a < b is true when a transmits before b; holds
-	// pairs with an endpoint outside [0, n).
-	before map[[2]topology.LinkID]bool
-}
-
-// NewOrder returns an empty map-backed order.
-func NewOrder() *Order {
-	return &Order{before: make(map[[2]topology.LinkID]bool)}
-}
-
-// NewOrderDense returns an empty order with a triangular-array backing for
-// link IDs in [0, numLinks); IDs outside the range fall back to a map.
-// Universes too large for the dense backing degrade to map-only.
-func NewOrderDense(numLinks int) *Order {
-	o := NewOrder()
-	if numLinks > 1 && numLinks*(numLinks-1)/2 <= denseOrderLimit {
-		o.n = numLinks
-		o.tri = make([]int8, numLinks*(numLinks-1)/2)
-	}
-	return o
-}
-
-// newOrderFor returns an order sized for the problem's conflict graph: the
-// triangular array up to 4 KiB, or while it costs at most a map entry's
-// worth of bytes per conflicting pair of the problem, the map beyond that.
-// A zone-local graph with a few demanded links among hundreds would
-// otherwise pay for every pair of the zone on every order.
-func newOrderFor(p *Problem) *Order {
-	n := p.Graph.NumVertices()
-	if tri := n * (n - 1) / 2; tri > 4096 && tri > 32*len(p.conflictingPairs()) {
-		return NewOrder()
-	}
-	return NewOrderDense(n)
-}
-
-// triIndex maps a pair a < b (both within [0, n)) to its triangular slot.
-func triIndex(a, b topology.LinkID) int {
-	return int(b)*(int(b)-1)/2 + int(a)
-}
-
-// Set records that link first transmits before link second.
-func (o *Order) Set(first, second topology.LinkID) {
-	if first == second {
-		return
-	}
-	a, b, v := first, second, int8(1)
-	if a > b {
-		a, b, v = b, a, -1
-	}
-	if a >= 0 && int(b) < o.n {
-		k := triIndex(a, b)
-		if o.tri[k] == 0 {
-			o.triCount++
-		}
-		o.tri[k] = v
-		return
-	}
-	o.before[[2]topology.LinkID{a, b}] = v > 0
-}
-
-// Before reports whether a transmits before b; ok is false when the pair is
-// unordered.
-func (o *Order) Before(a, b topology.LinkID) (before, ok bool) {
-	if a == b {
-		return false, false
-	}
-	lo, hi, flip := a, b, false
-	if lo > hi {
-		lo, hi, flip = hi, lo, true
-	}
-	if lo >= 0 && int(hi) < o.n {
-		switch o.tri[triIndex(lo, hi)] {
-		case 1:
-			return !flip, true
-		case -1:
-			return flip, true
-		default:
-			return false, false
-		}
-	}
-	v, ok := o.before[[2]topology.LinkID{lo, hi}]
-	if !ok {
-		return false, false
-	}
-	return v != flip, true
-}
-
-// Len returns the number of ordered pairs.
-func (o *Order) Len() int { return o.triCount + len(o.before) }
-
-// PriorityOrder builds an order from a priority ranking of the links:
-// for each conflicting pair, the link with the smaller rank transmits first.
-// Ties break by link ID. Links missing from rank get the lowest priority.
-func PriorityOrder(p *Problem, rank map[topology.LinkID]int) *Order {
-	o := newOrderFor(p)
-	for _, pair := range p.conflictingPairs() {
-		a, b := pair[0], pair[1] // a < b
-		ra, oka := rank[a]
-		rb, okb := rank[b]
-		if !oka {
-			ra = math.MaxInt
-		}
-		if !okb {
-			rb = math.MaxInt
-		}
-		if rb < ra {
-			o.Set(b, a)
-		} else {
-			o.Set(a, b)
-		}
-	}
-	return o
-}
+// inGraph reports whether l is one of o's links. The builders skip a link
+// outside the graph and leave it to Problem.Validate to report.
+func (o Order) inGraph(l topology.LinkID) bool { return l >= 0 && int(l) < len(o) }
 
 // NaiveOrder orders conflicting pairs by link ID: lower ID first. It is the
 // "arbitrary order" baseline of the delay experiments.
-func NaiveOrder(p *Problem) *Order {
-	return PriorityOrder(p, nil)
+func NaiveOrder(p *Problem) Order {
+	return make(Order, p.Graph.NumVertices())
 }
 
-// RandomOrder orders every conflicting pair by a random priority drawn from
+// RandomOrder ranks the demanded links by a random permutation drawn from
 // rng (deterministic for a seeded rng).
-func RandomOrder(p *Problem, rng *rand.Rand) *Order {
-	rank := make(map[topology.LinkID]int)
+func RandomOrder(p *Problem, rng *rand.Rand) Order {
+	o := make(Order, p.Graph.NumVertices())
 	active := p.activeLinks()
 	perm := rng.Perm(len(active))
 	for i, l := range active {
-		rank[l] = perm[i]
+		if o.inGraph(l) {
+			o[l] = int32(perm[i])
+		}
 	}
-	return PriorityOrder(p, rank)
+	return o
 }
 
-// PathMajorOrder ranks links by their earliest position along the problem's
+// PathMajorOrder ranks links by their latest position along the problem's
 // flow paths, so each flow's hops transmit in path order within a frame
-// (inbound before outbound). This is the greedy delay-aware heuristic for
-// general topologies; on trees with gateway traffic it reduces to the
-// polynomial overlay-tree ordering.
-func PathMajorOrder(p *Problem) *Order {
-	rank := make(map[topology.LinkID]int)
+// (inbound before outbound); links on no path rank last. This is the greedy
+// delay-aware heuristic for general topologies; on trees with gateway
+// traffic it reduces to the polynomial overlay-tree ordering.
+func PathMajorOrder(p *Problem) Order {
+	o := make(Order, p.Graph.NumVertices())
+	for i := range o {
+		o[i] = math.MaxInt32
+	}
 	// A link's rank is its maximum position over all paths using it. For
 	// gateway traffic, where paths are suffixes (uplink) or prefixes
 	// (downlink) of each other, the maximum is consistent with *every*
@@ -178,12 +59,12 @@ func PathMajorOrder(p *Problem) *Order {
 	// wrapping every longer flow into later frames).
 	for _, f := range p.Flows {
 		for pos, l := range f.Path {
-			if r, ok := rank[l]; !ok || pos > r {
-				rank[l] = pos
+			if o.inGraph(l) && (o[l] == math.MaxInt32 || int32(pos) > o[l]) {
+				o[l] = int32(pos)
 			}
 		}
 	}
-	return PriorityOrder(p, rank)
+	return o
 }
 
 // TreeOrder ranks links for gateway-rooted tree traffic. To let a packet
@@ -193,8 +74,8 @@ func PathMajorOrder(p *Problem) *Order {
 // links closer to the gateway transmit earlier. This is the polynomial
 // special case of the min-max delay order on overlay trees. rt supplies the
 // link depths.
-func TreeOrder(p *Problem, rt *topology.RoutingTree, net *topology.Network) (*Order, error) {
-	rank := make(map[topology.LinkID]int)
+func TreeOrder(p *Problem, rt *topology.RoutingTree, net *topology.Network) (Order, error) {
+	o := make(Order, p.Graph.NumVertices())
 	maxDepth := 0
 	for _, d := range rt.Depth {
 		if d > maxDepth {
@@ -202,6 +83,9 @@ func TreeOrder(p *Problem, rt *topology.RoutingTree, net *topology.Network) (*Or
 		}
 	}
 	for _, l := range p.activeLinks() {
+		if !o.inGraph(l) {
+			continue
+		}
 		lk, err := net.Link(l)
 		if err != nil {
 			return nil, fmt.Errorf("tree order: %w", err)
@@ -213,43 +97,13 @@ func TreeOrder(p *Problem, rt *topology.RoutingTree, net *topology.Network) (*Or
 		}
 		if du > dv {
 			// Upstream link (toward gateway): deeper transmits earlier.
-			rank[l] = maxDepth - du
+			o[l] = int32(maxDepth - du)
 		} else {
 			// Downstream link: closer to gateway transmits earlier; rank
 			// downstream links after all upstream ones so upstream packets
 			// drain first.
-			rank[l] = maxDepth + 1 + du
+			o[l] = int32(maxDepth + 1 + du)
 		}
 	}
-	return PriorityOrder(p, rank), nil
-}
-
-// Pairs returns the ordered pairs (first, second) of the order, sorted for
-// deterministic iteration.
-func (o *Order) Pairs() [][2]topology.LinkID {
-	out := make([][2]topology.LinkID, 0, o.Len())
-	for b := 1; b < o.n; b++ {
-		for a := 0; a < b; a++ {
-			switch o.tri[triIndex(topology.LinkID(a), topology.LinkID(b))] {
-			case 1:
-				out = append(out, [2]topology.LinkID{topology.LinkID(a), topology.LinkID(b)})
-			case -1:
-				out = append(out, [2]topology.LinkID{topology.LinkID(b), topology.LinkID(a)})
-			}
-		}
-	}
-	for pair, aFirst := range o.before {
-		if aFirst {
-			out = append(out, pair)
-		} else {
-			out = append(out, [2]topology.LinkID{pair[1], pair[0]})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i][0] != out[j][0] {
-			return out[i][0] < out[j][0]
-		}
-		return out[i][1] < out[j][1]
-	})
-	return out
+	return o, nil
 }

@@ -3,11 +3,11 @@
 // repository:
 //
 //   - converting per-flow bandwidth demands into per-link slot demands;
-//   - turning a relative transmission order of the links into a concrete
-//     conflict-free schedule by solving its difference-constraint system —
-//     the papers' Bellman-Ford step, one longest-path pass on the acyclic
-//     orders built here (scheduling delay appears as cost over cycles in
-//     the conflict graph);
+//   - turning a transmission order — here a ranking of the links, acyclic
+//     by construction — into a concrete conflict-free schedule by solving
+//     its difference-constraint system: the papers' Bellman-Ford step, one
+//     longest-path sweep in rank order (the papers see scheduling delay as
+//     cost over cycles in the conflict graph);
 //   - finding minimum-frame-length schedules by linear search with an
 //     integer-program feasibility test at each step;
 //   - optimizing the transmission order for min-max end-to-end scheduling
@@ -136,7 +136,7 @@ func (p *Problem) conflictingPairs() [][2]topology.LinkID {
 	defer p.mu.Unlock()
 	p.refreshLocked()
 	if p.pairs == nil {
-		isActive := make(map[topology.LinkID]bool, len(active))
+		isActive := make([]bool, p.Graph.NumVertices())
 		for _, l := range active {
 			isActive[l] = true
 		}
@@ -165,6 +165,9 @@ func (p *Problem) Validate() error {
 		return fmt.Errorf("%w: non-positive frame slots %d", ErrBadDemand, p.FrameSlots)
 	}
 	for l, d := range p.Demand {
+		if l < 0 || int(l) >= p.Graph.NumVertices() {
+			return fmt.Errorf("%w: demand on link %d outside graph of %d links", ErrBadDemand, l, p.Graph.NumVertices())
+		}
 		if d < 0 {
 			return fmt.Errorf("%w: negative demand %d on link %d", ErrBadDemand, d, p.Graph.Origin(l))
 		}
