@@ -118,13 +118,13 @@ loc:
 # The ratchet on that number: the ceilings are what `make loc` printed when
 # they were last edited. A PR that shrinks the code lowers them; one that
 # must grow past them raises them in its own diff, where a reviewer sees it.
-LOC_MAX_TOTAL = 20226
-LOC_MAX_MILP = 524
+LOC_MAX_TOTAL = 20205
+LOC_MAX_MILP = 515
 LOC_MAX_ADMIT = 2213
 LOC_MAX_PARTITION = 725
 LOC_MAX_SCHEDULE = 1368
 LOC_MAX_LP = 1148
-LOC_MAX_CORE = 1940
+LOC_MAX_CORE = 1938
 
 loc-check:
 	@$(MAKE) -s loc | awk -v total=$(LOC_MAX_TOTAL) -v milp=$(LOC_MAX_MILP) -v admit=$(LOC_MAX_ADMIT) -v partition=$(LOC_MAX_PARTITION) -v schedule=$(LOC_MAX_SCHEDULE) -v lp=$(LOC_MAX_LP) -v core=$(LOC_MAX_CORE) ' \

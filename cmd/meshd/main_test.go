@@ -147,15 +147,15 @@ func TestRunNonFiniteFlags(t *testing.T) {
 	}
 }
 
-// TestRunOutOfRangeFlags: a negative -time-limit meant "no limit" (milp only
-// honours a positive one), a negative -max-window silently meant the whole
-// frame, and a zone size too small to key the grid served a garbage zoning.
+// TestRunOutOfRangeFlags: a -budget of 0 silently became another node
+// budget, a negative -max-window silently meant the whole frame, and a zone
+// size too small to key the grid served a garbage zoning.
 // The workload flags failed deep in the engine or the generator without
 // naming the flag, -slots-per-link beyond the frame only after the banner.
 // Every one must fail before printing anything.
 func TestRunOutOfRangeFlags(t *testing.T) {
 	for _, args := range [][]string{
-		{"-time-limit", "-1s"},
+		{"-budget", "0"},
 		{"-max-window", "-5"},
 		// Served over 24 transmitters keyed into 2 zones by an overflowed
 		// cell index.
@@ -299,7 +299,7 @@ func TestRunWorkersAnyEngine(t *testing.T) {
 		{"-nodes", "24", "-zoned", "-workers", "4", "-preempt", "-class-mix", "ugs=0.5,be=0.5"},
 	} {
 		var sb strings.Builder
-		args = append([]string{"-calls", "60", "-rate", "100", "-holding", "80ms", "-max-window", "12", "-budget", "20", "-time-limit", "0"}, args...)
+		args = append([]string{"-calls", "60", "-rate", "100", "-holding", "80ms", "-max-window", "12", "-budget", "20"}, args...)
 		if err := run(context.Background(), args, &sb); err != nil {
 			t.Fatalf("run %v: %v", args, err)
 		}
@@ -316,23 +316,24 @@ var (
 	latencyLine = regexp.MustCompile(`(?m)^decision latency: .*$`)
 )
 
-// TestRunGolden pins meshd's output byte for byte on two deterministic
-// serial runs (-workers 1, -time-limit 0, node budgets only): a monolithic
-// engine whose blown node budgets end in witness verdicts, and a zoned
-// gateway-directed class mix with deadlines and preemption. Each run records
-// its stdout with the wall-clock fields masked (the served line's "in ...
-// (... decisions/s)" tail and the decision latency line) plus the
-// -metrics-out counters. A behaviour-preserving change keeps it green
-// without -update-golden.
+// TestRunGolden pins meshd's output byte for byte on three deterministic
+// serial runs (-workers 1): a monolithic engine whose blown node budgets end
+// in witness verdicts, a zoned gateway-directed class mix with deadlines and
+// preemption, and the default workload under a 12-slot window cap at the
+// default node budget. Each run records its stdout with the wall-clock
+// fields masked (the served line's "in ... (... decisions/s)" tail and the
+// decision latency line) plus the -metrics-out counters. A
+// behaviour-preserving change keeps it green without -update-golden.
 func TestRunGolden(t *testing.T) {
 	var sb strings.Builder
 	for _, args := range [][]string{
 		{"-nodes", "12", "-calls", "80", "-rate", "50", "-holding", "200ms",
-			"-budget", "100", "-time-limit", "0", "-max-window", "16"},
+			"-budget", "100", "-max-window", "16"},
 		{"-nodes", "48", "-calls", "120", "-zoned", "-zone-size", "250",
-			"-budget", "100", "-time-limit", "0", "-max-window", "24", "-to-gateway",
+			"-budget", "100", "-max-window", "24", "-to-gateway",
 			"-class-mix", "ugs=0.4,rtps=0.3/2,be=0.3", "-preempt",
 			"-ugs-deadline", "12", "-rtps-window", "20"},
+		{"-max-window", "12"},
 	} {
 		metrics := filepath.Join(t.TempDir(), "metrics.json")
 		var out strings.Builder

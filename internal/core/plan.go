@@ -74,10 +74,8 @@ type Plan struct {
 	ILPsSolved int
 }
 
-// DefaultMILPOptions bounds the planner's branch-and-bound searches.
-func DefaultMILPOptions() milp.Options {
-	return milp.Options{MaxNodes: 500_000, TimeLimit: 30 * time.Second}
-}
+// defaultMILPOptions bounds the planner's searches by a node budget alone.
+func defaultMILPOptions() milp.Options { return milp.Options{MaxNodes: 500_000} }
 
 // bytesPerSlot returns how many bytes of packetBytes-sized packets one slot
 // carries on link l. It honors the link's PHY rate (adaptive modulation):
@@ -139,13 +137,13 @@ func (s *System) Plan(fs *topology.FlowSet, method PlanMethod, packetBytes int) 
 	plan := &Plan{Method: method, Problem: p}
 	switch method {
 	case MethodILP:
-		win, sched, solved, err := schedule.MinSlots(p, s.Frame, DefaultMILPOptions())
+		win, sched, solved, err := schedule.MinSlots(p, s.Frame, defaultMILPOptions())
 		if err != nil {
 			return nil, fmt.Errorf("core: plan %v: %w", method, err)
 		}
 		plan.Schedule, plan.WindowSlots, plan.ILPsSolved = sched, win, solved
 	case MethodMinMaxDelay:
-		res, err := schedule.MinMaxDelayOrder(p, s.Frame.DataSlots, s.Frame, DefaultMILPOptions())
+		res, err := schedule.MinMaxDelayOrder(p, s.Frame.DataSlots, s.Frame, defaultMILPOptions())
 		if err != nil {
 			return nil, fmt.Errorf("core: plan %v: %w", method, err)
 		}
@@ -179,7 +177,7 @@ func (s *System) Plan(fs *topology.FlowSet, method PlanMethod, packetBytes int) 
 	case MethodPartitioned:
 		res, err := partition.MinSlots(p, s.Frame, partition.Options{
 			ZoneSize: s.ZoneSize,
-			MILP:     DefaultMILPOptions(),
+			MILP:     defaultMILPOptions(),
 		})
 		if err != nil {
 			return nil, fmt.Errorf("core: plan %v: %w", method, err)

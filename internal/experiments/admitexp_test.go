@@ -11,10 +11,11 @@ import (
 // monolithic village mesh and one zoned city slice — exercising the full
 // admit/release path (workload generation, tier repair, zone stitching).
 func TestAdmitSmoke(t *testing.T) {
-	tab, err := r19Table("R19S", []r19Point{
+	points := []r19Point{
 		{nodes: 24, calls: 120, zoned: false, rate: 16, holding: 300 * time.Millisecond, maxWin: 32},
 		{nodes: 200, calls: 80, zoned: true, rate: 30, holding: 500 * time.Millisecond, maxWin: 32},
-	})
+	}
+	tab, err := r19Table("R19S", points)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,5 +50,23 @@ func TestAdmitSmoke(t *testing.T) {
 	fast, _ := strconv.Atoi(tab.Rows[0][6])
 	if witness == 0 || fast == 0 {
 		t.Errorf("village row never hit witness (%d) or fast (%d) tier", witness, fast)
+	}
+
+	// A 12-slot cap sends enough calls past the witness that the branch and
+	// bound decides some of them. Its node budget alone bounds each solve, so
+	// two runs agree in every cell but the host-time ones.
+	for i := range points {
+		points[i].maxWin = 12
+	}
+	var runs [2]string
+	for i := range runs {
+		tab, err := r19Table("R19S", points)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs[i] = renderGolden(t, tab)
+	}
+	if runs[0] != runs[1] {
+		t.Errorf("two runs at a 12-slot cap differ (-first +second):\n%s", lineDiff(runs[0], runs[1]))
 	}
 }

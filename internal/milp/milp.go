@@ -25,7 +25,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"time"
 
 	"wimesh/internal/lp"
 	"wimesh/internal/obs"
@@ -214,8 +213,6 @@ func (m *Model) SetCoef(i int, v VarID, coef float64) error {
 type Options struct {
 	// MaxNodes limits explored nodes (0 = 1e6 default).
 	MaxNodes int
-	// TimeLimit bounds wall-clock time (0 = none).
-	TimeLimit time.Duration
 	// FirstFeasible stops at the first integral solution (feasibility
 	// problems).
 	FirstFeasible bool
@@ -253,7 +250,7 @@ type Solution struct {
 	// cost measure of a warm-started re-solve — a good warm start re-proves
 	// feasibility in a handful of dual pivots where a cold solve pays a full
 	// two-phase run. Like Nodes, it is a function of the model and the
-	// options unless a TimeLimit or Interrupt cuts the search short.
+	// options unless an Interrupt cuts the search short.
 	Pivots int
 }
 
@@ -295,7 +292,6 @@ type search struct {
 	compiled *lp.Compiled
 	sign     float64 // minimization-form multiplier
 	opts     Options // MaxNodes defaulted
-	deadline time.Time
 
 	stack    []node // LIFO: depth-first order
 	nodes    int    // LP relaxations solved
@@ -319,10 +315,6 @@ func (m *Model) Solve(opts Options) (*Solution, error) {
 	if opts.MaxNodes == 0 {
 		opts.MaxNodes = 1_000_000
 	}
-	deadline := time.Time{}
-	if opts.TimeLimit > 0 {
-		deadline = time.Now().Add(opts.TimeLimit)
-	}
 	compiled, err := m.compileRelaxation()
 	if err != nil {
 		if errors.Is(err, lp.ErrInfeasible) {
@@ -334,7 +326,7 @@ func (m *Model) Solve(opts Options) (*Solution, error) {
 	if m.sense == Maximize {
 		sign = -1
 	}
-	s := &search{m: m, compiled: compiled, sign: sign, opts: opts, deadline: deadline,
+	s := &search{m: m, compiled: compiled, sign: sign, opts: opts,
 		stack: []node{{}}, incumbentObj: math.Inf(1)}
 	reg := obs.Default()
 	s.obsWarm = reg.Counter("milp.warm_solves")
@@ -367,11 +359,10 @@ func (m *Model) Solve(opts Options) (*Solution, error) {
 		Nodes: s.nodes, Pivots: int(s.pivots)}, nil
 }
 
-// limited reports whether the node budget, the deadline or
-// Options.Interrupt stops the search before its next node. The select is
+// limited reports whether the node budget or Options.Interrupt stops the search before its next node. The select is
 // non-blocking, and a nil interrupt never fires.
 func (s *search) limited() bool {
-	if s.nodes >= s.opts.MaxNodes || (!s.deadline.IsZero() && time.Now().After(s.deadline)) {
+	if s.nodes >= s.opts.MaxNodes {
 		return true
 	}
 	select {

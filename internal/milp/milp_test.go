@@ -7,7 +7,6 @@ import (
 	"runtime"
 	"testing"
 	"testing/quick"
-	"time"
 
 	"wimesh/internal/lp"
 )
@@ -154,34 +153,6 @@ func TestNodeLimit(t *testing.T) {
 	}
 	if _, err := m.Solve(Options{MaxNodes: 1}); !errors.Is(err, ErrLimit) {
 		t.Errorf("got %v, want ErrLimit", err)
-	}
-}
-
-func TestTimeLimitRespected(t *testing.T) {
-	// Tiny time limit on a non-trivial problem must return quickly.
-	m := NewModel(Maximize)
-	n := 18
-	ids := make([]VarID, n)
-	coef := make(map[VarID]float64, n)
-	for i := 0; i < n; i++ {
-		v, err := m.AddVar("x", Binary, 1, float64(i%7+1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids[i] = v
-		coef[v] = float64(i%5 + 1)
-	}
-	if err := m.AddConstraint(coef, LE, 7.5); err != nil {
-		t.Fatal(err)
-	}
-	start := time.Now()
-	_, err := m.Solve(Options{TimeLimit: time.Millisecond})
-	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Errorf("Solve took %v with a 1ms time limit", elapsed)
-	}
-	// Either it finished optimally in time, or hit the limit; both fine.
-	if err != nil && !errors.Is(err, ErrLimit) {
-		t.Errorf("unexpected error: %v", err)
 	}
 }
 

@@ -194,7 +194,7 @@ func TestDecomposeBadZoneSize(t *testing.T) {
 // conflict-free, meets every demand, and stays within 10% of the monolithic
 // MinSlots optimum on every size both paths can solve.
 func TestDifferentialPartitionedVsMonolithic(t *testing.T) {
-	opts := milp.Options{MaxNodes: 200_000, TimeLimit: 30 * time.Second}
+	opts := milp.Options{MaxNodes: 200_000}
 	cases := []struct {
 		name     string
 		problem  func(t *testing.T) *schedule.Problem
@@ -277,7 +277,7 @@ func TestDifferentialPartitionedVsMonolithic(t *testing.T) {
 // stitched schedule across worker counts (run under -race by
 // `make differential`).
 func TestDifferentialPartitionedWorkers(t *testing.T) {
-	opts := milp.Options{MaxNodes: 200_000, TimeLimit: 30 * time.Second}
+	opts := milp.Options{MaxNodes: 200_000}
 	for _, seed := range []int64{2, 5, 9} {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			p := randomProblem(t, 14, 900, 300, seed, 96, 3)
